@@ -1,8 +1,14 @@
 //! Manager-server benchmark and correctness gate: a saturation sweep of
 //! offered load (client count ×¼ → ×4 around the base) through the
 //! concurrent checkpoint manager, with and without admission control,
-//! plus the crash → DLQ → replay chain. Writes the goodput / defer-rate
-//! / DLQ-depth curves to `BENCH_manager.json`.
+//! plus the crash → DLQ → replay chain, and a client-scaling section that
+//! times the event loop from 64 to 1,024 clients under the
+//! `manager-overload` benchmark settings. Writes the goodput / defer-rate
+//! / DLQ-depth curves and the events/s figures to `BENCH_manager.json`.
+//!
+//! Every timed point re-runs until at least 100 ms have passed and
+//! reports its best wall time, the event-loop iterations of one run and
+//! their rate; each repetition must reproduce the first one's digest.
 //!
 //! ```text
 //! cargo run -p chs-bench --release --bin manager_bench [--quick | --full] [--json PATH]
@@ -42,7 +48,7 @@ use chs_dist::ModelKind;
 use chs_manager::{replay_dead_letters, run_manager, ManagerConfig, ManagerOutcome, ReplayConfig};
 use chs_net::{AdmissionConfig, FaultPlan};
 use serde::Serialize;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Offered-load multipliers around the base client count.
 const LOAD_FACTORS: [f64; 5] = [0.25, 0.5, 1.0, 2.0, 4.0];
@@ -52,6 +58,15 @@ const COLLAPSE_FRACTION: f64 = 0.75;
 /// Past the knee, admission must retain at least this fraction of the
 /// no-admission baseline's goodput at the same offered load.
 const RETAIN_FRACTION: f64 = 0.9;
+/// A timed point repeats its run until this much time has passed.
+const MIN_TIMED: Duration = Duration::from_millis(100);
+/// Client counts of the scaling section (`--quick` stops at 256).
+const SCALING_CLIENTS: [usize; 5] = [64, 128, 256, 512, 1_024];
+/// The scaling section's link, as a multiple of the campus link, fault
+/// intensity and prefetch probability: the `manager-overload` settings.
+const SCALING_LINK_SCALE: f64 = 32.0;
+const SCALING_FAULTS: f64 = 0.2;
+const SCALING_PREFETCH: f64 = 0.3;
 
 #[derive(Serialize)]
 struct SweepPoint {
@@ -65,7 +80,21 @@ struct SweepPoint {
     defer_rate: f64,
     dlq_depth: usize,
     wasted_megabytes: f64,
-    wall_ms: u64,
+    /// Event-loop iterations of one run.
+    events: u64,
+    /// Best wall time of one run, seconds.
+    wall_s: f64,
+    events_per_s: f64,
+}
+
+/// One client count of the scaling section.
+#[derive(Serialize)]
+struct ScalingPoint {
+    clients: usize,
+    events: u64,
+    wall_s: f64,
+    events_per_s: f64,
+    ns_per_event: f64,
 }
 
 #[derive(Serialize)]
@@ -103,6 +132,8 @@ struct ManagerBenchReport {
     replay: Vec<ReplayPoint>,
     replay_stress: StressReplay,
     collapse_factor: Option<f64>,
+    scaling_window_seconds: f64,
+    scaling: Vec<ScalingPoint>,
     gates_passed: bool,
     gate_failures: Vec<String>,
 }
@@ -149,6 +180,40 @@ fn check_outcome(label: &str, outcome: &ManagerOutcome, failures: &mut Vec<Strin
     }
 }
 
+/// Run `config` until [`MIN_TIMED`] has passed. Returns the first
+/// outcome and the best wall time; a repetition whose digest differs
+/// from the first is a gate failure.
+fn timed_runs(
+    config: &ManagerConfig,
+    plan: &FaultPlan,
+    label: &str,
+    failures: &mut Vec<String>,
+) -> (ManagerOutcome, f64) {
+    let start = Instant::now();
+    let mut best = f64::INFINITY;
+    let mut first: Option<ManagerOutcome> = None;
+    loop {
+        let t0 = Instant::now();
+        let outcome = run_manager(config, plan).expect("manager run");
+        best = best.min(t0.elapsed().as_secs_f64());
+        match &first {
+            None => first = Some(outcome),
+            Some(f) if f.result.digest != outcome.result.digest => {
+                failures.push(format!(
+                    "{label}: repeated run digest {:#x} != first {:#x}",
+                    outcome.result.digest, f.result.digest
+                ));
+                break;
+            }
+            Some(_) => {}
+        }
+        if start.elapsed() >= MIN_TIMED {
+            break;
+        }
+    }
+    (first.expect("at least one run"), best)
+}
+
 fn sweep_point(
     factor: f64,
     config: &ManagerConfig,
@@ -156,9 +221,9 @@ fn sweep_point(
     failures: &mut Vec<String>,
     label: &str,
 ) -> (SweepPoint, ManagerOutcome) {
-    let t0 = Instant::now();
-    let outcome = run_manager(config, plan).expect("manager sweep run");
-    check_outcome(&format!("{label}@x{factor}"), &outcome, failures);
+    let label = format!("{label}@x{factor}");
+    let (outcome, wall_s) = timed_runs(config, plan, &label, failures);
+    check_outcome(&label, &outcome, failures);
     let committed = outcome.result.checkpoints_committed;
     let deferred = outcome.report.deferred_checkpoints;
     let point = SweepPoint {
@@ -176,7 +241,9 @@ fn sweep_point(
         },
         dlq_depth: outcome.dlq.len(),
         wasted_megabytes: outcome.result.cycle.wasted_megabytes,
-        wall_ms: t0.elapsed().as_millis() as u64,
+        events: outcome.result.events,
+        wall_s,
+        events_per_s: outcome.result.events as f64 / wall_s,
     };
     (point, outcome)
 }
@@ -448,22 +515,60 @@ fn main() {
         }
     }
 
+    // ---- Client scaling: event-loop cost per event ------------------
+    let scaling_window = if quick { 0.25 * 86_400.0 } else { 86_400.0 };
+    let scaling_clients = if quick {
+        &SCALING_CLIENTS[..3]
+    } else {
+        &SCALING_CLIENTS[..]
+    };
+    let scaling_plan = FaultPlan::uniform(SCALING_FAULTS, args.seed ^ 0x5EED);
+    let mut scaling = Vec::new();
+    for &clients in scaling_clients {
+        let mut config = ManagerConfig::campus(clients, ModelKind::Exponential);
+        config.window = scaling_window;
+        config.seed = args.seed;
+        config.link_mb_per_s *= SCALING_LINK_SCALE;
+        config.retry.max_retries = 1;
+        config.prefetch_probability = SCALING_PREFETCH;
+        let label = format!("scaling@{clients}");
+        let (outcome, wall_s) = timed_runs(&config, &scaling_plan, &label, &mut failures);
+        check_outcome(&label, &outcome, &mut failures);
+        let events = outcome.result.events;
+        scaling.push(ScalingPoint {
+            clients,
+            events,
+            wall_s,
+            events_per_s: events as f64 / wall_s,
+            ns_per_event: wall_s * 1e9 / events as f64,
+        });
+        eprintln!("scaling: {clients} clients, {events} events in {wall_s:.3} s");
+    }
+
     // ---- Report -----------------------------------------------------
     println!("\nsaturation sweep (admission vs no-admission baseline):");
     println!(
-        "{:>7}{:>9}{:>14}{:>14}{:>12}{:>11}{:>10}",
-        "load", "clients", "goodput MB", "baseline MB", "defer rate", "DLQ depth", "util"
+        "{:>7}{:>9}{:>14}{:>14}{:>12}{:>11}{:>10}{:>12}",
+        "load",
+        "clients",
+        "goodput MB",
+        "baseline MB",
+        "defer rate",
+        "DLQ depth",
+        "util",
+        "events/s"
     );
     for (a, b) in admission_points.iter().zip(&baseline_points) {
         println!(
-            "{:>7.2}{:>9}{:>14.0}{:>14.0}{:>12.3}{:>11}{:>10.3}",
+            "{:>7.2}{:>9}{:>14.0}{:>14.0}{:>12.3}{:>11}{:>10.3}{:>12.0}",
             a.factor,
             a.clients,
             a.goodput_mb,
             b.goodput_mb,
             a.defer_rate,
             a.dlq_depth,
-            a.link_utilization
+            a.link_utilization,
+            a.events_per_s
         );
     }
     println!("\ncrash → DLQ → replay:");
@@ -480,6 +585,17 @@ fn main() {
         replay_stress.abandoned,
         replay_stress.replayed_mb
     );
+    println!("\nclient scaling (events/s of the event loop, best of ≥ 100 ms):");
+    println!(
+        "{:>9}{:>11}{:>10}{:>13}{:>10}",
+        "clients", "events", "wall s", "events/s", "ns/event"
+    );
+    for p in &scaling {
+        println!(
+            "{:>9}{:>11}{:>10.4}{:>13.0}{:>10.0}",
+            p.clients, p.events, p.wall_s, p.events_per_s, p.ns_per_event
+        );
+    }
     match collapse {
         Some(knee) => {
             let a = admission_points.last().expect("non-empty sweep");
@@ -504,6 +620,8 @@ fn main() {
         replay: replay_points,
         replay_stress,
         collapse_factor: collapse.map(|k| LOAD_FACTORS[k]),
+        scaling_window_seconds: scaling_window,
+        scaling,
         gates_passed,
         gate_failures: failures.clone(),
     };

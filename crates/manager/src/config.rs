@@ -185,6 +185,9 @@ pub struct ManagerResult {
     pub checkpoint_busy_seconds: f64,
     /// Seconds the prefetch lane had at least one active flow.
     pub prefetch_busy_seconds: f64,
+    /// Iterations of the server's event loop — a measure of the work a
+    /// run did, not of its outcome, so it stays out of `digest`.
+    pub events: u64,
     /// The merged client cycle ledger.
     pub cycle: CycleAccounting,
     /// Order-independent digest of every client ledger, the report, and

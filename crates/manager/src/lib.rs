@@ -34,6 +34,7 @@
 #![deny(missing_docs)]
 
 mod config;
+mod index;
 mod replay;
 mod server;
 

@@ -19,6 +19,7 @@
 //! the run reproduces [`chs_condor::run_contention`] bitwise.
 
 use crate::config::{ManagerConfig, ManagerOutcome, ManagerReport, ManagerResult};
+use crate::index::TimeIndex;
 use crate::{ManagerError, Result};
 use chs_condor::machine::{EmulatedMachine, Segment};
 use chs_condor::FaultReport;
@@ -271,6 +272,28 @@ impl Client {
         self.machine.segments().get(self.seg_index).copied()
     }
 
+    /// The earliest time the client's own state can fire: its segment
+    /// start while down, the work deadline or segment end while working,
+    /// the segment end or the outage/stall/backoff deadline while
+    /// transferring. An active transfer's completion is keyed on the
+    /// link instead (see [`WeightedFairLink::next_completion`]).
+    fn event_key(&self) -> f64 {
+        let seg = self.current_segment();
+        let seg_end = seg.map_or(f64::INFINITY, |s| s.end);
+        match self.cycle.phase() {
+            CyclePhase::Down => seg.map_or(f64::INFINITY, |s| s.start),
+            CyclePhase::Work => self.work_until.min(seg_end),
+            CyclePhase::Recovery | CyclePhase::Checkpoint => match self.xfer {
+                XferState::Active { .. } => seg_end,
+                XferState::Unavail { until }
+                | XferState::Stalled { until }
+                | XferState::Backoff { until } => until.min(seg_end),
+                XferState::Idle => unreachable!("transfer phase without an attempt"),
+            },
+            CyclePhase::Ready => unreachable!("client left in Ready between events"),
+        }
+    }
+
     /// The priority lane of the client's current transfer phase.
     fn xfer_lane(&self) -> usize {
         match self.cycle.phase() {
@@ -509,16 +532,28 @@ pub fn run_manager_observed(
     let mut busy_time = 0.0;
     let mut concurrency_time = 0.0;
     let mut lane_busy = [0.0f64; 3];
+    let mut events = 0u64;
+
+    // The event index (DESIGN.md §12). `index` holds every client's
+    // `event_key`; `live` lists the clients that are not down, ascending;
+    // `transferring` the clients with a flow on the link, ascending;
+    // `due` is the scratch list of clients fired at one event.
+    let mut index = TimeIndex::new(clients.iter().map(Client::event_key).collect());
+    let mut live: Vec<usize> = Vec::new();
+    let mut transferring: Vec<usize> = Vec::new();
+    let mut due: Vec<usize> = Vec::new();
 
     // Backlog the admission gate meters: outstanding bytes on the lanes
     // it controls (checkpoint + prefetch). Recovery traffic is never
     // deferrable, so counting it would let a recovery flood starve
     // checkpoints forever instead of bounding their own queue.
     // Deterministic — sums run in client index order, never over the
-    // link's hash-map iteration.
-    let backlog_mb = |clients: &[Client], prefetches: &[PrefetchFlow]| -> f64 {
+    // link's hash-map iteration. `live` holds every checkpointing client
+    // in index order (down clients add no term).
+    let backlog_mb = |clients: &[Client], live: &[usize], prefetches: &[PrefetchFlow]| -> f64 {
         let mut total = 0.0;
-        for c in clients {
+        for &i in live {
+            let c = &clients[i];
             if c.cycle.phase() == CyclePhase::Checkpoint {
                 total += c.cycle.transfer_remaining_mb().unwrap_or(0.0);
             }
@@ -530,47 +565,22 @@ pub fn run_manager_observed(
     };
 
     while t < config.window {
+        events += 1;
         let n_active = link.active();
 
-        // Earliest next event across clients and prefetches.
-        let mut t_next = config.window;
-        for (i, client) in clients.iter().enumerate() {
-            let seg = client.current_segment();
-            let event = match client.cycle.phase() {
-                CyclePhase::Down => seg.map_or(f64::INFINITY, |s| s.start),
-                CyclePhase::Work => client.work_until.min(seg.map_or(f64::INFINITY, |s| s.end)),
-                CyclePhase::Recovery | CyclePhase::Checkpoint => {
-                    let seg_end = seg.map_or(f64::INFINITY, |s| s.end);
-                    match client.xfer {
-                        XferState::Active { .. } => {
-                            // Virtual-volume projection: the flow's
-                            // deadline is a constant key on its lane's
-                            // volume axis (see chs_pool::fairshare).
-                            let done = link
-                                .projected_completion(i as u64)
-                                .expect("active client without a link flow");
-                            done.min(seg_end)
-                        }
-                        XferState::Unavail { until }
-                        | XferState::Stalled { until }
-                        | XferState::Backoff { until } => until.min(seg_end),
-                        XferState::Idle => unreachable!("transfer phase without an attempt"),
-                    }
-                }
-                CyclePhase::Ready => unreachable!("client left in Ready between events"),
-            };
-            t_next = t_next.min(event);
-        }
-        for p in &prefetches {
-            let done = link
-                .projected_completion(p.id)
-                .expect("prefetch without a link flow");
-            t_next = t_next.min(done);
-        }
+        // Earliest next event: the clients' own keys, then the link's
+        // earliest flow completion (client transfers and prefetches).
+        // Within a lane `now + (deadline − acc) / rate` is monotone in
+        // the deadline, so the lane's heap head is the exact minimum a
+        // scan over its flows would find.
+        let t_next = config.window.min(index.min()).min(
+            link.next_completion()
+                .map_or(f64::INFINITY, |(done, _)| done),
+        );
         let dt = (t_next - t).max(0.0);
 
         // Account link occupancy, integrate the lanes' service volume,
-        // then advance every client's cycle machine.
+        // then advance every live client's cycle machine.
         if n_active > 0 && dt > 0.0 {
             busy_time += dt;
             concurrency_time += dt * n_active as f64;
@@ -586,9 +596,12 @@ pub fn run_manager_observed(
             dt * link.rate(Lane::Prefetch.index()),
         ];
         link.advance_by(dt);
-        for client in clients.iter_mut() {
+        // Eager, every live client every event: deferring a client's
+        // `advance` to its next event would sum its ledger in other
+        // steps and change how the f64 totals round.
+        for &i in &live {
+            let client = &mut clients[i];
             match client.cycle.phase() {
-                CyclePhase::Down => {}
                 CyclePhase::Recovery | CyclePhase::Checkpoint => match client.xfer {
                     XferState::Active { fault } => {
                         let floor = match fault {
@@ -640,8 +653,18 @@ pub fn run_manager_observed(
             }
         }
 
-        // Fire client events.
-        for i in 0..clients.len() {
+        // Fire client events: every client whose key is due plus every
+        // transferring client (transfers end on byte thresholds), in
+        // ascending index order — admission backlog, dead-letter order,
+        // prefetch ids and observer calls all follow it. The set is a
+        // superset of the due clients; a client that is not due falls
+        // through its phase's tests untouched.
+        due.clear();
+        index.collect_due(t + EPS, &mut due);
+        due.extend_from_slice(&transferring);
+        due.sort_unstable();
+        due.dedup();
+        for &i in &due {
             let id = i as u64;
             let Some(seg) = clients[i].current_segment() else {
                 continue;
@@ -665,9 +688,10 @@ pub fn run_manager_observed(
                     } else if t + EPS >= clients[i].work_until {
                         // Admission control: forecast utilization with
                         // this checkpoint added to the committed backlog.
-                        let forecast = config
-                            .admission
-                            .forecast_utilization(backlog_mb(&clients, &prefetches), image_mb);
+                        let forecast = config.admission.forecast_utilization(
+                            backlog_mb(&clients, &live, &prefetches),
+                            image_mb,
+                        );
                         let client = &mut clients[i];
                         if config.admission.enabled && forecast > config.admission.watermark {
                             // Deferred: fall back to the last verified
@@ -743,9 +767,10 @@ pub fn run_manager_observed(
                                             ^ mix64(clients[i].completed_transfers),
                                     );
                                     if draw < config.prefetch_probability {
-                                        let admitted = config
-                                            .admission
-                                            .admits(backlog_mb(&clients, &prefetches), image_mb);
+                                        let admitted = config.admission.admits(
+                                            backlog_mb(&clients, &live, &prefetches),
+                                            image_mb,
+                                        );
                                         if admitted {
                                             let pid = next_prefetch_id;
                                             next_prefetch_id += 1;
@@ -868,6 +893,26 @@ pub fn run_manager_observed(
                 CyclePhase::Ready => unreachable!("client left in Ready between events"),
             }
         }
+
+        // Only fired clients changed state: re-key them and update the
+        // live and transferring lists. A client transferring before this
+        // event was fired, so `transferring` is rebuilt from `due` alone.
+        transferring.clear();
+        for &i in &due {
+            let client = &clients[i];
+            index.set(i, client.event_key());
+            if matches!(client.xfer, XferState::Active { .. }) {
+                transferring.push(i);
+            }
+            let is_live = client.cycle.phase() != CyclePhase::Down;
+            match live.binary_search(&i) {
+                Ok(k) if !is_live => {
+                    live.remove(k);
+                }
+                Err(k) if is_live => live.insert(k, i),
+                _ => {}
+            }
+        }
     }
 
     // Window closed: flush in-flight phases into the ledgers.
@@ -907,6 +952,7 @@ pub fn run_manager_observed(
         recovery_busy_seconds: lane_busy[Lane::Recovery.index()],
         checkpoint_busy_seconds: lane_busy[Lane::Checkpoint.index()],
         prefetch_busy_seconds: lane_busy[Lane::Prefetch.index()],
+        events,
         cycle: total,
         digest,
     };

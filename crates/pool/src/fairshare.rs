@@ -148,6 +148,7 @@ impl WeightedFairLink {
     /// equal-share cases use the classic single-divide arithmetic so the
     /// manager's differential gates against `run_contention` hold
     /// bitwise; the general case applies the weighted water level.
+    /// Allocation-free: it runs on every flow start and end.
     fn resolve(&mut self) {
         let total: u32 = self.count.iter().sum();
         for r in self.rate.iter_mut() {
@@ -156,29 +157,38 @@ impl WeightedFairLink {
         if total == 0 {
             return;
         }
-        let active: Vec<usize> = (0..self.weights.len())
-            .filter(|&l| self.count[l] > 0)
-            .collect();
-        if active.len() == 1 {
-            let l = active[0];
-            self.rate[l] = self.capacity / self.count[l] as f64;
+        let mut lanes = (0..self.weights.len()).filter(|&l| self.count[l] > 0);
+        let first = lanes.next().expect("a flow is registered");
+        let w0 = self.weights[first];
+        let (mut active, mut equal) = (1, true);
+        for l in lanes {
+            active += 1;
+            equal &= self.weights[l] == w0;
+        }
+        if active == 1 {
+            self.rate[first] = self.capacity / self.count[first] as f64;
             return;
         }
-        let w0 = self.weights[active[0]];
-        if active.iter().all(|&l| self.weights[l] == w0) {
+        if equal {
             let shared = self.capacity / total as f64;
-            for &l in &active {
-                self.rate[l] = shared;
+            for l in 0..self.weights.len() {
+                if self.count[l] > 0 {
+                    self.rate[l] = shared;
+                }
             }
             return;
         }
-        let denom: f64 = active
-            .iter()
-            .map(|&l| self.count[l] as f64 * self.weights[l])
-            .sum();
+        let mut denom = 0.0;
+        for l in 0..self.weights.len() {
+            if self.count[l] > 0 {
+                denom += self.count[l] as f64 * self.weights[l];
+            }
+        }
         let level = self.capacity / denom;
-        for &l in &active {
-            self.rate[l] = self.weights[l] * level;
+        for l in 0..self.weights.len() {
+            if self.count[l] > 0 {
+                self.rate[l] = self.weights[l] * level;
+            }
         }
     }
 
@@ -247,19 +257,12 @@ impl WeightedFairLink {
         Some(slot.deadline - self.acc[slot.lane])
     }
 
-    /// The absolute time flow `id` completes if membership stays as-is.
-    /// For the first flow on a rebased lane this is exactly
-    /// `now + target / rate` — the classic arithmetic.
-    pub fn projected_completion(&self, id: u64) -> Option<f64> {
-        let slot = self.flows.get(&id)?;
-        let rate = self.rate[slot.lane];
-        debug_assert!(rate > 0.0, "registered flow in an idle lane");
-        Some(self.now + (slot.deadline - self.acc[slot.lane]) / rate)
-    }
-
     /// The earliest projected completion across all lanes, with the
     /// completing flow's id. Lazily purges heap entries invalidated by
-    /// [`Self::end_flow`] or re-registration.
+    /// [`Self::end_flow`] or re-registration. A flow completes at
+    /// `now + (deadline − acc) / rate` if membership stays as-is; for
+    /// the first flow on a rebased lane this is exactly
+    /// `now + target / rate` — the classic arithmetic.
     pub fn next_completion(&mut self) -> Option<(f64, u64)> {
         let mut best: Option<(f64, u64)> = None;
         for l in 0..self.weights.len() {
@@ -349,7 +352,7 @@ mod tests {
         // now + target / rate (0.0 + x == x bitwise).
         link.start_flow(1, 0, 64.0);
         assert_eq!(link.remaining_mb(1), Some(64.0));
-        assert_eq!(link.projected_completion(1), Some(3.0 + 64.0 / 4.0));
+        assert_eq!(link.next_completion(), Some((3.0 + 64.0 / 4.0, 1)));
     }
 
     #[test]
