@@ -3,7 +3,7 @@
 //!
 //! Times each stage of the policy-build pipeline in isolation — age
 //! conditioning (`at_age`), the cold full-bracket search, the
-//! hint-driven scalar and lane searches, and a complete table build —
+//! hint-driven lane search, and a complete table build —
 //! then replays a fleet-like Weibull parameter draw (mirroring
 //! `serve_bench`'s) reporting per-build searches, Γ evaluations per
 //! search, and fresh-memo traffic. A diagnostic companion to
@@ -67,16 +67,6 @@ fn main() {
         "cold search: {:.2}us",
         t0.elapsed().as_secs_f64() / n as f64 * 1e6
     );
-
-    // warm scalar
-    let t0 = Instant::now();
-    for i in 0..n {
-        let age = 1.0 + (i as f64) * 13.7;
-        let hint = vaidya.optimal_interval(age * 0.98).unwrap().work_seconds;
-        std::hint::black_box(vaidya.optimal_interval_near(age, hint).unwrap());
-    }
-    let warm_pair = t0.elapsed().as_secs_f64() / n as f64 * 1e6;
-    println!("cold+warm scalar pair: {:.2}us", warm_pair);
 
     // warm lane
     let t0 = Instant::now();

@@ -1,8 +1,10 @@
 //! Wall-clock benchmark for the flattened pool sweep: times
 //! `prepare_experiments` plus the optimized [`sweep_paper_grid`] against
 //! the serial cold-search [`sweep_paper_grid_reference`] (the structure
-//! and cost profile the sweep had before the flat fan-out), and verifies
-//! the two grids agree cell-by-cell.
+//! and cost profile the sweep had before the flat fan-out), verifies the
+//! flat fan-out against the serial warm-fill sweep cell-by-cell, and
+//! audits the warm `T_opt` fill against the cold one point by point
+//! (exit 1 if any Weibull point is worse in Γ/T by more than 1e-6).
 //!
 //! ```text
 //! cargo run -p chs-bench --release --features bench-counters --bin sweep_bench \
@@ -15,9 +17,11 @@
 //! those fields are zero and `counters_enabled` is false.
 
 use chs_bench::{prepare_pool_reported, CommonArgs, TablePrinter};
+use chs_dist::ModelKind;
 use chs_sim::sweep::PAPER_C_GRID;
 use chs_sim::{
-    sweep_paper_grid, sweep_paper_grid_reference, sweep_paper_grid_serial, PrepareReport, SweepGrid,
+    audit_warm_fill, sweep_paper_grid, sweep_paper_grid_reference, sweep_paper_grid_serial,
+    FillExcess, PrepareReport, SweepGrid,
 };
 use serde::Serialize;
 use std::time::Instant;
@@ -72,15 +76,25 @@ struct SweepBenchReport {
     max_rel_dev_vs_serial_efficiency: f64,
     max_rel_dev_vs_serial_megabytes: f64,
     /// Deviation from the cold-search reference, recorded as measured.
-    /// T_opt tables agree only to the optimizer's plateau width (~1e-8
+    /// T_opt tables agree only to the lane search's plateau bound (5e-4
     /// relative), and the discrete-event simulation is discontinuous in
     /// T — a sub-ppm interval shift can flip whether a checkpoint commits
     /// before a failure — so per-machine outputs can differ at the
-    /// percent level even though both policies are equally optimal.
+    /// percent level; `plateau_audit` shows where the policies are not
+    /// equally optimal.
     max_rel_dev_vs_cold_efficiency: f64,
     max_rel_dev_vs_cold_megabytes: f64,
+    /// Per family: Γ/T at the warm-filled T against Γ/T at the cold T,
+    /// over every (machine, C, age) grid point, counting excesses above
+    /// `PLATEAU_TOL`. The run aborts if any Weibull point exceeds it.
+    plateau_audit: Vec<FillExcess>,
     counters_enabled: bool,
 }
+
+/// Relative Γ/T excess of the warm fill over the cold fill that still
+/// counts as the same optimum: far above plateau noise (~1e-11 on
+/// Weibull fits), far below a different basin.
+const PLATEAU_TOL: f64 = 1e-6;
 
 fn time_sweep<F: FnOnce() -> SweepGrid>(f: F) -> (SweepGrid, f64, (u64, u64, u64)) {
     counters_reset();
@@ -130,7 +144,7 @@ fn main() {
     let prepare_seconds = t0.elapsed().as_secs_f64();
     let (experiments, prepare_report) = (prepared.experiments, prepared.report);
     let machines = experiments.len();
-    let work_items = machines * PAPER_C_GRID.len() * chs_dist::ModelKind::PAPER_SET.len();
+    let work_items = machines * PAPER_C_GRID.len() * ModelKind::PAPER_SET.len();
 
     eprintln!("timing reference sweep (serial, cold T_opt search) ...");
     let (ref_grid, ref_secs, ref_counters) =
@@ -152,13 +166,16 @@ fn main() {
         std::process::exit(1);
     }
     let (dev_eff, dev_mb) = max_rel_dev(&opt_grid, &ref_grid);
+
+    eprintln!("auditing warm vs cold T_opt fills at every grid point ...");
+    let plateau_audit = audit_warm_fill(&experiments, &PAPER_C_GRID, PLATEAU_TOL);
     let report = SweepBenchReport {
         machines_requested: args.machines,
         machines_usable: machines,
         observations_per_machine: args.observations,
         seed: args.seed,
         c_values: PAPER_C_GRID.len(),
-        models: chs_dist::ModelKind::PAPER_SET.len(),
+        models: ModelKind::PAPER_SET.len(),
         work_items,
         prepare_seconds,
         prepare: prepare_report,
@@ -169,6 +186,7 @@ fn main() {
         max_rel_dev_vs_serial_megabytes: ser_mb,
         max_rel_dev_vs_cold_efficiency: dev_eff,
         max_rel_dev_vs_cold_megabytes: dev_mb,
+        plateau_audit,
         counters_enabled: cfg!(feature = "bench-counters"),
     };
 
@@ -209,6 +227,24 @@ fn main() {
         "deviation vs cold-search reference (plateau + event flips, recorded as \
          measured): efficiency {dev_eff:.3e}, megabytes {dev_mb:.3e}"
     );
+    println!("\nplateau audit: warm-fill Γ/T over cold-fill Γ/T per grid point");
+    let printer = TablePrinter::new(vec![16, 10, 12, 12]);
+    printer.row(&[
+        "family".into(),
+        "points".into(),
+        format!("> {PLATEAU_TOL:.0e}"),
+        "worst".into(),
+    ]);
+    printer.rule();
+    for row in &report.plateau_audit {
+        printer.row(&[
+            row.kind.label(),
+            format!("{}", row.points),
+            format!("{}", row.above),
+            format!("{:.3e}", row.worst),
+        ]);
+    }
+    printer.rule();
     if !report.counters_enabled {
         println!("(rebuild with --features bench-counters for Γ/memo counts)");
     }
@@ -225,5 +261,21 @@ fn main() {
             eprintln!("could not serialize report: {e}");
             std::process::exit(1);
         }
+    }
+
+    // Hyperexponential Γ/T can be bimodal, and a warm chain can stay in
+    // the basin the global optimum left; Weibull Γ/T is unimodal, so any
+    // excess there is a search defect.
+    let weibull = report
+        .plateau_audit
+        .iter()
+        .find(|r| r.kind == ModelKind::Weibull);
+    if let Some(row) = weibull.filter(|r| r.above > 0) {
+        eprintln!(
+            "FAIL: {} Weibull grid points exceed the cold fill's Γ/T by more than \
+             {PLATEAU_TOL:.0e} (worst {:.3e})",
+            row.above, row.worst
+        );
+        std::process::exit(1);
     }
 }

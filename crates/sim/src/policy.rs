@@ -90,11 +90,13 @@ impl SchedulePolicy for ModelPolicy {
 /// For memoryless models the grid degenerates to a single entry.
 ///
 /// The grid is filled through **one** [`VaidyaModel`] (so its
-/// fresh-quantity memo persists across ages) and each age's search is
-/// warm-started from the neighboring age's `T_opt` — valid because
-/// `T_opt(age)` varies smoothly for the paper's families, and guarded by
-/// the full-bracket fallback inside
-/// [`VaidyaModel::optimal_interval_near`].
+/// fresh-quantity memo persists across ages). The age-0 anchor is the
+/// scalar cold search; every later age runs the four-lane warm search
+/// [`VaidyaModel::optimal_work_near_lane`] from the neighboring ages'
+/// `T_opt` — valid because `T_opt(age)` varies smoothly for the paper's
+/// families, and guarded by that search's full-bracket fallback. The
+/// filled values agree with the cold fill ([`CachedPolicy::new_cold`])
+/// within the lane search's 5e-4 relative plateau bound.
 pub struct CachedPolicy {
     inner: ModelPolicy,
     grid_ages: Vec<f64>,
@@ -114,10 +116,10 @@ impl CachedPolicy {
     }
 
     /// Like [`CachedPolicy::new`] but with every grid point searched from
-    /// the full log-space bracket (no warm starting). This is the pre-
-    /// optimization fill, kept as the baseline the sweep benchmark times
-    /// against; simulations built on it behave identically up to the
-    /// optimizer's floor precision (~1e-8 relative in `T_opt`).
+    /// the full log-space bracket by the scalar search (no warm starting).
+    /// This is the pre-optimization fill, kept as the reference the sweep
+    /// benchmark times and audits against; its `T_opt` values agree with
+    /// the warm fill within 5e-4 relative.
     pub fn new_cold(
         model: impl Into<Arc<FittedModel>>,
         costs: CheckpointCosts,
@@ -171,14 +173,14 @@ impl CachedPolicy {
                         _ => None,
                     };
                     let solved = match hint.filter(|_| warm) {
-                        Some(h) => vaidya.optimal_interval_near(age, h),
-                        None => vaidya.optimal_interval(age),
+                        Some(h) => vaidya.optimal_work_near_lane(age, h),
+                        None => vaidya.optimal_interval(age).map(|opt| opt.work_seconds),
                     };
                     match solved {
-                        Ok(opt) => {
+                        Ok(t) => {
                             prev2 = prev;
-                            prev = Some(opt.work_seconds);
-                            grid_t.push(opt.work_seconds);
+                            prev = Some(t);
+                            grid_t.push(t);
                         }
                         Err(_) => {
                             prev = None;
@@ -202,6 +204,12 @@ impl CachedPolicy {
     /// The wrapped model.
     pub fn model(&self) -> &FittedModel {
         self.inner.model()
+    }
+
+    /// The precomputed table: grid ages (ascending, starting at 0) and the
+    /// `T_opt` filled at each.
+    pub fn grid(&self) -> (&[f64], &[f64]) {
+        (&self.grid_ages, &self.grid_t)
     }
 }
 
@@ -318,8 +326,8 @@ mod tests {
         let cold = CachedPolicy::new_cold(fit, costs, 400_000.0);
         for (w, c) in warm.grid_t.iter().zip(&cold.grid_t) {
             assert!(
-                ((w - c) / c).abs() < 1e-6,
-                "warm {w} vs cold {c} beyond optimizer floor"
+                ((w - c) / c).abs() < 5e-4,
+                "warm {w} vs cold {c} beyond the lane search's plateau bound"
             );
         }
     }

@@ -21,7 +21,7 @@ use crate::metrics::SimResult;
 use crate::policy::{CachedPolicy, FixedIntervalPolicy};
 use chs_dist::fit::fit_model;
 use chs_dist::{Exponential, FittedModel, ModelKind};
-use chs_markov::CheckpointCosts;
+use chs_markov::{CheckpointCosts, VaidyaModel};
 use chs_net::FaultPlan;
 use chs_sched::ingest::{fit_batch, FitItem};
 use chs_stats::mean;
@@ -509,10 +509,11 @@ fn sweep_serial(
 /// The naive serial sweep with the pre-optimization cost profile: nested
 /// `C → model → machine` loops, a fresh max-age scan per cell, and a cold
 /// (full-bracket) `T_opt` search at every grid point. This is the
-/// baseline `sweep_bench` times [`sweep_paper_grid`] against; its cells
-/// agree with the optimized sweep to the optimizer's floor precision
-/// (~1e-8 relative — two different search paths cannot agree closer, see
-/// `chs_numerics::optimize::spi_refine`).
+/// baseline `sweep_bench` times [`sweep_paper_grid`] against. Its `T_opt`
+/// tables agree with the optimized sweep's four-lane warm fill within the
+/// lane search's plateau bound (5e-4 relative, about 1e-6 measured on
+/// Weibull fits); the simulated cells then differ wherever such a shift
+/// flips a checkpoint across a failure.
 pub fn sweep_paper_grid_reference(
     experiments: &[MachineExperiment],
     c_values: &[f64],
@@ -532,6 +533,86 @@ pub fn sweep_paper_grid_serial(
     image_mb: f64,
 ) -> SweepGrid {
     sweep_serial(experiments, c_values, image_mb, true)
+}
+
+/// One family's row of [`audit_warm_fill`].
+#[derive(Debug, Clone, Serialize)]
+pub struct FillExcess {
+    /// The family audited.
+    pub kind: ModelKind,
+    /// `(machine, C, age)` grid points compared.
+    pub points: usize,
+    /// Points where Γ/T at the warm-filled `T` exceeds Γ/T at the cold
+    /// `T` by more than the audit tolerance (relative).
+    pub above: usize,
+    /// The largest relative excess of warm over cold Γ/T (0 when the warm
+    /// fill is never worse).
+    pub worst: f64,
+}
+
+/// Plateau audit of the sweep's warm `T_opt` fill: for every machine, C
+/// and family, build the warm ([`CachedPolicy::new`]) and cold
+/// ([`CachedPolicy::new_cold`]) tables and compare the objective Γ/T at
+/// the two filled intervals at every grid age. Where both searches found
+/// the same optimum the excess is plateau noise (≪ 1e-6); a larger
+/// excess means the warm chain stayed in a worse basin.
+///
+/// Returns one row per family in [`ModelKind::PAPER_SET`] order. Slots
+/// on Young's fixed interval have no table and are skipped. Counts and
+/// maxima do not depend on the thread count.
+pub fn audit_warm_fill(
+    experiments: &[MachineExperiment],
+    c_values: &[f64],
+    tolerance: f64,
+) -> Vec<FillExcess> {
+    let n_c = c_values.len();
+    let n_k = ModelKind::PAPER_SET.len();
+    let per_item: Vec<(usize, usize, f64)> = (0..experiments.len() * n_c * n_k)
+        .into_par_iter()
+        .map(|idx| {
+            let exp = &experiments[idx / (n_c * n_k)];
+            let mi = idx % n_k;
+            if exp.fallbacks.get(mi) == Some(&FitFallback::Fixed) {
+                return (0, 0, 0.0);
+            }
+            let fit = &exp.fits[mi];
+            let costs = CheckpointCosts::symmetric(c_values[(idx / n_k) % n_c]);
+            let Ok(vaidya) = VaidyaModel::shared(Arc::clone(fit), costs) else {
+                return (0, 0, 0.0);
+            };
+            let max_age = exp.max_age();
+            let warm = CachedPolicy::new(Arc::clone(fit), costs, max_age);
+            let cold = CachedPolicy::new_cold(Arc::clone(fit), costs, max_age);
+            let ((ages, warm_t), (_, cold_t)) = (warm.grid(), cold.grid());
+            let (mut above, mut worst) = (0, 0.0f64);
+            for ((&age, &tw), &tc) in ages.iter().zip(warm_t).zip(cold_t) {
+                let excess = vaidya.overhead_ratio(tw, age) / vaidya.overhead_ratio(tc, age) - 1.0;
+                if excess > tolerance {
+                    above += 1;
+                }
+                worst = worst.max(excess);
+            }
+            (ages.len(), above, worst)
+        })
+        .collect();
+    ModelKind::PAPER_SET
+        .iter()
+        .enumerate()
+        .map(|(mi, &kind)| {
+            let mut row = FillExcess {
+                kind,
+                points: 0,
+                above: 0,
+                worst: 0.0,
+            };
+            for &(points, above, worst) in per_item.iter().skip(mi).step_by(n_k) {
+                row.points += points;
+                row.above += above;
+                row.worst = row.worst.max(worst);
+            }
+            row
+        })
+        .collect()
 }
 
 #[cfg(test)]

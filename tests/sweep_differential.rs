@@ -8,16 +8,18 @@
 //!   is identical code, so the flat fan-out and index-aligned reduction
 //!   must agree to 1e-9 relative (in fact bitwise) — this isolates the
 //!   orchestration restructure from any numerical effect.
-//! * Against the **cold-search** reference (the pre-optimization search at
-//!   every grid point) the warm-started fill can only agree to the
-//!   optimizer's plateau width: near the flat minimum of Γ/T the objective
-//!   is numerically constant over ~1e-7 in ln T, so two different search
-//!   paths land within ~1e-8..1e-6 of each other, never 1e-9. That bound
-//!   checks the warm-start itself.
+//! * Against the **cold-search** reference (the scalar golden-section
+//!   search at every grid point) the four-lane warm fill agrees in `T_opt`
+//!   only to the lane search's plateau bound (5e-4 relative; about 1e-6
+//!   measured on Weibull fits), never 1e-9. What must hold instead is that
+//!   both intervals are equally optimal: Γ/T at the warm `T` may not
+//!   exceed Γ/T at the cold `T` by more than 1e-6 on the unimodal Weibull
+//!   family.
 
+use cycle_harvest::dist::ModelKind;
 use cycle_harvest::sim::{
-    prepare_experiments, sweep_paper_grid, sweep_paper_grid_reference, sweep_paper_grid_serial,
-    MachineExperiment, SweepGrid,
+    audit_warm_fill, prepare_experiments, sweep_paper_grid, sweep_paper_grid_reference,
+    sweep_paper_grid_serial, MachineExperiment, SweepGrid,
 };
 use cycle_harvest::trace::synthetic::{generate_pool, PoolConfig};
 
@@ -77,9 +79,25 @@ fn flat_fan_out_matches_serial_reference_exactly() {
 }
 
 #[test]
+fn weibull_warm_fill_is_as_optimal_as_cold_fill() {
+    let experiments = six_machine_pool();
+    let audit = audit_warm_fill(&experiments, &[50.0, 250.0, 750.0, 1500.0], 1e-6);
+    let weibull = audit
+        .iter()
+        .find(|r| r.kind == ModelKind::Weibull)
+        .expect("Weibull row");
+    assert!(weibull.points > 0);
+    assert_eq!(
+        weibull.above, 0,
+        "warm Weibull fill worse than cold by up to {:.3e} in Γ/T",
+        weibull.worst
+    );
+}
+
+#[test]
 fn warm_started_fill_tracks_cold_search() {
-    // The warm and cold T_opt tables agree to the optimizer plateau
-    // (~1e-8 relative; asserted directly in chs-sim's policy tests), but
+    // The warm and cold T_opt tables agree to the lane plateau bound
+    // (5e-4 relative; asserted directly in chs-sim's policy tests), but
     // the discrete-event simulation is *discontinuous* in T: a sub-ppm
     // shift in an interval can flip whether a checkpoint commits before a
     // failure, changing a single machine's efficiency at the percent
