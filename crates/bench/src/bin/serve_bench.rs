@@ -6,6 +6,10 @@
 //! cargo run -p chs-bench --release --bin serve_bench [--quick] [--json PATH]
 //! ```
 //!
+//! The scheduler parks the fleet's initial fits at ingest; the bench
+//! resolves them (`Scheduler::flush`) before it times the publish and
+//! reports their batch time as `refit_seconds`.
+//!
 //! Results are written to `BENCH_serve.json` (override with `--json`).
 //! The run is also a correctness gate and exits nonzero when any of
 //! four contracts is violated:
@@ -135,6 +139,10 @@ struct FleetReport {
     unique_streams: usize,
     observations_per_machine: usize,
     ingest_seconds: f64,
+    /// The parked initial fits, resolved in one parallel batch
+    /// (`Scheduler::flush`) before the publish timer starts.
+    refit_seconds: f64,
+    refits: u64,
     publish_seconds: f64,
     publish_seconds_per_table: f64,
     tables_per_sec: f64,
@@ -188,8 +196,9 @@ struct ServeBenchReport {
     determinism: DeterminismReport,
 }
 
-/// Stream the whole fleet's training prefixes through the scheduler and
-/// publish one epoch.
+/// Stream the whole fleet's training prefixes through the scheduler,
+/// run the parked initial fits, and publish one epoch; the three phases
+/// are timed apart, so `tables_per_sec` measures table builds only.
 fn build_fleet(args: &ServeArgs) -> (Scheduler, FleetReport) {
     let mut sched = Scheduler::new(scheduler_config()).expect("valid config");
     let t0 = Instant::now();
@@ -201,6 +210,9 @@ fn build_fleet(args: &ServeArgs) -> (Scheduler, FleetReport) {
         }
     }
     let ingest_seconds = t0.elapsed().as_secs_f64();
+    let t_refit = Instant::now();
+    sched.flush();
+    let refit_seconds = t_refit.elapsed().as_secs_f64();
     let t1 = Instant::now();
     let store = sched.publish().expect("publish");
     let publish_seconds = t1.elapsed().as_secs_f64();
@@ -216,6 +228,8 @@ fn build_fleet(args: &ServeArgs) -> (Scheduler, FleetReport) {
         unique_streams: (args.machines / 2).max(1),
         observations_per_machine: TRAIN_PER_MACHINE,
         ingest_seconds,
+        refit_seconds,
+        refits: sched.refits(),
         publish_seconds,
         publish_seconds_per_table: publish_seconds / counters.builds.max(1) as f64,
         tables_per_sec,
@@ -382,6 +396,10 @@ fn main() {
         fleet.publish_seconds,
         fleet.tables_per_sec,
         fleet.publish_seconds_per_table * 1e6
+    );
+    eprintln!(
+        "ingest {:.3}s, {} refits resolved in {:.3}s before the publish",
+        fleet.ingest_seconds, fleet.refits, fleet.refit_seconds
     );
     eprintln!(
         "cache: {} hits, {} builds, {} cluster-shared, {} cluster rejects",

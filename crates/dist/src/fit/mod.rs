@@ -28,8 +28,8 @@ pub use em::{fit_hyperexponential, EmOptions, EmReport, EmScratch, EmState, RACE
 pub use exponential::fit_exponential;
 pub use moments::fit_hyperexp2_moments;
 pub use streaming::{
-    refit_window, DetectorConfig, RefitOutcome, RefitTrigger, RegimeDetector, SlidingWindow,
-    StreamingFit, StreamingFitConfig, WindowStats,
+    refit_window, validate_duration, DetectorConfig, RefitJob, RefitOutcome, RefitTrigger,
+    RegimeDetector, SlidingWindow, StreamingFit, StreamingFitConfig, WindowStats,
 };
 pub use weibull::fit_weibull;
 
@@ -54,12 +54,7 @@ pub(crate) fn validate_data(data: &[f64], min_len: usize) -> Result<()> {
             message: "sample too small for this model",
         });
     }
-    if data.iter().any(|x| !x.is_finite() || *x <= 0.0) {
-        return Err(DistError::InvalidData {
-            message: "availability durations must be finite and positive",
-        });
-    }
-    Ok(())
+    data.iter().try_for_each(|&x| validate_duration(x))
 }
 
 /// Fit the requested family to `data` (availability durations, seconds).

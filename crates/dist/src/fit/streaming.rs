@@ -19,17 +19,22 @@
 //!   keeps both near zero; a regime shift — rate change, family change —
 //!   pushes both up by `n · KL` nats and trips the threshold. Refits
 //!   are triggered only then.
-//! * [`StreamingFit`] — window + detector + the installed model, with
-//!   [`refit_window`] doing the actual estimation: a **full** refit is
-//!   the batch estimator verbatim (bitwise-equal fallback, pinned by the
-//!   scheduler's differential suite), a **warm** refit resumes the
-//!   persisted [`EmState`] on the new window instead of re-running the
-//!   whole multi-start.
+//! * [`StreamingFit`] — window + detector + the installed model. A
+//!   refit runs in three steps: [`StreamingFit::observe`] reports the
+//!   trigger and captures a [`RefitJob`] (the window at the trigger plus
+//!   the prior [`EmState`]); [`RefitJob::run`] is [`refit_window`] on
+//!   those inputs; [`StreamingFit::apply`] installs the outcome. A
+//!   **full** refit is the batch estimator verbatim (bitwise-equal
+//!   fallback, pinned by the scheduler's differential suite), a **warm**
+//!   refit resumes the persisted [`EmState`] on the new window instead
+//!   of re-running the whole multi-start.
 //!
-//! Everything here is deterministic and allocation-light; the scheduler
-//! fan-outs call [`refit_window`] as a pure function of
-//! `(kind, window, prior state)` so N-thread runs reproduce 1-thread
-//! runs bitwise.
+//! [`StreamingFit::step`] runs the three steps inline. The scheduler
+//! (`chs-sched`) instead parks each machine's job and resolves every
+//! parked job in one parallel batch when an outcome is needed; a parked
+//! machine keeps accepting observations until its next trigger could
+//! depend on the outcome. A job is a pure function of its inputs, so the
+//! batch reproduces the inline loop bitwise on any thread count.
 
 use super::{fit_model, EmOptions, EmScratch, EmState};
 use crate::{AvailabilityModel, DistError, FittedModel, ModelKind, Result};
@@ -40,6 +45,21 @@ use std::collections::VecDeque;
 /// a zero/underflowed pdf is overwhelming evidence against the current
 /// fit, but the statistic must stay finite arithmetic.
 const LOG_PDF_FLOOR: f64 = -1e9;
+
+/// Check one availability duration: finite and positive, the rule every
+/// estimator enforces.
+///
+/// # Errors
+/// [`DistError::InvalidData`] otherwise.
+pub fn validate_duration(x: f64) -> Result<()> {
+    if x.is_finite() && x > 0.0 {
+        Ok(())
+    } else {
+        Err(DistError::InvalidData {
+            message: "availability durations must be finite and positive",
+        })
+    }
+}
 
 /// Incrementally maintained sufficient statistics of a window.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -165,7 +185,8 @@ impl SlidingWindow {
         }
         Ok(Self {
             capacity,
-            buf: VecDeque::with_capacity(capacity),
+            // Grown on demand: most windows of a large fleet never fill.
+            buf: VecDeque::new(),
             sum: 0.0,
             sum_ln: 0.0,
             sum_sq: 0.0,
@@ -177,11 +198,7 @@ impl SlidingWindow {
     /// evicted observation, if any. Non-finite or non-positive durations
     /// are rejected (the same rule every estimator enforces).
     pub fn push(&mut self, x: f64) -> Result<Option<f64>> {
-        if !(x.is_finite() && x > 0.0) {
-            return Err(DistError::InvalidData {
-                message: "availability durations must be finite and positive",
-            });
-        }
+        validate_duration(x)?;
         let evicted = if self.buf.len() == self.capacity {
             let old = self.buf.pop_front().expect("non-empty at capacity");
             self.sum -= old;
@@ -200,6 +217,16 @@ impl SlidingWindow {
             self.rebuild_stats();
         }
         Ok(evicted)
+    }
+
+    /// Empty the window, keeping its buffer: the state of a fresh
+    /// [`SlidingWindow::new`] without reallocating.
+    pub(crate) fn clear(&mut self) {
+        self.buf.clear();
+        self.sum = 0.0;
+        self.sum_ln = 0.0;
+        self.sum_sq = 0.0;
+        self.evictions_since_rebuild = 0;
     }
 
     /// Recompute the sums exactly from the buffer contents.
@@ -484,7 +511,7 @@ impl RegimeDetector {
     /// split test; prefer [`RegimeDetector::reset_armed`] in a
     /// streaming pipeline.
     pub fn reset(&mut self) {
-        self.window = SlidingWindow::new(self.config.window).expect("validated capacity");
+        self.window.clear();
         self.log_pdf.clear();
         self.reference = None;
         self.since_reset = 0;
@@ -497,6 +524,28 @@ impl RegimeDetector {
     pub fn reset_armed(&mut self) {
         self.reset();
         self.reference = Some(WindowStats::empty());
+    }
+
+    /// Count-only readiness: `m` such that the `m`-th observation from
+    /// now is the first that can fire (always ≥ 1). It needs
+    /// `since_reset` to reach `min_observations` and, when armed, the
+    /// split reference to hold `min_observations` — which it only gains
+    /// through evictions once the test window is full, so right after
+    /// [`RegimeDetector::reset_armed`] it is `window + min_observations`,
+    /// the most it can be. A lower bound on the actual first trigger,
+    /// computed from counts alone: no duration or log-density can make
+    /// the detector fire sooner.
+    pub fn observations_until_ready(&self) -> usize {
+        let c = &self.config;
+        let since_reset = c.min_observations.saturating_sub(self.since_reset);
+        let reference = match self.reference {
+            None => 0,
+            Some(r) => match c.min_observations.saturating_sub(r.n) {
+                0 => 0,
+                missing => missing + (c.window - self.window.len()),
+            },
+        };
+        since_reset.max(reference).max(1)
     }
 
     /// Triggers fired since construction.
@@ -545,6 +594,19 @@ pub struct StreamingFitConfig {
 }
 
 impl Default for StreamingFitConfig {
+    /// Weibull fits over a 64-observation window, first fit at 25
+    /// observations, the default detector, a warm refresh every 64
+    /// observations and 400 warm EM iterations.
+    ///
+    /// With these defaults the regime-shift path never fires while
+    /// refits succeed: every installed refit re-arms the detector, which
+    /// then needs `window + min_observations` = 128 + 48 observations
+    /// before it can first fire
+    /// ([`RegimeDetector::observations_until_ready`]), but the next
+    /// refresh comes after 64. Only a failed refit, which
+    /// leaves the detector running, can let it reach readiness. A
+    /// detector that should catch shifts between refreshes needs
+    /// `refresh_every` above its armed readiness, or no refresh at all.
     fn default() -> Self {
         Self {
             kind: ModelKind::Weibull,
@@ -624,10 +686,12 @@ pub fn refit_window(
     prior: Option<&EmState>,
     warm_iterations: usize,
 ) -> Result<RefitOutcome> {
-    let warm = if let (ModelKind::HyperExponential { phases }, Some(state)) = (kind, prior) {
+    let warm = if let (ModelKind::HyperExponential { .. }, Some(state)) = (kind, prior) {
         let mut state = state.clone();
         state.reopen();
-        let mut scratch = EmScratch::new(phases.max(state.rates().len()));
+        // Sized to the state, which may hold fewer phases than `kind`
+        // when the installed fit collapsed.
+        let mut scratch = EmScratch::new(state.rates().len());
         let options = EmOptions::default();
         state.advance(window, warm_iterations, &options, &mut scratch);
         match (state.is_dead(), state.model()) {
@@ -665,14 +729,86 @@ fn window_log_likelihood(model: &FittedModel, window: &[f64]) -> f64 {
         .sum()
 }
 
+/// A refit due on one machine: the window as it was at the trigger and
+/// the warm-start state, borrowed from the machine's [`StreamingFit`].
+/// [`RefitJob::run`] is a pure function of these, so the jobs of
+/// different machines may run on any thread, in any order, and still
+/// give the inline result bitwise.
+#[derive(Debug, Clone, Copy)]
+pub struct RefitJob<'a> {
+    kind: ModelKind,
+    window: JobWindow<'a>,
+    /// Only a stationary [`RefitTrigger::Refresh`] trusts the standing
+    /// optimum; initial fits and regime shifts run the full multi-start.
+    prior: Option<&'a EmState>,
+    warm_iterations: usize,
+}
+
+/// Where a job reads the window at its trigger from.
+#[derive(Debug, Clone, Copy)]
+enum JobWindow<'a> {
+    /// Nothing was observed since the trigger: the live window.
+    Live(&'a SlidingWindow),
+    /// Copied before the first observation after the trigger.
+    Snapshot(&'a [f64]),
+}
+
+impl RefitJob<'_> {
+    /// Run the refit: [`refit_window`] on the captured inputs.
+    ///
+    /// # Errors
+    /// Whatever [`refit_window`] reports.
+    pub fn run(&self) -> Result<RefitOutcome> {
+        let live;
+        let window = match self.window {
+            JobWindow::Live(w) => {
+                live = w.snapshot();
+                &live
+            }
+            JobWindow::Snapshot(w) => w,
+        };
+        refit_window(self.kind, window, self.prior, self.warm_iterations)
+    }
+}
+
+/// A refit whose outcome is not applied yet. The window at the trigger
+/// is copied only once an observation arrives behind it, so a job
+/// resolved before that holds no copy.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct PendingRefit {
+    trigger: RefitTrigger,
+    /// `observations` when the trigger fired.
+    at: u64,
+    /// The first observation count whose trigger could depend on the
+    /// outcome.
+    horizon: u64,
+    /// The window at the trigger, once later observations moved it.
+    snapshot: Option<Vec<f64>>,
+    /// Durations observed since the trigger; their detector pushes wait
+    /// for the outcome.
+    replay: Vec<f64>,
+}
+
 /// Per-machine streaming state: window + detector + the installed fit.
 ///
-/// The scheduler drives this in two halves so refits can run on worker
-/// threads: [`StreamingFit::observe`] buffers the observation and returns
-/// whether (and why) a refit is due; the refit itself is
-/// [`refit_window`] on [`StreamingFit::refit_input`], applied back with
-/// [`StreamingFit::install`]. The convenience [`StreamingFit::step`]
-/// does all three inline for single-machine callers.
+/// A refit runs in three steps: [`StreamingFit::observe`] returns the
+/// trigger and parks the [`RefitJob`] ([`StreamingFit::pending_job`]);
+/// [`RefitJob::run`] fits it, on any thread; [`StreamingFit::apply`]
+/// installs the outcome. [`StreamingFit::step`] runs all three inline.
+///
+/// Between the trigger and `apply` the fit keeps accepting observations
+/// for as long as the trigger of the next one cannot depend on the
+/// outcome ([`StreamingFit::accepts_observation`]). Each goes into the
+/// window at once; its detector push is replayed at `apply` under
+/// whichever model is installed then. The horizon is the next
+/// observation after an [`RefitTrigger::InitialFit`] (a failed initial
+/// fit triggers again at once); otherwise the earliest of the refresh
+/// cadence (the same on success and failure) and the detector's
+/// readiness on both branches ([`RegimeDetector::observations_until_ready`]):
+/// unchanged after a failure, re-armed after a success — and a re-armed
+/// detector is never closer to readiness, so the failure branch bounds
+/// both. Deferred and inline runs therefore return the same triggers and
+/// reach the same state bitwise.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StreamingFit {
     config: StreamingFitConfig,
@@ -685,6 +821,8 @@ pub struct StreamingFit {
     observations: u64,
     observations_at_fit: u64,
     refits: u64,
+    refit_failures: u64,
+    pending: Option<PendingRefit>,
 }
 
 impl StreamingFit {
@@ -705,93 +843,176 @@ impl StreamingFit {
             observations: 0,
             observations_at_fit: 0,
             refits: 0,
+            refit_failures: 0,
+            pending: None,
         })
     }
 
-    /// Record one duration; returns the refit now due, if any. The
-    /// change-point test only runs once a model is installed (there is
-    /// nothing to compare against before).
+    /// Record one duration; returns the refit now due, if any, and
+    /// captures it as the pending job. The change-point test only runs
+    /// once a model is installed (there is nothing to compare against
+    /// before). While a job is pending the observation only enters the
+    /// window and no trigger fires.
     ///
     /// # Errors
-    /// [`DistError::InvalidData`] on non-finite/non-positive durations.
+    /// [`DistError::InvalidData`] on non-finite/non-positive durations,
+    /// or when the pending refit must be applied first
+    /// ([`StreamingFit::accepts_observation`]). Nothing is recorded.
     pub fn observe(&mut self, x: f64) -> Result<Option<RefitTrigger>> {
+        if !self.accepts_observation() {
+            return Err(DistError::InvalidData {
+                message: "the pending refit must be applied before the next observation",
+            });
+        }
+        validate_duration(x)?;
+        if let Some(pending) = &mut self.pending {
+            pending
+                .snapshot
+                .get_or_insert_with(|| self.window.snapshot());
+            pending.replay.push(x);
+        }
         self.window.push(x)?;
         self.observations += 1;
-        match &self.model {
-            None => {
-                if self.window.len() >= self.config.min_fit_observations {
-                    return Ok(Some(RefitTrigger::InitialFit));
-                }
-            }
+        if self.pending.is_some() {
+            return Ok(None);
+        }
+        let trigger = match &self.model {
+            None => (self.window.len() >= self.config.min_fit_observations)
+                .then_some(RefitTrigger::InitialFit),
             Some(model) => {
                 let lp = model.as_model().pdf(x).ln();
                 if self.detector.observe(x, lp)? {
-                    return Ok(Some(RefitTrigger::RegimeShift));
-                }
-                if let Some(every) = self.config.refresh_every {
-                    if self.observations - self.observations_at_fit >= every as u64 {
-                        return Ok(Some(RefitTrigger::Refresh));
-                    }
+                    Some(RefitTrigger::RegimeShift)
+                } else {
+                    self.config
+                        .refresh_every
+                        .filter(|&every| {
+                            self.observations - self.observations_at_fit >= every as u64
+                        })
+                        .map(|_| RefitTrigger::Refresh)
                 }
             }
+        };
+        if let Some(trigger) = trigger {
+            self.park(trigger);
         }
-        Ok(None)
+        Ok(trigger)
     }
 
-    /// The data a refit due now should be fitted to (oldest first).
+    /// Park the refit for `trigger` with the horizon up to which later
+    /// observations cannot depend on its outcome.
+    fn park(&mut self, trigger: RefitTrigger) {
+        let wait = match trigger {
+            RefitTrigger::InitialFit => 1,
+            // The refresh cadence restarts at the trigger on both
+            // branches. A failure leaves the detector as it is; a success
+            // re-arms it, which puts it at least as far from readiness
+            // (`window + min_observations`), so the failure branch bounds
+            // both.
+            RefitTrigger::RegimeShift | RefitTrigger::Refresh => {
+                let detector = self.detector.observations_until_ready();
+                self.config
+                    .refresh_every
+                    .map_or(detector, |every| every.min(detector))
+            }
+        };
+        self.pending = Some(PendingRefit {
+            trigger,
+            at: self.observations,
+            horizon: self.observations + wait as u64,
+            snapshot: None,
+            replay: Vec::new(),
+        });
+    }
+
+    /// Whether [`StreamingFit::observe`] may take the next observation
+    /// now: always, unless a pending refit's outcome could change that
+    /// observation's trigger.
+    pub fn accepts_observation(&self) -> bool {
+        self.pending
+            .as_ref()
+            .is_none_or(|p| self.observations + 1 < p.horizon)
+    }
+
+    /// The refit due at the last trigger and not yet applied. The EM
+    /// state only changes at [`StreamingFit::apply`], so the one
+    /// installed now is the one the trigger saw.
+    pub fn pending_job(&self) -> Option<RefitJob<'_>> {
+        let pending = self.pending.as_ref()?;
+        Some(RefitJob {
+            kind: self.config.kind,
+            window: match &pending.snapshot {
+                Some(w) => JobWindow::Snapshot(w),
+                None => JobWindow::Live(&self.window),
+            },
+            prior: match pending.trigger {
+                RefitTrigger::Refresh => self.em.as_ref(),
+                RefitTrigger::InitialFit | RefitTrigger::RegimeShift => None,
+            },
+            warm_iterations: self.config.warm_iterations,
+        })
+    }
+
+    /// The current window contents, oldest first — at a trigger, the
+    /// input its refit sees.
     pub fn refit_input(&self) -> Vec<f64> {
         self.window.snapshot()
     }
 
-    /// The warm-start state a refit for `trigger` should resume from:
-    /// only a stationary [`RefitTrigger::Refresh`] trusts the standing
-    /// optimum; initial fits and regime shifts run the full multi-start.
-    pub fn refit_prior(&self, trigger: RefitTrigger) -> Option<&EmState> {
-        match trigger {
-            RefitTrigger::Refresh => self.em.as_ref(),
-            RefitTrigger::InitialFit | RefitTrigger::RegimeShift => None,
+    /// Apply the outcome of the pending job ([`RefitJob::run`]), then
+    /// replay the detector pushes of the observations parked behind it
+    /// under whichever model is installed now. Does nothing without a
+    /// pending job.
+    ///
+    /// A success installs the model and its EM state and re-arms the
+    /// detector against it (empty split reference — the training
+    /// window's noise is already baked into the fit and must not double
+    /// as evidence). A failure is counted
+    /// ([`StreamingFit::refit_failures`]) and installs nothing: the
+    /// previous model keeps serving (stale beats absent), and a failed
+    /// initial fit leaves the machine unfitted, so the next observation
+    /// triggers it again. Either way the refresh cadence restarts at the
+    /// trigger, so a failing refresh retries at the next one rather than
+    /// on every observation.
+    pub fn apply(&mut self, outcome: Result<RefitOutcome>) {
+        let Some(pending) = self.pending.take() else {
+            return;
+        };
+        match outcome {
+            Ok(outcome) => {
+                self.model = Some(outcome.model);
+                self.em = outcome.em;
+                self.detector.reset_armed();
+                self.refits += 1;
+            }
+            Err(_) => self.refit_failures += 1,
+        }
+        self.observations_at_fit = pending.at;
+        if let Some(model) = &self.model {
+            for x in pending.replay {
+                let lp = model.as_model().pdf(x).ln();
+                let fired = self
+                    .detector
+                    .observe(x, lp)
+                    .expect("the window accepted this duration");
+                debug_assert!(!fired, "a parked observation reached detector readiness");
+            }
         }
     }
 
-    /// Install a refit outcome, re-arming the detector against the new
-    /// model (empty split reference — the training window's noise is
-    /// already baked into the fit and must not double as evidence).
-    pub fn install(&mut self, outcome: RefitOutcome) {
-        self.model = Some(outcome.model);
-        self.em = outcome.em;
-        self.detector.reset_armed();
-        self.observations_at_fit = self.observations;
-        self.refits += 1;
-    }
-
-    /// Observe, and when a refit is due run it inline ([`refit_window`])
-    /// and install the result. Returns the trigger that fired, if any.
-    /// A failed refit leaves the previous model installed (graceful
-    /// degradation: stale beats absent).
+    /// Observe, and when a refit is due run it inline and apply it.
+    /// Returns the trigger that fired, if any, whether or not its refit
+    /// succeeded ([`StreamingFit::apply`]).
     ///
     /// # Errors
-    /// [`DistError::InvalidData`] on non-finite/non-positive durations.
+    /// As [`StreamingFit::observe`].
     pub fn step(&mut self, x: f64) -> Result<Option<RefitTrigger>> {
-        let Some(trigger) = self.observe(x)? else {
-            return Ok(None);
-        };
-        let input = self.refit_input();
-        match refit_window(
-            self.config.kind,
-            &input,
-            self.refit_prior(trigger),
-            self.config.warm_iterations,
-        ) {
-            Ok(outcome) => self.install(outcome),
-            Err(_) if self.model.is_some() => {
-                // Keep serving the stale fit; re-arm the cadence so the
-                // next refresh retries rather than spinning every
-                // observation.
-                self.observations_at_fit = self.observations;
-            }
-            Err(e) => return Err(e),
+        let trigger = self.observe(x)?;
+        if let Some(job) = self.pending_job() {
+            let outcome = job.run();
+            self.apply(outcome);
         }
-        Ok(Some(trigger))
+        Ok(trigger)
     }
 
     /// The installed model, if any.
@@ -804,6 +1025,11 @@ impl StreamingFit {
         self.em.as_ref()
     }
 
+    /// The change-point detector.
+    pub fn detector(&self) -> &RegimeDetector {
+        &self.detector
+    }
+
     /// Total observations seen.
     pub fn observations(&self) -> u64 {
         self.observations
@@ -812,6 +1038,11 @@ impl StreamingFit {
     /// Refits installed.
     pub fn refits(&self) -> u64 {
         self.refits
+    }
+
+    /// Refits that failed and installed nothing.
+    pub fn refit_failures(&self) -> u64 {
+        self.refit_failures
     }
 
     /// Change-point triggers fired by the detector.
@@ -1047,5 +1278,147 @@ mod tests {
             s.model().is_some(),
             "model must survive refit failures: {before}"
         );
+        assert!(s.refit_failures() > 0);
+    }
+
+    #[test]
+    fn failed_initial_fit_is_counted_and_retried() {
+        // Identical durations defeat the Weibull fit from the start: every
+        // observation from the 8th on triggers an initial fit that fails.
+        let mut s = StreamingFit::new(StreamingFitConfig {
+            window: 16,
+            min_fit_observations: 8,
+            ..StreamingFitConfig::default()
+        })
+        .unwrap();
+        for i in 1..=20u64 {
+            let trigger = s.step(500.0).unwrap();
+            assert_eq!(trigger, (i >= 8).then_some(RefitTrigger::InitialFit));
+        }
+        assert!(s.model().is_none());
+        assert_eq!((s.refits(), s.refit_failures()), (0, 13));
+    }
+
+    #[test]
+    fn pending_refit_blocks_only_past_its_horizon() {
+        let mut s = StreamingFit::new(StreamingFitConfig {
+            window: 16,
+            min_fit_observations: 8,
+            refresh_every: Some(10),
+            ..StreamingFitConfig::default()
+        })
+        .unwrap();
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(8);
+        let gen = Weibull::paper_exemplar();
+        for _ in 0..7 {
+            assert_eq!(s.observe(gen.sample(&mut rng)).unwrap(), None);
+        }
+        // A failed initial fit would trigger again at once: nothing may
+        // be observed behind it.
+        assert_eq!(
+            s.observe(gen.sample(&mut rng)).unwrap(),
+            Some(RefitTrigger::InitialFit)
+        );
+        assert!(!s.accepts_observation());
+        assert!(s.observe(100.0).is_err());
+        let outcome = s.pending_job().unwrap().run();
+        s.apply(outcome);
+        assert!(s.pending_job().is_none() && s.model().is_some());
+        // A refresh parks until the next cadence point (the re-armed
+        // default detector needs 176 observations).
+        for _ in 0..9 {
+            assert_eq!(s.observe(gen.sample(&mut rng)).unwrap(), None);
+        }
+        assert_eq!(
+            s.observe(gen.sample(&mut rng)).unwrap(),
+            Some(RefitTrigger::Refresh)
+        );
+        for _ in 0..9 {
+            assert!(s.accepts_observation());
+            assert_eq!(s.observe(gen.sample(&mut rng)).unwrap(), None);
+        }
+        assert!(!s.accepts_observation());
+        let outcome = s.pending_job().unwrap().run();
+        s.apply(outcome);
+        assert_eq!(s.refits(), 2);
+        assert_eq!(
+            s.observe(gen.sample(&mut rng)).unwrap(),
+            Some(RefitTrigger::Refresh)
+        );
+    }
+
+    #[test]
+    fn readiness_is_the_first_observation_that_can_fire() {
+        // Hair trigger on drifting data: the detector fires at the first
+        // observation its counts allow, so readiness must name exactly it.
+        let config = DetectorConfig {
+            window: 12,
+            min_observations: 5,
+            threshold: 1e-9,
+        };
+        for armed in [false, true] {
+            for prefix in 0..40 {
+                let mut d = RegimeDetector::new(config.clone()).unwrap();
+                if armed {
+                    d.reset_armed();
+                }
+                let mut x = 100.0;
+                let mut next = || {
+                    x *= 1.05;
+                    x
+                };
+                for _ in 0..prefix {
+                    d.observe(next(), -1e6).unwrap();
+                }
+                let ready = d.observations_until_ready();
+                let first = (1..).find(|_| d.observe(next(), -1e6).unwrap()).unwrap();
+                assert_eq!(first, ready, "armed {armed}, prefix {prefix}");
+            }
+        }
+        let mut d = RegimeDetector::new(DetectorConfig::default()).unwrap();
+        d.reset_armed();
+        assert_eq!(d.observations_until_ready(), 128 + 48);
+    }
+
+    #[test]
+    fn default_refresh_preempts_the_regime_shift_path() {
+        // A 16x mean shift halfway through: with the default cadence every
+        // refresh re-arms the detector before it can fire; without
+        // refreshes it catches the shift within a few observations.
+        let run = |refresh_every| {
+            let mut s = StreamingFit::new(StreamingFitConfig {
+                kind: ModelKind::Exponential,
+                refresh_every,
+                ..StreamingFitConfig::default()
+            })
+            .unwrap();
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(17);
+            let before = Exponential::from_mean(1_000.0).unwrap();
+            let after = Exponential::from_mean(16_000.0).unwrap();
+            (0..2_000)
+                .filter(|&i| {
+                    let x = if i < 1_000 { &before } else { &after }.sample(&mut rng);
+                    s.step(x).unwrap() == Some(RefitTrigger::RegimeShift)
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(run(StreamingFitConfig::default().refresh_every), vec![]);
+        let shifts = run(None);
+        assert!(
+            shifts.first().is_some_and(|&i| (1_000..1_032).contains(&i)),
+            "{shifts:?}"
+        );
+    }
+
+    #[test]
+    fn warm_refit_resumes_a_collapsed_state() {
+        // A 2-phase fit can collapse to one phase; its warm refresh must
+        // run the EM state at its own size.
+        let one_phase = crate::HyperExponential::new(&[(1.0, 1.0 / 500.0)]).unwrap();
+        let state = EmState::from_model(&one_phase);
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(9);
+        let window: Vec<f64> = (0..40).map(|_| one_phase.sample(&mut rng)).collect();
+        let kind = ModelKind::HyperExponential { phases: 2 };
+        assert!(refit_window(kind, &window, Some(&state), 50).is_ok());
     }
 }

@@ -13,17 +13,26 @@
 //!   "batch" is literally a replay of the online ingest path.
 //! * [`Scheduler`] — a deterministic event-clock loop: availability
 //!   observations stream into per-machine
-//!   [`chs_dist::fit::StreamingFit`]s (change-point triggered refits);
-//!   on publish boundaries the fitted models are compressed through a
-//!   shared [`chs_markov::PolicyCache`] and swapped in as an immutable
-//!   [`chs_markov::PolicyStore`] epoch; queries are served from the
-//!   current epoch by table lookup.
+//!   [`chs_dist::fit::StreamingFit`]s (change-point and cadence
+//!   triggered refits); on publish boundaries the fitted models are
+//!   compressed through a shared [`chs_markov::PolicyCache`] and swapped
+//!   in as an immutable [`chs_markov::PolicyStore`] epoch; queries are
+//!   served from the current epoch by table lookup.
+//!
+//! Refits stay off the ingest path. `observe` only records a machine's
+//! trigger and parks its refit job; the machine keeps ingesting until
+//! its next trigger could depend on the outcome. Parked jobs resolve in
+//! one order-preserving parallel batch over every parked machine — at
+//! `publish`, at [`Scheduler::flush`], or when a parked machine reaches
+//! that horizon.
 //!
 //! Determinism is load-bearing: the event clock (not wall time) drives
 //! publishes, per-decision seeds derive from stable
-//! `(machine id, epoch)` keys, and the publish fan-out preserves input
-//! order — an N-thread run is bitwise identical to a 1-thread run
-//! (pinned by `tests/determinism.rs`).
+//! `(machine id, epoch)` keys, and both the refit batch and the publish
+//! fan-out preserve input order — an N-thread run is bitwise identical
+//! to a 1-thread run (pinned by `tests/determinism.rs`), and the
+//! deferred refits are bitwise the inline loop's
+//! (`tests/deferred_refit.rs`).
 
 #![deny(missing_docs)]
 

@@ -3,7 +3,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use chs_dist::fit::{RefitTrigger, StreamingFit, StreamingFitConfig};
+use chs_dist::fit::{validate_duration, RefitJob, RefitTrigger, StreamingFit, StreamingFitConfig};
 use chs_dist::FittedModel;
 use chs_markov::{
     mix64, ClusterKey, CompressedPolicy, CompressionConfig, DedupKey, PolicyCache, PolicyStore,
@@ -87,7 +87,8 @@ pub struct RunSummary {
     pub publishes: Vec<u64>,
     /// Order-sensitive digest folded over every query answer.
     pub query_digest: u64,
-    /// Refits installed across all machines (initial fits included).
+    /// Refits triggered across all machines (initial fits included),
+    /// whether they then installed or failed.
     pub refits: u64,
     /// Change-point triggered refits across all machines.
     pub regime_shifts: u64,
@@ -100,10 +101,19 @@ pub struct RunSummary {
 /// [`Scheduler::publish`] (or their [`Scheduler::run`] driver), in
 /// event order — there is no wall clock anywhere, which is what makes
 /// replays reproducible.
+///
+/// Refits run off the ingest path: `observe` parks each machine's
+/// [`RefitJob`], and the parked jobs of all machines resolve in one
+/// order-preserving parallel batch ([`Scheduler::flush`]) when an
+/// outcome is needed — at `publish`, or when a parked machine's next
+/// observation could trigger differently depending on it. The results
+/// are bitwise those of running every refit inline, on any thread count.
 #[derive(Debug)]
 pub struct Scheduler {
     config: SchedulerConfig,
     machines: BTreeMap<u64, StreamingFit>,
+    /// Machines with a pending refit job, in trigger order.
+    parked: Vec<u64>,
     cache: PolicyCache,
     store: Arc<PolicyStore>,
     ingested: u64,
@@ -129,6 +139,7 @@ impl Scheduler {
         Ok(Scheduler {
             config,
             machines: BTreeMap::new(),
+            parked: Vec::new(),
             cache,
             store: Arc::new(PolicyStore::empty(0)),
             ingested: 0,
@@ -140,34 +151,70 @@ impl Scheduler {
 
     /// Ingest one availability observation for `machine`, creating its
     /// streaming fit on first sight. Returns the refit trigger this
-    /// observation caused, if any. Does **not** publish — epochs move
-    /// on the event clock ([`Scheduler::run`]) or explicitly.
+    /// observation caused, if any, and parks the refit; it runs at the
+    /// next [`Scheduler::flush`]. Does **not** publish — epochs move on
+    /// the event clock ([`Scheduler::run`]) or explicitly.
+    ///
+    /// A refit that fails leaves the machine unfitted or serving its
+    /// stale model, exactly as [`StreamingFit::step`] does, and counts
+    /// in [`Scheduler::refit_failures`]; it is not an error here.
     ///
     /// # Errors
     /// [`SchedError::Dist`] for non-finite/non-positive durations; the
     /// observation is not recorded.
     pub fn observe(&mut self, machine: u64, duration: f64) -> Result<Option<RefitTrigger>> {
-        let streaming = &self.config.streaming;
-        let fit = match self.machines.entry(machine) {
-            std::collections::btree_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert(StreamingFit::new(streaming.clone()).expect("config validated in new"))
-            }
-        };
-        let trigger = fit.step(duration)?;
-        self.ingested += 1;
-        if trigger.is_some() {
-            self.refits += 1;
+        validate_duration(duration)?;
+        if self
+            .machines
+            .get(&machine)
+            .is_some_and(|fit| !fit.accepts_observation())
+        {
+            self.flush();
         }
-        if trigger == Some(RefitTrigger::RegimeShift) {
-            self.regime_shifts += 1;
+        let fit = self.machines.entry(machine).or_insert_with(|| {
+            StreamingFit::new(self.config.streaming.clone()).expect("config validated in new")
+        });
+        let trigger = fit.observe(duration)?;
+        self.ingested += 1;
+        if let Some(trigger) = trigger {
+            self.parked.push(machine);
+            self.refits += 1;
+            if trigger == RefitTrigger::RegimeShift {
+                self.regime_shifts += 1;
+            }
         }
         Ok(trigger)
     }
 
-    /// Compress every fitted machine's current model and swap in a new
-    /// store epoch. Machines still warming up (no installed fit) are
-    /// absent from the epoch and their queries return `None`.
+    /// Resolve every parked refit: run the pending jobs of all machines
+    /// in one order-preserving parallel batch, then apply each outcome
+    /// to its machine. Every job is a pure function of what its machine
+    /// captured at the trigger, so the result is bitwise that of
+    /// running each refit inline at its trigger, on any thread count.
+    pub fn flush(&mut self) {
+        if self.parked.is_empty() {
+            return;
+        }
+        let parked = std::mem::take(&mut self.parked);
+        let jobs: Vec<RefitJob<'_>> = parked
+            .iter()
+            .map(|id| {
+                self.machines[id]
+                    .pending_job()
+                    .expect("parked machine has a job")
+            })
+            .collect();
+        let outcomes: Vec<_> = jobs.into_par_iter().map(|job| job.run()).collect();
+        for (id, outcome) in parked.iter().zip(outcomes) {
+            let fit = self.machines.get_mut(id).expect("parked machine exists");
+            fit.apply(outcome);
+        }
+    }
+
+    /// Resolve the parked refits ([`Scheduler::flush`]), then compress
+    /// every fitted machine's current model and swap in a new store
+    /// epoch. Machines still warming up (no installed fit) are absent
+    /// from the epoch and their queries return `None`.
     ///
     /// New tables build in three order-preserving deterministic waves:
     /// first every cluster-cell representative (and unclustered key)
@@ -183,6 +230,7 @@ impl Scheduler {
     /// Propagates compression failures; the previous epoch stays
     /// published.
     pub fn publish(&mut self) -> Result<Arc<PolicyStore>> {
+        self.flush();
         let fitted: Vec<(u64, &FittedModel)> = self
             .machines
             .iter()
@@ -358,7 +406,10 @@ impl Scheduler {
         &self.store
     }
 
-    /// Streaming-fit state of one machine, if it has been observed.
+    /// Streaming-fit state of one machine, if it has been observed. A
+    /// machine with a parked refit still shows the model from before
+    /// its trigger; call [`Scheduler::flush`] first to read the state
+    /// an inline loop would have.
     pub fn machine(&self, machine: u64) -> Option<&StreamingFit> {
         self.machines.get(&machine)
     }
@@ -373,9 +424,20 @@ impl Scheduler {
         self.ingested
     }
 
-    /// Refits installed across all machines.
+    /// Refits triggered across all machines, counted at the trigger
+    /// (installed, failed or still parked).
     pub fn refits(&self) -> u64 {
         self.refits
+    }
+
+    /// Refits that failed and installed nothing, across all machines.
+    /// Counted when the refit resolves: parked refits count after the
+    /// next [`Scheduler::flush`] or publish.
+    pub fn refit_failures(&self) -> u64 {
+        self.machines
+            .values()
+            .map(StreamingFit::refit_failures)
+            .sum()
     }
 
     /// Change-point triggered refits across all machines.
@@ -536,8 +598,49 @@ mod tests {
         let mut sched = Scheduler::new(config(ModelKind::Exponential)).unwrap();
         assert!(sched.observe(1, f64::NAN).is_err());
         assert!(sched.observe(1, -1.0).is_err());
-        assert_eq!(sched.ingested(), 0);
+        assert_eq!((sched.ingested(), sched.machines()), (0, 0));
         assert!(sched.observe(1, 500.0).is_ok());
         assert_eq!(sched.ingested(), 1);
+    }
+
+    #[test]
+    fn failed_refits_are_counted_not_returned_as_errors() {
+        // Identical durations defeat a Weibull fit, subnormal ones every
+        // family's. Every valid observation is ingested; each refit
+        // triggered from the 25th observation on fails and is counted.
+        let cases = [
+            (ModelKind::Weibull, 500.0),
+            (ModelKind::Weibull, 1e-310),
+            (ModelKind::Exponential, 1e-310),
+            (ModelKind::HyperExponential { phases: 2 }, 1e-310),
+        ];
+        for (kind, x) in cases {
+            let mut sched = Scheduler::new(config(kind)).unwrap();
+            for i in 1..=40 {
+                let trigger = sched.observe(1, x).unwrap();
+                assert_eq!(trigger, (i >= 25).then_some(RefitTrigger::InitialFit));
+            }
+            sched.publish().unwrap();
+            assert_eq!(sched.ingested(), 40, "{kind:?}");
+            assert_eq!(sched.refit_failures(), 16, "{kind:?}");
+            assert!(sched.machine(1).unwrap().model().is_none());
+            assert!(sched.decide(1, 0.0).is_none());
+        }
+    }
+
+    #[test]
+    fn refits_resolve_at_flush_and_publish() {
+        let mut sched = Scheduler::new(config(ModelKind::Exponential)).unwrap();
+        let gen = Exponential::from_mean(700.0).unwrap();
+        observe_n(&mut sched, 1, &gen, 25, 7);
+        observe_n(&mut sched, 2, &gen, 25, 8);
+        assert_eq!(sched.refits(), 2);
+        assert!(sched.machine(1).unwrap().model().is_none(), "parked");
+        sched.flush();
+        assert!(sched.machine(1).unwrap().model().is_some());
+        assert!(sched.machine(2).unwrap().pending_job().is_none());
+        observe_n(&mut sched, 3, &gen, 25, 9);
+        sched.publish().unwrap();
+        assert_eq!(sched.store().len(), 3);
     }
 }

@@ -158,6 +158,8 @@ fn stationary_streaming_refit_stays_within_race_slack_of_batch() {
         if trigger.is_none() || i < 300 {
             continue;
         }
+        // The refit is parked until something needs its outcome.
+        sched.flush();
         let fit = sched.machine(7).unwrap();
         assert!(fit.refits() > 1, "cadence refits must have happened");
         let window = fit.refit_input();
