@@ -4,14 +4,17 @@
 //! collisions stretch checkpoints and what that does to efficiency —
 //! testing the paper's conjecture that the heavy-tailed models' bandwidth
 //! parsimony converts into an efficiency advantage under contention.
+//! Runs the manager server's classic profile (`ManagerConfig::classic`:
+//! every transfer gets an equal share of the link).
 //!
 //! ```text
 //! cargo run -p chs-bench --release --bin contention [--seed S]
 //! ```
 
 use chs_bench::{maybe_dump_json, CommonArgs, TablePrinter};
-use chs_condor::{run_contention, ContentionConfig, ContentionResult};
 use chs_dist::ModelKind;
+use chs_manager::{run_manager, ManagerConfig, ManagerResult};
+use chs_net::FaultPlan;
 
 fn main() {
     let args = CommonArgs::parse();
@@ -37,15 +40,17 @@ fn main() {
     ]);
     printer.rule();
 
-    let mut all: Vec<ContentionResult> = Vec::new();
+    let mut all: Vec<ManagerResult> = Vec::new();
     for &jobs in &job_counts {
         for kind in [
             ModelKind::Exponential,
             ModelKind::HyperExponential { phases: 2 },
         ] {
-            let mut config = ContentionConfig::campus(jobs, kind);
+            let mut config = ManagerConfig::classic(jobs, kind);
             config.seed = args.seed;
-            let r = run_contention(&config).expect("contention run");
+            let r = run_manager(&config, &FaultPlan::none())
+                .expect("contention run")
+                .result;
             printer.row(&[
                 format!("{jobs}"),
                 kind.label(),
@@ -67,7 +72,7 @@ fn main() {
         if let [exp, hyp] = chunk {
             println!(
                 "  {:>3} jobs: {:>+.3}",
-                exp.jobs,
+                exp.clients,
                 hyp.efficiency() - exp.efficiency()
             );
         }

@@ -1,7 +1,8 @@
 //! Fault-injection benchmark and correctness gate: sweeps fault
-//! intensity × model family over both fault-aware drivers (live
-//! emulation and shared-link contention) and the resilient prepare, and
-//! writes the degradation curves to `BENCH_fault.json`.
+//! intensity × model family over the resilient live emulation, the
+//! shared-link manager server in its classic profile
+//! (`ManagerConfig::classic`), and the resilient prepare, and writes the
+//! degradation curves to `BENCH_fault.json`.
 //!
 //! ```text
 //! cargo run -p chs-bench --release --bin fault_bench [--quick | --full] [--json PATH]
@@ -10,9 +11,11 @@
 //! The run is also a correctness gate and exits nonzero when any of
 //! these is violated:
 //!
-//! * **zero-fault identity** — under `FaultPlan::none()` both resilient
-//!   drivers must reproduce their classic counterparts **bitwise**
-//!   (`PartialEq` over every field, no tolerances);
+//! * **zero-fault identity** — under `FaultPlan::none()` the resilient
+//!   live driver must reproduce the classic one **bitwise** (`PartialEq`
+//!   over every field, no tolerances). The manager has no second driver
+//!   to match; `tests/contention_differential.rs` checks it against the
+//!   frozen classic loop;
 //! * **conservation** — at every sweep point every ledger must balance
 //!   time (`useful + lost + recovery + checkpoint = total`) and bytes
 //!   (`megabytes = full + partial + wasted`), and the fault report must
@@ -22,12 +25,10 @@
 //!   drop for a fit failure (only short traces may still be dropped).
 
 use chs_bench::CommonArgs;
-use chs_condor::{
-    run_contention, run_contention_with_faults, run_experiment, run_experiment_with_faults,
-    ContentionConfig, ExperimentConfig, FaultReport,
-};
+use chs_condor::{run_experiment, run_experiment_with_faults, ExperimentConfig, FaultReport};
 use chs_cycle::CycleAccounting;
 use chs_dist::ModelKind;
+use chs_manager::{run_manager, ManagerConfig};
 use chs_net::FaultPlan;
 use chs_sim::{prepare_experiments_reported, prepare_experiments_resilient};
 use chs_trace::synthetic::generate_pool;
@@ -133,12 +134,12 @@ fn main() {
     let quick = args.machines <= 24;
 
     let mut live_config = ExperimentConfig::campus();
-    let mut cont_base = ContentionConfig::campus(8, ModelKind::Exponential);
+    let mut cont_base = ManagerConfig::classic(8, ModelKind::Exponential);
     if quick {
         live_config.machines = 6;
         live_config.streams = 1;
         live_config.window = 0.25 * 86_400.0;
-        cont_base.jobs = 4;
+        cont_base.clients = 4;
         cont_base.window = 0.5 * 86_400.0;
     } else {
         live_config.machines = 16;
@@ -164,27 +165,6 @@ fn main() {
             }
         }
         Err(e) => failures.push(format!("live: zero-fault run failed: {e}")),
-    }
-    for kind in ModelKind::PAPER_SET {
-        let config = ContentionConfig {
-            model: kind,
-            ..cont_base.clone()
-        };
-        let classic = run_contention(&config).expect("classic contention run");
-        match run_contention_with_faults(&config, &FaultPlan::none()) {
-            Ok((resilient, _)) => {
-                if resilient != classic {
-                    failures.push(format!(
-                        "contention/{}: zero-fault run differs from classic driver",
-                        kind.label()
-                    ));
-                }
-            }
-            Err(e) => failures.push(format!(
-                "contention/{}: zero-fault run failed: {e}",
-                kind.label()
-            )),
-        }
     }
     eprintln!(
         "zero-fault identity: {}",
@@ -224,13 +204,13 @@ fn main() {
         });
 
         for kind in ModelKind::PAPER_SET {
-            let config = ContentionConfig {
+            let config = ManagerConfig {
                 model: kind,
                 ..cont_base.clone()
             };
             let t0 = Instant::now();
-            let (result, report) =
-                run_contention_with_faults(&config, &plan).expect("faulted contention run");
+            let outcome = run_manager(&config, &plan).expect("faulted contention run");
+            let (result, report) = (outcome.result, outcome.report.faults);
             check_conservation(
                 &format!("contention/{}@{intensity}", kind.label()),
                 &result.cycle,

@@ -17,8 +17,6 @@
 //! The run is also a correctness gate and exits nonzero when any of
 //! these is violated:
 //!
-//! * **classic identity** — a zero-fault single-client manager run must
-//!   reproduce `run_contention` **bitwise**, field for field;
 //! * **thread determinism** — the 1-thread and N-thread bootstrap must
 //!   produce identical outcomes (digest and full `PartialEq`);
 //! * **conservation** — at every sweep point the aggregated ledger must
@@ -43,7 +41,6 @@
 //!   absolute goodput necessarily falls with offered load.)
 
 use chs_bench::CommonArgs;
-use chs_condor::{run_contention, ContentionConfig};
 use chs_dist::ModelKind;
 use chs_manager::{replay_dead_letters, run_manager, ManagerConfig, ManagerOutcome, ReplayConfig};
 use chs_net::{AdmissionConfig, FaultPlan};
@@ -263,22 +260,6 @@ fn main() {
     // genuinely collapses past saturation instead of flattening out.
     let image_mb = 2_000.0;
     let mut failures: Vec<String> = Vec::new();
-
-    // ---- Gate: zero-fault single-client bitwise identity ------------
-    eprintln!("verifying classic single-client identity ...");
-    let mut cc = ContentionConfig::campus(1, ModelKind::Exponential);
-    cc.seed = args.seed;
-    let classic = run_contention(&cc).expect("classic contention run");
-    let outcome = run_manager(&ManagerConfig::from_contention(&cc), &FaultPlan::none())
-        .expect("manager classic-profile run");
-    if outcome.result.cycle != classic.cycle
-        || outcome.result.useful_seconds != classic.useful_seconds
-        || outcome.result.megabytes != classic.megabytes
-        || outcome.result.mean_transfer_seconds != classic.mean_transfer_seconds
-        || outcome.result.link_utilization != classic.link_utilization
-    {
-        failures.push("single-client zero-fault manager differs from run_contention".into());
-    }
 
     // ---- Gate: bootstrap thread determinism -------------------------
     eprintln!("verifying 1-thread == N-thread determinism ...");

@@ -14,15 +14,16 @@
 //!   machine-events/s of the frozen rescan-style reference
 //!   ([`chs_pool::rescan_run`]) on an identical pool; the reference
 //!   recomputes fair shares over every machine on every event, which is
-//!   exactly the `run_contention` behavior the engine replaces;
+//!   exactly the classic contention loop's behavior the engine replaces;
 //! * **memory** — peak RSS divided by machine count must stay under
 //!   4096 bytes/machine at pool scale (≥ 10⁵ machines; Linux `VmHWM`),
 //!   holding the structure-of-arrays layout to its no-per-machine-heap
 //!   promise;
 //! * **contention differential** — an 8-job single-link pool must match
-//!   `chs_condor::run_contention` totals to 1e-6 over a short window
-//!   (the coupled adaptive system is chaotic over long ones; see
-//!   `crates/pool/tests/pool_differential.rs`);
+//!   the totals of the manager server's classic profile
+//!   (`chs_manager::ManagerConfig::classic`, processor sharing) to 1e-6
+//!   over a short window (the coupled adaptive system is chaotic over
+//!   long ones; see `tests/contention_differential.rs`);
 //! * **closed form** — a 1-machine uncontended pool must reproduce the
 //!   `chs_cycle::run_trace` ledger bitwise on a dyadic config;
 //! * **determinism** — reversed machine-insertion order and a 1-thread
@@ -34,11 +35,12 @@
 //! at which it drops below 98% of the best seen — the collapse
 //! threshold of the offered-load curve.
 
-use chs_condor::{run_contention, ContentionConfig};
 use chs_cycle::{run_trace, CycleAccounting, CycleConfig, NoopObserver, SchedulePolicy};
 use chs_dist::fit::fit_model;
 use chs_dist::ModelKind;
+use chs_manager::{run_manager, ManagerConfig};
 use chs_markov::CheckpointCosts;
+use chs_net::FaultPlan;
 use chs_pool::{
     build_policy_store, rescan_run, DistSummary, FabricConfig, PoolSim, PoolSimConfig,
     SchedulePolicyBridge, Seg, StoreBuildReport, StorePolicy, VecTimeline, Workload,
@@ -369,7 +371,7 @@ fn memory_gate(machines: usize) -> MemoryGate {
     }
 }
 
-/// One seed of the small-pool `run_contention` differential.
+/// One seed of the small-pool contention differential.
 #[derive(Debug, Serialize)]
 struct ContentionCase {
     seed: u64,
@@ -386,20 +388,22 @@ struct ContentionGate {
     pass: bool,
 }
 
-/// Small single-link pools must match `run_contention` totals. Kept to
-/// a short window: the coupled adaptive system is chaotic over days
-/// (see `pool_differential.rs`), so trajectory agreement is only
-/// meaningful before decoherence.
+/// Small single-link pools must match the manager's classic-profile
+/// totals. Kept to a short window: the coupled adaptive system is
+/// chaotic over days (see `tests/contention_differential.rs`), so
+/// trajectory agreement is only meaningful before decoherence.
 fn contention_gate() -> ContentionGate {
     let jobs = 8;
     let window = 0.1 * 86_400.0;
     let tolerance = 1e-6;
     let mut cases = Vec::new();
     for seed in [9_006, 9_123, 9_314] {
-        let mut cfg = ContentionConfig::campus(jobs, ModelKind::Weibull);
+        let mut cfg = ManagerConfig::classic(jobs, ModelKind::Weibull);
         cfg.window = window;
         cfg.seed = seed;
-        let expect = run_contention(&cfg).expect("contention run");
+        let expect = run_manager(&cfg, &FaultPlan::none())
+            .expect("contention run")
+            .result;
         let (pool_cfg, timeline, mut policy) = chs_pool_contention_twin(&cfg);
         let got = PoolSim::run(&pool_cfg, &timeline, &mut policy).expect("pool run");
         let rel = |a: f64, b: f64| (a - b).abs() / b.abs().max(1.0);
@@ -440,14 +444,14 @@ fn contention_gate() -> ContentionGate {
     }
 }
 
-/// The pool-side twin of a `ContentionConfig` (same construction as the
-/// differential test: one rack, `nic = uplink = core`).
+/// The pool-side twin of a classic manager config (same construction as
+/// the differential test: one rack, `nic = uplink = core`).
 fn chs_pool_contention_twin(
-    config: &ContentionConfig,
+    config: &ManagerConfig,
 ) -> (PoolSimConfig, VecTimeline, chs_pool::AdaptiveVaidyaPolicy) {
-    let mut timelines = Vec::with_capacity(config.jobs);
-    let mut fits = Vec::with_capacity(config.jobs);
-    for i in 0..config.jobs {
+    let mut timelines = Vec::with_capacity(config.clients);
+    let mut fits = Vec::with_capacity(config.clients);
+    for i in 0..config.clients {
         let machine = chs_condor::EmulatedMachine::generate(
             &config.pool,
             i as u32,
@@ -468,12 +472,12 @@ fn chs_pool_contention_twin(
         );
     }
     let pool_cfg = PoolSimConfig {
-        machines: config.jobs,
+        machines: config.clients,
         fabric: FabricConfig {
             nic_mb_s: config.link_mb_per_s,
             uplink_mb_s: config.link_mb_per_s,
             core_mb_s: config.link_mb_per_s,
-            rack_size: config.jobs,
+            rack_size: config.clients,
         },
         image_mb: config.image_mb,
         window: config.window,

@@ -22,8 +22,12 @@
 //!   own transfers, recomputes `T_opt` after every checkpoint with the
 //!   machine's fitted availability model, and loops until evicted.
 //!
-//! Every executor in this crate — the live-experiment runs and the
-//! shared-link contention jobs — drives a `chs_cycle::CycleMachine`, the
+//! * [`resilient`] — the live experiment under injected faults, plus the
+//!   fit-fallback chain ([`resolve_fit`]) and [`FaultReport`] it shares
+//!   with `chs_manager::run_manager`, the one driver for many jobs
+//!   contending on a shared link (the paper's §5.2 conjecture).
+//!
+//! Every executor in this crate drives a `chs_cycle::CycleMachine`, the
 //! same state machine the batch simulator executes in closed form, so
 //! all accounting flows through one `chs_cycle::CycleAccounting` ledger.
 //!
@@ -31,7 +35,6 @@
 
 #![deny(missing_docs)]
 
-pub mod contention;
 pub mod experiment;
 pub mod log;
 pub mod machine;
@@ -40,13 +43,12 @@ pub mod monitor;
 pub mod negotiator;
 pub mod resilient;
 
-pub use contention::{run_contention, ContentionConfig, ContentionResult};
 pub use experiment::{run_experiment, ExperimentConfig, ExperimentResult, ModelSummary};
 pub use log::{LogDigest, LogEvent, LogRecorder, ProcessLog};
 pub use machine::{EmulatedMachine, MachinePark};
 pub use manager::{RunRecord, TransferKind, TransferRecord};
 pub use monitor::{run_monitor, MonitorConfig};
-pub use resilient::{run_contention_with_faults, run_experiment_with_faults, FaultReport};
+pub use resilient::{resolve_fit, run_experiment_with_faults, FaultReport, ResolvedFit};
 
 /// Errors from the emulation.
 #[derive(Debug)]

@@ -1,21 +1,22 @@
-//! Fault-aware drivers: the live experiment and the contention run under
-//! a [`FaultPlan`], with a resilient manager-side transfer protocol.
+//! The live experiment under a [`FaultPlan`], with a resilient
+//! manager-side transfer protocol, plus the fit-fallback chain and fault
+//! counters it shares with `chs_manager::run_manager`, the shared-link
+//! driver.
 //!
-//! The classic drivers ([`crate::run_experiment`],
-//! [`crate::run_contention`]) stay untouched as frozen references — the
-//! repo's differential-gate convention. This module re-implements their
-//! outer loops with four additions:
+//! The classic driver ([`crate::run_experiment`]) stays untouched as the
+//! frozen reference — the repo's differential-gate convention. This
+//! module re-implements its outer loop with four additions:
 //!
 //! 1. **Fault injection.** Every transfer attempt consults
 //!    [`FaultPlan::transfer_fault`] on its own decision lane (one per
-//!    (stream, model) pair in the live runner, one per job in the
-//!    contention runner), so decisions are a pure function of the plan —
-//!    independent of scheduling order — and a zero plan draws nothing.
+//!    (stream, model) pair), so decisions are a pure function of the
+//!    plan — independent of scheduling order — and a zero plan draws
+//!    nothing.
 //! 2. **Bounded retries with backoff.** A faulted checkpoint attempt is
-//!    retried up to [`RetryPolicy::max_retries`] times behind
+//!    retried up to [`chs_net::RetryPolicy::max_retries`] times behind
 //!    exponential backoff with jitter drawn from the run RNG stream
 //!    (only on fault paths, so zero-fault runs consume the exact RNG
-//!    sequence the classic drivers do). Recovery transfers retry until
+//!    sequence the classic driver does). Recovery transfers retry until
 //!    eviction: there is no older image to fall back to.
 //! 3. **Resumable transfers and verified fallback.** Drops and stalls
 //!    keep the delivered prefix — the retry ships only the remainder.
@@ -23,12 +24,13 @@
 //!    and re-sent. When a checkpoint's retry budget is exhausted the
 //!    process falls back to its last *verified* checkpoint: the
 //!    interval's work is re-accounted as lost and the run continues.
-//! 4. **Policy degradation.** An injected fit failure falls back to an
-//!    exponential-MLE fit of the same history, and — if even that fails
-//!    — to Young's fixed interval `√(2·C·mean)`; the machine is never
-//!    silently dropped. (A *natural* fit failure keeps the classic
-//!    behavior so the zero-fault plan stays bitwise identical.)
-//!    Mid-run `T_opt` failures degrade to the fixed interval likewise.
+//! 4. **Policy degradation** ([`resolve_fit`]). An injected fit failure
+//!    falls back to an exponential-MLE fit of the same history, and — if
+//!    even that fails — to Young's fixed interval `√(2·C·mean)`; the
+//!    machine is never silently dropped. (A *natural* fit failure keeps
+//!    the classic behavior so the zero-fault plan stays bitwise
+//!    identical.) Mid-run `T_opt` failures degrade to the fixed interval
+//!    likewise.
 //!
 //! Timeouts only ever cut *injected stalls*: a healthy sampled transfer
 //! can legitimately exceed `k×` its forecast (the lognormal tail), so
@@ -36,27 +38,25 @@
 //! pathology is injected, so the manager's timeout is modeled as the
 //! stall-detection deadline `timeout_factor × forecast`.
 
-use crate::contention::{plan_interval, ContentionConfig, ContentionResult};
 use crate::experiment::{summarize, ExperimentConfig, ExperimentResult};
 use crate::log::{LogRecorder, ProcessLog};
-use crate::machine::{EmulatedMachine, MachinePark, Segment};
+use crate::machine::MachinePark;
 use crate::manager::{RunRecord, TransferKind, TransferRecord};
 use crate::negotiator::{Negotiator, Placement};
 use crate::{CondorError, Result};
 use chs_cycle::{
-    clamp_interval, sanitize_age, CycleAccounting, CycleConfig, CycleMachine, CycleObserver,
-    CyclePhase, NoopObserver, TransferFaultKind,
+    clamp_interval, sanitize_age, CycleConfig, CycleMachine, CycleObserver, TransferFaultKind,
 };
 use chs_dist::fit::fit_model;
-use chs_dist::{FittedModel, ModelKind};
+use chs_dist::{DistError, FittedModel, ModelKind};
 use chs_markov::{CheckpointCosts, VaidyaModel};
-use chs_net::faults::{FaultPlan, RetryPolicy, TransferFault};
+use chs_net::faults::{FaultPlan, TransferFault};
 use chs_net::{AdaptiveForecaster, Forecaster, TransferModel};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-/// What the fault layer did to one run (live or contention): counts per
+/// What the fault layer did to one run (live or manager): counts per
 /// fault kind, the resilience work they triggered, and which policy
 /// fallback paths fired.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -86,6 +86,20 @@ impl FaultReport {
     pub fn total_faults(&self) -> u64 {
         self.stalls + self.drops + self.corruptions + self.unavailabilities
     }
+
+    /// Count one injected transfer fault; a stall also counts the
+    /// timeout that detects it.
+    pub fn record_fault(&mut self, kind: TransferFaultKind) {
+        match kind {
+            TransferFaultKind::Stall => {
+                self.stalls += 1;
+                self.timeouts += 1;
+            }
+            TransferFaultKind::Drop => self.drops += 1,
+            TransferFaultKind::Corruption => self.corruptions += 1,
+            TransferFaultKind::Unavailable => self.unavailabilities += 1,
+        }
+    }
 }
 
 /// The policy tier a machine's scheduling runs on after fit resolution.
@@ -99,43 +113,33 @@ enum FitTier {
     Fixed,
 }
 
-/// A resolved fit plus the history mean every fallback tier needs.
+/// A machine's fit after [`resolve_fit`]: the tier it resolved to plus
+/// the history mean every fallback tier needs.
 #[derive(Debug, Clone)]
-struct ResolvedFit {
+pub struct ResolvedFit {
     tier: FitTier,
     mean_history: f64,
 }
 
 impl ResolvedFit {
-    /// Plan the next interval, degrading to Young's `√(2·C·mean)` if
-    /// the model tier errors or goes non-finite — never dropping the
-    /// machine. The Native-tier arithmetic replicates the classic
-    /// drivers operation-for-operation.
-    fn live_interval(&self, measured_cost: f64, age: f64) -> f64 {
+    /// Plan the next work interval for checkpoint cost `cost` at machine
+    /// age `age`: Vaidya's `T_opt`, clamped to the work floor, degrading
+    /// to Young's `√(2·C·mean)` if the model tier errors or goes
+    /// non-finite — never dropping the machine. A NaN or negative age
+    /// plans as age 0.
+    pub fn interval(&self, cost: f64, age: f64) -> f64 {
         match &self.tier {
             FitTier::Native(fit) | FitTier::Exponential(fit) => {
-                match VaidyaModel::new(fit, CheckpointCosts::symmetric(measured_cost))
+                let age = sanitize_age(age).max(0.0);
+                let planned = VaidyaModel::new(fit, CheckpointCosts::symmetric(cost))
                     .and_then(|v| v.optimal_interval(age))
-                {
-                    Ok(opt) if opt.work_seconds.is_finite() => clamp_interval(opt.work_seconds),
-                    _ => self.fixed_interval(measured_cost),
-                }
-            }
-            FitTier::Fixed => self.fixed_interval(measured_cost),
-        }
-    }
-
-    /// Same degradation chain through the contention planner (shared
-    /// with the classic loop for bitwise Native-tier identity).
-    fn contention_interval(&self, measured_cost: f64, age: f64) -> f64 {
-        match &self.tier {
-            FitTier::Native(fit) | FitTier::Exponential(fit) => {
-                match plan_interval(fit, measured_cost, age) {
+                    .map(|opt| clamp_interval(opt.work_seconds));
+                match planned {
                     Ok(t) if t.is_finite() => t,
-                    _ => self.fixed_interval(measured_cost),
+                    _ => self.fixed_interval(cost),
                 }
             }
-            FitTier::Fixed => self.fixed_interval(measured_cost),
+            FitTier::Fixed => self.fixed_interval(cost),
         }
     }
 
@@ -145,55 +149,32 @@ impl ResolvedFit {
     }
 }
 
-/// Resolve the (machine, model) fit under the plan's fit-failure
-/// injection. A natural failure returns `None` (the classic drop, so
-/// zero-fault runs match bitwise); an injected failure walks the
-/// degradation chain and is counted in the report.
-fn resolve_fit(
+/// Resolve a machine's fit of `kind` to `history` under fit-failure
+/// injection. A natural failure returns the fit error: the live driver
+/// drops the machine and the manager aborts, as their classic
+/// counterparts do, so zero-fault runs match them bitwise. An injected
+/// failure walks the degradation chain, counted in `report`.
+pub fn resolve_fit(
     kind: ModelKind,
     history: &[f64],
     injected: bool,
     report: &mut FaultReport,
-) -> Option<ResolvedFit> {
+) -> std::result::Result<ResolvedFit, DistError> {
     let mean_history = if history.is_empty() {
         0.0
     } else {
         history.iter().sum::<f64>() / history.len() as f64
     };
-    if !injected {
-        return fit_model(kind, history).ok().map(|fit| ResolvedFit {
-            tier: FitTier::Native(fit),
-            mean_history,
-        });
-    }
-    match fit_model(ModelKind::Exponential, history) {
-        Ok(fit) => {
-            report.fallback_exponential += 1;
-            Some(ResolvedFit {
-                tier: FitTier::Exponential(fit),
-                mean_history,
-            })
-        }
-        Err(_) => {
-            report.fallback_fixed += 1;
-            Some(ResolvedFit {
-                tier: FitTier::Fixed,
-                mean_history,
-            })
-        }
-    }
-}
-
-fn count_fault(report: &mut FaultReport, kind: TransferFaultKind) {
-    match kind {
-        TransferFaultKind::Stall => {
-            report.stalls += 1;
-            report.timeouts += 1;
-        }
-        TransferFaultKind::Drop => report.drops += 1,
-        TransferFaultKind::Corruption => report.corruptions += 1,
-        TransferFaultKind::Unavailable => report.unavailabilities += 1,
-    }
+    let tier = if !injected {
+        FitTier::Native(fit_model(kind, history)?)
+    } else if let Ok(fit) = fit_model(ModelKind::Exponential, history) {
+        report.fallback_exponential += 1;
+        FitTier::Exponential(fit)
+    } else {
+        report.fallback_fixed += 1;
+        FitTier::Fixed
+    };
+    Ok(ResolvedFit { tier, mean_history })
 }
 
 // ---------------------------------------------------------------------
@@ -250,7 +231,7 @@ fn drive_transfer_phase(
         // move while waiting and no retry is consumed.
         if let Some(TransferFault::Unavailable { wait_seconds }) = fault {
             machine.fault_transfer(TransferFaultKind::Unavailable, false, false, recorder);
-            count_fault(report, TransferFaultKind::Unavailable);
+            report.record_fault(TransferFaultKind::Unavailable);
             if *t + wait_seconds > eviction {
                 let dt = eviction - *t;
                 machine.advance(dt, 0.0);
@@ -344,7 +325,7 @@ fn drive_transfer_phase(
                 });
                 machine.advance(len, delivered);
                 *t += len;
-                count_fault(report, fkind);
+                report.record_fault(fkind);
                 let resend = fkind == TransferFaultKind::Corruption;
                 machine.fault_transfer(fkind, resend, true, recorder);
                 retries_used += 1;
@@ -450,7 +431,7 @@ fn execute_run_resilient(
 
     loop {
         let age = sanitize_age(placement.age_at_placement + (t - placement.placed_at));
-        let t_opt = fit.live_interval(measured_cost, age);
+        let t_opt = fit.interval(measured_cost, age);
         t_opts.push(t_opt);
         machine.start_work(t_opt, &mut recorder);
 
@@ -599,7 +580,7 @@ pub fn run_experiment_with_faults(
                         stream_seed.wrapping_add(placement.machine_index as u64),
                         model_index as u64,
                     );
-                    *slot = Some(resolve_fit(kind, history, injected, &mut report));
+                    *slot = Some(resolve_fit(kind, history, injected, &mut report).ok());
                 }
                 let Some(Some(fit)) = slot.clone() else {
                     // Natural fit failure: the classic drop (the paper
@@ -638,531 +619,10 @@ pub fn run_experiment_with_faults(
     ))
 }
 
-// ---------------------------------------------------------------------
-// Contention under faults
-// ---------------------------------------------------------------------
-
-/// Sub-state of a job's in-flight transfer under the fault layer. The
-/// cycle machine stays in its transfer phase throughout (time accrues);
-/// this tracks whether the job is actually moving bytes on the link.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum XferState {
-    /// Not in a transfer phase.
-    Idle,
-    /// Waiting out transient manager unavailability, then the attempt
-    /// starts clean.
-    Unavail { until: f64 },
-    /// Progressing on the shared link.
-    Active { fault: Option<ActiveFault> },
-    /// Stalled (progress stopped at the fault's cap); the manager's
-    /// timeout fires at `until`.
-    Stalled { until: f64 },
-    /// Backing off before the next retry attempt.
-    Backoff { until: f64 },
-}
-
-/// The pending fault of an active attempt, in link-progress terms.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum ActiveFault {
-    /// Progress stops when the cycle's remaining MB reaches the floor;
-    /// the manager notices at `timeout_at`.
-    Stall {
-        remaining_floor: f64,
-        timeout_at: f64,
-    },
-    /// The connection dies when remaining MB reaches the floor.
-    Drop { remaining_floor: f64 },
-    /// Delivery completes, then the commit checksum fails.
-    Corrupt,
-}
-
-struct RJob {
-    machine: EmulatedMachine,
-    fit: ResolvedFit,
-    seg_index: usize,
-    cycle: CycleMachine,
-    work_until: f64,
-    measured_cost: f64,
-    completed_transfer_time: f64,
-    completed_transfers: u64,
-    seg_start: f64,
-    // Fault layer.
-    lane: u64,
-    counter: u64,
-    xfer: XferState,
-    retries_this_phase: u32,
-    /// Remaining MB when the current attempt started (for scaling the
-    /// measured cost of partial shipments back to a full image).
-    attempt_started_mb: f64,
-    /// Absolute time the current attempt went Active.
-    attempt_active_since: f64,
-    /// No fault has touched this phase — the measured cost can come
-    /// straight off the cycle machine, bitwise like the classic loop.
-    phase_clean: bool,
-}
-
-impl RJob {
-    fn current_segment(&self) -> Option<Segment> {
-        self.machine.segments().get(self.seg_index).copied()
-    }
-
-    /// Begin a transfer attempt at absolute time `t`: consult the plan
-    /// for this attempt's fault and set the sub-state accordingly.
-    fn start_attempt(
-        &mut self,
-        t: f64,
-        plan: &FaultPlan,
-        retry: &RetryPolicy,
-        report: &mut FaultReport,
-    ) {
-        let rem = self.cycle.transfer_remaining_mb().unwrap_or(0.0);
-        self.attempt_started_mb = rem;
-        self.attempt_active_since = t;
-        let fault = plan.transfer_fault(self.lane, self.counter);
-        self.counter += 1;
-        self.xfer = match fault {
-            None => XferState::Active { fault: None },
-            Some(TransferFault::Corruption) => {
-                self.phase_clean = false;
-                XferState::Active {
-                    fault: Some(ActiveFault::Corrupt),
-                }
-            }
-            Some(TransferFault::Drop { progress_fraction }) => {
-                self.phase_clean = false;
-                XferState::Active {
-                    fault: Some(ActiveFault::Drop {
-                        remaining_floor: rem * (1.0 - progress_fraction),
-                    }),
-                }
-            }
-            Some(TransferFault::Stall { progress_fraction }) => {
-                self.phase_clean = false;
-                XferState::Active {
-                    fault: Some(ActiveFault::Stall {
-                        remaining_floor: rem * (1.0 - progress_fraction),
-                        timeout_at: t + retry.timeout_factor * self.measured_cost,
-                    }),
-                }
-            }
-            Some(TransferFault::Unavailable { wait_seconds }) => {
-                self.phase_clean = false;
-                self.cycle.fault_transfer(
-                    TransferFaultKind::Unavailable,
-                    false,
-                    false,
-                    &mut NoopObserver,
-                );
-                count_fault(report, TransferFaultKind::Unavailable);
-                XferState::Unavail {
-                    until: t + wait_seconds,
-                }
-            }
-        };
-    }
-
-    /// A transfer phase completed at `t` (delivery verified): record the
-    /// measurement and plan + start the next work interval.
-    fn plan_next_interval(&mut self, t: f64, duration: f64) {
-        self.measured_cost = duration.max(1.0);
-        self.completed_transfer_time += duration;
-        self.completed_transfers += 1;
-        let age = t - self.seg_start;
-        let t_work = self.fit.contention_interval(self.measured_cost, age);
-        self.cycle.start_work(t_work, &mut NoopObserver);
-        self.work_until = t + t_work;
-        self.xfer = XferState::Idle;
-    }
-
-    fn evict(&mut self) {
-        self.cycle.evict(&mut NoopObserver);
-        self.seg_index += 1;
-        self.xfer = XferState::Idle;
-    }
-
-    /// Whether this job currently occupies a slot on the shared link.
-    fn link_active(&self) -> bool {
-        matches!(
-            self.cycle.phase(),
-            CyclePhase::Recovery | CyclePhase::Checkpoint
-        ) && matches!(self.xfer, XferState::Active { .. })
-    }
-}
-
-/// Run the contention simulation under a [`FaultPlan`]. With
-/// [`FaultPlan::none`] this reproduces [`crate::run_contention`]
-/// **bitwise**; the event-loop arithmetic replicates the classic loop
-/// operation-for-operation on the zero-fault path.
-pub fn run_contention_with_faults(
-    config: &ContentionConfig,
-    plan: &FaultPlan,
-) -> Result<(ContentionResult, FaultReport)> {
-    config.validate()?;
-    plan.validate()
-        .map_err(|_| CondorError::InvalidConfig("invalid fault plan"))?;
-    let mut report = FaultReport::default();
-    let retry = config.retry;
-    let nominal_cost = config.image_mb / config.link_mb_per_s;
-    let cycle_config = CycleConfig {
-        checkpoint_cost: 0.0,
-        recovery_cost: 0.0,
-        image_mb: config.image_mb,
-        count_recovery_bytes: true,
-    };
-    // Backoff jitter draws; touched only on fault paths, so the
-    // zero-fault run consumes nothing (the classic loop has no RNG).
-    let mut backoff_rng = ChaCha8Rng::seed_from_u64(config.seed ^ 0x00BA_C0FF);
-
-    let mut jobs: Vec<RJob> = Vec::with_capacity(config.jobs);
-    for i in 0..config.jobs {
-        let machine = EmulatedMachine::generate(
-            &config.pool,
-            i as u32,
-            config.history_len,
-            config.window * 2.0 + 7.0 * 86_400.0,
-            config.seed,
-        );
-        let injected = plan.fit_failure(config.seed.wrapping_add(i as u64), 0);
-        let fit = if injected {
-            resolve_fit(config.model, &machine.history, true, &mut report)
-                .expect("injected failures always resolve to a fallback tier")
-        } else {
-            // Natural failure keeps the classic abort (bitwise identity).
-            let mean_history = if machine.history.is_empty() {
-                0.0
-            } else {
-                machine.history.iter().sum::<f64>() / machine.history.len() as f64
-            };
-            ResolvedFit {
-                tier: FitTier::Native(fit_model(config.model, &machine.history)?),
-                mean_history,
-            }
-        };
-        jobs.push(RJob {
-            machine,
-            fit,
-            seg_index: 0,
-            cycle: CycleMachine::new(cycle_config),
-            work_until: 0.0,
-            measured_cost: nominal_cost,
-            completed_transfer_time: 0.0,
-            completed_transfers: 0,
-            seg_start: 0.0,
-            lane: (i as u64) ^ 0x000C_007E_4710,
-            counter: 0,
-            xfer: XferState::Idle,
-            retries_this_phase: 0,
-            attempt_started_mb: 0.0,
-            attempt_active_since: 0.0,
-            phase_clean: true,
-        });
-    }
-
-    let capacity = config.link_mb_per_s;
-    let image_mb = config.image_mb;
-    let mut t = 0.0;
-    let mut busy_time = 0.0;
-    let mut concurrency_time = 0.0;
-    const EPS: f64 = 1e-7;
-
-    while t < config.window {
-        let n_active = jobs.iter().filter(|j| j.link_active()).count();
-        let rate = if n_active > 0 {
-            capacity / n_active as f64
-        } else {
-            0.0
-        };
-
-        // Earliest next event across jobs.
-        let mut t_next = config.window;
-        for job in &jobs {
-            let seg = job.current_segment();
-            let event = match job.cycle.phase() {
-                CyclePhase::Down => seg.map_or(f64::INFINITY, |s| s.start),
-                CyclePhase::Work => job.work_until.min(seg.map_or(f64::INFINITY, |s| s.end)),
-                CyclePhase::Recovery | CyclePhase::Checkpoint => {
-                    let seg_end = seg.map_or(f64::INFINITY, |s| s.end);
-                    match job.xfer {
-                        XferState::Active { fault } => {
-                            let remaining = job.cycle.transfer_remaining_mb().unwrap_or(0.0);
-                            let target = match fault {
-                                Some(
-                                    ActiveFault::Stall {
-                                        remaining_floor, ..
-                                    }
-                                    | ActiveFault::Drop { remaining_floor },
-                                ) => (remaining - remaining_floor).max(0.0),
-                                _ => remaining,
-                            };
-                            let done = t + target / rate;
-                            done.min(seg_end)
-                        }
-                        XferState::Unavail { until }
-                        | XferState::Stalled { until }
-                        | XferState::Backoff { until } => until.min(seg_end),
-                        XferState::Idle => unreachable!("transfer phase without an attempt"),
-                    }
-                }
-                CyclePhase::Ready => unreachable!("job left in Ready between events"),
-            };
-            t_next = t_next.min(event);
-        }
-        let dt = (t_next - t).max(0.0);
-
-        if n_active > 0 && dt > 0.0 {
-            busy_time += dt;
-            concurrency_time += dt * n_active as f64;
-        }
-        let moved = if n_active > 0 { dt * rate } else { 0.0 };
-        for job in jobs.iter_mut() {
-            match job.cycle.phase() {
-                CyclePhase::Down => {}
-                CyclePhase::Recovery | CyclePhase::Checkpoint => match job.xfer {
-                    XferState::Active { fault } => {
-                        let floor = match fault {
-                            Some(
-                                ActiveFault::Stall {
-                                    remaining_floor, ..
-                                }
-                                | ActiveFault::Drop { remaining_floor },
-                            ) => remaining_floor,
-                            _ => 0.0,
-                        };
-                        let remaining = job.cycle.transfer_remaining_mb().unwrap_or(0.0);
-                        // Exact classic op when no fault caps the attempt.
-                        let delta = if floor > 0.0 {
-                            moved.min((remaining - floor).max(0.0))
-                        } else {
-                            moved.min(remaining)
-                        };
-                        job.cycle.advance(dt, delta);
-                    }
-                    _ => job.cycle.advance(dt, 0.0),
-                },
-                _ => job.cycle.advance(dt, 0.0),
-            }
-        }
-        t = t_next;
-        if t >= config.window {
-            break;
-        }
-
-        // Fire events.
-        for job in jobs.iter_mut() {
-            let Some(seg) = job.current_segment() else {
-                continue;
-            };
-            match job.cycle.phase() {
-                CyclePhase::Down => {
-                    if t + EPS >= seg.start {
-                        job.seg_start = seg.start;
-                        job.cycle.place(seg.end - seg.start, &mut NoopObserver);
-                        job.retries_this_phase = 0;
-                        job.phase_clean = true;
-                        job.start_attempt(t, plan, &retry, &mut report);
-                    }
-                }
-                CyclePhase::Work => {
-                    if t + EPS >= seg.end {
-                        job.evict();
-                    } else if t + EPS >= job.work_until {
-                        job.cycle.start_checkpoint(&mut NoopObserver);
-                        job.retries_this_phase = 0;
-                        job.phase_clean = true;
-                        job.start_attempt(t, plan, &retry, &mut report);
-                    }
-                }
-                CyclePhase::Recovery | CyclePhase::Checkpoint => {
-                    if t + EPS >= seg.end {
-                        job.evict();
-                        continue;
-                    }
-                    let is_checkpoint = job.cycle.phase() == CyclePhase::Checkpoint;
-                    let remaining = job.cycle.transfer_remaining_mb().unwrap_or(0.0);
-                    match job.xfer {
-                        XferState::Active { fault: None } => {
-                            if remaining <= EPS {
-                                let phase_elapsed = if is_checkpoint {
-                                    job.cycle.complete_checkpoint(&mut NoopObserver)
-                                } else {
-                                    job.cycle.complete_recovery(&mut NoopObserver)
-                                };
-                                // Clean phases measure like the classic
-                                // loop (bitwise); faulted phases measure
-                                // the successful attempt, scaled to a
-                                // full image.
-                                let duration = if job.phase_clean {
-                                    phase_elapsed
-                                } else {
-                                    let raw = t - job.attempt_active_since;
-                                    if job.attempt_started_mb > 0.0
-                                        && job.attempt_started_mb != image_mb
-                                    {
-                                        raw * image_mb / job.attempt_started_mb
-                                    } else {
-                                        raw
-                                    }
-                                };
-                                job.plan_next_interval(t, duration);
-                            }
-                        }
-                        XferState::Active {
-                            fault: Some(ActiveFault::Corrupt),
-                        } => {
-                            if remaining <= EPS {
-                                fault_and_retry(
-                                    job,
-                                    t,
-                                    TransferFaultKind::Corruption,
-                                    true,
-                                    is_checkpoint,
-                                    &retry,
-                                    &mut backoff_rng,
-                                    &mut report,
-                                );
-                            }
-                        }
-                        XferState::Active {
-                            fault: Some(ActiveFault::Drop { remaining_floor }),
-                        } => {
-                            if remaining <= remaining_floor + EPS {
-                                fault_and_retry(
-                                    job,
-                                    t,
-                                    TransferFaultKind::Drop,
-                                    false,
-                                    is_checkpoint,
-                                    &retry,
-                                    &mut backoff_rng,
-                                    &mut report,
-                                );
-                            }
-                        }
-                        XferState::Active {
-                            fault:
-                                Some(ActiveFault::Stall {
-                                    remaining_floor,
-                                    timeout_at,
-                                }),
-                        } => {
-                            if remaining <= remaining_floor + EPS {
-                                // Progress stopped; the manager notices
-                                // at the timeout.
-                                job.xfer = XferState::Stalled { until: timeout_at };
-                            }
-                        }
-                        XferState::Stalled { until } => {
-                            if t + EPS >= until {
-                                fault_and_retry(
-                                    job,
-                                    t,
-                                    TransferFaultKind::Stall,
-                                    false,
-                                    is_checkpoint,
-                                    &retry,
-                                    &mut backoff_rng,
-                                    &mut report,
-                                );
-                            }
-                        }
-                        XferState::Unavail { until } => {
-                            if t + EPS >= until {
-                                // The manager is back; the attempt runs
-                                // clean from here.
-                                job.attempt_active_since = t;
-                                job.xfer = XferState::Active { fault: None };
-                            }
-                        }
-                        XferState::Backoff { until } => {
-                            if t + EPS >= until {
-                                job.start_attempt(t, plan, &retry, &mut report);
-                            }
-                        }
-                        XferState::Idle => unreachable!("transfer phase without an attempt"),
-                    }
-                }
-                CyclePhase::Ready => unreachable!("job left in Ready between events"),
-            }
-        }
-    }
-
-    for job in jobs.iter_mut() {
-        if job.cycle.phase() != CyclePhase::Down {
-            job.cycle.cutoff(&mut NoopObserver);
-        }
-    }
-
-    let mut total = CycleAccounting::default();
-    for job in &jobs {
-        total.absorb(job.cycle.accounting());
-    }
-    let transfer_time: f64 = jobs.iter().map(|j| j.completed_transfer_time).sum();
-    let transfers: u64 = jobs.iter().map(|j| j.completed_transfers).sum();
-
-    Ok((
-        ContentionResult {
-            model: config.model,
-            jobs: config.jobs,
-            useful_seconds: total.useful_seconds,
-            occupied_seconds: total.total_seconds,
-            megabytes: total.megabytes,
-            checkpoints_committed: total.checkpoints_committed,
-            transfers_started: total.transfers_started(),
-            mean_transfer_seconds: if transfers > 0 {
-                transfer_time / transfers as f64
-            } else {
-                0.0
-            },
-            mean_link_concurrency: if busy_time > 0.0 {
-                concurrency_time / busy_time
-            } else {
-                0.0
-            },
-            link_utilization: busy_time / config.window,
-            cycle: total,
-        },
-        report,
-    ))
-}
-
-/// Record a fault on a contention job and either back off for a retry,
-/// or — for a checkpoint out of budget — abandon to the last verified
-/// checkpoint and plan the next interval.
-#[allow(clippy::too_many_arguments)]
-fn fault_and_retry(
-    job: &mut RJob,
-    t: f64,
-    kind: TransferFaultKind,
-    resend: bool,
-    is_checkpoint: bool,
-    retry: &RetryPolicy,
-    backoff_rng: &mut ChaCha8Rng,
-    report: &mut FaultReport,
-) {
-    job.cycle
-        .fault_transfer(kind, resend, true, &mut NoopObserver);
-    count_fault(report, kind);
-    job.retries_this_phase += 1;
-    if is_checkpoint && job.retries_this_phase > retry.max_retries {
-        job.cycle.abandon_checkpoint(&mut NoopObserver);
-        report.checkpoints_abandoned += 1;
-        // Plan the next interval from the last verified checkpoint.
-        let age = t - job.seg_start;
-        let t_work = job.fit.contention_interval(job.measured_cost, age);
-        job.cycle.start_work(t_work, &mut NoopObserver);
-        job.work_until = t + t_work;
-        job.xfer = XferState::Idle;
-        return;
-    }
-    report.retries += 1;
-    let backoff = retry.backoff_jittered(job.retries_this_phase, backoff_rng.gen::<f64>());
-    job.xfer = XferState::Backoff { until: t + backoff };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_contention, run_experiment};
+    use crate::run_experiment;
 
     fn small_live() -> ExperimentConfig {
         ExperimentConfig {
@@ -1173,27 +633,11 @@ mod tests {
         }
     }
 
-    fn small_contention() -> ContentionConfig {
-        ContentionConfig {
-            window: 86_400.0,
-            ..ContentionConfig::campus(4, chs_dist::ModelKind::Exponential)
-        }
-    }
-
     #[test]
     fn zero_fault_live_run_is_bitwise_identical() {
         let config = small_live();
         let classic = run_experiment(&config).unwrap();
         let (resilient, report) = run_experiment_with_faults(&config, &FaultPlan::none()).unwrap();
-        assert_eq!(classic, resilient);
-        assert_eq!(report, FaultReport::default());
-    }
-
-    #[test]
-    fn zero_fault_contention_run_is_bitwise_identical() {
-        let config = small_contention();
-        let classic = run_contention(&config).unwrap();
-        let (resilient, report) = run_contention_with_faults(&config, &FaultPlan::none()).unwrap();
         assert_eq!(classic, resilient);
         assert_eq!(report, FaultReport::default());
     }
@@ -1224,24 +668,6 @@ mod tests {
                 "transfer records drifted from ledger: {wasted_only_in_ledger}"
             );
         }
-    }
-
-    #[test]
-    fn faulty_contention_run_injects_and_conserves() {
-        let config = small_contention();
-        let plan = FaultPlan::uniform(0.5, 11);
-        let (result, report) = run_contention_with_faults(&config, &plan).unwrap();
-        assert!(report.total_faults() > 0);
-        let time = result.cycle.conservation_residual().abs();
-        let bytes = result.cycle.byte_conservation_residual().abs();
-        assert!(
-            time < 1e-6 * result.cycle.total_seconds.max(1.0),
-            "time leak {time}"
-        );
-        assert!(
-            bytes < 1e-6 * result.cycle.megabytes.max(1.0),
-            "byte leak {bytes}"
-        );
     }
 
     #[test]

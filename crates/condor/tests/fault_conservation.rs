@@ -1,15 +1,11 @@
-//! Conservation properties of the resilient drivers under **random
+//! Conservation properties of the resilient live driver under **random
 //! fault plans**: whatever the injected fault mix, every ledger must
 //! balance its books — time (`useful + lost + recovery + checkpoint =
 //! total`) and bytes (`megabytes = full + partial + wasted`) — and the
 //! run's [`FaultReport`] must agree exactly with the per-run ledgers.
 
-use chs_condor::{
-    run_contention_with_faults, run_experiment_with_faults, ContentionConfig, ExperimentConfig,
-    FaultReport,
-};
+use chs_condor::{run_experiment_with_faults, ExperimentConfig, FaultReport};
 use chs_cycle::CycleAccounting;
-use chs_dist::ModelKind;
 use chs_net::FaultPlan;
 use proptest::prelude::*;
 
@@ -98,26 +94,5 @@ proptest! {
             total.absorb(&run.cycle);
         }
         check_ledger_vs_report(&total, &report)?;
-    }
-
-    /// Contention runs conserve time and bytes under any fault plan, and
-    /// the report matches the aggregate ledger.
-    #[test]
-    fn contention_runs_conserve_under_faults(
-        stall in 0.0f64..0.25, drop in 0.0f64..0.25, corrupt in 0.0f64..0.25,
-        unavail in 0.0f64..0.25, fit in 0.0f64..1.0, plan_seed in 0u64..1_000_000,
-        seed in 0u64..2_000,
-    ) {
-        let plan = plan_from(stall, drop, corrupt, unavail, fit, plan_seed);
-        let mut config = ContentionConfig::campus(4, ModelKind::Exponential);
-        config.window = 12.0 * 3_600.0;
-        config.seed = seed;
-
-        let (result, report) = run_contention_with_faults(&config, &plan).unwrap();
-        check_ledger_vs_report(&result.cycle, &report)?;
-        // The headline fields mirror the embedded ledger.
-        prop_assert_eq!(result.useful_seconds, result.cycle.useful_seconds);
-        prop_assert_eq!(result.megabytes, result.cycle.megabytes);
-        prop_assert!(result.useful_seconds <= result.occupied_seconds + 1e-9);
     }
 }

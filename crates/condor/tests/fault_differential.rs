@@ -1,15 +1,13 @@
-//! Differential gate for the resilient drivers (in the style of
+//! Differential gate for the resilient live driver (in the style of
 //! `chs-sim/tests/frozen_engine.rs`): under a **zero-fault plan** the
-//! fault-aware drivers must reproduce the classic frozen drivers
+//! fault-aware driver must reproduce the classic frozen driver
 //! **bitwise** — `PartialEq` over every `f64` field, no tolerances —
 //! across random seeds, pool sizes, and windows. The fault layer earns
-//! its place only if it is invisible when no fault is injected.
+//! its place only if it is invisible when no fault is injected. (The
+//! shared-link manager is checked against its frozen classic loop in the
+//! root `tests/contention_differential.rs`.)
 
-use chs_condor::{
-    run_contention, run_contention_with_faults, run_experiment, run_experiment_with_faults,
-    ContentionConfig, ExperimentConfig, FaultReport,
-};
-use chs_dist::ModelKind;
+use chs_condor::{run_experiment, run_experiment_with_faults, ExperimentConfig, FaultReport};
 use chs_net::FaultPlan;
 use proptest::prelude::*;
 
@@ -17,13 +15,6 @@ fn live_config(seed: u64, machines: usize, window_hours: u64) -> ExperimentConfi
     let mut c = ExperimentConfig::campus();
     c.machines = machines.max(2);
     c.streams = 1;
-    c.window = window_hours as f64 * 3_600.0;
-    c.seed = seed;
-    c
-}
-
-fn contention_config(seed: u64, jobs: usize, window_hours: u64) -> ContentionConfig {
-    let mut c = ContentionConfig::campus(jobs.max(2), ModelKind::Exponential);
     c.window = window_hours as f64 * 3_600.0;
     c.seed = seed;
     c
@@ -44,22 +35,6 @@ proptest! {
         let classic = run_experiment(&config).unwrap();
         let (resilient, report) =
             run_experiment_with_faults(&config, &FaultPlan::none()).unwrap();
-        prop_assert_eq!(classic, resilient);
-        prop_assert_eq!(report, FaultReport::default());
-    }
-
-    /// Zero-fault contention runs are bitwise-identical to the classic
-    /// event loop, including the shared-link arithmetic.
-    #[test]
-    fn zero_fault_contention_is_bitwise_frozen(
-        seed in 0u64..5_000,
-        jobs in 2usize..8,
-        window_hours in 6u64..24,
-    ) {
-        let config = contention_config(seed, jobs, window_hours);
-        let classic = run_contention(&config).unwrap();
-        let (resilient, report) =
-            run_contention_with_faults(&config, &FaultPlan::none()).unwrap();
         prop_assert_eq!(classic, resilient);
         prop_assert_eq!(report, FaultReport::default());
     }

@@ -1,17 +1,15 @@
 //! Manager-server configuration and results.
 
 use crate::{ManagerError, Result};
-use chs_condor::ContentionConfig;
 use chs_cycle::CycleAccounting;
 use chs_dist::ModelKind;
 use chs_net::{AdmissionConfig, DeadLetterQueue, LaneWeights, RetryPolicy};
 use chs_trace::synthetic::PoolConfig;
 use serde::{Deserialize, Serialize};
 
-/// Configuration for one manager-server run. A superset of
-/// [`chs_condor::ContentionConfig`]: the same client/link/planning knobs
-/// plus the server-side policy (lane weights, admission, prefetch) and
-/// the bootstrap thread count.
+/// Configuration for one manager-server run: the client/link/planning
+/// knobs of a shared-link contention run plus the server-side policy
+/// (lane weights, admission, prefetch) and the bootstrap thread count.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ManagerConfig {
     /// Number of client jobs (each pinned to its own machine).
@@ -37,8 +35,8 @@ pub struct ManagerConfig {
     /// Admission control for new checkpoint and prefetch transfers.
     pub admission: AdmissionConfig,
     /// Probability that a committed checkpoint spawns a cache-warming
-    /// prefetch on the lowest-priority lane (0 disables — required for
-    /// the classic-compatible differential profile).
+    /// prefetch on the lowest-priority lane (0 disables, as the
+    /// [`ManagerConfig::classic`] profile does).
     pub prefetch_probability: f64,
     /// Bootstrap worker threads (machine generation + model fitting).
     /// 0 means one per available core. The event loop itself is
@@ -48,9 +46,9 @@ pub struct ManagerConfig {
 }
 
 impl ManagerConfig {
-    /// Campus-link defaults mirroring
-    /// [`chs_condor::ContentionConfig::campus`], with the default
-    /// priority weights and admission watermark.
+    /// Campus-link defaults: `clients` jobs sharing a link that moves one
+    /// 500 MB image in 110 s when uncontended, with the default priority
+    /// weights and admission watermark.
     pub fn campus(clients: usize, model: ModelKind) -> Self {
         Self {
             clients,
@@ -69,25 +67,17 @@ impl ManagerConfig {
         }
     }
 
-    /// The classic-compatible profile for a contention config: uniform
-    /// weights, admission disabled, no prefetch — the manager degenerates
-    /// to `run_contention`'s flat processor sharing (bitwise for one
-    /// client; the differential suite enforces it).
-    pub fn from_contention(c: &ContentionConfig) -> Self {
+    /// The classic shared-link profile on the campus defaults: uniform
+    /// weights, admission disabled, no prefetch. Every transfer gets an
+    /// equal share of the link — processor sharing, the paper's §5.2
+    /// contention model. The oracle suite
+    /// (`tests/contention_differential.rs`) checks it against a frozen
+    /// copy of the classic event loop.
+    pub fn classic(clients: usize, model: ModelKind) -> Self {
         Self {
-            clients: c.jobs,
-            link_mb_per_s: c.link_mb_per_s,
-            image_mb: c.image_mb,
-            window: c.window,
-            model: c.model,
-            pool: c.pool.clone(),
-            history_len: c.history_len,
-            seed: c.seed,
-            retry: c.retry,
             weights: LaneWeights::uniform(),
             admission: AdmissionConfig::disabled(),
-            prefetch_probability: 0.0,
-            threads: 1,
+            ..Self::campus(clients, model)
         }
     }
 
@@ -135,8 +125,8 @@ impl ManagerConfig {
 /// transfer-fault counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct ManagerReport {
-    /// Transfer-fault and retry counts (same vocabulary as the PR 5
-    /// resilient drivers).
+    /// Transfer-fault and retry counts (the live resilient driver's
+    /// vocabulary).
     pub faults: chs_condor::FaultReport,
     /// Checkpoints deferred by admission control (fell back to the last
     /// verified image; counted in the ledger's `checkpoints_abandoned`
@@ -153,9 +143,8 @@ pub struct ManagerReport {
     pub prefetch_mb: f64,
 }
 
-/// Aggregate result of a manager run. The client-ledger scalars mirror
-/// [`chs_condor::ContentionResult`] field-for-field (the differential
-/// suite compares them); the lane/digest fields are manager-specific.
+/// Aggregate result of a manager run: views into the merged client
+/// ledger, link statistics, and the per-lane busy times and digest.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ManagerResult {
     /// The model used.
@@ -200,6 +189,19 @@ impl ManagerResult {
     pub fn efficiency(&self) -> f64 {
         if self.occupied_seconds > 0.0 {
             self.useful_seconds / self.occupied_seconds
+        } else {
+            0.0
+        }
+    }
+
+    /// Stretch factor: mean transfer duration relative to the uncontended
+    /// duration of one image. Returns 0 (never NaN or ∞) when the nominal
+    /// duration is degenerate — e.g. a zero-byte image or an unvalidated
+    /// zero-bandwidth config.
+    pub fn stretch(&self, config: &ManagerConfig) -> f64 {
+        let nominal = config.image_mb / config.link_mb_per_s;
+        if nominal.is_finite() && nominal > 0.0 {
+            self.mean_transfer_seconds / nominal
         } else {
             0.0
         }
@@ -252,9 +254,50 @@ mod tests {
     }
 
     #[test]
-    fn from_contention_is_the_classic_profile() {
-        let cc = ContentionConfig::campus(3, ModelKind::Weibull);
-        let mc = ManagerConfig::from_contention(&cc);
+    fn validation_rejects_non_finite_knobs() {
+        for bad in [f64::NAN, f64::INFINITY, -1.0, 0.0] {
+            let mut c = ManagerConfig::classic(2, ModelKind::Exponential);
+            c.window = bad;
+            assert!(c.validate().is_err(), "window {bad} accepted");
+            let mut c = ManagerConfig::classic(2, ModelKind::Exponential);
+            c.image_mb = bad;
+            assert!(c.validate().is_err(), "image {bad} accepted");
+            let mut c = ManagerConfig::classic(2, ModelKind::Exponential);
+            c.link_mb_per_s = bad;
+            assert!(c.validate().is_err(), "link {bad} accepted");
+        }
+    }
+
+    #[test]
+    fn validation_rejects_bad_retry_knobs() {
+        let mut c = ManagerConfig::classic(2, ModelKind::Exponential);
+        c.retry.backoff_factor = 0.0;
+        assert!(c.validate().is_err());
+        let mut c = ManagerConfig::classic(2, ModelKind::Exponential);
+        c.retry.timeout_factor = f64::NAN;
+        assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn ratio_accessors_never_return_nan_or_inf() {
+        let mut cfg = ManagerConfig::classic(1, ModelKind::Exponential);
+        cfg.window = 3_600.0;
+        let mut r = crate::run_manager(&cfg, &chs_net::FaultPlan::none())
+            .unwrap()
+            .result;
+        r.useful_seconds = 0.0;
+        r.occupied_seconds = 0.0;
+        assert_eq!(r.efficiency(), 0.0);
+        cfg.image_mb = 0.0; // degenerate nominal duration
+        assert_eq!(r.stretch(&cfg), 0.0);
+        cfg.image_mb = 100.0;
+        cfg.link_mb_per_s = 0.0; // nominal would be ∞
+        assert_eq!(r.stretch(&cfg), 0.0);
+    }
+
+    #[test]
+    fn classic_is_the_processor_sharing_profile() {
+        let mc = ManagerConfig::classic(3, ModelKind::Weibull);
         assert_eq!(mc.clients, 3);
         assert_eq!(mc.weights, LaneWeights::uniform());
         assert!(!mc.admission.enabled);

@@ -1,12 +1,11 @@
 //! The checkpoint manager as a concurrent server.
 //!
-//! `chs-condor`'s drivers simulate every transfer *inline* inside one
-//! job's loop: even `run_contention` is a single joint event loop where
-//! the "manager" is just a bandwidth divisor. This crate promotes the
-//! manager to a first-class server that multiplexes many client jobs'
-//! checkpoint/recovery traffic over the shared link — the component the
-//! paper's §5.2 identifies as the real bottleneck — with the robustness
-//! machinery a production manager needs:
+//! `chs-condor`'s live driver simulates every transfer *inline* inside
+//! one job's loop. This crate's [`run_manager`] is the repo's one driver
+//! for many jobs sharing a link: a server that multiplexes the clients'
+//! checkpoint/recovery traffic over it — the component the paper's §5.2
+//! identifies as the real bottleneck — with the robustness machinery a
+//! production manager needs:
 //!
 //! * **Weighted fair lanes** ([`chs_net::Lane`]): recovery > checkpoint
 //!   \> prefetch shares of the link, served max-min fairly by
@@ -27,9 +26,13 @@
 //! * **Determinism discipline**: every fault and jitter decision comes
 //!   from a per-decision RNG keyed by a stable transfer id
 //!   `(client, seq)`, so a 1-thread and an N-thread run produce bitwise
-//!   identical results (the [`ManagerResult::digest`] gate), and a
-//!   zero-fault single-client run reproduces
-//!   [`chs_condor::run_contention`] bitwise.
+//!   identical results (the [`ManagerResult::digest`] gate).
+//!
+//! [`ManagerConfig::classic`] turns the policy layer off (uniform
+//! weights, no admission, no prefetch): the link becomes processor
+//! sharing, the model of the paper's §5.2 conjecture. The root
+//! `tests/contention_differential.rs` checks that profile against a
+//! frozen copy of the classic event loop.
 
 #![deny(missing_docs)]
 

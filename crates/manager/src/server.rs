@@ -1,35 +1,31 @@
-//! The manager server's event loop.
+//! The manager server's event loop — the one driver for many jobs
+//! checkpointing over a shared link.
 //!
-//! Structurally this is `chs_condor::resilient::run_contention_with_faults`
-//! promoted to a server: the per-client cycle state machine, fault
-//! sub-states, retry/abandon protocol, and ledger arithmetic are
-//! replicated operation-for-operation, while the flat `capacity / n`
-//! bandwidth divisor is replaced by a [`WeightedFairLink`] serving three
-//! priority lanes, checkpoint starts pass through admission control, and
-//! retry-exhausted transfers are enqueued on the dead-letter queue with
-//! full resume state instead of being dropped with a counter bump.
+//! Each client is a job pinned to its own emulated machine, driving a
+//! [`CycleMachine`]; every transfer attempt consults the [`FaultPlan`]
+//! and runs the retry/abandon protocol. A [`WeightedFairLink`] serves
+//! three priority lanes, checkpoint starts pass admission control, and
+//! retry-exhausted transfers go to the dead-letter queue with full
+//! resume state. Fits resolve through chs-condor's [`resolve_fit`].
 //!
-//! Determinism discipline: every decision that used to come from a
-//! serial run RNG (backoff jitter) or could depend on scheduling order
-//! is keyed by a stable transfer id `(client, seq)` through splitmix
-//! hashing, so the run is a pure function of `(config, plan)` — bitwise
-//! identical for any bootstrap thread count, which the digest gate
-//! checks. On the zero-fault single-client path the weighted link
-//! degenerates to the classic arithmetic (see `chs_pool::fairshare`) and
-//! the run reproduces [`chs_condor::run_contention`] bitwise.
+//! Determinism discipline: every decision that could depend on
+//! scheduling order (backoff jitter, prefetch draws) is keyed by a
+//! stable transfer id `(client, seq)` through splitmix hashing, so the
+//! run is a pure function of `(config, plan)` — bitwise identical for
+//! any bootstrap thread count, which the digest gate checks. The root
+//! `tests/contention_differential.rs` checks [`ManagerConfig::classic`]
+//! against a frozen copy of the classic processor-sharing loop.
 
 use crate::config::{ManagerConfig, ManagerOutcome, ManagerReport, ManagerResult};
 use crate::index::TimeIndex;
 use crate::{ManagerError, Result};
 use chs_condor::machine::{EmulatedMachine, Segment};
-use chs_condor::FaultReport;
+use chs_condor::{resolve_fit, FaultReport, ResolvedFit};
 use chs_cycle::{
-    clamp_interval, sanitize_age, CycleAccounting, CycleConfig, CycleMachine, CycleObserver,
-    CyclePhase, NoopObserver, TransferFaultKind,
+    CycleAccounting, CycleConfig, CycleMachine, CycleObserver, CyclePhase, NoopObserver,
+    TransferFaultKind,
 };
-use chs_dist::fit::fit_model;
-use chs_dist::{FittedModel, ModelKind};
-use chs_markov::{mix64, CheckpointCosts, VaidyaModel};
+use chs_markov::mix64;
 use chs_net::faults::{FaultPlan, RetryPolicy, TransferFault};
 use chs_net::{DeadLetter, DeadLetterQueue, Lane};
 use chs_pool::WeightedFairLink;
@@ -58,66 +54,15 @@ fn jitter_draw(seed: u64, client: u64, seq: u64, attempt: u32) -> f64 {
     )
 }
 
-// ---------------------------------------------------------------------
-// Fit resolution (replicates the PR 5 degradation chain; chs-condor's
-// is crate-private, and the arithmetic must match it bitwise).
-// ---------------------------------------------------------------------
-
-/// Shared planning arithmetic — identical operation sequence to
-/// `chs_condor::contention::plan_interval`.
-fn plan_interval(fit: &FittedModel, cost: f64, age: f64) -> Option<f64> {
-    let age = sanitize_age(age).max(0.0);
-    let vaidya = VaidyaModel::new(fit, CheckpointCosts::symmetric(cost)).ok()?;
-    Some(clamp_interval(
-        vaidya.optimal_interval(age).ok()?.work_seconds,
-    ))
-}
-
-/// The policy tier a client's scheduling runs on after fit resolution.
-#[derive(Debug, Clone)]
-enum FitTier {
-    Native(FittedModel),
-    Exponential(FittedModel),
-    Fixed,
-}
-
-/// A resolved fit plus the history mean every fallback tier needs.
-#[derive(Debug, Clone)]
-struct ResolvedFit {
-    tier: FitTier,
-    mean_history: f64,
-}
-
-impl ResolvedFit {
-    /// Plan the next interval, degrading to Young's `√(2·C·mean)` if the
-    /// model tier errors or goes non-finite — never dropping the client.
-    fn interval(&self, measured_cost: f64, age: f64) -> f64 {
-        match &self.tier {
-            FitTier::Native(fit) | FitTier::Exponential(fit) => {
-                match plan_interval(fit, measured_cost, age) {
-                    Some(t) if t.is_finite() => t,
-                    _ => self.fixed_interval(measured_cost),
-                }
-            }
-            FitTier::Fixed => self.fixed_interval(measured_cost),
-        }
-    }
-
-    fn fixed_interval(&self, cost: f64) -> f64 {
-        clamp_interval((2.0 * cost.max(0.0) * self.mean_history).sqrt())
-    }
-}
-
-/// One bootstrapped client: its machine, resolved fit, and the two
-/// fit-fallback counters (exponential, fixed).
-type BootstrappedClient = (EmulatedMachine, ResolvedFit, u64, u64);
-
-/// All bootstrapped clients plus the aggregated fallback counters.
-type BootstrapOutput = (Vec<(EmulatedMachine, ResolvedFit)>, u64, u64);
+/// One bootstrapped client: its machine, resolved fit, and the fit
+/// fallbacks its resolution counted.
+type BootstrappedClient = (EmulatedMachine, ResolvedFit, FaultReport);
 
 /// Per-client bootstrap: generate the machine and resolve its fit under
-/// the plan's fit-failure injection. Pure function of `(config, plan, i)`
-/// — safe to evaluate on any thread in any order.
+/// the plan's fit-failure injection. A natural fit failure aborts the
+/// run, as the classic loop does; only injected failures degrade. Pure
+/// function of `(config, plan, i)` — safe to evaluate on any thread in
+/// any order.
 fn bootstrap_client(
     config: &ManagerConfig,
     plan: &FaultPlan,
@@ -130,51 +75,20 @@ fn bootstrap_client(
         config.window * 2.0 + 7.0 * 86_400.0,
         config.seed,
     );
-    let mean_history = if machine.history.is_empty() {
-        0.0
-    } else {
-        machine.history.iter().sum::<f64>() / machine.history.len() as f64
-    };
     let injected = plan.fit_failure(config.seed.wrapping_add(i as u64), 0);
-    let (fit, fallback_exponential, fallback_fixed) = if injected {
-        match fit_model(ModelKind::Exponential, &machine.history) {
-            Ok(fit) => (
-                ResolvedFit {
-                    tier: FitTier::Exponential(fit),
-                    mean_history,
-                },
-                1,
-                0,
-            ),
-            Err(_) => (
-                ResolvedFit {
-                    tier: FitTier::Fixed,
-                    mean_history,
-                },
-                0,
-                1,
-            ),
-        }
-    } else {
-        // A natural fit failure keeps the classic abort (bitwise parity
-        // with `run_contention`); only injected failures degrade.
-        (
-            ResolvedFit {
-                tier: FitTier::Native(fit_model(config.model, &machine.history)?),
-                mean_history,
-            },
-            0,
-            0,
-        )
-    };
-    Ok((machine, fit, fallback_exponential, fallback_fixed))
+    let mut report = FaultReport::default();
+    let fit = resolve_fit(config.model, &machine.history, injected, &mut report)?;
+    Ok((machine, fit, report))
 }
 
 /// Bootstrap every client, fanning out across `threads` workers. Each
 /// slot is written by exactly one worker and the outputs are pure
 /// per-index functions, so the assembled vector is identical for every
-/// thread count.
-fn bootstrap_clients(config: &ManagerConfig, plan: &FaultPlan) -> Result<BootstrapOutput> {
+/// thread count. Returns the clients and the fit fallbacks they counted.
+fn bootstrap_clients(
+    config: &ManagerConfig,
+    plan: &FaultPlan,
+) -> Result<(Vec<(EmulatedMachine, ResolvedFit)>, FaultReport)> {
     let n = config.clients;
     let threads = if config.threads == 0 {
         std::thread::available_parallelism().map_or(1, |p| p.get())
@@ -205,19 +119,18 @@ fn bootstrap_clients(config: &ManagerConfig, plan: &FaultPlan) -> Result<Bootstr
     }
 
     let mut out = Vec::with_capacity(n);
-    let mut fallback_exponential = 0;
-    let mut fallback_fixed = 0;
+    let mut fallbacks = FaultReport::default();
     for slot in slots {
-        let (machine, fit, fe, ff) = slot.expect("bootstrap slot unfilled")?;
-        fallback_exponential += fe;
-        fallback_fixed += ff;
+        let (machine, fit, counted) = slot.expect("bootstrap slot unfilled")?;
+        fallbacks.fallback_exponential += counted.fallback_exponential;
+        fallbacks.fallback_fixed += counted.fallback_fixed;
         out.push((machine, fit));
     }
-    Ok((out, fallback_exponential, fallback_fixed))
+    Ok((out, fallbacks))
 }
 
 // ---------------------------------------------------------------------
-// Per-client transfer sub-state (replicates resilient.rs)
+// Per-client transfer sub-state
 // ---------------------------------------------------------------------
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -253,8 +166,8 @@ struct Client {
     completed_transfer_time: f64,
     completed_transfers: u64,
     seg_start: f64,
-    /// Fault-decision lane — same keying as the resilient driver so a
-    /// plan reproduces the same faults on the same attempt indices.
+    /// Fault-decision lane: the plan's faults are a pure function of
+    /// `(lane, attempt index)`.
     lane: u64,
     counter: u64,
     /// Stable transfer-phase sequence number (the `seq` half of the
@@ -361,7 +274,7 @@ impl Client {
                     false,
                     &mut NoopObserver,
                 );
-                count_fault(report, TransferFaultKind::Unavailable);
+                report.record_fault(TransferFaultKind::Unavailable);
                 XferState::Unavail {
                     until: t + wait_seconds,
                 }
@@ -388,18 +301,6 @@ impl Client {
         self.cycle.evict(&mut NoopObserver);
         self.seg_index += 1;
         self.xfer = XferState::Idle;
-    }
-}
-
-fn count_fault(report: &mut FaultReport, kind: TransferFaultKind) {
-    match kind {
-        TransferFaultKind::Stall => {
-            report.stalls += 1;
-            report.timeouts += 1;
-        }
-        TransferFaultKind::Drop => report.drops += 1,
-        TransferFaultKind::Corruption => report.corruptions += 1,
-        TransferFaultKind::Unavailable => report.unavailabilities += 1,
     }
 }
 
@@ -432,7 +333,7 @@ fn fault_and_retry(
     client
         .cycle
         .fault_transfer(kind, resend, true, &mut NoopObserver);
-    count_fault(&mut report.faults, kind);
+    report.faults.record_fault(kind);
     client.retries_this_phase += 1;
     if is_checkpoint && client.retries_this_phase > retry.max_retries {
         // Retry budget exhausted: *enqueue* with full resume state, then
@@ -491,11 +392,11 @@ pub fn run_manager_observed(
         image_mb: config.image_mb,
         count_recovery_bytes: true,
     };
-    let mut report = ManagerReport::default();
-
-    let (boot, fallback_exponential, fallback_fixed) = bootstrap_clients(config, plan)?;
-    report.faults.fallback_exponential = fallback_exponential;
-    report.faults.fallback_fixed = fallback_fixed;
+    let (boot, faults) = bootstrap_clients(config, plan)?;
+    let mut report = ManagerReport {
+        faults,
+        ..ManagerReport::default()
+    };
 
     let mut clients: Vec<Client> = boot
         .into_iter()

@@ -3,13 +3,15 @@
 //! exactly (tracked ⇒ enqueued ⇒ replayed or explicitly abandoned),
 //! and the crash → DLQ → replay chain conserves bytes end to end.
 
-use chs_cycle::CycleObserver;
+use chs_condor::FaultReport;
+use chs_cycle::{CycleAccounting, CycleObserver};
 use chs_dist::ModelKind;
 use chs_manager::{
     replay_dead_letters, replay_dead_letters_observed, run_manager, run_manager_observed,
     ManagerConfig, ReplayConfig,
 };
 use chs_net::FaultPlan;
+use proptest::prelude::*;
 
 fn faulty_plan(seed: u64) -> FaultPlan {
     FaultPlan {
@@ -213,4 +215,70 @@ fn observer_sees_every_policy_event() {
     )
     .unwrap();
     assert_eq!(tap.replayed, popped);
+}
+
+/// A random fault plan: independent per-kind probabilities (each < 0.25
+/// so their sum stays ≤ 1) plus a fit-failure rate and a seed.
+fn plan_from(stall: f64, drop: f64, corrupt: f64, unavail: f64, fit: f64, seed: u64) -> FaultPlan {
+    FaultPlan {
+        seed,
+        p_stall: stall,
+        p_drop: drop,
+        p_corrupt: corrupt,
+        p_unavailable: unavail,
+        p_fit_failure: fit,
+        ..FaultPlan::none()
+    }
+}
+
+/// Cross-check one aggregated ledger against the run's fault report.
+/// Every stall/drop/corruption is retried-or-abandoned, unavailability
+/// waits are faults but not retries, and abandonment is bounded by the
+/// checkpoint attempt count.
+fn check_ledger_vs_report(
+    total: &CycleAccounting,
+    report: &FaultReport,
+) -> std::result::Result<(), TestCaseError> {
+    prop_assert!(total.conservation_residual().abs() < 1e-6 * total.total_seconds.max(1.0));
+    prop_assert!(total.byte_conservation_residual().abs() < 1e-6 * total.megabytes.max(1.0));
+    prop_assert_eq!(total.faults_injected, report.total_faults());
+    prop_assert_eq!(
+        total.transfer_retries,
+        report.stalls + report.drops + report.corruptions
+    );
+    prop_assert_eq!(
+        total.transfer_retries,
+        report.retries + report.checkpoints_abandoned
+    );
+    prop_assert_eq!(total.checkpoints_abandoned, report.checkpoints_abandoned);
+    prop_assert_eq!(report.timeouts, report.stalls);
+    prop_assert!(total.wasted_megabytes >= 0.0);
+    prop_assert!(total.lost_work_seconds >= 0.0);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Contention runs conserve time and bytes under any fault plan, and
+    /// the report matches the aggregate ledger.
+    #[test]
+    fn contention_runs_conserve_under_faults(
+        stall in 0.0f64..0.25, drop in 0.0f64..0.25, corrupt in 0.0f64..0.25,
+        unavail in 0.0f64..0.25, fit in 0.0f64..1.0, plan_seed in 0u64..1_000_000,
+        seed in 0u64..2_000,
+    ) {
+        let plan = plan_from(stall, drop, corrupt, unavail, fit, plan_seed);
+        let mut config = ManagerConfig::classic(4, ModelKind::Exponential);
+        config.window = 12.0 * 3_600.0;
+        config.seed = seed;
+
+        let outcome = run_manager(&config, &plan).unwrap();
+        let result = &outcome.result;
+        check_ledger_vs_report(&result.cycle, &outcome.report.faults)?;
+        // The headline fields mirror the embedded ledger.
+        prop_assert_eq!(result.useful_seconds, result.cycle.useful_seconds);
+        prop_assert_eq!(result.megabytes, result.cycle.megabytes);
+        prop_assert!(result.useful_seconds <= result.occupied_seconds + 1e-9);
+    }
 }

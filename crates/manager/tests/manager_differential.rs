@@ -1,82 +1,12 @@
-//! Differential suite: the manager server against the classic
-//! `run_contention` engine it generalizes.
-//!
-//! * One client, zero faults, uniform weights: the weighted fair link
-//!   degenerates to the flat divisor and the run must be **bitwise**
-//!   identical to the classic engine, field for field.
-//! * Many clients, zero faults: same physics up to floating-point
-//!   associativity in the virtual-volume clock — tight relative
-//!   tolerance.
-//! * The bootstrap thread count must never change anything (the digest
-//!   gate).
+//! Differential suite for the manager server's own invariants: a
+//! zero-fault run reports nothing, the bootstrap thread count never
+//! changes a run (the digest gate), and the weighted lanes favor
+//! recovery. The comparison against the frozen classic event loop lives
+//! in the root `tests/contention_differential.rs`.
 
-use chs_condor::{run_contention, ContentionConfig};
 use chs_dist::ModelKind;
 use chs_manager::{run_manager, ManagerConfig};
 use chs_net::FaultPlan;
-
-fn rel_close(a: f64, b: f64, tol: f64) -> bool {
-    (a - b).abs() <= tol * a.abs().max(b.abs()).max(1.0)
-}
-
-#[test]
-fn single_client_zero_fault_is_bitwise_classic() {
-    for (model, seed) in [
-        (ModelKind::Exponential, 2_005),
-        (ModelKind::Weibull, 77),
-        (ModelKind::Exponential, 4_242),
-    ] {
-        let mut cc = ContentionConfig::campus(1, model);
-        cc.seed = seed;
-        let classic = run_contention(&cc).unwrap();
-        let outcome =
-            run_manager(&ManagerConfig::from_contention(&cc), &FaultPlan::none()).unwrap();
-        let m = &outcome.result;
-
-        assert_eq!(m.useful_seconds, classic.useful_seconds, "seed {seed}");
-        assert_eq!(m.occupied_seconds, classic.occupied_seconds);
-        assert_eq!(m.megabytes, classic.megabytes);
-        assert_eq!(m.checkpoints_committed, classic.checkpoints_committed);
-        assert_eq!(m.transfers_started, classic.transfers_started);
-        assert_eq!(m.mean_transfer_seconds, classic.mean_transfer_seconds);
-        assert_eq!(m.mean_link_concurrency, classic.mean_link_concurrency);
-        assert_eq!(m.link_utilization, classic.link_utilization);
-        assert_eq!(m.cycle, classic.cycle);
-    }
-}
-
-#[test]
-fn multi_client_zero_fault_tracks_classic_tightly() {
-    let mut cc = ContentionConfig::campus(6, ModelKind::Exponential);
-    cc.window = 86_400.0;
-    let classic = run_contention(&cc).unwrap();
-    let outcome = run_manager(&ManagerConfig::from_contention(&cc), &FaultPlan::none()).unwrap();
-    let m = &outcome.result;
-
-    // Counters are exact: the virtual-volume clock can shift event
-    // timestamps by ulps but never reorders events.
-    assert_eq!(m.checkpoints_committed, classic.checkpoints_committed);
-    assert_eq!(m.transfers_started, classic.transfers_started);
-    assert_eq!(m.cycle.recoveries, classic.cycle.recoveries);
-    assert_eq!(m.cycle.failures, classic.cycle.failures);
-    assert!(rel_close(m.useful_seconds, classic.useful_seconds, 1e-9));
-    assert!(rel_close(
-        m.occupied_seconds,
-        classic.occupied_seconds,
-        1e-9
-    ));
-    assert!(rel_close(m.megabytes, classic.megabytes, 1e-9));
-    assert!(rel_close(
-        m.link_utilization,
-        classic.link_utilization,
-        1e-9
-    ));
-    assert!(rel_close(
-        m.mean_link_concurrency,
-        classic.mean_link_concurrency,
-        1e-9
-    ));
-}
 
 #[test]
 fn zero_fault_run_has_empty_report_and_dlq() {

@@ -78,8 +78,9 @@ impl Default for LaneWeights {
 
 impl LaneWeights {
     /// Equal weights: weighted fair sharing degenerates to the classic
-    /// `capacity / n` processor sharing of `run_contention`, which the
-    /// manager's differential gates compare against bitwise.
+    /// `capacity / n` processor sharing of the frozen `run_contention`
+    /// oracle (root `tests/contention_differential.rs`), which the
+    /// manager's differential gates compare against.
     pub fn uniform() -> Self {
         Self {
             recovery: 1.0,

@@ -3,7 +3,7 @@
 //!
 //! Every machine is a [`chs_cycle::CycleMachine`] — the same per-machine
 //! state machine, ledger and observer seam the closed-form executor and
-//! `run_contention` drive — but the engine around it never touches more
+//! the manager server drive — but the engine around it never touches more
 //! than the event's own machine plus the fabric's O(rack_size) bucket
 //! summary:
 //!
@@ -253,7 +253,7 @@ impl SimState {
     }
 
     /// Plan the next interval and start working (machines never rest in
-    /// `Ready`, matching `run_contention`).
+    /// `Ready`, matching the classic contention loop).
     fn plan_and_work(&mut self, m: u32, policy: &mut dyn PoolPolicy) -> Result<()> {
         let i = m as usize;
         let age = self.cycles[i].age();
@@ -494,7 +494,8 @@ impl PoolSim {
 
         // Window closed: advance the fabric and every placed machine to
         // the window edge, then flush in-flight phases as cutoffs (no
-        // failure recorded) — the same protocol as `run_contention`.
+        // failure recorded) — the same protocol as the classic
+        // contention loop.
         let window = state.config.window;
         state.record_stats(window - state.fabric.now());
         state.fabric.advance(window);

@@ -27,7 +27,8 @@
 //! In addition, a lane's integral is rebased to 0 whenever the lane
 //! empties, so the first flow on an idle lane has deadline exactly
 //! `target` and projected completion exactly `now + target / rate` —
-//! the same float operations `chs_condor::run_contention` performs.
+//! the same float operations as the frozen classic contention loop
+//! (`run_contention` in the root `tests/contention_differential.rs`).
 
 use crate::{PoolError, Result};
 use std::collections::{BinaryHeap, HashMap};
@@ -146,8 +147,9 @@ impl WeightedFairLink {
 
     /// Recompute per-flow rates after a membership change. The two
     /// equal-share cases use the classic single-divide arithmetic so the
-    /// manager's differential gates against `run_contention` hold
-    /// bitwise; the general case applies the weighted water level.
+    /// manager's single-client differential gate against the classic
+    /// loop holds bitwise; the general case applies the weighted water
+    /// level.
     /// Allocation-free: it runs on every flow start and end.
     fn resolve(&mut self) {
         let total: u32 = self.count.iter().sum();
@@ -307,7 +309,7 @@ mod tests {
         link.start_flow(1, 1, 500.0);
         link.start_flow(2, 1, 500.0);
         // n flows on one lane: exactly capacity / n — one IEEE divide,
-        // no weight arithmetic, matching `run_contention`.
+        // no weight arithmetic, matching the classic loop.
         assert_eq!(link.rate(1), (500.0 / 110.0) / 3.0);
     }
 

@@ -1,10 +1,12 @@
 //! Pool-scale discrete-event simulation: 10⁵–10⁶ machines contending on
 //! a hierarchical network (machine NIC → rack uplink → core).
 //!
-//! [`chs_condor`]'s `run_contention` answers the paper's §5.2 conjecture
-//! for a handful of jobs on one link, but it rescans every job on every
-//! bandwidth change — O(jobs) per event — and pre-materializes every
-//! machine's availability timeline. Neither survives a six-figure pool.
+//! The classic contention loop answers the paper's §5.2 conjecture for a
+//! handful of jobs on one link (it survives as the frozen oracle
+//! `run_contention` in the root `tests/contention_differential.rs`), but
+//! it rescans every job on every bandwidth change — O(jobs) per event —
+//! and pre-materializes every machine's availability timeline. Neither
+//! survives a six-figure pool.
 //! This crate keeps the *physics* (max-min fair bandwidth sharing, the
 //! same [`chs_cycle::CycleMachine`] per-machine state machine, the same
 //! ledger) and replaces the engine:
@@ -37,7 +39,7 @@
 //!   make a million policies affordable).
 //!
 //! A frozen rescan-style reference engine ([`rescan`]) generalizes the
-//! `run_contention` loop to the same topology and is kept deliberately
+//! classic loop to the same topology and is kept deliberately
 //! naive: the `pool_bench` binary gates the calendar engine's
 //! machine-events/s against it.
 

@@ -9,7 +9,9 @@
 //!   against a [`PolicyStore`] epoch snapshot of compressed tables,
 //!   built once by [`build_policy_store`] with the same dedup + cluster
 //!   sharing waves as `chs-sched`'s publish.
-//! * [`AdaptiveVaidyaPolicy`] — the `run_contention` protocol: every
+//! * [`AdaptiveVaidyaPolicy`] — the classic contention protocol (the
+//!   frozen `run_contention` in the root `tests/contention_differential.rs`
+//!   and the manager server's planning): every
 //!   completed transfer's measured duration becomes the `C = R` of the
 //!   next exact `T_opt`; used by the small-pool differential gates.
 //! * [`FixedIntervalPolicy`] / [`SchedulePolicyBridge`] — deterministic
@@ -67,7 +69,7 @@ impl<P: chs_cycle::SchedulePolicy> PoolPolicy for SchedulePolicyBridge<P> {
     }
 }
 
-/// The `run_contention` planning protocol: an exact Vaidya `T_opt`
+/// The classic contention planning protocol: an exact Vaidya `T_opt`
 /// against the machine's fitted model, with the measured cost of the
 /// last transfer as the symmetric checkpoint/recovery cost.
 #[derive(Debug, Clone)]
@@ -343,7 +345,7 @@ mod tests {
 
     #[test]
     fn adaptive_policy_tracks_measured_cost() {
-        // The contract is the `run_contention` protocol: replan with an
+        // The contract is the classic contention protocol: replan with an
         // exact Vaidya model at the measured cost. (T_opt is *not*
         // monotone in a symmetric cost — a dearer recovery also raises
         // the failure penalty — so assert equivalence, not direction.)

@@ -1,6 +1,7 @@
 //! The frozen rescan-style reference engine.
 //!
-//! This generalizes `chs_condor::run_contention`'s loop to the pool
+//! This generalizes the frozen classic contention loop (`run_contention`
+//! in the root `tests/contention_differential.rs`) to the pool
 //! topology and is kept **deliberately naive**: every iteration rescans
 //! all machines to find the next event, recomputes the max-min fair
 //! water level from scratch, and advances every placed machine — O(n)
@@ -20,7 +21,7 @@ use crate::policy::PoolPolicy;
 use crate::workload::{Seg, Timeline};
 use crate::Result;
 
-/// Event-lumping tolerance, seconds — as in `run_contention`.
+/// Event-lumping tolerance, seconds — as in the classic loop.
 const EPS: f64 = 1e-7;
 /// Transfer-completion tolerance, megabytes.
 const MB_EPS: f64 = 1e-6;
@@ -183,7 +184,7 @@ pub fn rescan_run<T: Timeline, P: PoolPolicy>(
         }
 
         // Fire due transitions in machine-id order; evictions first
-        // within a machine, as in `run_contention`.
+        // within a machine, as in the classic loop.
         for (i, m) in ms.iter_mut().enumerate() {
             if let Some(seg) = m.seg {
                 if m.cycle.phase() != CyclePhase::Down && seg.end <= t + EPS {

@@ -1,28 +1,24 @@
 //! Differential gates for the pool engine.
 //!
-//! Three layers, in increasing scope:
-//!
 //! 1. **Uncontended identity (bitwise)** — a 1-machine pool whose NIC is
 //!    the bottleneck must reproduce `chs_cycle::run_trace`'s closed-form
 //!    ledger *bitwise*. The configs are dyadic (integer segment bounds
 //!    and intervals, power-of-two image/bandwidth) so every FP operation
 //!    on both paths is exact and "equal" means equal to the last bit.
-//! 2. **Small-pool contention** — pools small enough for
-//!    `chs_condor::run_contention` (one shared link, processor sharing)
-//!    must match its totals when the pool's rack collapses to the same
-//!    single link (`nic = uplink = core`).
-//! 3. **Replay determinism** — reversed machine-insertion order and a
+//! 2. **Replay determinism** — reversed machine-insertion order and a
 //!    1-thread vs N-thread policy-store build must produce bitwise
 //!    identical digests.
+//!
+//! Small pools on one shared link are checked against the frozen classic
+//! contention loop in the root `tests/contention_differential.rs`.
 
-use chs_condor::{run_contention, ContentionConfig, EmulatedMachine};
 use chs_cycle::{run_trace, CycleAccounting, CycleConfig, NoopObserver, SchedulePolicy};
 use chs_dist::fit::fit_model;
 use chs_dist::ModelKind;
 use chs_markov::CheckpointCosts;
 use chs_pool::{
-    build_policy_store, AdaptiveVaidyaPolicy, FabricConfig, PoolSim, PoolSimConfig,
-    SchedulePolicyBridge, Seg, StorePolicy, VecTimeline, Workload, WorkloadConfig,
+    build_policy_store, FabricConfig, PoolSim, PoolSimConfig, SchedulePolicyBridge, Seg,
+    StorePolicy, VecTimeline, Workload, WorkloadConfig,
 };
 use proptest::prelude::*;
 
@@ -169,101 +165,8 @@ proptest! {
     }
 }
 
-/// Build the pool-side twin of a `ContentionConfig`: same machines, same
-/// fitted models, same adaptive replanning, and a fabric whose three
-/// tiers collapse to the one shared link (`rack_size = jobs` puts every
-/// machine in one rack; `nic = uplink = core` makes the fair share
-/// exactly `link / k` — processor sharing).
-fn contention_twin(
-    config: &ContentionConfig,
-) -> (PoolSimConfig, VecTimeline, AdaptiveVaidyaPolicy) {
-    let mut timelines = Vec::with_capacity(config.jobs);
-    let mut fits = Vec::with_capacity(config.jobs);
-    for i in 0..config.jobs {
-        let machine = EmulatedMachine::generate(
-            &config.pool,
-            i as u32,
-            config.history_len,
-            config.window * 2.0 + 7.0 * 86_400.0,
-            config.seed,
-        );
-        fits.push(fit_model(config.model, &machine.history).unwrap());
-        timelines.push(
-            machine
-                .segments()
-                .iter()
-                .map(|s| Seg {
-                    start: s.start,
-                    end: s.end,
-                })
-                .collect(),
-        );
-    }
-    let pool_cfg = PoolSimConfig {
-        machines: config.jobs,
-        fabric: FabricConfig {
-            nic_mb_s: config.link_mb_per_s,
-            uplink_mb_s: config.link_mb_per_s,
-            core_mb_s: config.link_mb_per_s,
-            rack_size: config.jobs,
-        },
-        image_mb: config.image_mb,
-        window: config.window,
-        count_recovery_bytes: true,
-        keep_ledgers: true,
-        stress_insertion_order: false,
-    };
-    (
-        pool_cfg,
-        VecTimeline(timelines),
-        AdaptiveVaidyaPolicy::per_machine(fits),
-    )
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
-
-    /// Small pools on one shared link agree with `run_contention`.
-    ///
-    /// The window is deliberately short (~2.4 h). The coupled system is
-    /// chaotic under the *adaptive* policy: age enters `T_opt`, `T_opt`
-    /// moves every transfer on the shared link, and a ulp of drift can
-    /// flip a commit-vs-evict outcome. Over a short window the engines
-    /// track each other to ~1e-8; over days they decohere by design —
-    /// that regime is covered by the aggregate-statistics gates in
-    /// `pool_bench`, not by trajectory comparison.
-    #[test]
-    fn small_pools_match_run_contention(
-        jobs in 2usize..=16,
-        seed in 0u64..500,
-    ) {
-        let mut cfg = ContentionConfig::campus(jobs, ModelKind::Weibull);
-        cfg.window = 0.1 * 86_400.0;
-        cfg.seed = 9_000 + seed;
-        let expect = run_contention(&cfg).unwrap();
-        let (pool_cfg, timeline, mut policy) = contention_twin(&cfg);
-        let got = PoolSim::run(&pool_cfg, &timeline, &mut policy).unwrap();
-        let rel = |a: f64, b: f64| (a - b).abs() / b.abs().max(1.0);
-        prop_assert!(
-            rel(got.cycle.total_seconds, expect.cycle.total_seconds) < 1e-6,
-            "total: {} vs {}", got.cycle.total_seconds, expect.cycle.total_seconds
-        );
-        prop_assert!(
-            rel(got.cycle.useful_seconds, expect.cycle.useful_seconds) < 1e-6,
-            "useful: {} vs {}", got.cycle.useful_seconds, expect.cycle.useful_seconds
-        );
-        prop_assert!(
-            rel(got.cycle.megabytes, expect.cycle.megabytes) < 1e-6,
-            "megabytes: {} vs {}", got.cycle.megabytes, expect.cycle.megabytes
-        );
-        prop_assert!(
-            rel(got.cycle.checkpoint_seconds, expect.cycle.checkpoint_seconds) < 1e-6,
-            "ckpt secs: {} vs {}", got.cycle.checkpoint_seconds, expect.cycle.checkpoint_seconds
-        );
-        prop_assert_eq!(got.cycle.checkpoints_committed, expect.cycle.checkpoints_committed);
-        prop_assert_eq!(got.cycle.failures, expect.cycle.failures);
-        prop_assert_eq!(got.cycle.recoveries, expect.cycle.recoveries);
-    }
 
     /// Replays are bitwise identical under reversed machine insertion and
     /// under a policy store built on one thread instead of many.

@@ -2,7 +2,9 @@
 //! deterministic given its seed — the property that makes the experiment
 //! binaries' recorded outputs in `results/` reproducible by reviewers.
 
-use cycle_harvest::condor::{run_contention, run_experiment, ContentionConfig, ExperimentConfig};
+use chs_manager::{run_manager, ManagerConfig};
+use chs_net::FaultPlan;
+use cycle_harvest::condor::{run_experiment, ExperimentConfig};
 use cycle_harvest::dist::ModelKind;
 use cycle_harvest::sim::{prepare_experiments, sweep_paper_grid};
 use cycle_harvest::trace::synthetic::{generate_pool, PoolConfig};
@@ -59,10 +61,10 @@ fn live_experiment_bitwise_reproducible() {
 
 #[test]
 fn contention_bitwise_reproducible() {
-    let mut config = ContentionConfig::campus(4, ModelKind::HyperExponential { phases: 2 });
+    let mut config = ManagerConfig::classic(4, ModelKind::HyperExponential { phases: 2 });
     config.window = 0.5 * 86_400.0;
-    let a = run_contention(&config).unwrap();
-    let b = run_contention(&config).unwrap();
+    let a = run_manager(&config, &FaultPlan::none()).unwrap();
+    let b = run_manager(&config, &FaultPlan::none()).unwrap();
     assert_eq!(a, b);
 }
 
