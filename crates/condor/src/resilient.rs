@@ -30,7 +30,7 @@
 //!    machine is never silently dropped. (A *natural* fit failure keeps
 //!    the classic behavior so the zero-fault plan stays bitwise
 //!    identical.) Mid-run `T_opt` failures degrade to the fixed interval
-//!    likewise.
+//!    likewise, counted in [`FaultReport::fallback_planning`].
 //!
 //! Timeouts only ever cut *injected stalls*: a healthy sampled transfer
 //! can legitimately exceed `k×` its forecast (the lognormal tail), so
@@ -48,8 +48,8 @@ use chs_cycle::{
     clamp_interval, sanitize_age, CycleConfig, CycleMachine, CycleObserver, TransferFaultKind,
 };
 use chs_dist::fit::fit_model;
-use chs_dist::{DistError, FittedModel, ModelKind};
-use chs_markov::{CheckpointCosts, VaidyaModel};
+use chs_dist::{DistError, ModelKind};
+use chs_markov::MeasuredCostPlanner;
 use chs_net::faults::{FaultPlan, TransferFault};
 use chs_net::{AdaptiveForecaster, Forecaster, TransferModel};
 use rand::{Rng, SeedableRng};
@@ -79,6 +79,9 @@ pub struct FaultReport {
     pub fallback_exponential: u64,
     /// Injected fit failures that degraded to Young's fixed interval.
     pub fallback_fixed: u64,
+    /// Mid-run `T_opt` plans that errored or went non-finite and
+    /// degraded to Young's fixed interval.
+    pub fallback_planning: u64,
 }
 
 impl FaultReport {
@@ -102,22 +105,12 @@ impl FaultReport {
     }
 }
 
-/// The policy tier a machine's scheduling runs on after fit resolution.
-#[derive(Debug, Clone)]
-enum FitTier {
-    /// The requested model family fitted normally.
-    Native(FittedModel),
-    /// Injected fit failure → exponential-MLE fit of the same history.
-    Exponential(FittedModel),
-    /// Even the exponential fallback failed → Young's fixed interval.
-    Fixed,
-}
-
-/// A machine's fit after [`resolve_fit`]: the tier it resolved to plus
-/// the history mean every fallback tier needs.
+/// A machine's fit after [`resolve_fit`]: the planner of the tier it
+/// resolved to (`None` on Young's fixed tier) plus the history mean
+/// every fallback tier needs.
 #[derive(Debug, Clone)]
 pub struct ResolvedFit {
-    tier: FitTier,
+    planner: Option<MeasuredCostPlanner>,
     mean_history: f64,
 }
 
@@ -125,21 +118,19 @@ impl ResolvedFit {
     /// Plan the next work interval for checkpoint cost `cost` at machine
     /// age `age`: Vaidya's `T_opt`, clamped to the work floor, degrading
     /// to Young's `√(2·C·mean)` if the model tier errors or goes
-    /// non-finite — never dropping the machine. A NaN or negative age
+    /// non-finite — never dropping the machine, and counting each such
+    /// degradation in `report.fallback_planning`. A NaN or negative age
     /// plans as age 0.
-    pub fn interval(&self, cost: f64, age: f64) -> f64 {
-        match &self.tier {
-            FitTier::Native(fit) | FitTier::Exponential(fit) => {
-                let age = sanitize_age(age).max(0.0);
-                let planned = VaidyaModel::new(fit, CheckpointCosts::symmetric(cost))
-                    .and_then(|v| v.optimal_interval(age))
-                    .map(|opt| clamp_interval(opt.work_seconds));
-                match planned {
-                    Ok(t) if t.is_finite() => t,
-                    _ => self.fixed_interval(cost),
-                }
+    pub fn interval(&mut self, cost: f64, age: f64, report: &mut FaultReport) -> f64 {
+        let Some(planner) = &mut self.planner else {
+            return self.fixed_interval(cost);
+        };
+        match planner.plan(cost, age).map(clamp_interval) {
+            Ok(t) if t.is_finite() => t,
+            _ => {
+                report.fallback_planning += 1;
+                self.fixed_interval(cost)
             }
-            FitTier::Fixed => self.fixed_interval(cost),
         }
     }
 
@@ -165,16 +156,19 @@ pub fn resolve_fit(
     } else {
         history.iter().sum::<f64>() / history.len() as f64
     };
-    let tier = if !injected {
-        FitTier::Native(fit_model(kind, history)?)
+    let fit = if !injected {
+        Some(fit_model(kind, history)?)
     } else if let Ok(fit) = fit_model(ModelKind::Exponential, history) {
         report.fallback_exponential += 1;
-        FitTier::Exponential(fit)
+        Some(fit)
     } else {
         report.fallback_fixed += 1;
-        FitTier::Fixed
+        None
     };
-    Ok(ResolvedFit { tier, mean_history })
+    Ok(ResolvedFit {
+        planner: fit.map(MeasuredCostPlanner::new),
+        mean_history,
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -361,7 +355,7 @@ fn drive_transfer_phase(
 /// the classic `execute_run`).
 #[allow(clippy::too_many_arguments)]
 fn execute_run_resilient(
-    fit: &ResolvedFit,
+    fit: &mut ResolvedFit,
     kind: ModelKind,
     placement: &Placement,
     transfer: &TransferModel,
@@ -431,7 +425,7 @@ fn execute_run_resilient(
 
     loop {
         let age = sanitize_age(placement.age_at_placement + (t - placement.placed_at));
-        let t_opt = fit.interval(measured_cost, age);
+        let t_opt = fit.interval(measured_cost, age, report);
         t_opts.push(t_opt);
         machine.start_work(t_opt, &mut recorder);
 
@@ -582,7 +576,7 @@ pub fn run_experiment_with_faults(
                     );
                     *slot = Some(resolve_fit(kind, history, injected, &mut report).ok());
                 }
-                let Some(Some(fit)) = slot.clone() else {
+                let Some(Some(fit)) = slot else {
                     // Natural fit failure: the classic drop (the paper
                     // drops such machines too). Injected failures never
                     // land here — they resolve to a fallback tier.
@@ -590,7 +584,7 @@ pub fn run_experiment_with_faults(
                     continue;
                 };
                 let (run, log) = execute_run_resilient(
-                    &fit,
+                    fit,
                     kind,
                     &placement,
                     &transfer,
@@ -686,6 +680,31 @@ mod tests {
             !result.runs.is_empty(),
             "degraded policies must keep running"
         );
+    }
+
+    #[test]
+    fn planning_failures_degrade_to_young_and_are_counted() {
+        let history: Vec<f64> = (0..40).map(|i| 600.0 + 97.0 * i as f64).collect();
+        let mut report = FaultReport::default();
+        let mut fit = resolve_fit(ModelKind::Exponential, &history, false, &mut report).unwrap();
+        let planned = fit.interval(110.0, 500.0, &mut report);
+        assert!(planned.is_finite() && planned > 0.0);
+        assert_eq!(report, FaultReport::default());
+
+        // A non-finite measured cost has no Vaidya plan: Young's interval
+        // at the clamped cost, counted once per degraded plan.
+        for cost in [f64::NAN, f64::INFINITY] {
+            let t = fit.interval(cost, 500.0, &mut report);
+            assert_eq!(t.to_bits(), fit.fixed_interval(cost).to_bits());
+        }
+        assert_eq!(report.fallback_planning, 2);
+        assert_eq!(report.fallback_fixed, 0);
+
+        // The fixed tier plans Young's interval by design: not a fallback.
+        let mut fixed = resolve_fit(ModelKind::Exponential, &[], true, &mut report).unwrap();
+        assert_eq!(report.fallback_fixed, 1);
+        fixed.interval(f64::NAN, 0.0, &mut report);
+        assert_eq!(report.fallback_planning, 2);
     }
 
     #[test]

@@ -284,12 +284,18 @@ impl Client {
 
     /// A transfer phase completed at `t` (delivery verified): record the
     /// measurement and plan + start the next work interval.
-    fn plan_next_interval(&mut self, t: f64, duration: f64) {
+    fn plan_next_interval(&mut self, t: f64, duration: f64, report: &mut FaultReport) {
         self.measured_cost = duration.max(1.0);
         self.completed_transfer_time += duration;
         self.completed_transfers += 1;
+        self.start_next_interval(t, report);
+    }
+
+    /// Plan the next work interval at `t` from the last measured cost
+    /// and start it.
+    fn start_next_interval(&mut self, t: f64, report: &mut FaultReport) {
         let age = t - self.seg_start;
-        let t_work = self.fit.interval(self.measured_cost, age);
+        let t_work = self.fit.interval(self.measured_cost, age, report);
         self.planned_work = t_work;
         self.cycle.start_work(t_work, &mut NoopObserver);
         self.work_until = t + t_work;
@@ -350,12 +356,7 @@ fn fault_and_retry(
         obs.on_dead_letter_enqueued(t - client.seg_start, client.retries_this_phase, remaining);
         client.cycle.abandon_checkpoint(&mut NoopObserver);
         report.faults.checkpoints_abandoned += 1;
-        let age = t - client.seg_start;
-        let t_work = client.fit.interval(client.measured_cost, age);
-        client.planned_work = t_work;
-        client.cycle.start_work(t_work, &mut NoopObserver);
-        client.work_until = t + t_work;
-        client.xfer = XferState::Idle;
+        client.start_next_interval(t, &mut report.faults);
         return;
     }
     report.faults.retries += 1;
@@ -605,11 +606,7 @@ pub fn run_manager_observed(
                             client.cycle.abandon_checkpoint(&mut NoopObserver);
                             report.deferred_checkpoints += 1;
                             obs.on_checkpoint_deferred(t - client.seg_start, forecast, lost);
-                            let age = t - client.seg_start;
-                            let t_work = client.fit.interval(client.measured_cost, age);
-                            client.planned_work = t_work;
-                            client.cycle.start_work(t_work, &mut NoopObserver);
-                            client.work_until = t + t_work;
+                            client.start_next_interval(t, &mut report.faults);
                         } else {
                             client.cycle.start_checkpoint(&mut NoopObserver);
                             client.retries_this_phase = 0;
@@ -656,7 +653,7 @@ pub fn run_manager_observed(
                                             raw
                                         }
                                     };
-                                    client.plan_next_interval(t, duration);
+                                    client.plan_next_interval(t, duration, &mut report.faults);
                                 }
                                 // A committed checkpoint may spawn a
                                 // cache-warming prefetch on the lowest

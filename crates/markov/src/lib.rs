@@ -32,11 +32,13 @@
 
 #![deny(missing_docs)]
 
+mod planner;
 pub mod predict;
 mod schedule;
 mod store;
 mod vaidya;
 
+pub use planner::MeasuredCostPlanner;
 pub use predict::{predict_steady_state, SteadyStatePrediction};
 pub use schedule::{Schedule, ScheduleEntry};
 pub use store::{

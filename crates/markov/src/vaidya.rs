@@ -544,10 +544,23 @@ impl<'a> VaidyaModel<'a> {
         self.optimal_interval_full(&self.at_age(age))
     }
 
+    /// `T_opt` alone from [`VaidyaModel::optimal_interval`]'s search —
+    /// bitwise its `work_seconds`, without the trailing Γ(T) evaluation
+    /// that assembles the full [`OptimalInterval`].
+    pub(crate) fn optimal_work(&self, age: f64) -> Result<f64> {
+        self.optimal_work_full(&self.at_age(age))
+    }
+
+    /// [`VaidyaModel::optimal_work_full`] packaged into an
+    /// [`OptimalInterval`].
+    fn optimal_interval_full(&self, view: &GammaAtAge<'_, 'a>) -> Result<OptimalInterval> {
+        Ok(view.interval_at(self.optimal_work_full(view)?))
+    }
+
     /// Full-bracket golden-section search through an already-conditioned
     /// view. Shared by the cold search and the warm-start fallback so a
     /// fallback never rebuilds the kernel the warm attempt just used.
-    fn optimal_interval_full(&self, view: &GammaAtAge<'_, 'a>) -> Result<OptimalInterval> {
+    fn optimal_work_full(&self, view: &GammaAtAge<'_, 'a>) -> Result<f64> {
         let lo = self.t_min.ln();
         let hi = self.t_max.ln();
         let obj = view.log_objective();
@@ -555,7 +568,7 @@ impl<'a> VaidyaModel<'a> {
         // Floor-limited polish (see `spi_refine`): golden section alone
         // stalls on the numerically flat plateau around the minimum.
         let polished = chs_numerics::optimize::spi_refine(&obj, min.x, 2e-3, 12);
-        Ok(view.interval_at(polished.x.clamp(lo, hi).exp()))
+        Ok(polished.x.clamp(lo, hi).exp())
     }
 
     /// [`VaidyaModel::optimal_interval`] warm-started from a nearby known

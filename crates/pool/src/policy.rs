@@ -11,9 +11,14 @@
 //!   sharing waves as `chs-sched`'s publish.
 //! * [`AdaptiveVaidyaPolicy`] — the classic contention protocol (the
 //!   frozen `run_contention` in the root `tests/contention_differential.rs`
-//!   and the manager server's planning): every
-//!   completed transfer's measured duration becomes the `C = R` of the
-//!   next exact `T_opt`; used by the small-pool differential gates.
+//!   and the manager server's planning): every completed transfer's
+//!   measured duration becomes the `C = R` of the next exact `T_opt`,
+//!   planned by each machine's [`MeasuredCostPlanner`] — the same planner
+//!   the live driver and the manager use. Its one-entry memo is exact: a
+//!   re-plan at an unchanged cost and key age returns the stored `T_opt`
+//!   bit for bit, and exponential fits key every age alike because their
+//!   conditioned kernel ignores the age. Used by the small-pool
+//!   differential gates.
 //! * [`FixedIntervalPolicy`] / [`SchedulePolicyBridge`] — deterministic
 //!   schedules for identity tests against the closed-form executor.
 
@@ -22,8 +27,8 @@ use std::sync::Arc;
 
 use chs_dist::FittedModel;
 use chs_markov::{
-    CheckpointCosts, ClusterKey, CompressedPolicy, CompressionConfig, DedupKey, PolicyCache,
-    PolicyStore, VaidyaModel,
+    CheckpointCosts, ClusterKey, CompressedPolicy, CompressionConfig, DedupKey,
+    MeasuredCostPlanner, PolicyCache, PolicyStore,
 };
 use rayon::prelude::*;
 
@@ -69,31 +74,32 @@ impl<P: chs_cycle::SchedulePolicy> PoolPolicy for SchedulePolicyBridge<P> {
     }
 }
 
-/// The classic contention planning protocol: an exact Vaidya `T_opt`
-/// against the machine's fitted model, with the measured cost of the
+/// The classic contention planning protocol: one
+/// [`MeasuredCostPlanner`] per machine, with the measured cost of the
 /// last transfer as the symmetric checkpoint/recovery cost.
 #[derive(Debug, Clone)]
 pub struct AdaptiveVaidyaPolicy {
-    fits: Vec<FittedModel>,
+    planners: Vec<MeasuredCostPlanner>,
 }
 
 impl AdaptiveVaidyaPolicy {
     /// One fitted model per machine.
     pub fn per_machine(fits: Vec<FittedModel>) -> Self {
-        AdaptiveVaidyaPolicy { fits }
+        AdaptiveVaidyaPolicy {
+            planners: fits.into_iter().map(MeasuredCostPlanner::new).collect(),
+        }
     }
 }
 
 impl PoolPolicy for AdaptiveVaidyaPolicy {
     fn next_interval(&mut self, machine: u32, age: f64, measured_cost_s: f64) -> Result<f64> {
-        let fit = self
-            .fits
-            .get(machine as usize)
+        let planner = self
+            .planners
+            .get_mut(machine as usize)
             .ok_or(PoolError::MissingPolicy {
                 machine: machine as u64,
             })?;
-        let vaidya = VaidyaModel::new(fit, CheckpointCosts::symmetric(measured_cost_s))?;
-        Ok(vaidya.optimal_interval(age.max(0.0))?.work_seconds)
+        Ok(planner.plan(measured_cost_s, age)?)
     }
 
     fn label(&self) -> String {
@@ -275,6 +281,7 @@ mod tests {
     use super::*;
     use chs_dist::fit::fit_model;
     use chs_dist::ModelKind;
+    use chs_markov::VaidyaModel;
 
     fn fits(n: usize) -> Vec<FittedModel> {
         (0..n)
