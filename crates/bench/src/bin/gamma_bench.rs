@@ -26,16 +26,23 @@
 //!   relative for the hyperexponentials (vectorized phase sweep), and
 //!   lane throughput must be ≥ 2× scalar on the Weibull and both
 //!   hyperexponential rows or the run exits nonzero.
-//! - **Weibull quadrature band**: a deep-tail age band whose survival
-//!   integrals abandon the closed forms for composite Gauss–Legendre.
-//!   Lanes must match scalar bitwise there too, and (with
-//!   `bench-counters`) the run exits nonzero unless the fallback counter
-//!   proves the band actually took the quadrature path — at `--quick`
-//!   scale as well, so CI smoke always exercises it.
+//! - **Weibull quadrature band**: a fit (α = 0.005) whose survival
+//!   integrals abandon the closed forms for composite Gauss–Legendre,
+//!   because `e^{z_t}(β/α)Γ(1/α)` overflows. Lanes must match scalar
+//!   bitwise there too, and (with `bench-counters`) the run exits nonzero
+//!   unless the fallback counter proves the band actually took the
+//!   quadrature path — at `--quick` scale as well, so CI smoke always
+//!   exercises it.
+//! - **Weibull log-tail band**: a deep-tail age band where `Q(1/α, z_t)`
+//!   underflows and the survival integral takes the log-space form.
+//!   Lanes must match scalar bitwise, (with `bench-counters`) no probe
+//!   may fall back to quadrature, and every survival integral must agree
+//!   with a 256-panel Gauss–Legendre reference to 1e-9 relative.
 
 use chs_bench::{CommonArgs, TablePrinter};
 use chs_dist::{
-    AvailabilityModel, Exponential, FittedModel, FutureLifetime, HyperExponential, Weibull,
+    AvailabilityModel, ConditionedDist, Exponential, FittedModel, FutureLifetime, HyperExponential,
+    Weibull,
 };
 use chs_markov::{CheckpointCosts, VaidyaModel};
 use serde::Serialize;
@@ -213,10 +220,10 @@ struct LaneReport {
     pass: bool,
 }
 
-/// The Weibull deep-tail band whose survival integrals take the
-/// composite Gauss–Legendre fallback.
+/// A Weibull fit and age band timed lane against scalar, with the
+/// quadrature-fallback probes it took.
 #[derive(Debug, Serialize)]
-struct QuadratureBandReport {
+struct WeibullBandReport {
     shape: f64,
     scale: f64,
     ages: Vec<f64>,
@@ -225,12 +232,15 @@ struct QuadratureBandReport {
     scalar: PathReport,
     lane: PathReport,
     speedup: f64,
-    /// Lane vs scalar must be bitwise in the band (same panel
-    /// arithmetic, same integrand), so this must be 0.0.
+    /// Lane vs scalar must be bitwise in the band, so this must be 0.0.
     max_rel_dev: f64,
     /// Quadrature-fallback probes observed during one lane pass over the
     /// band (requires `bench-counters`; 0 means the feature is off).
     quadrature_fallback_probes: u64,
+    /// Max relative deviation of the band's survival integrals from a
+    /// 256-panel Gauss–Legendre reference (log-tail band only; `null`
+    /// on the quadrature band).
+    reference_max_rel_dev: Option<f64>,
 }
 
 #[derive(Debug, Serialize)]
@@ -241,7 +251,8 @@ struct GammaBenchReport {
     checkpoint_cost: f64,
     families: Vec<FamilyReport>,
     lanes: Vec<LaneReport>,
-    weibull_quadrature_band: QuadratureBandReport,
+    weibull_quadrature_band: WeibullBandReport,
+    weibull_log_tail_band: WeibullBandReport,
     counters_enabled: bool,
 }
 
@@ -275,6 +286,112 @@ fn time_grid<F: Fn() -> f64>(reps: usize, f: F) -> (f64, f64) {
         best = best.min(t0.elapsed().as_secs_f64());
     }
     (sum, best)
+}
+
+/// Probe horizons for the Weibull bands, in batches of four.
+const BAND_INTERVALS: [f64; 8] = [
+    500.0, 2_000.0, 5_000.0, 20_000.0, 950.0, 3_300.0, 8_000.0, 14_000.0,
+];
+
+/// Time one Weibull fit's band of ages lane against scalar, check the
+/// lanes bitwise, and count the quadrature-fallback probes of one lane
+/// pass.
+fn weibull_band(w: Weibull, ages: Vec<f64>, reps: usize) -> WeibullBandReport {
+    let fit = FittedModel::Weibull(w);
+    let costs = CheckpointCosts::symmetric(CHECKPOINT_COST);
+    let ts = BAND_INTERVALS.to_vec();
+    let evals = (ages.len() * ts.len()) as u64;
+    let model = VaidyaModel::new(&fit, costs).expect("valid costs");
+    let ref_model = VaidyaModel::new(&fit, costs).expect("valid costs");
+    let mut dev = 0.0f64;
+    for &age in &ages {
+        let view = model.at_age(age);
+        let ref_view = ref_model.at_age(age);
+        for chunk in ts.chunks_exact(4) {
+            let batch = [chunk[0], chunk[1], chunk[2], chunk[3]];
+            let lanes = view.gamma_x4(batch);
+            for l in 0..4 {
+                let s = ref_view.gamma(batch[l]);
+                if lanes[l].to_bits() != s.to_bits() {
+                    let rel = (lanes[l] - s).abs() / lanes[l].abs().max(s.abs()).max(1e-300);
+                    dev = dev.max(rel.max(f64::MIN_POSITIVE));
+                }
+            }
+        }
+    }
+
+    let (_, scalar_secs) = time_grid(reps, || {
+        let mut sum = 0.0;
+        for &age in &ages {
+            let view = model.at_age(age);
+            for &t in &ts {
+                sum += view.gamma(t);
+            }
+        }
+        sum
+    });
+    quad_reset();
+    let (_, lane_secs) = time_grid(reps, || {
+        let mut sum = 0.0;
+        for &age in &ages {
+            let view = model.at_age(age);
+            for chunk in ts.chunks_exact(4) {
+                let g = view.gamma_x4([chunk[0], chunk[1], chunk[2], chunk[3]]);
+                sum += g[0] + g[1] + g[2] + g[3];
+            }
+        }
+        sum
+    });
+
+    WeibullBandReport {
+        shape: w.shape(),
+        scale: w.scale(),
+        ages,
+        intervals: ts,
+        gamma_evaluations: evals,
+        scalar: PathReport {
+            seconds: scalar_secs,
+            gamma_evals_per_sec: evals as f64 / scalar_secs.max(1e-12),
+        },
+        lane: PathReport {
+            seconds: lane_secs,
+            gamma_evals_per_sec: evals as f64 / lane_secs.max(1e-12),
+        },
+        speedup: scalar_secs / lane_secs.max(1e-12),
+        max_rel_dev: dev,
+        quadrature_fallback_probes: quad_fallbacks() / reps.max(1) as u64,
+        reference_max_rel_dev: None,
+    }
+}
+
+/// Max relative deviation of a band's survival integrals `∫₀^T S_t`
+/// from 256-panel Gauss–Legendre over the conditioned survival, cut
+/// where `S_t < e^{−40}`.
+fn log_tail_reference_dev(band: &WeibullBandReport) -> f64 {
+    let w = Weibull::new(band.shape, band.scale).expect("band fit is valid");
+    let mut dev = 0.0f64;
+    for &age in &band.ages {
+        let kern = ConditionedDist::new(&w, age);
+        let zt = (age / w.scale()).powf(w.shape());
+        let cut = w.scale() * (zt + 40.0).powf(1.0 / w.shape()) - age;
+        for &t in &band.intervals {
+            let got = kern.survival_integral(t);
+            let want = chs_numerics::quadrature::composite_gauss_legendre(
+                |x| kern.survival(x),
+                0.0,
+                t.min(cut),
+                256,
+            );
+            let rel = ((got - want) / want).abs();
+            // `f64::max` would drop a NaN; count it as a failure.
+            dev = if rel.is_nan() {
+                f64::INFINITY
+            } else {
+                dev.max(rel)
+            };
+        }
+    }
+    dev
 }
 
 fn main() {
@@ -469,88 +586,51 @@ fn main() {
         });
     }
 
-    // Weibull quadrature-fallback band: a fit and age band where the
-    // closed-form survival integral cancels and probes integrate by
-    // composite Gauss–Legendre. Runs at --quick scale too, so the CI
-    // smoke always exercises the fallback lanes.
-    let band = {
-        let band_w = Weibull::new(0.938_711_362_645_384_5, 1_080.429_178_916_454).unwrap();
-        let band_fit = FittedModel::Weibull(band_w);
-        let band_ages = vec![1_238_663.234_801_525, 1.6e6, 2.4e6];
-        let band_ts = vec![
-            500.0, 2_000.0, 5_000.0, 20_000.0, 950.0, 3_300.0, 8_000.0, 14_000.0,
-        ];
-        let band_evals = (band_ages.len() * band_ts.len()) as u64;
-        let model = VaidyaModel::new(&band_fit, costs).expect("valid costs");
-        let ref_model = VaidyaModel::new(&band_fit, costs).expect("valid costs");
-        let mut band_dev = 0.0f64;
-        for &age in &band_ages {
-            let view = model.at_age(age);
-            let ref_view = ref_model.at_age(age);
-            for chunk in band_ts.chunks_exact(4) {
-                let batch = [chunk[0], chunk[1], chunk[2], chunk[3]];
-                let lanes = view.gamma_x4(batch);
-                for l in 0..4 {
-                    let s = ref_view.gamma(batch[l]);
-                    if lanes[l].to_bits() != s.to_bits() {
-                        let rel = (lanes[l] - s).abs() / lanes[l].abs().max(s.abs()).max(1e-300);
-                        band_dev = band_dev.max(rel.max(f64::MIN_POSITIVE));
-                    }
-                }
-            }
-        }
-        if band_dev > 0.0 {
-            eprintln!("FAIL: quadrature band lane path not bitwise ({band_dev:.3e})");
-            failed = true;
-        }
+    // Weibull quadrature-fallback band: at α = 0.005 the closed form's
+    // e^{z_t}(β/α)Γ(1/α) overflows (Γ(200) > f64::MAX), so every probe
+    // integrates by composite Gauss–Legendre. Runs at --quick scale too,
+    // so the CI smoke always exercises the fallback lanes.
+    let quad_band = weibull_band(Weibull::new(0.005, 1_000.0).unwrap(), vec![0.0, 10.0], reps);
+    if quad_band.max_rel_dev > 0.0 {
+        eprintln!(
+            "FAIL: quadrature band lane path not bitwise ({:.3e})",
+            quad_band.max_rel_dev
+        );
+        failed = true;
+    }
+    if cfg!(feature = "bench-counters") && quad_band.quadrature_fallback_probes == 0 {
+        eprintln!("FAIL: quadrature band never took the Gauss-Legendre fallback");
+        failed = true;
+    }
 
-        let (_, scalar_secs) = time_grid(reps, || {
-            let mut sum = 0.0;
-            for &age in &band_ages {
-                let view = model.at_age(age);
-                for &t in &band_ts {
-                    sum += view.gamma(t);
-                }
-            }
-            sum
-        });
-        quad_reset();
-        let (_, lane_secs) = time_grid(reps, || {
-            let mut sum = 0.0;
-            for &age in &band_ages {
-                let view = model.at_age(age);
-                for chunk in band_ts.chunks_exact(4) {
-                    let g = view.gamma_x4([chunk[0], chunk[1], chunk[2], chunk[3]]);
-                    sum += g[0] + g[1] + g[2] + g[3];
-                }
-            }
-            sum
-        });
-        let quad_probes = quad_fallbacks() / reps.max(1) as u64;
-        if cfg!(feature = "bench-counters") && quad_probes == 0 {
-            eprintln!("FAIL: quadrature band never took the Gauss-Legendre fallback");
-            failed = true;
-        }
-
-        QuadratureBandReport {
-            shape: 0.938_711_362_645_384_5,
-            scale: 1_080.429_178_916_454,
-            ages: band_ages,
-            intervals: band_ts,
-            gamma_evaluations: band_evals,
-            scalar: PathReport {
-                seconds: scalar_secs,
-                gamma_evals_per_sec: band_evals as f64 / scalar_secs.max(1e-12),
-            },
-            lane: PathReport {
-                seconds: lane_secs,
-                gamma_evals_per_sec: band_evals as f64 / lane_secs.max(1e-12),
-            },
-            speedup: scalar_secs / lane_secs.max(1e-12),
-            max_rel_dev: band_dev,
-            quadrature_fallback_probes: quad_probes,
-        }
-    };
+    // Weibull log-tail band: a fleet fit at ages where z_t ≈ 745–1,100,
+    // so Q(1/α, z_t) underflows and the survival integral is evaluated
+    // in log space, with no quadrature at all.
+    let mut log_band = weibull_band(
+        Weibull::new(0.938_711_362_645_384_5, 1_080.429_178_916_454).unwrap(),
+        vec![1_238_663.234_801_525, 1.6e6, 2.4e6],
+        reps,
+    );
+    if log_band.max_rel_dev > 0.0 {
+        eprintln!(
+            "FAIL: log-tail band lane path not bitwise ({:.3e})",
+            log_band.max_rel_dev
+        );
+        failed = true;
+    }
+    if log_band.quadrature_fallback_probes > 0 {
+        eprintln!(
+            "FAIL: log-tail band took {} quadrature-fallback probes",
+            log_band.quadrature_fallback_probes
+        );
+        failed = true;
+    }
+    let reference_dev = log_tail_reference_dev(&log_band);
+    if reference_dev > 1e-9 {
+        eprintln!("FAIL: log-tail band off its quadrature reference ({reference_dev:.3e})");
+        failed = true;
+    }
+    log_band.reference_max_rel_dev = Some(reference_dev);
 
     let report = GammaBenchReport {
         ages: ages.len(),
@@ -559,7 +639,8 @@ fn main() {
         checkpoint_cost: CHECKPOINT_COST,
         families: reports,
         lanes: lane_reports,
-        weibull_quadrature_band: band,
+        weibull_quadrature_band: quad_band,
+        weibull_log_tail_band: log_band,
         counters_enabled: cfg!(feature = "bench-counters"),
     };
 
@@ -617,12 +698,24 @@ fn main() {
         ]);
     }
     lane_printer.rule();
-    let b = &report.weibull_quadrature_band;
-    println!(
-        "weibull quadrature band (shape {:.3}, age ~{:.2e}): lane {:.2}x scalar, \
-         {} fallback probes/pass, max dev {:.1e}",
-        b.shape, b.ages[0], b.speedup, b.quadrature_fallback_probes, b.max_rel_dev
-    );
+    for (name, b) in [
+        ("quadrature", &report.weibull_quadrature_band),
+        ("log-tail", &report.weibull_log_tail_band),
+    ] {
+        println!(
+            "weibull {name} band (shape {:.3}, ages {:.2e}–{:.2e}): lane {:.2}x scalar, \
+             {} fallback probes/pass, max dev {:.1e}",
+            b.shape,
+            b.ages[0],
+            b.ages[b.ages.len() - 1],
+            b.speedup,
+            b.quadrature_fallback_probes,
+            b.max_rel_dev
+        );
+    }
+    if let Some(dev) = report.weibull_log_tail_band.reference_max_rel_dev {
+        println!("weibull log-tail band vs 256-panel quadrature: max rel dev {dev:.1e}");
+    }
 
     if report.counters_enabled {
         for f in &report.families {

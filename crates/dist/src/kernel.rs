@@ -31,6 +31,7 @@
 //!
 //! [`FutureLifetime`]: crate::FutureLifetime
 
+use crate::weibull::QTail;
 use crate::{AvailabilityModel, Exponential, FittedModel, HyperExponential, Weibull};
 
 /// Relaxed atomic counters for the benchmark harness: how many Weibull
@@ -355,9 +356,10 @@ impl ExpKernel {
 
 /// Conditioned Weibull. Precomputes `z_t = (t/β)^α`, `ln Γ(1/α)`, the
 /// `z_t`-endpoint of the incomplete-gamma pair the closed-form survival
-/// integral needs (P form in the body, log-space Q form in the tail),
-/// and the quadrature-fallback cutoff `x_lim` — leaving one `powf` and
-/// one regularized incomplete gamma per probe.
+/// integral needs (P form in the body, log-space Q form in the tail,
+/// continued-fraction factor where `Q` underflows), and the
+/// quadrature-fallback cutoff `x_lim` — leaving one `powf` and one
+/// incomplete-gamma evaluation per probe.
 #[derive(Debug, Clone, Copy)]
 pub struct WeibullKernel {
     shape: f64,
@@ -375,10 +377,8 @@ pub struct WeibullKernel {
     /// `front = e^{z_t}·(β/α)·Γ(1/α)` multiplied in the original's exact
     /// association order.
     front_p: Option<(f64, f64)>,
-    /// Tail branch (`z_t ≥ 1`): `Q(1/α, z_t)`.
-    q_lo: Option<f64>,
-    /// `ln(β/α)`, the last addend of the log-space tail form.
-    ln_scale_term: f64,
+    /// Tail branch (`z_t ≥ 1`): the `z_t` end of its closed form.
+    tail: Option<QTail>,
     /// Quadrature cutoff: `S_t` is below 1e-12 past this horizon.
     x_lim: f64,
 }
@@ -403,13 +403,8 @@ impl WeibullKernel {
         } else {
             None
         };
-        let q_lo = if zt >= 1.0 {
-            // Same subnormal gate as `Weibull::conditional_survival_integral`:
-            // a subnormal Q has too few mantissa bits to difference against
-            // `q_hi`, so those ages must take the quadrature fallback.
-            chs_numerics::special::reg_inc_gamma_q(inv_shape, zt)
-                .ok()
-                .filter(|&q| q >= f64::MIN_POSITIVE)
+        let tail = if zt >= 1.0 {
+            ln_g.and_then(|lg| QTail::new(d, age, zt, lg))
         } else {
             None
         };
@@ -422,8 +417,7 @@ impl WeibullKernel {
             inv_shape,
             ln_g,
             front_p,
-            q_lo,
-            ln_scale_term: scale_term.ln(),
+            tail,
             x_lim,
         }
     }
@@ -461,8 +455,10 @@ impl WeibullKernel {
 
     /// The closed-form survival integral with quadrature fallback,
     /// mirroring `Weibull::conditional_survival_integral` branch by
-    /// branch (P form in the body, log-space Q form in the tail, Gauss–
-    /// Legendre capped at `x_lim` when either cancels or overflows).
+    /// branch (P form in the body, log-space Q form in the tail, the
+    /// continued-fraction form where `Q(1/α, z_t)` underflows or its
+    /// difference cancels, Gauss–Legendre capped at `x_lim` when no
+    /// closed form holds).
     fn integral_with(&self, a: f64, zta: f64) -> f64 {
         let closed = if self.zt < 1.0 {
             self.front_p.and_then(|(front, p_lo)| {
@@ -471,21 +467,7 @@ impl WeibullKernel {
                     .map(|p_hi| front * (p_hi - p_lo))
             })
         } else {
-            match (self.ln_g, self.q_lo) {
-                (Some(ln_g), Some(q_lo)) => {
-                    chs_numerics::special::reg_inc_gamma_q(self.inv_shape, zta)
-                        .ok()
-                        .and_then(|q_hi| {
-                            let diff = q_lo - q_hi;
-                            if diff <= 1e-8 * q_lo {
-                                None
-                            } else {
-                                Some((self.zt + diff.ln() + ln_g + self.ln_scale_term).exp())
-                            }
-                        })
-                }
-                _ => None,
-            }
+            self.tail.and_then(|tail| tail.integral(a, zta))
         };
         if let Some(v) = closed {
             if v.is_finite() {
@@ -569,18 +551,19 @@ impl WeibullKernel {
                 }
                 None => [None; 4],
             },
-            Some(gln) => match self.q_lo {
-                Some(q_lo) => chs_numerics::special::reg_inc_gamma_q_x4(self.inv_shape, zta, gln)
-                    .map(|q| {
-                        q.and_then(|q_hi| {
-                            let diff = q_lo - q_hi;
-                            if diff <= 1e-8 * q_lo {
-                                None
-                            } else {
-                                Some((self.zt + diff.ln() + gln + self.ln_scale_term).exp())
-                            }
+            Some(gln) => match self.tail {
+                Some(tail) if tail.needs_q_hi() => {
+                    let q_hi = chs_numerics::special::reg_inc_gamma_q_x4(self.inv_shape, zta, gln);
+                    std::array::from_fn(|l| {
+                        tail.integral_with(a[l], q_hi[l], || {
+                            chs_numerics::special::inc_gamma_cf_factor(self.inv_shape, zta[l]).ok()
                         })
-                    }),
+                    })
+                }
+                Some(tail) => {
+                    let h_hi = chs_numerics::special::inc_gamma_cf_factor_x4(self.inv_shape, zta);
+                    std::array::from_fn(|l| tail.integral_with(a[l], None, || h_hi[l]))
+                }
                 None => [None; 4],
             },
             None => [None; 4],
@@ -904,11 +887,12 @@ mod tests {
         }
     }
 
-    /// Ages where `z_t` lands in ~[708, 745] make `Q(1/α, z_t)`
-    /// subnormal: the closed-form tail integral used to difference two
-    /// near-ulp quantities and return finite garbage (~10% errors in Γ,
-    /// visible as branch-hopping `T_opt(age)`). Those ages must take the
-    /// quadrature fallback, which integrates the stable survival ratio.
+    /// Ages where `z_t` passes ~708 make `Q(1/α, z_t)` subnormal: a
+    /// closed form that differences two such near-ulp quantities returns
+    /// finite garbage (~10% errors in Γ, visible as branch-hopping
+    /// `T_opt(age)`). Those ages take the log-space form built from the
+    /// continued-fraction factors instead, which must agree with a fine
+    /// quadrature of the stable survival ratio.
     #[test]
     fn subnormal_tail_q_takes_quadrature_not_garbage() {
         // A fleet fit that reproduced the glitch: z_t ≈ 744.6 here.
@@ -978,20 +962,75 @@ mod tests {
         }
     }
 
-    /// The subnormal-tail ages route lanes through the batched
-    /// quadrature fallback, which must match the scalar fallback bit
-    /// for bit (same panel arithmetic, same integrand).
-    #[test]
-    fn x4_quadrature_fallback_band_bitwise() {
-        let w = Weibull::new(0.9387113626453845, 1080.429178916454).unwrap();
-        let kern = ConditionedDist::new(&w, 1_238_663.234801525);
-        let batch = [500.0, 2_000.0, 5_000.0, 20_000.0];
+    /// Lane batches must match four scalar evaluations bit for bit.
+    fn assert_x4_bitwise(kern: &ConditionedDist<'_>, batch: [f64; 4]) {
         let lanes = kern.survival_and_truncated_mean_x4(batch);
         for l in 0..4 {
             let (s, tm) = kern.survival_and_truncated_mean(batch[l]);
             assert_eq!(lanes[l].0.to_bits(), s.to_bits(), "survival lane {l}");
             assert_eq!(lanes[l].1.to_bits(), tm.to_bits(), "tm lane {l}");
         }
+    }
+
+    /// At α = 0.005 the body form's `e^{z_t}(β/α)Γ(1/α)` overflows
+    /// (Γ(200) > f64::MAX), so every probe routes lanes through the
+    /// batched quadrature fallback, which must match the scalar fallback
+    /// bit for bit (same panel arithmetic, same integrand).
+    #[test]
+    fn x4_quadrature_fallback_band_bitwise() {
+        let w = Weibull::new(0.005, 1_000.0).unwrap();
+        for age in [0.0, 10.0] {
+            let kern = ConditionedDist::new(&w, age);
+            assert_x4_bitwise(&kern, [500.0, 2_000.0, 5_000.0, 20_000.0]);
+        }
+    }
+
+    /// The subnormal-Q ages evaluate lanes through the lockstep
+    /// continued-fraction factors, bit for bit with the scalar path.
+    #[test]
+    fn x4_log_tail_band_bitwise() {
+        let w = Weibull::new(0.9387113626453845, 1080.429178916454).unwrap();
+        for age in [1_238_663.234801525, 1.6e6, 2.4e6] {
+            let kern = ConditionedDist::new(&w, age);
+            assert!(matches!(
+                kern,
+                ConditionedDist::Weibull(WeibullKernel {
+                    tail: Some(tail),
+                    ..
+                }) if !tail.needs_q_hi()
+            ));
+            assert_x4_bitwise(&kern, [500.0, 2_000.0, 5_000.0, 20_000.0]);
+            assert_x4_bitwise(&kern, [1.0, 950.0, 1e6, -3.0]);
+        }
+    }
+
+    /// Just short of the underflow (z_t = 701), `Q(1/α, z_t)` is normal,
+    /// but each Q carries about ulp(z_t) of rounding from its `e^{−z}`.
+    /// For a horizon of a second the difference cancels to ~5e-4 of Q,
+    /// which would leave ~1e-10 error or more; such probes take the log
+    /// form too, while longer horizons keep the plain difference. Lanes
+    /// that mix the two stay bitwise.
+    #[test]
+    fn cancelling_q_difference_takes_the_log_form() {
+        let w = Weibull::new(0.9387113626453845, 1080.429178916454).unwrap();
+        let age = w.scale() * 701f64.powf(1.0 / w.shape());
+        let kern = ConditionedDist::new(&w, age);
+        let fl = FutureLifetime::new(&w, age);
+        for a in [0.5, 1.0, 2.0, 5.0] {
+            let got = kern.survival_integral(a);
+            let reference = chs_numerics::quadrature::composite_gauss_legendre(
+                |x| kern.survival(x),
+                0.0,
+                a,
+                256,
+            );
+            assert!(
+                (got / reference - 1.0).abs() < 1e-10,
+                "a={a}: kernel {got} vs reference {reference}"
+            );
+            assert_eq!(got.to_bits(), fl.survival_integral(a).to_bits(), "a={a}");
+        }
+        assert_x4_bitwise(&kern, [1.0, 950.0, 2.0, 20_000.0]);
     }
 
     #[test]

@@ -26,7 +26,12 @@ pub struct Weibull {
 }
 
 impl Weibull {
-    /// Create from shape `α > 0` and scale `β > 0`.
+    /// Create from shape `α > 0` and a normal (not subnormal) scale
+    /// `β > 0`.
+    ///
+    /// A subnormal `β` is rejected: `(t/β)^α` then overflows at any age
+    /// above about 1e-12 s, and no age-dependent policy can be built
+    /// from it.
     pub fn new(shape: f64, scale: f64) -> Result<Self> {
         if !(shape.is_finite() && shape > 0.0) {
             return Err(DistError::InvalidParameter {
@@ -34,7 +39,7 @@ impl Weibull {
                 value: shape,
             });
         }
-        if !(scale.is_finite() && scale > 0.0) {
+        if !(scale.is_normal() && scale > 0.0) {
             return Err(DistError::InvalidParameter {
                 parameter: "scale",
                 value: scale,
@@ -64,6 +69,164 @@ impl Weibull {
     #[inline]
     fn z(&self, x: f64) -> f64 {
         (x / self.scale).powf(self.shape)
+    }
+}
+
+/// The tail branch (`z_t ≥ 1`) of the conditional survival integral at
+/// one age: `e^{z_t}(β/α)Γ(1/α)[Q(1/α, z_t) − Q(1/α, z_{t+a})]`, summed
+/// in log space. Each `Q` carries the rounding of its `e^{−z}` exponent,
+/// about `ulp(z_t)` relative, so their difference keeps about
+/// `ulp(z_t)·Q/diff` relative error. Where that exceeds ~2e-10, or `Q`
+/// underflows outright, [`LogTail`] takes over. With no log form (`z_t <
+/// 1/α + 1`, or no convergence) a difference below `1e-8·Q` returns
+/// `None`, and the caller integrates by quadrature.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct QTail {
+    /// `s = 1/α`, the incomplete-gamma order.
+    s: f64,
+    zt: f64,
+    /// `ln Γ(1/α)`.
+    ln_g: f64,
+    /// `ln(β/α)`.
+    ln_scale_term: f64,
+    /// `Q(1/α, z_t)`.
+    q_lo: f64,
+    log: Option<LogTail>,
+}
+
+impl QTail {
+    /// Use the log form where `diff ≤ CANCELLATION · z_t · Q(1/α, z_t)`.
+    const CANCELLATION: f64 = 1e-6;
+
+    /// The age-only part at `age` (with `z_t = (age/β)^α ≥ 1`); `None` if
+    /// `Q(1/α, z_t)` fails.
+    pub(crate) fn new(d: &Weibull, age: f64, zt: f64, ln_g: f64) -> Option<Self> {
+        let s = 1.0 / d.shape;
+        let log = LogTail::new(d, age, zt);
+        let q_lo = match log {
+            // `reg_inc_gamma_q` on its continued-fraction branch, bit for
+            // bit, without running the fraction twice.
+            Some(tail) => (-zt + s * zt.ln() - ln_g).exp() * tail.h_lo,
+            None => chs_numerics::special::reg_inc_gamma_q(s, zt).ok()?,
+        };
+        Some(Self {
+            s,
+            zt,
+            ln_g,
+            ln_scale_term: (d.scale / d.shape).ln(),
+            q_lo,
+            log,
+        })
+    }
+
+    /// Whether [`QTail::integral_with`] reads `Q(1/α, z_{t+a})`: not
+    /// once `Q(1/α, z_t)` is subnormal or zero.
+    pub(crate) fn needs_q_hi(&self) -> bool {
+        self.q_lo >= f64::MIN_POSITIVE
+    }
+
+    /// `∫₀^a S_t(x) dx` at `zta = z_{t+a}`; `None` sends the caller to
+    /// quadrature.
+    pub(crate) fn integral(&self, a: f64, zta: f64) -> Option<f64> {
+        let q_hi = self
+            .needs_q_hi()
+            .then(|| chs_numerics::special::reg_inc_gamma_q(self.s, zta).ok())
+            .flatten();
+        self.integral_with(a, q_hi, || {
+            chs_numerics::special::inc_gamma_cf_factor(self.s, zta).ok()
+        })
+    }
+
+    /// [`QTail::integral`] given `q_hi = Q(1/α, z_{t+a})` (when
+    /// [`needs_q_hi`](Self::needs_q_hi); `None` if it failed) and a way to
+    /// get `h(z_{t+a})`, which runs only if the log form is taken. The
+    /// lane path passes values it computed four at a time.
+    pub(crate) fn integral_with(
+        &self,
+        a: f64,
+        q_hi: Option<f64>,
+        h_hi: impl FnOnce() -> Option<f64>,
+    ) -> Option<f64> {
+        if self.needs_q_hi() {
+            let diff = self.q_lo - q_hi?;
+            let cancels = diff <= Self::CANCELLATION * self.zt * self.q_lo;
+            if !cancels || self.log.is_none() {
+                if diff <= 1e-8 * self.q_lo {
+                    return None;
+                }
+                return Some((self.zt + diff.ln() + self.ln_g + self.ln_scale_term).exp());
+            }
+        }
+        Some(self.log?.integral(a, h_hi()?))
+    }
+}
+
+/// The conditional survival integral where `Q(1/α, z_t)` underflows or
+/// its difference cancels, evaluated in log space. With `s = 1/α`, `h`
+/// the continued-fraction factor of `Q(s, x) = e^{−x} x^s h(x) / Γ(s)`,
+/// `u = ln(1 + a/t)` and `Δz = z_{t+a} − z_t = z_t · expm1(α u)`,
+///
+/// ```text
+/// ∫₀^a S_t = (β/α) · exp(s ln z_t + ln h(z_t) + ln(−expm1(r)))
+/// r = −Δz + u + ln(h(z_{t+a}) / h(z_t))
+/// ```
+///
+/// `r` is the log of `Q(s, z_{t+a}) / Q(s, z_t)`, built from `expm1` and
+/// `ln1p` terms so that nothing differences two numbers near `z_t`. Its
+/// last term is about `−Δz/z_t`. Once `Δz` is tiny, the two `h` values
+/// agree to nearly every bit, and their rounding would swamp `r ≈ −Δz`.
+/// So below `Δz = 1e-4` that term is `Δz · (ln h)'(z_t)` instead, with
+/// `(ln h)' = 1 − s/x − 1/(x h)` (from `d ln Q/dx = −1/(x h)`). The
+/// dropped second-order part is below `Δz/(2 z_t²)` of `r`.
+///
+/// Everything that depends on the age alone is computed once, in
+/// [`LogTail::new`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LogTail {
+    shape: f64,
+    age: f64,
+    zt: f64,
+    /// `β/α`.
+    scale_term: f64,
+    /// `h(z_t)`.
+    h_lo: f64,
+    /// `(ln h)'(z_t)`.
+    dlnh_lo: f64,
+    /// `s ln z_t + ln h(z_t)`.
+    ln_front: f64,
+}
+
+impl LogTail {
+    /// Below this `Δz`, `ln(h(z_{t+a}) / h(z_t))` is taken to first order.
+    const LINEAR_DZ: f64 = 1e-4;
+
+    /// The age-only part at `age` (with `z_t = (age/β)^α`); `None` where
+    /// the continued fraction does not apply (`z_t < 1/α + 1`) or fails.
+    pub(crate) fn new(d: &Weibull, age: f64, zt: f64) -> Option<Self> {
+        let s = 1.0 / d.shape;
+        let h_lo = chs_numerics::special::inc_gamma_cf_factor(s, zt).ok()?;
+        Some(Self {
+            shape: d.shape,
+            age,
+            zt,
+            scale_term: d.scale / d.shape,
+            h_lo,
+            dlnh_lo: 1.0 - s / zt - 1.0 / (zt * h_lo),
+            ln_front: s * zt.ln() + h_lo.ln(),
+        })
+    }
+
+    /// `∫₀^a S_t(x) dx` given `h_hi = h(z_{t+a})`.
+    pub(crate) fn integral(&self, a: f64, h_hi: f64) -> f64 {
+        let u = (a / self.age).ln_1p();
+        let dz = self.zt * (self.shape * u).exp_m1();
+        let ln_h_ratio = if dz < Self::LINEAR_DZ {
+            dz * self.dlnh_lo
+        } else {
+            (h_hi / self.h_lo).ln()
+        };
+        let r = -dz + u + ln_h_ratio;
+        self.scale_term * (self.ln_front + (-r.exp_m1()).ln()).exp()
     }
 }
 
@@ -172,29 +335,18 @@ impl AvailabilityModel for Weibull {
         //   = e^{z_t} (β/α) Γ(1/α) [Q(1/α, z_t) − Q(1/α, z_{t+a})].
         // Use the P form when the arguments sit in the body (small z_t,
         // where Q ≈ 1 would cancel) and the log-space Q form in the tail
-        // (where P ≈ 1 would cancel and e^{z_t} would overflow).
+        // (where P ≈ 1 would cancel and e^{z_t} would overflow); `QTail`
+        // switches to the continued-fraction form where Q underflows or
+        // the difference cancels.
         let closed = (|| -> Option<f64> {
             let ln_g = chs_numerics::special::ln_gamma(s).ok()?;
-            let scale_term = self.scale / self.shape;
             if zt < 1.0 {
+                let scale_term = self.scale / self.shape;
                 let p_hi = chs_numerics::special::reg_inc_gamma_p(s, zta).ok()?;
                 let p_lo = chs_numerics::special::reg_inc_gamma_p(s, zt).ok()?;
                 Some(zt.exp() * scale_term * ln_g.exp() * (p_hi - p_lo))
             } else {
-                let q_lo = chs_numerics::special::reg_inc_gamma_q(s, zt).ok()?;
-                if q_lo < f64::MIN_POSITIVE {
-                    // Subnormal Q (z_t roughly in [708, 745]): only a few
-                    // mantissa bits survive, so the differenced log form
-                    // below returns finite garbage rather than failing.
-                    return None;
-                }
-                let q_hi = chs_numerics::special::reg_inc_gamma_q(s, zta).ok()?;
-                let diff = q_lo - q_hi;
-                if diff <= 1e-8 * q_lo {
-                    // Relative cancellation: caller falls back to quadrature.
-                    return None;
-                }
-                Some((zt + diff.ln() + ln_g + scale_term.ln()).exp())
+                QTail::new(self, age, zt, ln_g)?.integral(a, zta)
             }
         })();
         if let Some(v) = closed {
@@ -249,6 +401,38 @@ mod tests {
         assert!(Weibull::new(-1.0, 1.0).is_err());
         assert!(Weibull::new(f64::INFINITY, 1.0).is_err());
         assert!(Weibull::new(0.43, 3409.0).is_ok());
+        assert!(Weibull::new(1.0, 9.5e-321).is_err(), "subnormal scale");
+        assert!(Weibull::new(1.0, f64::MIN_POSITIVE).is_ok());
+    }
+
+    #[test]
+    fn tail_q_lo_is_reg_inc_gamma_q_bitwise() {
+        // The tail end rebuilds Q(1/α, z_t) from the continued-fraction
+        // factor it keeps; it must be the library's Q bit for bit, on
+        // both sides of the series/fraction switch and past underflow.
+        for (shape, scale) in [(0.43, 3_409.0), (0.94, 1_080.0), (2.5, 50.0), (0.005, 1e3)] {
+            let w = Weibull::new(shape, scale).unwrap();
+            let s = 1.0 / shape;
+            let ln_g = ln_gamma(s).unwrap();
+            for zt in [1.0f64, 1.5, 2.2, 3.4, 40.0, 202.0, 700.0, 745.0, 1e4] {
+                let age = scale * zt.powf(s);
+                if !age.is_finite() {
+                    continue;
+                }
+                let zt = w.z(age);
+                let want = chs_numerics::special::reg_inc_gamma_q(s, zt).unwrap();
+                let tail = QTail::new(&w, age, zt, ln_g).unwrap();
+                assert_eq!(tail.q_lo.to_bits(), want.to_bits(), "α={shape} z_t={zt}");
+            }
+        }
+    }
+
+    #[test]
+    fn fit_of_varied_subnormal_durations_fails() {
+        // Unchecked, this window fits β ≈ 4.5e-321, and its policy table
+        // bisects to the depth limit (16,384 segments, ~50 s).
+        let data: Vec<f64> = (1..=40).map(|i| f64::from(i % 7 + 1) * 1e-321).collect();
+        assert!(crate::fit::fit_weibull(&data).is_err());
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! [`ConditionedDist`] kernels must reproduce the [`FutureLifetime`]
 //! reference path — conditional survival, CDF, survival integral, and
 //! truncated mean — to ≤ 1e-12 relative (they are in fact bitwise equal;
-//! the relative gate is the documented contract).
+//! the relative gate is the documented contract). A deep-tail suite pins
+//! the Weibull survival integral where `Q(1/α, z_t)` underflows against
+//! a fine quadrature.
 
 use chs_dist::{
     AvailabilityModel, ConditionedDist, Exponential, FutureLifetime, HyperExponential, Weibull,
@@ -46,8 +48,53 @@ fn assert_kernel_matches(
     }
 }
 
+/// `∫₀^a S_t` by 256-panel Gauss–Legendre over the conditioned survival,
+/// cut where `S_t < e^{−40}` (beyond it the remainder is below 1e-17 of
+/// the integral).
+fn deep_tail_reference(d: &Weibull, kernel: &ConditionedDist<'_>, a: f64) -> f64 {
+    let age = kernel.age();
+    let zt = (age / d.scale()).powf(d.shape());
+    let cut = d.scale() * (zt + 40.0).powf(1.0 / d.shape()) - age;
+    chs_numerics::quadrature::composite_gauss_legendre(|x| kernel.survival(x), 0.0, a.min(cut), 256)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn weibull_deep_tail_integral(
+        shape in 0.3f64..1.5,
+        scale in 100.0f64..2e4,
+        ln_zt in 700f64.ln()..1e5f64.ln(),
+        a_log10 in 0.0f64..6.0,
+        step in 1e-3f64..10.0,
+        x_exps in proptest::collection::vec(0.0f64..6.0, 4..5),
+    ) {
+        // z_t ∈ [700, 1e5]: from where Q(1/α, z_t) is about to underflow
+        // to well past it. Much deeper (z_t ≳ 1e9) the reference itself
+        // cancels in `z_t − z_{t+x}`, so the domain stops short of that.
+        let d = Weibull::new(shape, scale).unwrap();
+        let age = scale * ln_zt.exp().powf(1.0 / shape);
+        let kernel = ConditionedDist::new(&d, age);
+        let reference = FutureLifetime::new(&d, age);
+        let a = 10f64.powf(a_log10);
+        let got = kernel.survival_integral(a);
+        let want = deep_tail_reference(&d, &kernel, a);
+        prop_assert!(
+            (got - want).abs() <= 1e-9 * want,
+            "age={age} a={a}: kernel {got:.17e} vs quadrature {want:.17e}"
+        );
+        prop_assert!(got.to_bits() == reference.survival_integral(a).to_bits());
+        prop_assert!((0.0..=a).contains(&got));
+        prop_assert!(kernel.survival_integral(a * (1.0 + step)) >= got);
+        let xs = [x_exps[0], x_exps[1], x_exps[2], x_exps[3]].map(|e| 10f64.powf(e));
+        let lanes = kernel.survival_and_truncated_mean_x4(xs);
+        for l in 0..4 {
+            let (s, tm) = kernel.survival_and_truncated_mean(xs[l]);
+            prop_assert!(lanes[l].0.to_bits() == s.to_bits(), "survival lane {l}");
+            prop_assert!(lanes[l].1.to_bits() == tm.to_bits(), "tm lane {l}");
+        }
+    }
 
     #[test]
     fn exponential_kernel_matches(

@@ -344,9 +344,16 @@ fn gamma_series_x4(a: f64, x: [f64; 4], gln: f64, active: [bool; 4]) -> [Option<
     out
 }
 
-/// Lane-lockstep [`gamma_cf_gln`] (modified Lentz, four chains). Same
-/// freeze-at-own-convergence contract as [`gamma_series_x4`].
+/// Lane-lockstep [`gamma_cf_gln`]: the four [`lentz_factor_x4`] chains,
+/// each scaled by its own prefactor exactly as the scalar path does.
 fn gamma_cf_x4(a: f64, x: [f64; 4], gln: f64, active: [bool; 4]) -> [Option<f64>; 4] {
+    let h = lentz_factor_x4(a, x, active);
+    std::array::from_fn(|l| h[l].map(|h| (-x[l] + a * x[l].ln() - gln).exp() * h))
+}
+
+/// Lane-lockstep [`lentz_factor`] (modified Lentz, four chains). Same
+/// freeze-at-own-convergence contract as [`gamma_series_x4`].
+fn lentz_factor_x4(a: f64, x: [f64; 4], active: [bool; 4]) -> [Option<f64>; 4] {
     let mut b = [0.0f64; 4];
     let mut c = [1.0 / FPMIN; 4];
     let mut d = [0.0f64; 4];
@@ -381,7 +388,7 @@ fn gamma_cf_x4(a: f64, x: [f64; 4], gln: f64, active: [bool; 4]) -> [Option<f64>
             h[l] *= del;
             if (del - 1.0).abs() < EPS {
                 done[l] = true;
-                out[l] = Some((-x[l] + a * x[l].ln() - gln).exp() * h[l]);
+                out[l] = Some(h[l]);
             }
         }
         if done == [true; 4] {
@@ -400,6 +407,48 @@ fn gamma_cf(a: f64, x: f64) -> Result<f64> {
 
 /// [`gamma_cf`] with the `ln Γ(a)` hoisted to the caller.
 fn gamma_cf_gln(a: f64, x: f64, gln: f64) -> Result<f64> {
+    let h = lentz_factor(a, x)?;
+    Ok((-x + a * x.ln() - gln).exp() * h)
+}
+
+/// The continued-fraction factor `h(x)` of the upper incomplete gamma,
+/// defined by `Q(a, x) = e^{−x} x^a h(x) / Γ(a)` for `x ≥ a + 1`.
+///
+/// `Q` itself underflows once `x` passes about 708, but `h(x) ≈
+/// 1/(x + 1 − a)` stays a moderate number at any finite `x`, so a caller
+/// working in log space keeps full precision where `Q` has none. This
+/// is the same Lentz iteration [`reg_inc_gamma_q`] runs on its
+/// continued-fraction branch: multiplying by `exp(−x + a ln x − ln Γ(a))`
+/// gives that `Q` bit for bit.
+///
+/// # Errors
+/// [`NumericsError::DomainError`] unless `a > 0` and `x ≥ a + 1` are
+/// finite; [`NumericsError::NoConvergence`] if the fraction does not
+/// settle.
+pub fn inc_gamma_cf_factor(a: f64, x: f64) -> Result<f64> {
+    if !(a > 0.0 && a.is_finite() && x.is_finite() && x >= a + 1.0) {
+        return Err(NumericsError::DomainError {
+            routine: "inc_gamma_cf_factor",
+            message: "requires finite a > 0, x >= a + 1",
+        });
+    }
+    lentz_factor(a, x)
+}
+
+/// Lane-batched [`inc_gamma_cf_factor`]: four points, one order `a`,
+/// the four Lentz chains in lockstep. Each lane is bit-identical to its
+/// scalar call; lanes outside the domain or without convergence return
+/// `None`.
+pub fn inc_gamma_cf_factor_x4(a: f64, x: [f64; 4]) -> [Option<f64>; 4] {
+    if !(a > 0.0 && a.is_finite()) {
+        return [None; 4];
+    }
+    lentz_factor_x4(a, x, x.map(|x| x.is_finite() && x >= a + 1.0))
+}
+
+/// Modified Lentz evaluation of the continued fraction for `Q(a, x)`,
+/// without its `e^{−x} x^a / Γ(a)` prefactor.
+fn lentz_factor(a: f64, x: f64) -> Result<f64> {
     let mut b = x + 1.0 - a;
     let mut c = 1.0 / FPMIN;
     let mut d = 1.0 / b;
@@ -419,7 +468,7 @@ fn gamma_cf_gln(a: f64, x: f64, gln: f64) -> Result<f64> {
         let del = d * c;
         h *= del;
         if (del - 1.0).abs() < EPS {
-            return Ok((-x + a * x.ln() - gln).exp() * h);
+            return Ok(h);
         }
     }
     Err(NumericsError::NoConvergence {
@@ -673,6 +722,91 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The single-loop continued fraction before the Lentz factor was
+    /// split out, kept as the oracle for the refactor.
+    fn gamma_cf_gln_monolithic(a: f64, x: f64, gln: f64) -> Option<f64> {
+        let mut b = x + 1.0 - a;
+        let mut c = 1.0 / FPMIN;
+        let mut d = 1.0 / b;
+        let mut h = d;
+        for i in 1..=MAX_ITER {
+            let an = -(i as f64) * (i as f64 - a);
+            b += 2.0;
+            d = an * d + b;
+            if d.abs() < FPMIN {
+                d = FPMIN;
+            }
+            c = b + an / c;
+            if c.abs() < FPMIN {
+                c = FPMIN;
+            }
+            d = 1.0 / d;
+            let del = d * c;
+            h *= del;
+            if (del - 1.0).abs() < EPS {
+                return Some((-x + a * x.ln() - gln).exp() * h);
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn cf_branch_is_bitwise_the_monolithic_loop() {
+        for &a in &[0.005, 0.3, 0.667, 1.0, 1.9, 7.3, 200.0] {
+            let gln = ln_gamma(a).unwrap();
+            for &x in &[a + 1.0, a + 3.7, 60.0, 300.0, 708.0, 744.6, 1e4, 1e9] {
+                if x < a + 1.0 {
+                    continue;
+                }
+                let frozen = gamma_cf_gln_monolithic(a, x, gln).map(f64::to_bits);
+                let q = reg_inc_gamma_q_gln(a, x, gln).ok().map(f64::to_bits);
+                assert_eq!(q, frozen, "a={a} x={x}");
+                // The exposed factor times the prefactor is that same Q.
+                let h = inc_gamma_cf_factor(a, x).unwrap();
+                let rebuilt = (-x + a * x.ln() - gln).exp() * h;
+                assert_eq!(Some(rebuilt.to_bits()), frozen, "a={a} x={x}");
+            }
+        }
+    }
+
+    #[test]
+    fn cf_factor_survives_where_q_underflows() {
+        let a = 1.0 / 0.94;
+        for &x in &[744.6, 1e3, 1e5, 1e12] {
+            assert!(reg_inc_gamma_q(a, x).unwrap() < f64::MIN_POSITIVE);
+            let h = inc_gamma_cf_factor(a, x).unwrap();
+            // h ≈ 1/(x + 1 − a), with the next correction O(1/x²).
+            let lead = 1.0 / (x + 1.0 - a);
+            assert!((h / lead - 1.0).abs() < 1e-4, "x={x} h={h}");
+        }
+    }
+
+    #[test]
+    fn cf_factor_x4_bitwise_matches_scalar() {
+        for &a in &[0.45, 1.0, 3.3, 200.0] {
+            let batches = [
+                [a + 1.0, a + 2.5, 700.0, 1e5],
+                [0.0, a + 0.5, f64::INFINITY, f64::NAN],
+                [750.0, 750.0, 2e3, 1e15],
+            ];
+            for x in batches {
+                let lanes = inc_gamma_cf_factor_x4(a, x);
+                for l in 0..4 {
+                    let scalar = inc_gamma_cf_factor(a, x[l]).ok();
+                    assert_eq!(
+                        lanes[l].map(f64::to_bits),
+                        scalar.map(f64::to_bits),
+                        "a={a} x={:?} lane {l}",
+                        x
+                    );
+                }
+            }
+        }
+        assert_eq!(inc_gamma_cf_factor_x4(0.0, [5.0; 4]), [None; 4]);
+        assert!(inc_gamma_cf_factor(2.0, 2.5).is_err());
+        assert!(inc_gamma_cf_factor(2.0, f64::INFINITY).is_err());
     }
 
     #[test]

@@ -629,6 +629,23 @@ mod tests {
     }
 
     #[test]
+    fn subnormal_weibull_scale_fails_the_refit_not_the_publish() {
+        // Varied subnormal durations would fit a subnormal β, whose table
+        // takes ~50 s to build. The refit must fail and be counted, and
+        // the publish must still serve the healthy machine.
+        let mut sched = Scheduler::new(config(ModelKind::Weibull)).unwrap();
+        for i in 1..=40u32 {
+            sched.observe(1, f64::from(i % 7 + 1) * 1e-321).unwrap();
+        }
+        observe_n(&mut sched, 2, &Weibull::paper_exemplar(), 60, 3);
+        sched.publish().unwrap();
+        assert_eq!(sched.machine(1).unwrap().refit_failures(), 16);
+        assert!(sched.decide(1, 0.0).is_none());
+        assert!(sched.decide(2, 0.0).is_some());
+        assert_eq!(sched.store().len(), 1);
+    }
+
+    #[test]
     fn refits_resolve_at_flush_and_publish() {
         let mut sched = Scheduler::new(config(ModelKind::Exponential)).unwrap();
         let gen = Exponential::from_mean(700.0).unwrap();
