@@ -11,8 +11,13 @@
 //! their rate; each repetition must reproduce the first one's digest.
 //!
 //! ```text
-//! cargo run -p chs-bench --release --bin manager_bench [--quick | --full] [--json PATH]
+//! cargo run -p chs-bench --release [--features bench-counters] --bin manager_bench \
+//!     [--quick | --full] [--json PATH]
 //! ```
+//!
+//! With the `bench-counters` feature every timed point also records the
+//! Γ evaluations of one run; without it those fields are zero and
+//! `counters_enabled` is false.
 //!
 //! The run is also a correctness gate and exits nonzero when any of
 //! these is violated:
@@ -39,6 +44,9 @@
 //!   saturation the wire also carries the recovery traffic of every
 //!   evicted client, a load no checkpoint-side policy can refuse, so
 //!   absolute goodput necessarily falls with offered load.)
+//! * **closed-form planning** (with `bench-counters`) — every client
+//!   plans on an exponential fit, whose `T_opt` is a closed form, so no
+//!   timed run may evaluate Γ at all.
 
 use chs_bench::CommonArgs;
 use chs_dist::ModelKind;
@@ -79,6 +87,8 @@ struct SweepPoint {
     wasted_megabytes: f64,
     /// Event-loop iterations of one run.
     events: u64,
+    /// Γ(T) evaluations of one run (0 without `bench-counters`).
+    gamma_evals: u64,
     /// Best wall time of one run, seconds.
     wall_s: f64,
     events_per_s: f64,
@@ -89,6 +99,7 @@ struct SweepPoint {
 struct ScalingPoint {
     clients: usize,
     events: u64,
+    gamma_evals: u64,
     wall_s: f64,
     events_per_s: f64,
     ns_per_event: f64,
@@ -131,6 +142,7 @@ struct ManagerBenchReport {
     collapse_factor: Option<f64>,
     scaling_window_seconds: f64,
     scaling: Vec<ScalingPoint>,
+    counters_enabled: bool,
     gates_passed: bool,
     gate_failures: Vec<String>,
 }
@@ -177,24 +189,48 @@ fn check_outcome(label: &str, outcome: &ManagerOutcome, failures: &mut Vec<Strin
     }
 }
 
+#[cfg(feature = "bench-counters")]
+fn counters_reset() {
+    chs_markov::counters::reset();
+}
+
+#[cfg(not(feature = "bench-counters"))]
+fn counters_reset() {}
+
+/// Γ(T) evaluations since the last [`counters_reset`].
+#[cfg(feature = "bench-counters")]
+fn gamma_evals() -> u64 {
+    chs_markov::counters::snapshot().0
+}
+
+#[cfg(not(feature = "bench-counters"))]
+fn gamma_evals() -> u64 {
+    0
+}
+
 /// Run `config` until [`MIN_TIMED`] has passed. Returns the first
-/// outcome and the best wall time; a repetition whose digest differs
-/// from the first is a gate failure.
+/// outcome, the best wall time and the first run's Γ evaluations; a
+/// repetition whose digest differs from the first is a gate failure.
 fn timed_runs(
     config: &ManagerConfig,
     plan: &FaultPlan,
     label: &str,
     failures: &mut Vec<String>,
-) -> (ManagerOutcome, f64) {
+) -> (ManagerOutcome, f64, u64) {
     let start = Instant::now();
     let mut best = f64::INFINITY;
     let mut first: Option<ManagerOutcome> = None;
+    let mut evals = 0;
+    counters_reset();
     loop {
         let t0 = Instant::now();
         let outcome = run_manager(config, plan).expect("manager run");
         best = best.min(t0.elapsed().as_secs_f64());
         match &first {
-            None => first = Some(outcome),
+            None => {
+                evals = gamma_evals();
+                first = Some(outcome);
+            }
             Some(f) if f.result.digest != outcome.result.digest => {
                 failures.push(format!(
                     "{label}: repeated run digest {:#x} != first {:#x}",
@@ -208,7 +244,14 @@ fn timed_runs(
             break;
         }
     }
-    (first.expect("at least one run"), best)
+    // Every client plans on an exponential fit, whose `T_opt` is a
+    // closed form: a run that evaluated Γ took a search somewhere.
+    if evals != 0 {
+        failures.push(format!(
+            "{label}: {evals} Γ evaluations on exponential fits (closed form expected)"
+        ));
+    }
+    (first.expect("at least one run"), best, evals)
 }
 
 fn sweep_point(
@@ -219,7 +262,7 @@ fn sweep_point(
     label: &str,
 ) -> (SweepPoint, ManagerOutcome) {
     let label = format!("{label}@x{factor}");
-    let (outcome, wall_s) = timed_runs(config, plan, &label, failures);
+    let (outcome, wall_s, gamma_evals) = timed_runs(config, plan, &label, failures);
     check_outcome(&label, &outcome, failures);
     let committed = outcome.result.checkpoints_committed;
     let deferred = outcome.report.deferred_checkpoints;
@@ -239,6 +282,7 @@ fn sweep_point(
         dlq_depth: outcome.dlq.len(),
         wasted_megabytes: outcome.result.cycle.wasted_megabytes,
         events: outcome.result.events,
+        gamma_evals,
         wall_s,
         events_per_s: outcome.result.events as f64 / wall_s,
     };
@@ -513,12 +557,14 @@ fn main() {
         config.retry.max_retries = 1;
         config.prefetch_probability = SCALING_PREFETCH;
         let label = format!("scaling@{clients}");
-        let (outcome, wall_s) = timed_runs(&config, &scaling_plan, &label, &mut failures);
+        let (outcome, wall_s, gamma_evals) =
+            timed_runs(&config, &scaling_plan, &label, &mut failures);
         check_outcome(&label, &outcome, &mut failures);
         let events = outcome.result.events;
         scaling.push(ScalingPoint {
             clients,
             events,
+            gamma_evals,
             wall_s,
             events_per_s: events as f64 / wall_s,
             ns_per_event: wall_s * 1e9 / events as f64,
@@ -603,6 +649,7 @@ fn main() {
         collapse_factor: collapse.map(|k| LOAD_FACTORS[k]),
         scaling_window_seconds: scaling_window,
         scaling,
+        counters_enabled: cfg!(feature = "bench-counters"),
         gates_passed,
         gate_failures: failures.clone(),
     };

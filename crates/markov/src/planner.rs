@@ -3,7 +3,7 @@
 //! The paper's live process recomputes `T_opt` after every checkpoint
 //! from the measured cost `C = R` of the last transfer (§3.5, §5.2).
 //! Every event-driven driver plans through one [`MeasuredCostPlanner`]
-//! per machine: an exact scalar Vaidya search with a one-entry memo.
+//! per machine: an exact Vaidya optimum with a one-entry memo.
 
 use crate::{CheckpointCosts, Result, VaidyaModel};
 use chs_dist::FittedModel;
@@ -11,14 +11,17 @@ use chs_dist::FittedModel;
 /// Plans work intervals for one fitted availability model at measured
 /// checkpoint costs.
 ///
-/// [`MeasuredCostPlanner::plan`] is bitwise the frozen scalar search
+/// [`MeasuredCostPlanner::plan`] is bitwise
 /// `VaidyaModel::new(fit, CheckpointCosts::symmetric(cost))?
-/// .optimal_interval(age)?.work_seconds`. The last successful plan is
-/// memoized under the exact bits of `(cost, key age)`, so a re-plan at an
-/// unchanged cost — an admission deferral, an abandoned checkpoint —
-/// returns the stored answer without searching. The key age is the
-/// sanitized age, except for exponential fits: their conditioned kernel
-/// never reads the age, so every age shares one key.
+/// .optimal_interval(age)?.work_seconds`: the frozen scalar
+/// golden-section search for Weibull and hyperexponential fits, and the
+/// closed-form memoryless optimum for exponential fits, which evaluates
+/// no Γ at all. The last successful plan is memoized under the exact
+/// bits of `(cost, key age)`, so a re-plan at an unchanged cost — an
+/// admission deferral, an abandoned checkpoint — returns the stored
+/// answer without recomputing it. The key age is the sanitized age,
+/// except for exponential fits: their optimum depends on the cost alone,
+/// so every age shares one key.
 #[derive(Debug, Clone)]
 pub struct MeasuredCostPlanner {
     fit: FittedModel,

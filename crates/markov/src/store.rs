@@ -159,8 +159,8 @@ pub struct CompressedPolicy {
 impl CompressedPolicy {
     /// Compress the exact `T_opt(age)` curve of `model` under `config`.
     ///
-    /// Memoryless models produce a single flat segment from one exact
-    /// search; other families are bisected adaptively, warm-starting
+    /// Memoryless models produce a single flat segment from their
+    /// closed-form optimum; other families are bisected adaptively, warm-starting
     /// each probe from the interpolated guess. Hinted probes — every
     /// subdivision midpoint and quarter point — run through the
     /// lane-batched warm search

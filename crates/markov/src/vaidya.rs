@@ -157,6 +157,8 @@ const FRESH_MEMO_EMPTY: u64 = u64::MAX;
 /// hashing and linear probing. Replaces the exact-f64-key linear-scan
 /// `Vec::find` memo: lookups are O(1) instead of O(len), and the warm
 /// sweep's repeated boundary probes stay hits across a whole grid fill.
+/// The slots are allocated on the first insert, so a model that never
+/// probes Γ — every exponential `T_opt` — never pays for the table.
 struct FreshMemo {
     slots: Vec<(u64, FreshQuantities)>,
     len: usize,
@@ -165,10 +167,7 @@ struct FreshMemo {
 impl FreshMemo {
     fn new() -> Self {
         Self {
-            slots: vec![
-                (FRESH_MEMO_EMPTY, FreshQuantities { p21: 0.0, k22: 0.0 });
-                FRESH_MEMO_SLOTS
-            ],
+            slots: Vec::new(),
             len: 0,
         }
     }
@@ -183,6 +182,9 @@ impl FreshMemo {
     }
 
     fn get(&self, key: u64) -> Option<FreshQuantities> {
+        if self.slots.is_empty() {
+            return None;
+        }
         let mut i = Self::home(key);
         loop {
             let (k, v) = self.slots[i];
@@ -197,7 +199,10 @@ impl FreshMemo {
     }
 
     fn insert(&mut self, key: u64, value: FreshQuantities) {
-        if self.len >= FRESH_MEMO_MAX_LOAD {
+        if self.slots.is_empty() {
+            self.slots =
+                vec![(FRESH_MEMO_EMPTY, FreshQuantities { p21: 0.0, k22: 0.0 }); FRESH_MEMO_SLOTS];
+        } else if self.len >= FRESH_MEMO_MAX_LOAD {
             for slot in &mut self.slots {
                 slot.0 = FRESH_MEMO_EMPTY;
             }
@@ -217,6 +222,19 @@ impl FreshMemo {
             }
             i = (i + 1) & (FRESH_MEMO_SLOTS - 1);
         }
+    }
+}
+
+/// `w − expm1(w)` for `w ≤ 0`. Near 0 the plain difference cancels to
+/// a relative error of about `ε/|w|`, so above `w = −1e-3` it is summed
+/// from its Taylor series `−w²/2·(1 + w/3 + w²/12 + w³/60 + …)`, whose
+/// truncation is below 1e-19 relative there.
+fn w_minus_expm1(w: f64) -> f64 {
+    if w > -1e-3 {
+        let tail = 1.0 / 60.0 + w * (1.0 / 360.0 + w / 2_520.0);
+        -0.5 * w * w * (1.0 + w * (1.0 / 3.0 + w * (1.0 / 12.0 + w * tail)))
+    } else {
+        w - w.exp_m1()
     }
 }
 
@@ -324,6 +342,47 @@ impl<'a> VaidyaModel<'a> {
     /// The phase costs in use.
     pub fn costs(&self) -> CheckpointCosts {
         self.costs
+    }
+
+    /// Closed-form `T_opt` when the bound distribution is a memoryless
+    /// exponential — borrowed as [`DistRef::Exponential`] or shared as
+    /// [`FittedModel::Exponential`] — and `None` otherwise. A
+    /// [`DistRef::Dyn`] trait object is never inspected, so it keeps the
+    /// search.
+    ///
+    /// Vaidya's Γ reduces to `e^{λ(L+R−C)}·(e^{λ(C+T)} − 1)/λ`, so R and
+    /// L only scale Γ/T and the stationary condition is
+    /// `u + ln(1 − u) = −λC` with `u = λT`. Newton runs in
+    /// `w = ln(1 − u)` on `h(w) = w − expm1(w) + λC` (see
+    /// [`w_minus_expm1`]), which is increasing and concave on `w ≤ 0`.
+    /// The start `−√(2λC) − λC` lies at or below the root, so the iterates
+    /// rise monotonically; the loop stops at the first step that no
+    /// longer increases `w`. The answer is clamped into `[t_min, t_max]`,
+    /// where Γ/T's unimodality makes the clamped point the bounded
+    /// optimum: `C = 0` gives `t_min`, an overflowing `λC` gives `1/λ`
+    /// clamped.
+    fn memoryless_optimum(&self) -> Option<f64> {
+        let lambda = match &self.source {
+            Source::Borrowed(DistRef::Exponential(d)) => d.lambda(),
+            Source::Shared(m) => match m.as_ref() {
+                FittedModel::Exponential(d) => d.lambda(),
+                _ => return None,
+            },
+            Source::Borrowed(_) => return None,
+        };
+        let x = lambda * self.costs.checkpoint;
+        // At `x = 0` (w = 0) and `x = +∞` (w = −∞) the first step is NaN
+        // and the start is already the answer.
+        let mut w = -(2.0 * x).sqrt() - x;
+        for _ in 0..64 {
+            let next = w + (w_minus_expm1(w) + x) / w.exp_m1();
+            if next > w {
+                w = next;
+            } else {
+                break;
+            }
+        }
+        Some((-w.exp_m1() / lambda).clamp(self.t_min, self.t_max))
     }
 
     /// Condition the distribution on `age` — one kernel construction,
@@ -560,7 +619,11 @@ impl<'a> VaidyaModel<'a> {
     /// Full-bracket golden-section search through an already-conditioned
     /// view. Shared by the cold search and the warm-start fallback so a
     /// fallback never rebuilds the kernel the warm attempt just used.
+    /// Exponential sources skip the search for the closed form.
     fn optimal_work_full(&self, view: &GammaAtAge<'_, 'a>) -> Result<f64> {
+        if let Some(t) = self.memoryless_optimum() {
+            return Ok(t);
+        }
         let lo = self.t_min.ln();
         let hi = self.t_max.ln();
         let obj = view.log_objective();
@@ -601,6 +664,9 @@ impl<'a> VaidyaModel<'a> {
     /// Propagates objective failures from the scalar fallback.
     pub fn optimal_work_near_lane(&self, age: f64, hint: f64) -> Result<f64> {
         const LN_SPAN: f64 = 1.386_294_361_119_890_6; // ln 4
+        if let Some(t) = self.memoryless_optimum() {
+            return Ok(t);
+        }
         let age = age.max(0.0);
         if !(hint.is_finite() && hint > 0.0) {
             // Unusable hint: the frozen scalar cold search, so hint
@@ -663,6 +729,9 @@ impl<'a> VaidyaModel<'a> {
     /// # Errors
     /// Propagates objective failures from the scalar fallback.
     pub fn optimal_work_lane(&self, age: f64) -> Result<f64> {
+        if let Some(t) = self.memoryless_optimum() {
+            return Ok(t);
+        }
         let view = self.at_age(age.max(0.0));
         let lo = self.t_min.ln();
         let hi = self.t_max.ln();

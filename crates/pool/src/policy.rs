@@ -17,7 +17,7 @@
 //!   the live driver and the manager use. Its one-entry memo is exact: a
 //!   re-plan at an unchanged cost and key age returns the stored `T_opt`
 //!   bit for bit, and exponential fits key every age alike because their
-//!   conditioned kernel ignores the age. Used by the small-pool
+//!   closed-form optimum ignores the age. Used by the small-pool
 //!   differential gates.
 //! * [`FixedIntervalPolicy`] / [`SchedulePolicyBridge`] — deterministic
 //!   schedules for identity tests against the closed-form executor.
