@@ -85,7 +85,8 @@ struct SweepBenchReport {
     max_rel_dev_vs_cold_efficiency: f64,
     max_rel_dev_vs_cold_megabytes: f64,
     /// Per family: Γ/T at the warm-filled T against Γ/T at the cold T,
-    /// over every (machine, C, age) grid point, counting excesses above
+    /// over every reachable (machine, C, age) grid point (the lattice
+    /// from the last age at or below `R = C`), counting excesses above
     /// `PLATEAU_TOL`. The run aborts if any Weibull point exceeds it.
     plateau_audit: Vec<FillExcess>,
     counters_enabled: bool,
@@ -167,7 +168,7 @@ fn main() {
     }
     let (dev_eff, dev_mb) = max_rel_dev(&opt_grid, &ref_grid);
 
-    eprintln!("auditing warm vs cold T_opt fills at every grid point ...");
+    eprintln!("auditing warm vs cold T_opt fills at every reachable grid point ...");
     let plateau_audit = audit_warm_fill(&experiments, &PAPER_C_GRID, PLATEAU_TOL);
     let report = SweepBenchReport {
         machines_requested: args.machines,
@@ -227,7 +228,7 @@ fn main() {
         "deviation vs cold-search reference (plateau + event flips, recorded as \
          measured): efficiency {dev_eff:.3e}, megabytes {dev_mb:.3e}"
     );
-    println!("\nplateau audit: warm-fill Γ/T over cold-fill Γ/T per grid point");
+    println!("\nplateau audit: warm-fill Γ/T over cold-fill Γ/T per reachable grid point");
     let printer = TablePrinter::new(vec![16, 10, 12, 12]);
     printer.row(&[
         "family".into(),

@@ -89,8 +89,19 @@ impl SchedulePolicy for ModelPolicy {
 ///
 /// For memoryless models the grid degenerates to a single entry.
 ///
+/// The grid is a fixed lattice — age 0, then [`CACHE_GRID_POINTS`]
+/// geometric ages from 1 s to `max_age` — of which only the ages an
+/// executor can reach are filled. Every availability segment opens with
+/// a recovery of `R = costs.recovery` seconds, so the first `T_opt`
+/// decision is made at age `R`: the table starts at the last lattice age
+/// at or below `R` (age 0 when `R < 1 s`, keeping the whole lattice).
+/// The kept knots are a suffix of the full lattice, so every age `≥ R`
+/// interpolates between the same brackets as on the full lattice. Ages
+/// below the first knot are answered by the exact search of the inner
+/// [`ModelPolicy`]; executors never ask for them.
+///
 /// The grid is filled through **one** [`VaidyaModel`] (so its
-/// fresh-quantity memo persists across ages). The age-0 anchor is the
+/// fresh-quantity memo persists across ages). The first knot is the
 /// scalar cold search; every later age runs the four-lane warm search
 /// [`VaidyaModel::optimal_work_near_lane`] from the neighboring ages'
 /// `T_opt` — valid because `T_opt(age)` varies smoothly for the paper's
@@ -103,7 +114,9 @@ pub struct CachedPolicy {
     grid_t: Vec<f64>,
 }
 
-/// Number of grid points used by [`CachedPolicy`].
+/// Number of geometric lattice ages (1 s to `max_age`) behind a
+/// [`CachedPolicy`]; with the age-0 point the full lattice has one more.
+/// A table keeps the suffix of that lattice its recovery cost can reach.
 pub const CACHE_GRID_POINTS: usize = 64;
 
 impl CachedPolicy {
@@ -118,8 +131,9 @@ impl CachedPolicy {
     /// Like [`CachedPolicy::new`] but with every grid point searched from
     /// the full log-space bracket by the scalar search (no warm starting).
     /// This is the pre-optimization fill, kept as the reference the sweep
-    /// benchmark times and audits against; its `T_opt` values agree with
-    /// the warm fill within 5e-4 relative.
+    /// benchmark times and audits against; it keeps the same reachable
+    /// knots as the warm fill, and its `T_opt` values agree with the warm
+    /// fill's within 5e-4 relative.
     pub fn new_cold(
         model: impl Into<Arc<FittedModel>>,
         costs: CheckpointCosts,
@@ -150,6 +164,12 @@ impl CachedPolicy {
             grid_ages.push(a);
             a *= ratio;
         }
+        // Keep the lattice from the last age at or below the recovery
+        // cost: the executor's first decision is at age R.
+        let first = grid_ages
+            .partition_point(|&age| age <= costs.recovery)
+            .saturating_sub(1);
+        grid_ages.drain(..first);
         let mut grid_t = Vec::with_capacity(grid_ages.len());
         // Fill through the inner policy's own VaidyaModel: one optimizer,
         // one fresh-quantity memo, shared between grid fill and any later
@@ -206,8 +226,9 @@ impl CachedPolicy {
         self.inner.model()
     }
 
-    /// The precomputed table: grid ages (ascending, starting at 0) and the
-    /// `T_opt` filled at each.
+    /// The precomputed table: grid ages (ascending, starting at the last
+    /// lattice age at or below the recovery cost) and the `T_opt` filled
+    /// at each.
     pub fn grid(&self) -> (&[f64], &[f64]) {
         (&self.grid_ages, &self.grid_t)
     }
@@ -219,10 +240,13 @@ impl SchedulePolicy for CachedPolicy {
         let ts = &self.grid_t;
         // A NaN age would poison the binary search's comparator; the
         // shared guard maps it to age 0 (the youngest, most conservative
-        // interval) instead of panicking mid-sweep.
-        let age = chs_cycle::sanitize_age(age);
-        if ts.len() == 1 || age <= ages[0] {
-            return ts[0];
+        // interval) instead of panicking mid-sweep. Negative ages count
+        // as age 0 too.
+        let age = chs_cycle::sanitize_age(age).max(0.0);
+        if age < ages[0] {
+            // Younger than the first reachable knot: no executor plans
+            // here, so the rare caller gets the exact search.
+            return self.inner.next_interval(age);
         }
         match ages.binary_search_by(|probe| probe.partial_cmp(&age).expect("finite grid")) {
             Ok(i) => ts[i],

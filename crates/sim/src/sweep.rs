@@ -508,12 +508,15 @@ fn sweep_serial(
 
 /// The naive serial sweep with the pre-optimization cost profile: nested
 /// `C → model → machine` loops, a fresh max-age scan per cell, and a cold
-/// (full-bracket) `T_opt` search at every grid point. This is the
-/// baseline `sweep_bench` times [`sweep_paper_grid`] against. Its `T_opt`
-/// tables agree with the optimized sweep's four-lane warm fill within the
-/// lane search's plateau bound (5e-4 relative, about 1e-6 measured on
-/// Weibull fits); the simulated cells then differ wherever such a shift
-/// flips a checkpoint across a failure.
+/// (full-bracket) `T_opt` search at every grid point. Its tables keep the
+/// same reachable knots as the optimized sweep's (the lattice from the
+/// last age at or below `R = C`), so the two differ only in how each knot
+/// is searched. This is the baseline `sweep_bench` times
+/// [`sweep_paper_grid`] against. Its `T_opt` tables agree with the
+/// optimized sweep's four-lane warm fill within the lane search's plateau
+/// bound (5e-4 relative, about 1e-6 measured on Weibull fits); the
+/// simulated cells then differ wherever such a shift flips a checkpoint
+/// across a failure.
 pub fn sweep_paper_grid_reference(
     experiments: &[MachineExperiment],
     c_values: &[f64],
@@ -540,7 +543,7 @@ pub fn sweep_paper_grid_serial(
 pub struct FillExcess {
     /// The family audited.
     pub kind: ModelKind,
-    /// `(machine, C, age)` grid points compared.
+    /// `(machine, C, age)` reachable grid points compared.
     pub points: usize,
     /// Points where Γ/T at the warm-filled `T` exceeds Γ/T at the cold
     /// `T` by more than the audit tolerance (relative).
@@ -553,7 +556,9 @@ pub struct FillExcess {
 /// Plateau audit of the sweep's warm `T_opt` fill: for every machine, C
 /// and family, build the warm ([`CachedPolicy::new`]) and cold
 /// ([`CachedPolicy::new_cold`]) tables and compare the objective Γ/T at
-/// the two filled intervals at every grid age. Where both searches found
+/// the two filled intervals at every grid age the tables keep — the
+/// lattice ages the executor can reach, from the last one at or below
+/// `R = C` — so `points` counts reachable knots. Where both searches found
 /// the same optimum the excess is plateau noise (≪ 1e-6); a larger
 /// excess means the warm chain stayed in a worse basin.
 ///
