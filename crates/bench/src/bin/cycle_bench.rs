@@ -13,19 +13,20 @@
 //! The trace length reuses the pool-scale flags: `machines` ×
 //! `observations` availability segments, drawn from the paper's fitted
 //! Weibull, scheduled by the real fitted-and-cached policy. Results are
-//! written to `BENCH_cycle.json` (override with `--json`); the run exits
-//! nonzero if the step-driven totals deviate from the closed form by more
-//! than 1e-9 relative or any discrete count differs.
+//! written to `BENCH_cycle.json` (override with `--json`) in the common
+//! report envelope; the run exits 1 if a gate fails: `counts_identical`
+//! (every discrete ledger count equal) or `ledger_identity` (useful,
+//! megabyte and total seconds within 1e-9 relative of the closed form).
 
+use chs_bench::harness::{best_of, finish, Gates};
 use chs_bench::{step_drive_trace, CommonArgs, TablePrinter};
-use chs_cycle::{run_trace, CycleAccounting, CycleConfig, NoopObserver};
+use chs_cycle::{run_trace, CycleConfig, NoopObserver};
 use chs_dist::fit::fit_model;
 use chs_dist::ModelKind;
 use chs_markov::CheckpointCosts;
 use chs_sim::CachedPolicy;
 use chs_trace::synthetic::known_weibull_trace;
 use serde::Serialize;
-use std::time::Instant;
 
 /// Checkpoint/recovery cost for the benchmark (the paper's C = 110 s).
 const CHECKPOINT_COST: f64 = 110.0;
@@ -49,33 +50,17 @@ struct CycleBenchReport {
     step_overhead: f64,
     /// Relative deviations between the two executors' ledgers. The
     /// drivers make bitwise-identical branch decisions, so these measure
-    /// only floating-point accrual error and must stay ≤ 1e-9 — the run
-    /// aborts otherwise.
+    /// only floating-point accrual error and must stay ≤ 1e-9 (the
+    /// `ledger_identity` gate).
     max_rel_dev_useful_seconds: f64,
     max_rel_dev_megabytes: f64,
     max_rel_dev_total_seconds: f64,
     counts_identical: bool,
 }
 
-/// Best-of-`reps` wall-clock for one executor.
-fn time_path<F: Fn() -> CycleAccounting>(reps: usize, f: F) -> (CycleAccounting, f64) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let acct = f();
-        best = best.min(t0.elapsed().as_secs_f64());
-        out = Some(acct);
-    }
-    (out.expect("reps >= 1"), best)
-}
-
 fn main() {
-    let mut args = CommonArgs::parse();
-    let json_path = args
-        .json
-        .take()
-        .unwrap_or_else(|| "BENCH_cycle.json".into());
+    let args = CommonArgs::parse();
+    let json_path = args.report_path("BENCH_cycle.json");
     let segments = args.machines * args.observations;
     let reps = 3;
     if segments < 26 {
@@ -93,12 +78,12 @@ fn main() {
     let config = CycleConfig::paper(CHECKPOINT_COST);
 
     eprintln!("timing closed-form executor ({segments} segments, best of {reps}) ...");
-    let (closed, closed_secs) = time_path(reps, || {
+    let (closed, closed_secs) = best_of(reps, || {
         run_trace(&durations, &policy, &config, &mut NoopObserver)
     });
 
     eprintln!("timing step-driven executor ({segments} segments, best of {reps}) ...");
-    let (step, step_secs) = time_path(reps, || step_drive_trace(&durations, &policy, &config));
+    let (step, step_secs) = best_of(reps, || step_drive_trace(&durations, &policy, &config));
 
     let counts_identical = step.recoveries == closed.recoveries
         && step.recoveries_completed == closed.recoveries_completed
@@ -146,27 +131,25 @@ fn main() {
     }
     printer.rule();
     println!("stepping overhead: {:.2}x", report.step_overhead);
-    println!(
-        "identity (must be <= 1e-9): useful {dev_useful:.3e}, megabytes {dev_mb:.3e}, \
-         total {dev_total:.3e}, counts identical: {counts_identical}"
+
+    let mut gates = Gates::new();
+    gates.check(
+        "counts_identical",
+        counts_identical,
+        format!(
+            "committed {} vs {}, failures {} vs {}",
+            step.checkpoints_committed,
+            closed.checkpoints_committed,
+            step.failures,
+            closed.failures
+        ),
     );
-
-    if !counts_identical || dev_useful > 1e-9 || dev_mb > 1e-9 || dev_total > 1e-9 {
-        eprintln!("FAIL: step-driven executor diverged from the closed form");
-        std::process::exit(1);
-    }
-
-    match serde_json::to_string_pretty(&report) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(&json_path, json) {
-                eprintln!("could not write {json_path}: {e}");
-                std::process::exit(1);
-            }
-            eprintln!("report written to {json_path}");
-        }
-        Err(e) => {
-            eprintln!("could not serialize report: {e}");
-            std::process::exit(1);
-        }
-    }
+    gates.check(
+        "ledger_identity",
+        dev_useful <= 1e-9 && dev_mb <= 1e-9 && dev_total <= 1e-9,
+        format!(
+            "useful {dev_useful:.3e}, megabytes {dev_mb:.3e}, total {dev_total:.3e}, bound 1e-9"
+        ),
+    );
+    finish(&json_path, &report, &gates);
 }

@@ -8,23 +8,26 @@
 //! cargo run -p chs-bench --release --bin fault_bench [--quick | --full] [--json PATH]
 //! ```
 //!
-//! The run is also a correctness gate and exits nonzero when any of
-//! these is violated:
+//! The report uses the common envelope. The run is also a correctness
+//! gate and exits 1 when any of these gates fails:
 //!
-//! * **zero-fault identity** — under `FaultPlan::none()` the resilient
+//! * `live.zero_fault_identity`, `live.zero_fault_report` — under `FaultPlan::none()` the resilient
 //!   live driver must reproduce the classic one **bitwise** (`PartialEq`
 //!   over every field, no tolerances). The manager has no second driver
 //!   to match; `tests/contention_differential.rs` checks it against the
-//!   frozen classic loop;
-//! * **conservation** — at every sweep point every ledger must balance
+//!   frozen classic loop (the report must count no fault either);
+//! * `live@{intensity}.conservation`,
+//!   `contention/{model}@{intensity}.conservation` — at every sweep point every ledger must balance
 //!   time (`useful + lost + recovery + checkpoint = total`) and bytes
 //!   (`megabytes = full + partial + wasted`), and the fault report must
 //!   agree exactly with the aggregated ledger counters;
-//! * **no silent drops** — under injected fit failures the resilient
+//! * `prepare@{intensity}.no_silent_drop`, `prepare@0.fallback_coverage`
+//!   — under injected fit failures the resilient
 //!   prepare must keep every machine the classic prepare would keep or
 //!   drop for a fit failure (only short traces may still be dropped).
 
-use chs_bench::CommonArgs;
+use chs_bench::harness::{finish, Gates};
+use chs_bench::{conservation_gate, CommonArgs};
 use chs_condor::{run_experiment, run_experiment_with_faults, ExperimentConfig, FaultReport};
 use chs_cycle::CycleAccounting;
 use chs_dist::ModelKind;
@@ -85,57 +88,15 @@ struct FaultBenchReport {
     live: Vec<LivePoint>,
     contention: Vec<ContentionPoint>,
     prepare: Vec<PreparePoint>,
-    gates_passed: bool,
-    gate_failures: Vec<String>,
-}
-
-/// Conservation + report/ledger agreement for one aggregated ledger.
-fn check_conservation(
-    label: &str,
-    total: &CycleAccounting,
-    report: &FaultReport,
-    failures: &mut Vec<String>,
-) {
-    let time = total.conservation_residual().abs();
-    if time >= 1e-6 * total.total_seconds.max(1.0) {
-        failures.push(format!("{label}: time conservation residual {time}"));
-    }
-    let bytes = total.byte_conservation_residual().abs();
-    if bytes >= 1e-6 * total.megabytes.max(1.0) {
-        failures.push(format!("{label}: byte conservation residual {bytes}"));
-    }
-    if total.faults_injected != report.total_faults() {
-        failures.push(format!(
-            "{label}: ledger faults {} != report faults {}",
-            total.faults_injected,
-            report.total_faults()
-        ));
-    }
-    if total.transfer_retries != report.retries + report.checkpoints_abandoned {
-        failures.push(format!(
-            "{label}: ledger retries {} != report retries {} + abandoned {}",
-            total.transfer_retries, report.retries, report.checkpoints_abandoned
-        ));
-    }
-    if total.checkpoints_abandoned != report.checkpoints_abandoned {
-        failures.push(format!(
-            "{label}: ledger abandoned {} != report abandoned {}",
-            total.checkpoints_abandoned, report.checkpoints_abandoned
-        ));
-    }
 }
 
 fn main() {
-    let mut args = CommonArgs::parse();
-    let json_path = args
-        .json
-        .take()
-        .unwrap_or_else(|| "BENCH_fault.json".into());
-    let quick = args.machines <= 24;
+    let args = CommonArgs::parse();
+    let json_path = args.report_path("BENCH_fault.json");
 
     let mut live_config = ExperimentConfig::campus();
     let mut cont_base = ManagerConfig::classic(8, ModelKind::Exponential);
-    if quick {
+    if args.quick {
         live_config.machines = 6;
         live_config.streams = 1;
         live_config.window = 0.25 * 86_400.0;
@@ -150,26 +111,36 @@ fn main() {
     live_config.seed = args.seed;
     cont_base.seed = args.seed;
 
-    let mut failures: Vec<String> = Vec::new();
+    let mut gates = Gates::new();
 
     // ---- Gate: zero-fault bitwise identity --------------------------
     eprintln!("verifying zero-fault bitwise identity ...");
     let classic_live = run_experiment(&live_config).expect("classic live run");
     match run_experiment_with_faults(&live_config, &FaultPlan::none()) {
         Ok((resilient, report)) => {
-            if resilient != classic_live {
-                failures.push("live: zero-fault run differs from classic driver".into());
-            }
-            if report != FaultReport::default() {
-                failures.push("live: zero-fault run reported injected faults".into());
-            }
+            gates.check(
+                "live.zero_fault_identity",
+                resilient == classic_live,
+                "resilient vs classic live driver under FaultPlan::none(), full PartialEq",
+            );
+            gates.check(
+                "live.zero_fault_report",
+                report == FaultReport::default(),
+                format!(
+                    "{} faults, {} retries reported",
+                    report.total_faults(),
+                    report.retries
+                ),
+            );
         }
-        Err(e) => failures.push(format!("live: zero-fault run failed: {e}")),
+        Err(e) => {
+            gates.check(
+                "live.zero_fault_identity",
+                false,
+                format!("zero-fault run failed: {e}"),
+            );
+        }
     }
-    eprintln!(
-        "zero-fault identity: {}",
-        if failures.is_empty() { "ok" } else { "FAILED" }
-    );
 
     // ---- Sweep: intensity × driver × model family -------------------
     let mut live_points = Vec::new();
@@ -184,7 +155,7 @@ fn main() {
         for run in &result.runs {
             total.absorb(&run.cycle);
         }
-        check_conservation(&format!("live@{intensity}"), &total, &report, &mut failures);
+        conservation_gate(&mut gates, &format!("live@{intensity}"), &total, &report, 0);
         live_points.push(LivePoint {
             intensity,
             report,
@@ -211,11 +182,12 @@ fn main() {
             let t0 = Instant::now();
             let outcome = run_manager(&config, &plan).expect("faulted contention run");
             let (result, report) = (outcome.result, outcome.report.faults);
-            check_conservation(
+            conservation_gate(
+                &mut gates,
                 &format!("contention/{}@{intensity}", kind.label()),
                 &result.cycle,
                 &report,
-                &mut failures,
+                0,
             );
             cont_points.push(ContentionPoint {
                 intensity,
@@ -228,10 +200,7 @@ fn main() {
                 wall_ms: t0.elapsed().as_millis() as u64,
             });
         }
-        eprintln!(
-            "intensity {intensity}: live + {} contention families swept",
-            4
-        );
+        eprintln!("intensity {intensity}: live + 4 contention families swept");
     }
 
     // ---- Gate: injected fit failures never silently drop machines ---
@@ -244,21 +213,24 @@ fn main() {
     for &intensity in &INTENSITIES {
         let plan = FaultPlan::uniform(intensity, args.seed ^ 0xF17);
         let prepared = prepare_experiments_resilient(&pool, PAPER_TRAIN_LEN, &plan);
-        if prepared.report.machines_usable != expected_usable {
-            failures.push(format!(
-                "prepare@{intensity}: {} machines usable, expected {} (silent drop)",
+        gates.check(
+            format!("prepare@{intensity}.no_silent_drop"),
+            prepared.report.machines_usable == expected_usable,
+            format!(
+                "{} machines usable, expected {}",
                 prepared.report.machines_usable, expected_usable
-            ));
-        }
-        if intensity == 0.0
-            && prepared.report.fallback_exponential + prepared.report.fallback_fixed
-                < classic_prepare.report.dropped_fit_failure
-        {
-            failures.push(format!(
-                "prepare@0: {} fallbacks cannot cover {} classic fit-failure drops",
-                prepared.report.fallback_exponential + prepared.report.fallback_fixed,
-                classic_prepare.report.dropped_fit_failure
-            ));
+            ),
+        );
+        if intensity == 0.0 {
+            let fallbacks = prepared.report.fallback_exponential + prepared.report.fallback_fixed;
+            gates.check(
+                "prepare@0.fallback_coverage",
+                fallbacks >= classic_prepare.report.dropped_fit_failure,
+                format!(
+                    "{fallbacks} fallbacks for {} classic fit-failure drops",
+                    classic_prepare.report.dropped_fit_failure
+                ),
+            );
         }
         prepare_points.push(PreparePoint {
             intensity,
@@ -305,32 +277,11 @@ fn main() {
         );
     }
 
-    let gates_passed = failures.is_empty();
     let report = FaultBenchReport {
         intensities: INTENSITIES.to_vec(),
         live: live_points,
         contention: cont_points,
         prepare: prepare_points,
-        gates_passed,
-        gate_failures: failures.clone(),
     };
-    match serde_json::to_string_pretty(&report) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(&json_path, json) {
-                eprintln!("could not write {json_path}: {e}");
-            } else {
-                eprintln!("raw results written to {json_path}");
-            }
-        }
-        Err(e) => eprintln!("could not serialize results: {e}"),
-    }
-
-    if !gates_passed {
-        eprintln!("\nFAULT BENCH GATES FAILED:");
-        for f in &failures {
-            eprintln!("  - {f}");
-        }
-        std::process::exit(1);
-    }
-    eprintln!("\nall fault-bench gates passed");
+    finish(&json_path, &report, &gates);
 }

@@ -8,16 +8,17 @@
 //! cargo run -p chs-bench --release --bin fit_bench [--quick | --full] [--json PATH]
 //! ```
 //!
-//! Results are written to `BENCH_fit.json` (override with `--json`). The
-//! run is also a correctness gate and exits nonzero when either
-//! identity is violated:
+//! Results are written to `BENCH_fit.json` (override with `--json`) in
+//! the common report envelope. The run is also a correctness gate and
+//! exits 1 when either gate fails:
 //!
-//! * **bitwise** — the batched E-step with racing off must reproduce the
+//! * `batched_bitwise` — the batched E-step with racing off must reproduce the
 //!   frozen scalar pipeline exactly (log-likelihood, weights, rates, and
 //!   error/success outcome) on every trace;
-//! * **racing** — the raced multi-start's log-likelihood must stay
+//! * `race_within_slack` — the raced multi-start's log-likelihood must stay
 //!   within `RACE_LL_SLACK` per observation of the exhaustive one.
 
+use chs_bench::harness::{finish, Gates};
 use chs_bench::{CommonArgs, TablePrinter};
 use chs_dist::fit::{fit_exponential, fit_hyperexponential, fit_weibull, EmOptions, RACE_LL_SLACK};
 use chs_dist::{DistError, HyperExponential};
@@ -263,7 +264,8 @@ struct FitBenchReport {
     seed: u64,
     regimes: Vec<RegimeReport>,
     /// Batched exhaustive EM reproduced the frozen scalar pipeline
-    /// bitwise on every (trace × phase-count); the run aborts otherwise.
+    /// bitwise on every (trace × phase-count) (the `batched_bitwise`
+    /// gate).
     batched_bitwise_identical: bool,
     bitwise_mismatches: usize,
     /// Worst per-observation log-likelihood deficit of the raced
@@ -391,8 +393,8 @@ fn bench_regime(regime: &'static str, traces: &[Vec<f64>], rounds: usize) -> Reg
 }
 
 fn main() {
-    let mut args = CommonArgs::parse();
-    let json_path = args.json.take().unwrap_or_else(|| "BENCH_fit.json".into());
+    let args = CommonArgs::parse();
+    let json_path = args.report_path("BENCH_fit.json");
 
     let pool = generate_pool(&args.pool_config()).as_machine_pool();
     // The paper's regime: the 25-observation training prefix of each
@@ -495,39 +497,18 @@ fn main() {
         "aggregate hyperexp speedup (frozen exhaustive -> batched raced): {:.2}x",
         report.aggregate_hyperexp_speedup
     );
-    println!(
-        "identity: bitwise mismatches {} (must be 0)  |  raced ll deficit {:.3e}/obs \
-         (slack {:.1e})",
-        bitwise_mismatches, max_deficit, RACE_LL_SLACK
+
+    let mut gates = Gates::new();
+    gates.check(
+        "batched_bitwise",
+        bitwise_mismatches == 0,
+        format!("{bitwise_mismatches} batched-vs-frozen EM mismatches"),
     );
-
-    match serde_json::to_string_pretty(&report) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(&json_path, json) {
-                eprintln!("could not write {json_path}: {e}");
-                std::process::exit(1);
-            }
-            eprintln!("report written to {json_path}");
-        }
-        Err(e) => {
-            eprintln!("could not serialize report: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    if bitwise_mismatches > 0 {
-        eprintln!(
-            "FAIL: batched EM diverged from the frozen pipeline on {bitwise_mismatches} fits"
-        );
-        std::process::exit(1);
-    }
-    // `<=` then negate keeps a NaN deficit failing the gate.
-    let race_within_slack = max_deficit <= RACE_LL_SLACK;
-    if !race_within_slack {
-        eprintln!(
-            "FAIL: raced multi-start fell {max_deficit:.3e}/obs below the exhaustive \
-             optimum (slack {RACE_LL_SLACK:.1e})"
-        );
-        std::process::exit(1);
-    }
+    // `<=` keeps a NaN deficit failing the gate.
+    gates.check(
+        "race_within_slack",
+        max_deficit <= RACE_LL_SLACK,
+        format!("raced ll deficit {max_deficit:.3e}/obs, slack {RACE_LL_SLACK:.1e}"),
+    );
+    finish(&json_path, &report, &gates);
 }

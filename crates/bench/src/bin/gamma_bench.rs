@@ -11,35 +11,37 @@
 //!     [--quick] [--json PATH]
 //! ```
 //!
-//! Results are written to `BENCH_gamma.json` (override with `--json`).
+//! Results are written to `BENCH_gamma.json` (override with `--json`)
+//! in the common report envelope, and the run exits 1 if any gate fails.
 //! The probe grid mirrors the sweep's workload: geometric machine ages ×
-//! log-spaced candidate intervals, per paper family. The run exits
-//! nonzero if any kernel-path Γ deviates from the frozen dyn path by more
-//! than 1e-12 relative (the arithmetic is replicated operation for
-//! operation, so the measured deviation is expected to be exactly 0).
+//! log-spaced candidate intervals, per paper family. Gates:
 //!
-//! Two further sections gate the lane layer:
-//!
-//! - **lane vs scalar**: the same grid through [`GammaAtAge::gamma_x4`]
-//!   in batches of four, against per-probe scalar kernel calls. Identity
-//!   is bitwise for the exponential and Weibull families, ≤ 1e-12
-//!   relative for the hyperexponentials (vectorized phase sweep), and
-//!   lane throughput must be ≥ 2× scalar on the Weibull and both
-//!   hyperexponential rows or the run exits nonzero.
-//! - **Weibull quadrature band**: a fit (α = 0.005) whose survival
+//! - `{family}.kernel_identity`: every kernel-path Γ within 1e-12
+//!   relative of the frozen dyn path (the arithmetic is replicated
+//!   operation for operation, so the measured deviation is expected to
+//!   be exactly 0).
+//! - `{family}.lane_identity` and `{family}.lane_checksum`: the same
+//!   grid through [`chs_markov::GammaAtAge::gamma_x4`] in batches of
+//!   four, against per-probe scalar kernel calls. Identity is bitwise for
+//!   the exponential and Weibull families, ≤ 1e-12 relative for the
+//!   hyperexponentials (vectorized phase sweep).
+//! - `{family}.lane_speedup`: lane throughput ≥ 2× the frozen scalar
+//!   path on the Weibull and both hyperexponential rows.
+//! - `quadrature_band.*`: a Weibull fit (α = 0.005) whose survival
 //!   integrals abandon the closed forms for composite Gauss–Legendre,
 //!   because `e^{z_t}(β/α)Γ(1/α)` overflows. Lanes must match scalar
-//!   bitwise there too, and (with `bench-counters`) the run exits nonzero
-//!   unless the fallback counter proves the band actually took the
-//!   quadrature path — at `--quick` scale as well, so CI smoke always
-//!   exercises it.
-//! - **Weibull log-tail band**: a deep-tail age band where `Q(1/α, z_t)`
+//!   bitwise there too, and (with `bench-counters`) the fallback counter
+//!   must prove the band actually took the quadrature path — at
+//!   `--quick` scale as well, so CI smoke always exercises it.
+//! - `log_tail_band.*`: a deep-tail age band where `Q(1/α, z_t)`
 //!   underflows and the survival integral takes the log-space form.
 //!   Lanes must match scalar bitwise, (with `bench-counters`) no probe
 //!   may fall back to quadrature, and every survival integral must agree
 //!   with a 256-panel Gauss–Legendre reference to 1e-9 relative.
 
+use chs_bench::harness::{best_of, finish, Gates};
 use chs_bench::{CommonArgs, TablePrinter};
+use chs_benchmark::counters;
 use chs_dist::{
     AvailabilityModel, ConditionedDist, Exponential, FittedModel, FutureLifetime, HyperExponential,
     Weibull,
@@ -47,48 +49,9 @@ use chs_dist::{
 use chs_markov::{CheckpointCosts, VaidyaModel};
 use serde::Serialize;
 use std::cell::RefCell;
-use std::time::Instant;
 
 /// Checkpoint/recovery cost (the paper's C = 110 s).
 const CHECKPOINT_COST: f64 = 110.0;
-
-#[cfg(feature = "bench-counters")]
-fn counters_reset() {
-    chs_markov::counters::reset();
-}
-
-#[cfg(not(feature = "bench-counters"))]
-fn counters_reset() {}
-
-/// (Γ evaluations, fresh-memo hits, fresh-memo misses).
-#[cfg(feature = "bench-counters")]
-fn counters_snapshot() -> (u64, u64, u64) {
-    chs_markov::counters::snapshot()
-}
-
-#[cfg(not(feature = "bench-counters"))]
-fn counters_snapshot() -> (u64, u64, u64) {
-    (0, 0, 0)
-}
-
-/// Weibull quadrature-fallback probes since the last reset.
-#[cfg(feature = "bench-counters")]
-fn quad_fallbacks() -> u64 {
-    chs_dist::counters::quad_fallbacks()
-}
-
-#[cfg(feature = "bench-counters")]
-fn quad_reset() {
-    chs_dist::counters::reset();
-}
-
-#[cfg(not(feature = "bench-counters"))]
-fn quad_fallbacks() -> u64 {
-    0
-}
-
-#[cfg(not(feature = "bench-counters"))]
-fn quad_reset() {}
 
 /// One fresh-quantity memo entry of the pre-kernel path: `(T, (p21, k22))`.
 type OldMemoEntry = (f64, (f64, f64));
@@ -168,6 +131,15 @@ struct PathReport {
     gamma_evals_per_sec: f64,
 }
 
+impl PathReport {
+    fn new(evals: u64, seconds: f64) -> Self {
+        Self {
+            seconds,
+            gamma_evals_per_sec: evals as f64 / seconds.max(1e-12),
+        }
+    }
+}
+
 #[derive(Debug, Serialize)]
 struct FamilyReport {
     family: String,
@@ -217,7 +189,6 @@ struct LaneReport {
     /// hyperexponentials.
     max_rel_dev: f64,
     gated: bool,
-    pass: bool,
 }
 
 /// A Weibull fit and age band timed lane against scalar, with the
@@ -275,19 +246,6 @@ fn interval_grid(n: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Best-of-`reps` wall-clock for one full grid of Γ probes. Returns the
-/// Γ checksum (forces evaluation) and the best seconds.
-fn time_grid<F: Fn() -> f64>(reps: usize, f: F) -> (f64, f64) {
-    let mut best = f64::INFINITY;
-    let mut sum = 0.0;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        sum = f();
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    (sum, best)
-}
-
 /// Probe horizons for the Weibull bands, in batches of four.
 const BAND_INTERVALS: [f64; 8] = [
     500.0, 2_000.0, 5_000.0, 20_000.0, 950.0, 3_300.0, 8_000.0, 14_000.0,
@@ -302,46 +260,10 @@ fn weibull_band(w: Weibull, ages: Vec<f64>, reps: usize) -> WeibullBandReport {
     let ts = BAND_INTERVALS.to_vec();
     let evals = (ages.len() * ts.len()) as u64;
     let model = VaidyaModel::new(&fit, costs).expect("valid costs");
-    let ref_model = VaidyaModel::new(&fit, costs).expect("valid costs");
-    let mut dev = 0.0f64;
-    for &age in &ages {
-        let view = model.at_age(age);
-        let ref_view = ref_model.at_age(age);
-        for chunk in ts.chunks_exact(4) {
-            let batch = [chunk[0], chunk[1], chunk[2], chunk[3]];
-            let lanes = view.gamma_x4(batch);
-            for l in 0..4 {
-                let s = ref_view.gamma(batch[l]);
-                if lanes[l].to_bits() != s.to_bits() {
-                    let rel = (lanes[l] - s).abs() / lanes[l].abs().max(s.abs()).max(1e-300);
-                    dev = dev.max(rel.max(f64::MIN_POSITIVE));
-                }
-            }
-        }
-    }
-
-    let (_, scalar_secs) = time_grid(reps, || {
-        let mut sum = 0.0;
-        for &age in &ages {
-            let view = model.at_age(age);
-            for &t in &ts {
-                sum += view.gamma(t);
-            }
-        }
-        sum
-    });
-    quad_reset();
-    let (_, lane_secs) = time_grid(reps, || {
-        let mut sum = 0.0;
-        for &age in &ages {
-            let view = model.at_age(age);
-            for chunk in ts.chunks_exact(4) {
-                let g = view.gamma_x4([chunk[0], chunk[1], chunk[2], chunk[3]]);
-                sum += g[0] + g[1] + g[2] + g[3];
-            }
-        }
-        sum
-    });
+    let dev = lane_dev(&model, &fit, &ages, &ts);
+    let (_, scalar_secs) = best_of(reps, || scalar_sum(&model, &ages, &ts));
+    counters::reset();
+    let (_, lane_secs) = best_of(reps, || lane_sum(&model, &ages, &ts));
 
     WeibullBandReport {
         shape: w.shape(),
@@ -349,19 +271,69 @@ fn weibull_band(w: Weibull, ages: Vec<f64>, reps: usize) -> WeibullBandReport {
         ages,
         intervals: ts,
         gamma_evaluations: evals,
-        scalar: PathReport {
-            seconds: scalar_secs,
-            gamma_evals_per_sec: evals as f64 / scalar_secs.max(1e-12),
-        },
-        lane: PathReport {
-            seconds: lane_secs,
-            gamma_evals_per_sec: evals as f64 / lane_secs.max(1e-12),
-        },
+        scalar: PathReport::new(evals, scalar_secs),
+        lane: PathReport::new(evals, lane_secs),
         speedup: scalar_secs / lane_secs.max(1e-12),
         max_rel_dev: dev,
-        quadrature_fallback_probes: quad_fallbacks() / reps.max(1) as u64,
+        quadrature_fallback_probes: counters::read()[3] / reps.max(1) as u64,
         reference_max_rel_dev: None,
     }
+}
+
+/// Relative deviation of `a` from `b`; 0 when they are equal.
+fn rel_dev(a: f64, b: f64) -> f64 {
+    if a == b {
+        0.0
+    } else {
+        (a - b).abs() / a.abs().max(b.abs()).max(1e-300)
+    }
+}
+
+/// Σ Γ over the grid, one scalar probe at a time.
+fn scalar_sum(model: &VaidyaModel<'_>, ages: &[f64], ts: &[f64]) -> f64 {
+    let mut sum = 0.0;
+    for &age in ages {
+        let view = model.at_age(age);
+        for &t in ts {
+            sum += view.gamma(t);
+        }
+    }
+    sum
+}
+
+/// Σ Γ over the grid in lane batches of four, in the scalar sum's order.
+fn lane_sum(model: &VaidyaModel<'_>, ages: &[f64], ts: &[f64]) -> f64 {
+    let mut sum = 0.0;
+    for &age in ages {
+        let view = model.at_age(age);
+        for chunk in ts.chunks_exact(4) {
+            let g = view.gamma_x4([chunk[0], chunk[1], chunk[2], chunk[3]]);
+            sum += g[0] + g[1] + g[2] + g[3];
+        }
+    }
+    sum
+}
+
+/// Max relative deviation of `model`'s lanes from scalar probes of a
+/// fresh model of `fit` (so the shared fresh memo cannot leak
+/// lane-computed quantities into the reference). Any bit difference
+/// counts as at least `f64::MIN_POSITIVE`.
+fn lane_dev(model: &VaidyaModel<'_>, fit: &FittedModel, ages: &[f64], ts: &[f64]) -> f64 {
+    let reference = VaidyaModel::new(fit, model.costs()).expect("valid costs");
+    let mut dev = 0.0f64;
+    for &age in ages {
+        let (view, ref_view) = (model.at_age(age), reference.at_age(age));
+        for chunk in ts.chunks_exact(4) {
+            let batch = [chunk[0], chunk[1], chunk[2], chunk[3]];
+            for (lane, t) in view.gamma_x4(batch).into_iter().zip(batch) {
+                let s = ref_view.gamma(t);
+                if lane.to_bits() != s.to_bits() {
+                    dev = dev.max(rel_dev(lane, s).max(f64::MIN_POSITIVE));
+                }
+            }
+        }
+    }
+    dev
 }
 
 /// Max relative deviation of a band's survival integrals `∫₀^T S_t`
@@ -395,14 +367,9 @@ fn log_tail_reference_dev(band: &WeibullBandReport) -> f64 {
 }
 
 fn main() {
-    let mut args = CommonArgs::parse();
-    let json_path = args
-        .json
-        .take()
-        .unwrap_or_else(|| "BENCH_gamma.json".into());
-    // --quick maps machines down to 24; reuse that as the size signal.
-    let quick = args.machines <= 24;
-    let (n_ages, n_ts, reps) = if quick { (24, 16, 3) } else { (64, 32, 5) };
+    let args = CommonArgs::parse();
+    let json_path = args.report_path("BENCH_gamma.json");
+    let (n_ages, n_ts, reps) = if args.quick { (24, 16, 3) } else { (64, 32, 5) };
 
     let families: Vec<(&str, FittedModel)> = vec![
         (
@@ -435,7 +402,7 @@ fn main() {
     let evals = (ages.len() * ts.len()) as u64;
     let mut reports = Vec::new();
     let mut lane_reports = Vec::new();
-    let mut failed = false;
+    let mut gates = Gates::new();
 
     for (name, fit) in &families {
         eprintln!("{name}: {evals} Γ probes per path, best of {reps} ...");
@@ -447,29 +414,15 @@ fn main() {
         for &age in &ages {
             let view = kernel_model.at_age(age);
             for &t in &ts {
-                let k = view.gamma(t);
-                let d = dyn_model.gamma(t, age);
-                if k != d {
-                    let rel = (k - d).abs() / k.abs().max(d.abs()).max(1e-300);
-                    max_rel_dev = max_rel_dev.max(rel);
-                }
+                max_rel_dev = max_rel_dev.max(rel_dev(view.gamma(t), dyn_model.gamma(t, age)));
             }
         }
 
-        counters_reset();
-        let (kernel_sum, kernel_secs) = time_grid(reps, || {
-            let mut sum = 0.0;
-            for &age in &ages {
-                let view = kernel_model.at_age(age);
-                for &t in &ts {
-                    sum += view.gamma(t);
-                }
-            }
-            sum
-        });
-        let (_, hits, misses) = counters_snapshot();
+        counters::reset();
+        let (kernel_sum, kernel_secs) = best_of(reps, || scalar_sum(&kernel_model, &ages, &ts));
+        let [_, hits, misses, _] = counters::read();
 
-        let (dyn_sum, dyn_secs) = time_grid(reps, || {
+        let (dyn_sum, dyn_secs) = best_of(reps, || {
             let mut sum = 0.0;
             for &age in &ages {
                 for &t in &ts {
@@ -481,108 +434,62 @@ fn main() {
 
         // The checksums compare the *timed* loops end to end; bitwise
         // equality here means the timing runs did identical work.
-        if kernel_sum != dyn_sum {
-            let rel = (kernel_sum - dyn_sum).abs() / kernel_sum.abs().max(1e-300);
-            max_rel_dev = max_rel_dev.max(rel);
-        }
-        if max_rel_dev > 1e-12 {
-            eprintln!(
-                "FAIL: {name} kernel path diverged from the frozen dyn path ({max_rel_dev:.3e})"
-            );
-            failed = true;
-        }
+        max_rel_dev = max_rel_dev.max(rel_dev(kernel_sum, dyn_sum));
+        gates.check(
+            format!("{name}.kernel_identity"),
+            max_rel_dev <= 1e-12,
+            format!("kernel vs frozen dyn path max rel dev {max_rel_dev:.3e}, bound 1e-12"),
+        );
 
         reports.push(FamilyReport {
             family: name.to_string(),
             gamma_evaluations: evals,
-            kernel: PathReport {
-                seconds: kernel_secs,
-                gamma_evals_per_sec: evals as f64 / kernel_secs.max(1e-12),
-            },
-            dyn_path: PathReport {
-                seconds: dyn_secs,
-                gamma_evals_per_sec: evals as f64 / dyn_secs.max(1e-12),
-            },
+            kernel: PathReport::new(evals, kernel_secs),
+            dyn_path: PathReport::new(evals, dyn_secs),
             speedup: dyn_secs / kernel_secs.max(1e-12),
             max_rel_dev,
             kernel_fresh_memo_hits: hits,
             kernel_fresh_memo_misses: misses,
         });
 
-        // Lane section: the same grid in batches of four. Identity first,
-        // against a fresh model so the shared fresh memo cannot leak
-        // lane-computed quantities into the scalar reference.
+        // Lane section: the same grid in batches of four, identity first.
         let lane_bitwise = !matches!(fit, FittedModel::HyperExponential(_));
-        let mut lane_dev = 0.0f64;
-        let ref_model = VaidyaModel::new(fit, costs).expect("valid costs");
-        for &age in &ages {
-            let view = kernel_model.at_age(age);
-            let ref_view = ref_model.at_age(age);
-            for chunk in ts.chunks_exact(4) {
-                let batch = [chunk[0], chunk[1], chunk[2], chunk[3]];
-                let lanes = view.gamma_x4(batch);
-                for l in 0..4 {
-                    let s = ref_view.gamma(batch[l]);
-                    if lanes[l] != s {
-                        let rel = (lanes[l] - s).abs() / lanes[l].abs().max(s.abs()).max(1e-300);
-                        lane_dev = lane_dev.max(rel);
-                    }
-                }
-            }
-        }
+        let lane_dev = lane_dev(&kernel_model, fit, &ages, &ts);
         let dev_budget = if lane_bitwise { 0.0 } else { 1e-12 };
-        if lane_dev > dev_budget {
-            eprintln!("FAIL: {name} lane path diverged from scalar kernel ({lane_dev:.3e})");
-            failed = true;
-        }
+        gates.check(
+            format!("{name}.lane_identity"),
+            lane_dev <= dev_budget,
+            format!("lane vs scalar kernel max rel dev {lane_dev:.3e}, bound {dev_budget:.0e}"),
+        );
 
-        let (lane_sum, lane_secs) = time_grid(reps, || {
-            let mut sum = 0.0;
-            for &age in &ages {
-                let view = kernel_model.at_age(age);
-                for chunk in ts.chunks_exact(4) {
-                    let g = view.gamma_x4([chunk[0], chunk[1], chunk[2], chunk[3]]);
-                    sum += g[0] + g[1] + g[2] + g[3];
-                }
-            }
-            sum
-        });
+        let (lane_total, lane_secs) = best_of(reps, || lane_sum(&kernel_model, &ages, &ts));
         // Same probes, same summation order as the scalar timed loop.
-        if lane_sum != kernel_sum {
-            let rel = (lane_sum - kernel_sum).abs() / kernel_sum.abs().max(1e-300);
-            if rel > dev_budget.max(1e-12) {
-                eprintln!("FAIL: {name} lane timed checksum off by {rel:.3e}");
-                failed = true;
-            }
-        }
+        let checksum_rel = rel_dev(lane_total, kernel_sum);
+        gates.check(
+            format!("{name}.lane_checksum"),
+            checksum_rel <= dev_budget.max(1e-12),
+            format!("timed lane vs scalar checksum rel dev {checksum_rel:.3e}"),
+        );
 
         let lane_speedup = dyn_secs / lane_secs.max(1e-12);
         let gated = matches!(*name, "weibull" | "hyperexp2" | "hyperexp3");
-        let pass = !gated || lane_speedup >= 2.0;
-        if !pass {
-            eprintln!("FAIL: {name} lane speedup {lane_speedup:.2}x is under the 2x floor");
-            failed = true;
+        if gated {
+            gates.check(
+                format!("{name}.lane_speedup"),
+                lane_speedup >= 2.0,
+                format!("{lane_speedup:.2}x the frozen scalar path, floor 2x"),
+            );
         }
         lane_reports.push(LaneReport {
             family: name.to_string(),
             gamma_evaluations: evals,
-            scalar_path: PathReport {
-                seconds: dyn_secs,
-                gamma_evals_per_sec: evals as f64 / dyn_secs.max(1e-12),
-            },
-            scalar_kernel: PathReport {
-                seconds: kernel_secs,
-                gamma_evals_per_sec: evals as f64 / kernel_secs.max(1e-12),
-            },
-            lane: PathReport {
-                seconds: lane_secs,
-                gamma_evals_per_sec: evals as f64 / lane_secs.max(1e-12),
-            },
+            scalar_path: PathReport::new(evals, dyn_secs),
+            scalar_kernel: PathReport::new(evals, kernel_secs),
+            lane: PathReport::new(evals, lane_secs),
             speedup: lane_speedup,
             kernel_speedup: kernel_secs / lane_secs.max(1e-12),
             max_rel_dev: lane_dev,
             gated,
-            pass,
         });
     }
 
@@ -591,16 +498,20 @@ fn main() {
     // integrates by composite Gauss–Legendre. Runs at --quick scale too,
     // so the CI smoke always exercises the fallback lanes.
     let quad_band = weibull_band(Weibull::new(0.005, 1_000.0).unwrap(), vec![0.0, 10.0], reps);
-    if quad_band.max_rel_dev > 0.0 {
-        eprintln!(
-            "FAIL: quadrature band lane path not bitwise ({:.3e})",
-            quad_band.max_rel_dev
+    gates.check(
+        "quadrature_band.lane_bitwise",
+        quad_band.max_rel_dev == 0.0,
+        format!("lane vs scalar max rel dev {:.3e}", quad_band.max_rel_dev),
+    );
+    if counters::ENABLED {
+        gates.check(
+            "quadrature_band.fallback_taken",
+            quad_band.quadrature_fallback_probes > 0,
+            format!(
+                "{} Gauss-Legendre fallback probes per pass",
+                quad_band.quadrature_fallback_probes
+            ),
         );
-        failed = true;
-    }
-    if cfg!(feature = "bench-counters") && quad_band.quadrature_fallback_probes == 0 {
-        eprintln!("FAIL: quadrature band never took the Gauss-Legendre fallback");
-        failed = true;
     }
 
     // Weibull log-tail band: a fleet fit at ages where z_t ≈ 745–1,100,
@@ -611,25 +522,27 @@ fn main() {
         vec![1_238_663.234_801_525, 1.6e6, 2.4e6],
         reps,
     );
-    if log_band.max_rel_dev > 0.0 {
-        eprintln!(
-            "FAIL: log-tail band lane path not bitwise ({:.3e})",
-            log_band.max_rel_dev
+    gates.check(
+        "log_tail_band.lane_bitwise",
+        log_band.max_rel_dev == 0.0,
+        format!("lane vs scalar max rel dev {:.3e}", log_band.max_rel_dev),
+    );
+    if counters::ENABLED {
+        gates.check(
+            "log_tail_band.no_quadrature",
+            log_band.quadrature_fallback_probes == 0,
+            format!(
+                "{} quadrature-fallback probes per pass",
+                log_band.quadrature_fallback_probes
+            ),
         );
-        failed = true;
-    }
-    if log_band.quadrature_fallback_probes > 0 {
-        eprintln!(
-            "FAIL: log-tail band took {} quadrature-fallback probes",
-            log_band.quadrature_fallback_probes
-        );
-        failed = true;
     }
     let reference_dev = log_tail_reference_dev(&log_band);
-    if reference_dev > 1e-9 {
-        eprintln!("FAIL: log-tail band off its quadrature reference ({reference_dev:.3e})");
-        failed = true;
-    }
+    gates.check(
+        "log_tail_band.reference",
+        reference_dev <= 1e-9,
+        format!("max rel dev {reference_dev:.3e} from 256-panel quadrature, bound 1e-9"),
+    );
     log_band.reference_max_rel_dev = Some(reference_dev);
 
     let report = GammaBenchReport {
@@ -641,80 +554,50 @@ fn main() {
         lanes: lane_reports,
         weibull_quadrature_band: quad_band,
         weibull_log_tail_band: log_band,
-        counters_enabled: cfg!(feature = "bench-counters"),
+        counters_enabled: counters::ENABLED,
     };
 
     println!(
         "\nΓ-evaluation benchmark ({} ages × {} intervals, C = {CHECKPOINT_COST} s)",
         report.ages, report.intervals_per_age
     );
-    let printer = TablePrinter::new(vec![12, 14, 14, 9, 11]);
+    println!("(speedups over the frozen dyn path; lanes batch 4 probes, gated >= 2x)");
+    let printer = TablePrinter::new(vec![12, 12, 12, 8, 12, 8, 8]);
     printer.row(&[
         "family".into(),
-        "kernel ev/s".into(),
         "dyn ev/s".into(),
-        "speedup".into(),
-        "max dev".into(),
+        "kernel ev/s".into(),
+        "kernel".into(),
+        "lane ev/s".into(),
+        "lane".into(),
+        "vs kern".into(),
     ]);
     printer.rule();
-    for f in &report.families {
+    for (f, l) in report.families.iter().zip(&report.lanes) {
         printer.row(&[
             f.family.clone(),
-            format!("{:.3e}", f.kernel.gamma_evals_per_sec),
             format!("{:.3e}", f.dyn_path.gamma_evals_per_sec),
+            format!("{:.3e}", f.kernel.gamma_evals_per_sec),
             format!("{:.2}x", f.speedup),
-            format!("{:.1e}", f.max_rel_dev),
-        ]);
-    }
-    printer.rule();
-
-    println!("\nlane-batched Γ (batches of 4; speedup vs frozen scalar path, ≥2x gate)");
-    let lane_printer = TablePrinter::new(vec![12, 14, 14, 9, 10, 11, 6]);
-    lane_printer.row(&[
-        "family".into(),
-        "scalar ev/s".into(),
-        "lane ev/s".into(),
-        "speedup".into(),
-        "vs kern".into(),
-        "max dev".into(),
-        "gate".into(),
-    ]);
-    lane_printer.rule();
-    for l in &report.lanes {
-        lane_printer.row(&[
-            l.family.clone(),
-            format!("{:.3e}", l.scalar_path.gamma_evals_per_sec),
             format!("{:.3e}", l.lane.gamma_evals_per_sec),
             format!("{:.2}x", l.speedup),
             format!("{:.2}x", l.kernel_speedup),
-            format!("{:.1e}", l.max_rel_dev),
-            if !l.gated {
-                "-".into()
-            } else if l.pass {
-                "ok".into()
-            } else {
-                "FAIL".into()
-            },
         ]);
     }
-    lane_printer.rule();
+    printer.rule();
     for (name, b) in [
         ("quadrature", &report.weibull_quadrature_band),
         ("log-tail", &report.weibull_log_tail_band),
     ] {
         println!(
             "weibull {name} band (shape {:.3}, ages {:.2e}–{:.2e}): lane {:.2}x scalar, \
-             {} fallback probes/pass, max dev {:.1e}",
+             {} fallback probes/pass",
             b.shape,
             b.ages[0],
             b.ages[b.ages.len() - 1],
             b.speedup,
-            b.quadrature_fallback_probes,
-            b.max_rel_dev
+            b.quadrature_fallback_probes
         );
-    }
-    if let Some(dev) = report.weibull_log_tail_band.reference_max_rel_dev {
-        println!("weibull log-tail band vs 256-panel quadrature: max rel dev {dev:.1e}");
     }
 
     if report.counters_enabled {
@@ -731,22 +614,5 @@ fn main() {
         println!("(rebuild with --features bench-counters for memo hit rates)");
     }
 
-    if failed {
-        eprintln!("FAIL: kernel path diverged from the frozen dyn path");
-        std::process::exit(1);
-    }
-
-    match serde_json::to_string_pretty(&report) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(&json_path, json) {
-                eprintln!("could not write {json_path}: {e}");
-                std::process::exit(1);
-            }
-            eprintln!("report written to {json_path}");
-        }
-        Err(e) => {
-            eprintln!("could not serialize report: {e}");
-            std::process::exit(1);
-        }
-    }
+    finish(&json_path, &report, &gates);
 }

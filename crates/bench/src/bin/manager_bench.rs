@@ -19,39 +19,51 @@
 //! Γ evaluations of one run; without it those fields are zero and
 //! `counters_enabled` is false.
 //!
-//! The run is also a correctness gate and exits nonzero when any of
-//! these is violated:
+//! The report uses the common envelope. The run is also a correctness
+//! gate and exits 1 when any of these gates fails (`{point}` is e.g.
+//! `admission@x2`, `baseline@x0.5` or `scaling@256`):
 //!
-//! * **thread determinism** — the 1-thread and N-thread bootstrap must
-//!   produce identical outcomes (digest and full `PartialEq`);
-//! * **conservation** — at every sweep point the aggregated ledger must
-//!   balance time and bytes, the fault report must agree with the
-//!   ledger, and the ledger's abandonments must split exactly into
-//!   retry-exhausted (dead-lettered) and admission-deferred;
-//! * **replay conservation** — every enqueued letter is replayed or
-//!   explicitly abandoned (queue reconciliation residual 0), replay
-//!   bytes balance (`wire = replayed + wasted`), a zero-fault replay
-//!   plan drains the queue to depth 0, and a dedicated stress profile
-//!   proves the chain on a deep queue (not just whatever the sweep
-//!   happened to enqueue);
-//! * **admission robustness** — past the load point where the
-//!   no-admission baseline collapses (goodput < 75% of its own peak),
-//!   the admission-controlled manager must hold ≥ 90% of the
-//!   *baseline's* goodput at the same offered load, with its deferral
-//!   machinery demonstrably engaged at the deepest point. Deferral may
-//!   never deepen a collapse it exists to soften. (The gate is
-//!   pointwise against the baseline, not against the peak: past
-//!   saturation the wire also carries the recovery traffic of every
-//!   evicted client, a load no checkpoint-side policy can refuse, so
-//!   absolute goodput necessarily falls with offered load.)
-//! * **closed-form planning** (with `bench-counters`) — every client
-//!   plans on an exponential fit, whose `T_opt` is a closed form, so no
-//!   timed run may evaluate Γ at all.
+//! * `thread_determinism.digest`, `thread_determinism.outcome` — the
+//!   1-thread and N-thread bootstrap must produce identical outcomes
+//!   (digest and full `PartialEq`);
+//! * `{point}.repeat_digest` — every repetition of a timed run must
+//!   reproduce the first one's digest;
+//! * `{point}.conservation`, `{point}.dlq_inflow` (and the same for
+//!   `stress`) — the aggregated ledger must balance time and bytes, the
+//!   fault report must agree with the ledger, the ledger's abandonments
+//!   must split exactly into retry-exhausted and admission-deferred, and
+//!   every retry-exhausted checkpoint must be in the dead-letter queue;
+//! * `replay@x{f}.*`, `stress.dead_letters`, `stress_replay.*` — every
+//!   enqueued letter is replayed or explicitly abandoned (queue
+//!   reconciliation residual 0), the owed bytes split exactly into
+//!   replayed and abandoned, replay bytes balance (`wire = replayed +
+//!   wasted`), a zero-fault replay plan drains the queue to depth 0
+//!   (`.drain`), and a dedicated stress profile proves the chain on a
+//!   deep queue (not just whatever the sweep happened to enqueue);
+//! * `admission@x{f}.retains_goodput`, `admission.defers_at_deepest` —
+//!   past the load point where the no-admission baseline collapses
+//!   (goodput < 75% of its own peak), the admission-controlled manager
+//!   must hold ≥ 90% of the *baseline's* goodput at the same offered
+//!   load, with its deferral machinery demonstrably engaged at the
+//!   deepest point. Deferral may never deepen a collapse it exists to
+//!   soften. (The gate is pointwise against the baseline, not against
+//!   the peak: past saturation the wire also carries the recovery
+//!   traffic of every evicted client, a load no checkpoint-side policy
+//!   can refuse, so absolute goodput necessarily falls with offered
+//!   load. No admission gate is recorded when the baseline never
+//!   collapses.)
+//! * `{point}.closed_form` (with `bench-counters`) — every client plans
+//!   on an exponential fit, whose `T_opt` is a closed form, so no timed
+//!   run may evaluate Γ at all.
 
-use chs_bench::CommonArgs;
+use chs_bench::harness::{finish, Gates};
+use chs_bench::{conservation_gate, CommonArgs};
+use chs_benchmark::counters;
 use chs_dist::ModelKind;
-use chs_manager::{replay_dead_letters, run_manager, ManagerConfig, ManagerOutcome, ReplayConfig};
-use chs_net::{AdmissionConfig, FaultPlan};
+use chs_manager::{
+    replay_dead_letters, run_manager, ManagerConfig, ManagerOutcome, ReplayConfig, ReplayReport,
+};
+use chs_net::{AdmissionConfig, DeadLetterQueue, FaultPlan};
 use serde::Serialize;
 use std::time::{Duration, Instant};
 
@@ -143,99 +155,54 @@ struct ManagerBenchReport {
     scaling_window_seconds: f64,
     scaling: Vec<ScalingPoint>,
     counters_enabled: bool,
-    gates_passed: bool,
-    gate_failures: Vec<String>,
 }
 
-fn check_outcome(label: &str, outcome: &ManagerOutcome, failures: &mut Vec<String>) {
-    let total = &outcome.result.cycle;
-    let report = &outcome.report;
-    let time = total.conservation_residual().abs();
-    if time >= 1e-6 * total.total_seconds.max(1.0) {
-        failures.push(format!("{label}: time conservation residual {time}"));
-    }
-    let bytes = total.byte_conservation_residual().abs();
-    if bytes >= 1e-6 * total.megabytes.max(1.0) {
-        failures.push(format!("{label}: byte conservation residual {bytes}"));
-    }
-    if total.faults_injected != report.faults.total_faults() {
-        failures.push(format!(
-            "{label}: ledger faults {} != report faults {}",
-            total.faults_injected,
-            report.faults.total_faults()
-        ));
-    }
-    if total.transfer_retries != report.faults.retries + report.faults.checkpoints_abandoned {
-        failures.push(format!(
-            "{label}: ledger retries {} != report retries {} + abandoned {}",
-            total.transfer_retries, report.faults.retries, report.faults.checkpoints_abandoned
-        ));
-    }
-    if total.checkpoints_abandoned
-        != report.faults.checkpoints_abandoned + report.deferred_checkpoints
-    {
-        failures.push(format!(
-            "{label}: ledger abandoned {} != dead-lettered {} + deferred {}",
-            total.checkpoints_abandoned,
-            report.faults.checkpoints_abandoned,
-            report.deferred_checkpoints
-        ));
-    }
-    if outcome.dlq.enqueued != report.faults.checkpoints_abandoned {
-        failures.push(format!(
-            "{label}: DLQ inflow {} != report abandonments {} (silent drop)",
-            outcome.dlq.enqueued, report.faults.checkpoints_abandoned
-        ));
-    }
-}
-
-#[cfg(feature = "bench-counters")]
-fn counters_reset() {
-    chs_markov::counters::reset();
-}
-
-#[cfg(not(feature = "bench-counters"))]
-fn counters_reset() {}
-
-/// Γ(T) evaluations since the last [`counters_reset`].
-#[cfg(feature = "bench-counters")]
-fn gamma_evals() -> u64 {
-    chs_markov::counters::snapshot().0
-}
-
-#[cfg(not(feature = "bench-counters"))]
-fn gamma_evals() -> u64 {
-    0
+/// The `{label}.conservation` gate over one outcome's ledger (deferred
+/// checkpoints count as abandonments), and `{label}.dlq_inflow`: every
+/// retry-exhausted checkpoint the report counts is in the dead-letter
+/// queue.
+fn check_outcome(label: &str, outcome: &ManagerOutcome, gates: &mut Gates) {
+    let faults = &outcome.report.faults;
+    let deferred = outcome.report.deferred_checkpoints;
+    conservation_gate(gates, label, &outcome.result.cycle, faults, deferred);
+    gates.check(
+        format!("{label}.dlq_inflow"),
+        outcome.dlq.enqueued == faults.checkpoints_abandoned,
+        format!(
+            "DLQ inflow {} vs {} reported abandonments",
+            outcome.dlq.enqueued, faults.checkpoints_abandoned
+        ),
+    );
 }
 
 /// Run `config` until [`MIN_TIMED`] has passed. Returns the first
-/// outcome, the best wall time and the first run's Γ evaluations; a
-/// repetition whose digest differs from the first is a gate failure.
+/// outcome, the best wall time and the first run's Γ evaluations, and
+/// records the `{label}.repeat_digest` gate (and, with counters,
+/// `{label}.closed_form`).
 fn timed_runs(
     config: &ManagerConfig,
     plan: &FaultPlan,
     label: &str,
-    failures: &mut Vec<String>,
+    gates: &mut Gates,
 ) -> (ManagerOutcome, f64, u64) {
     let start = Instant::now();
     let mut best = f64::INFINITY;
     let mut first: Option<ManagerOutcome> = None;
     let mut evals = 0;
-    counters_reset();
+    let (mut runs, mut diverged) = (0usize, None);
+    counters::reset();
     loop {
         let t0 = Instant::now();
         let outcome = run_manager(config, plan).expect("manager run");
         best = best.min(t0.elapsed().as_secs_f64());
+        runs += 1;
         match &first {
             None => {
-                evals = gamma_evals();
+                evals = counters::read()[0];
                 first = Some(outcome);
             }
             Some(f) if f.result.digest != outcome.result.digest => {
-                failures.push(format!(
-                    "{label}: repeated run digest {:#x} != first {:#x}",
-                    outcome.result.digest, f.result.digest
-                ));
+                diverged = Some(outcome.result.digest);
                 break;
             }
             Some(_) => {}
@@ -244,26 +211,101 @@ fn timed_runs(
             break;
         }
     }
+    let first = first.expect("at least one run");
+    gates.check(
+        format!("{label}.repeat_digest"),
+        diverged.is_none(),
+        match diverged {
+            None => format!("{runs} runs, digest {:#x}", first.result.digest),
+            Some(d) => format!(
+                "run {runs} digest {d:#x} != first {:#x}",
+                first.result.digest
+            ),
+        },
+    );
     // Every client plans on an exponential fit, whose `T_opt` is a
     // closed form: a run that evaluated Γ took a search somewhere.
-    if evals != 0 {
-        failures.push(format!(
-            "{label}: {evals} Γ evaluations on exponential fits (closed form expected)"
-        ));
+    if counters::ENABLED {
+        gates.check(
+            format!("{label}.closed_form"),
+            evals == 0,
+            format!("{evals} Γ evaluations on exponential fits"),
+        );
     }
-    (first.expect("at least one run"), best, evals)
+    (first, best, evals)
+}
+
+/// Replay `dlq` under `plan`, and a copy of it under no faults, and
+/// record the gates `{label}.accounting` (every letter popped, then
+/// replayed or abandoned, and the queue reconciles), `{label}.owed` (the
+/// owed bytes split exactly into replayed and abandoned),
+/// `{label}.bytes` (wire bytes = replayed + wasted) and `{label}.drain`
+/// (the zero-fault replay empties the queue).
+fn replay_gates(
+    label: &str,
+    mut dlq: DeadLetterQueue,
+    config: &ReplayConfig,
+    plan: &FaultPlan,
+    gates: &mut Gates,
+) -> ReplayReport {
+    let mut drain = dlq.clone();
+    let enqueued = dlq.enqueued;
+    let owed: f64 = dlq.iter().map(|l| l.remaining_mb()).sum();
+    let report = replay_dead_letters(&mut dlq, config, plan).expect("faulted replay pass");
+    gates.check(
+        format!("{label}.accounting"),
+        report.popped == enqueued
+            && report.replayed + report.abandoned == enqueued
+            && dlq.reconciliation_residual() == 0,
+        format!(
+            "popped {} replayed {} abandoned {} of {enqueued} enqueued (residual {})",
+            report.popped,
+            report.replayed,
+            report.abandoned,
+            dlq.reconciliation_residual()
+        ),
+    );
+    let owed_residual = (report.replayed_mb + report.abandoned_mb - owed).abs();
+    gates.check(
+        format!("{label}.owed"),
+        owed_residual < 1e-6 * owed.max(1.0),
+        format!(
+            "owed {owed:.1} MB vs replayed {:.1} + abandoned {:.1} MB",
+            report.replayed_mb, report.abandoned_mb
+        ),
+    );
+    let bytes = report.conservation_residual().abs();
+    gates.check(
+        format!("{label}.bytes"),
+        bytes < 1e-5 * report.wire_mb.max(1.0),
+        format!(
+            "residual {bytes:.3e} of {:.0} MB on the wire",
+            report.wire_mb
+        ),
+    );
+    let drained =
+        replay_dead_letters(&mut drain, config, &FaultPlan::none()).expect("zero-fault replay");
+    gates.check(
+        format!("{label}.drain"),
+        drained.final_depth == 0 && drained.abandoned == 0 && drain.is_empty(),
+        format!(
+            "zero-fault replay left depth {} ({} abandoned)",
+            drained.final_depth, drained.abandoned
+        ),
+    );
+    report
 }
 
 fn sweep_point(
     factor: f64,
     config: &ManagerConfig,
     plan: &FaultPlan,
-    failures: &mut Vec<String>,
+    gates: &mut Gates,
     label: &str,
 ) -> (SweepPoint, ManagerOutcome) {
     let label = format!("{label}@x{factor}");
-    let (outcome, wall_s, gamma_evals) = timed_runs(config, plan, &label, failures);
-    check_outcome(&label, &outcome, failures);
+    let (outcome, wall_s, gamma_evals) = timed_runs(config, plan, &label, gates);
+    check_outcome(&label, &outcome, gates);
     let committed = outcome.result.checkpoints_committed;
     let deferred = outcome.report.deferred_checkpoints;
     let point = SweepPoint {
@@ -290,12 +332,9 @@ fn sweep_point(
 }
 
 fn main() {
-    let mut args = CommonArgs::parse();
-    let json_path = args
-        .json
-        .take()
-        .unwrap_or_else(|| "BENCH_manager.json".into());
-    let quick = args.machines <= 24;
+    let args = CommonArgs::parse();
+    let json_path = args.report_path("BENCH_manager.json");
+    let quick = args.quick;
 
     let base_clients: usize = if quick { 8 } else { 16 };
     let window = if quick { 0.5 * 86_400.0 } else { 86_400.0 };
@@ -303,7 +342,7 @@ fn main() {
     // the wire capacity inside the ×¼ → ×4 sweep, so the baseline
     // genuinely collapses past saturation instead of flattening out.
     let image_mb = 2_000.0;
-    let mut failures: Vec<String> = Vec::new();
+    let mut gates = Gates::new();
 
     // ---- Gate: bootstrap thread determinism -------------------------
     eprintln!("verifying 1-thread == N-thread determinism ...");
@@ -316,15 +355,19 @@ fn main() {
     let one = run_manager(&det_config, &det_plan).expect("1-thread run");
     det_config.threads = 4;
     let four = run_manager(&det_config, &det_plan).expect("4-thread run");
-    if one.result.digest != four.result.digest {
-        failures.push(format!(
-            "thread determinism: digest {:#x} (1 thread) != {:#x} (4 threads)",
+    gates.check(
+        "thread_determinism.digest",
+        one.result.digest == four.result.digest,
+        format!(
+            "digest {:#x} (1 thread) vs {:#x} (4 threads)",
             one.result.digest, four.result.digest
-        ));
-    }
-    if one != four {
-        failures.push("thread determinism: outcomes differ beyond the digest".into());
-    }
+        ),
+    );
+    gates.check(
+        "thread_determinism.outcome",
+        one == four,
+        "1-thread vs 4-thread outcome, full PartialEq",
+    );
 
     // ---- Sweep: offered load × admission on/off ---------------------
     let sweep_plan = FaultPlan::uniform(0.2, args.seed ^ 0x5EED);
@@ -344,46 +387,31 @@ fn main() {
         // admitted image is itself a sizable slice of the horizon.
         config.admission.horizon_images = 8.0;
 
-        let (point, outcome) =
-            sweep_point(factor, &config, &sweep_plan, &mut failures, "admission");
+        let (point, outcome) = sweep_point(factor, &config, &sweep_plan, &mut gates, "admission");
         admission_points.push(point);
 
         let mut baseline = config.clone();
         baseline.admission = AdmissionConfig::disabled();
-        let (point, _) = sweep_point(factor, &baseline, &sweep_plan, &mut failures, "baseline");
+        let (point, _) = sweep_point(factor, &baseline, &sweep_plan, &mut gates, "baseline");
         baseline_points.push(point);
 
         // ---- Gate: crash → DLQ → replay conservation ----------------
-        let mut dlq = outcome.dlq;
-        let drain_dlq = dlq.clone();
-        let enqueued = dlq.enqueued;
         let replay_config = ReplayConfig {
             link_mb_per_s: config.link_mb_per_s,
             max_in_flight: 4,
             retry: config.retry,
             image_mb: config.image_mb,
         };
+        let enqueued = outcome.dlq.enqueued;
         let replay_plan = FaultPlan::uniform(0.08, args.seed ^ 0x0D1);
-        let report = replay_dead_letters(&mut dlq, &replay_config, &replay_plan)
-            .expect("faulted replay pass");
-        if report.popped != enqueued || report.replayed + report.abandoned != enqueued {
-            failures.push(format!(
-                "replay@x{factor}: popped {} replayed {} abandoned {} of {} enqueued",
-                report.popped, report.replayed, report.abandoned, enqueued
-            ));
-        }
-        if dlq.reconciliation_residual() != 0 {
-            failures.push(format!(
-                "replay@x{factor}: queue reconciliation residual {}",
-                dlq.reconciliation_residual()
-            ));
-        }
-        let byte_residual = report.conservation_residual().abs();
-        if byte_residual >= 1e-5 * report.wire_mb.max(1.0) {
-            failures.push(format!(
-                "replay@x{factor}: byte conservation residual {byte_residual}"
-            ));
-        }
+        let label = format!("replay@x{factor}");
+        let report = replay_gates(
+            &label,
+            outcome.dlq,
+            &replay_config,
+            &replay_plan,
+            &mut gates,
+        );
         replay_points.push(ReplayPoint {
             factor,
             enqueued,
@@ -393,17 +421,6 @@ fn main() {
             wasted_mb: report.wasted_mb,
             elapsed_seconds: report.elapsed_seconds,
         });
-
-        // A zero-fault replay plan must always drain the queue.
-        let mut dlq = drain_dlq;
-        let drained = replay_dead_letters(&mut dlq, &replay_config, &FaultPlan::none())
-            .expect("zero-fault replay pass");
-        if drained.final_depth != 0 || drained.abandoned != 0 || !dlq.is_empty() {
-            failures.push(format!(
-                "drain@x{factor}: zero-fault replay left depth {} ({} abandoned)",
-                drained.final_depth, drained.abandoned
-            ));
-        }
         eprintln!(
             "x{factor}: {clients} clients, goodput {:.0} MB (admission) vs {:.0} MB (baseline)",
             admission_points.last().unwrap().goodput_mb,
@@ -431,61 +448,27 @@ fn main() {
         ..FaultPlan::none()
     };
     let stress = run_manager(&stress_config, &stress_plan).expect("replay stress run");
-    check_outcome("stress", &stress, &mut failures);
-    let mut dlq = stress.dlq;
-    let drain_dlq = dlq.clone();
-    let enqueued = dlq.enqueued;
-    if enqueued == 0 {
-        failures.push("replay stress produced no dead letters".into());
-    }
-    let owed: f64 = dlq.iter().map(|l| l.remaining_mb()).sum();
+    check_outcome("stress", &stress, &mut gates);
+    let enqueued = stress.dlq.enqueued;
+    gates.check(
+        "stress.dead_letters",
+        enqueued > 0,
+        format!("{enqueued} dead letters enqueued"),
+    );
     let replay_config = ReplayConfig {
         link_mb_per_s: stress_config.link_mb_per_s,
         max_in_flight: 3,
         retry: stress_config.retry,
         image_mb: stress_config.image_mb,
     };
-    let stress_report = replay_dead_letters(
-        &mut dlq,
+    let stress_plan = FaultPlan::uniform(0.15, args.seed ^ 0x0D2);
+    let stress_report = replay_gates(
+        "stress_replay",
+        stress.dlq,
         &replay_config,
-        &FaultPlan::uniform(0.15, args.seed ^ 0x0D2),
-    )
-    .expect("stress replay pass");
-    if stress_report.popped != enqueued
-        || stress_report.replayed + stress_report.abandoned != enqueued
-        || dlq.reconciliation_residual() != 0
-    {
-        failures.push(format!(
-            "stress replay: popped {} replayed {} abandoned {} of {} enqueued (residual {})",
-            stress_report.popped,
-            stress_report.replayed,
-            stress_report.abandoned,
-            enqueued,
-            dlq.reconciliation_residual()
-        ));
-    }
-    let owed_residual = (stress_report.replayed_mb + stress_report.abandoned_mb - owed).abs();
-    if owed_residual >= 1e-6 * owed.max(1.0) {
-        failures.push(format!(
-            "stress replay: owed {owed} MB != replayed {} + abandoned {} MB",
-            stress_report.replayed_mb, stress_report.abandoned_mb
-        ));
-    }
-    let byte_residual = stress_report.conservation_residual().abs();
-    if byte_residual >= 1e-5 * stress_report.wire_mb.max(1.0) {
-        failures.push(format!(
-            "stress replay: byte conservation residual {byte_residual}"
-        ));
-    }
-    let mut dlq = drain_dlq;
-    let drained = replay_dead_letters(&mut dlq, &replay_config, &FaultPlan::none())
-        .expect("stress zero-fault replay pass");
-    if drained.final_depth != 0 || drained.abandoned != 0 || !dlq.is_empty() {
-        failures.push(format!(
-            "stress drain: zero-fault replay left depth {} ({} abandoned)",
-            drained.final_depth, drained.abandoned
-        ));
-    }
+        &stress_plan,
+        &mut gates,
+    );
     let replay_stress = StressReplay {
         enqueued,
         replayed: stress_report.replayed,
@@ -518,26 +501,28 @@ fn main() {
             .iter()
             .zip(&baseline_points[knee..])
         {
-            if a.goodput_mb < RETAIN_FRACTION * b.goodput_mb {
-                failures.push(format!(
-                    "admission@x{}: goodput {:.0} MB fell below {:.0}% of the baseline's \
-                     {:.0} MB past the collapse at x{}",
-                    a.factor,
+            gates.check(
+                format!("admission@x{}.retains_goodput", a.factor),
+                a.goodput_mb >= RETAIN_FRACTION * b.goodput_mb,
+                format!(
+                    "goodput {:.0} MB vs the baseline's {:.0} MB past the collapse at x{}, \
+                     floor {:.0}%",
                     a.goodput_mb,
-                    RETAIN_FRACTION * 100.0,
                     b.goodput_mb,
-                    LOAD_FACTORS[knee]
-                ));
-            }
+                    LOAD_FACTORS[knee],
+                    RETAIN_FRACTION * 100.0
+                ),
+            );
         }
         let deepest = admission_points.last().expect("non-empty sweep");
-        if deepest.deferred_checkpoints == 0 {
-            failures.push(format!(
-                "admission@x{}: baseline collapsed but admission never deferred a \
-                 checkpoint — the watermark is not engaging",
-                deepest.factor
-            ));
-        }
+        gates.check(
+            "admission.defers_at_deepest",
+            deepest.deferred_checkpoints > 0,
+            format!(
+                "{} checkpoints deferred at x{} after the baseline collapsed",
+                deepest.deferred_checkpoints, deepest.factor
+            ),
+        );
     }
 
     // ---- Client scaling: event-loop cost per event ------------------
@@ -557,9 +542,8 @@ fn main() {
         config.retry.max_retries = 1;
         config.prefetch_probability = SCALING_PREFETCH;
         let label = format!("scaling@{clients}");
-        let (outcome, wall_s, gamma_evals) =
-            timed_runs(&config, &scaling_plan, &label, &mut failures);
-        check_outcome(&label, &outcome, &mut failures);
+        let (outcome, wall_s, gamma_evals) = timed_runs(&config, &scaling_plan, &label, &mut gates);
+        check_outcome(&label, &outcome, &mut gates);
         let events = outcome.result.events;
         scaling.push(ScalingPoint {
             clients,
@@ -623,20 +607,10 @@ fn main() {
             p.clients, p.events, p.wall_s, p.events_per_s, p.ns_per_event
         );
     }
-    match collapse {
-        Some(knee) => {
-            let a = admission_points.last().expect("non-empty sweep");
-            let b = baseline_points.last().expect("non-empty sweep");
-            eprintln!(
-                "baseline collapses at x{} (peak {:.0} MB); at x{} admission holds \
-                 {:.0} MB vs baseline {:.0} MB",
-                LOAD_FACTORS[knee], baseline_peak, a.factor, a.goodput_mb, b.goodput_mb
-            );
-        }
-        None => eprintln!("baseline never collapsed below {COLLAPSE_FRACTION} of its peak"),
+    if collapse.is_none() {
+        eprintln!("baseline never collapsed below {COLLAPSE_FRACTION} of its peak");
     }
 
-    let gates_passed = failures.is_empty();
     let report = ManagerBenchReport {
         base_clients,
         window_seconds: window,
@@ -649,27 +623,7 @@ fn main() {
         collapse_factor: collapse.map(|k| LOAD_FACTORS[k]),
         scaling_window_seconds: scaling_window,
         scaling,
-        counters_enabled: cfg!(feature = "bench-counters"),
-        gates_passed,
-        gate_failures: failures.clone(),
+        counters_enabled: counters::ENABLED,
     };
-    match serde_json::to_string_pretty(&report) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(&json_path, json) {
-                eprintln!("could not write {json_path}: {e}");
-            } else {
-                eprintln!("raw results written to {json_path}");
-            }
-        }
-        Err(e) => eprintln!("could not serialize results: {e}"),
-    }
-
-    if !gates_passed {
-        eprintln!("\nMANAGER BENCH GATES FAILED:");
-        for f in &failures {
-            eprintln!("  - {f}");
-        }
-        std::process::exit(1);
-    }
-    eprintln!("\nall manager-bench gates passed");
+    finish(&json_path, &report, &gates);
 }

@@ -6,35 +6,40 @@
 //! cargo run -p chs-bench --release --bin pool_bench [--quick|--large] [--json PATH]
 //! ```
 //!
-//! Results are written to `BENCH_pool.json` (override with `--json`).
-//! The run is also a correctness gate and exits nonzero when any of
-//! five contracts is violated:
+//! `--window SECONDS` (finite, > 0) sets the simulated window.
+//! Results are written to `BENCH_pool.json` (override with `--json`) in
+//! the common report envelope. The run is also a correctness gate and
+//! exits 1 when any of these gates fails:
 //!
-//! * **speedup** — the calendar-queue engine must process ≥ 2× the
+//! * `speedup` — the calendar-queue engine must process ≥ 2× the
 //!   machine-events/s of the frozen rescan-style reference
-//!   ([`chs_pool::rescan_run`]) on an identical pool; the reference
+//!   ([`chs_bench::rescan::rescan_run`]) on an identical pool; the reference
 //!   recomputes fair shares over every machine on every event, which is
 //!   exactly the classic contention loop's behavior the engine replaces;
-//! * **memory** — peak RSS divided by machine count must stay under
+//! * `memory` — peak RSS divided by machine count must stay under
 //!   4096 bytes/machine at pool scale (≥ 10⁵ machines; Linux `VmHWM`),
 //!   holding the structure-of-arrays layout to its no-per-machine-heap
 //!   promise;
-//! * **contention differential** — an 8-job single-link pool must match
+//! * `contention_differential` — an 8-job single-link pool must match
 //!   the totals of the manager server's classic profile
 //!   (`chs_manager::ManagerConfig::classic`, processor sharing) to 1e-6
 //!   over a short window (the coupled adaptive system is chaotic over
 //!   long ones; see `tests/contention_differential.rs`);
-//! * **closed form** — a 1-machine uncontended pool must reproduce the
+//! * `closed_form_bitwise` — a 1-machine uncontended pool must reproduce the
 //!   `chs_cycle::run_trace` ledger bitwise on a dyadic config;
-//! * **determinism** — reversed machine-insertion order and a 1-thread
+//! * `determinism` — reversed machine-insertion order and a 1-thread
 //!   policy-store build must replay to the same ledger digest.
 //!
-//! The report also includes a congestion-collapse sweep: core capacity
-//! is swept from 4× down to ⅛× the provisioned rate and the goodput
-//! (committed work per machine-second) is watched for the first scale
-//! at which it drops below 98% of the best seen — the collapse
-//! threshold of the offered-load curve.
+//! * `congestion_sanity` — in the congestion-collapse sweep, core
+//!   capacity is swept from 4× down to ⅛× the provisioned rate and the
+//!   goodput (committed work per machine-second) is watched for the
+//!   first scale at which it drops below 98% of the best seen — the
+//!   collapse threshold of the offered-load curve. The best-provisioned
+//!   core must commit work, and shrinking it must not raise goodput.
 
+use chs_bench::harness::{finish, Gates};
+use chs_bench::rescan::rescan_run;
+use chs_bench::CommonArgs;
 use chs_cycle::{run_trace, CycleAccounting, CycleConfig, NoopObserver, SchedulePolicy};
 use chs_dist::fit::fit_model;
 use chs_dist::ModelKind;
@@ -42,9 +47,8 @@ use chs_manager::{run_manager, ManagerConfig};
 use chs_markov::CheckpointCosts;
 use chs_net::FaultPlan;
 use chs_pool::{
-    build_policy_store, rescan_run, DistSummary, FabricConfig, PoolSim, PoolSimConfig,
-    SchedulePolicyBridge, Seg, StoreBuildReport, StorePolicy, VecTimeline, Workload,
-    WorkloadConfig,
+    build_policy_store, DistSummary, FabricConfig, PoolSim, PoolSimConfig, SchedulePolicyBridge,
+    Seg, StoreBuildReport, StorePolicy, VecTimeline, Workload, WorkloadConfig,
 };
 use rayon::ThreadPoolBuilder;
 use serde::Serialize;
@@ -65,75 +69,50 @@ const CORE_PER_RACK_MB_S: f64 = UPLINK_MB_S / 8.0;
 /// Checkpoint image, MB (512 MB at 4 MB/s ⇒ 128 s nominal cost).
 const IMAGE_MB: f64 = 512.0;
 
-#[derive(Debug, Clone)]
+/// The command line: the common options plus `--window` and `--large`.
 struct PoolArgs {
-    machines: usize,
+    common: CommonArgs,
     window: f64,
-    seed: u64,
-    json: String,
-    quick: bool,
     large: bool,
 }
 
 impl PoolArgs {
     fn parse() -> Self {
-        let mut out = PoolArgs {
+        let (mut window, mut large) = (86_400.0, false);
+        let defaults = CommonArgs {
             machines: 100_000,
-            window: 86_400.0,
-            seed: 2_005,
-            json: "BENCH_pool.json".into(),
-            quick: false,
-            large: false,
+            ..CommonArgs::default()
         };
-        let mut args = std::env::args().skip(1);
-        while let Some(arg) = args.next() {
-            let mut num = |flag: &str| -> u64 {
-                args.next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage(flag))
-            };
-            match arg.as_str() {
-                "--machines" => out.machines = num("--machines") as usize,
-                "--window" => out.window = num("--window") as f64,
-                "--seed" => out.seed = num("--seed"),
-                "--quick" => {
-                    out.quick = true;
-                    out.machines = 2_000;
-                    out.window = 14_400.0;
-                }
-                "--large" => out.large = true,
-                "--json" => out.json = args.next().unwrap_or_else(|| usage("--json")),
-                "--help" | "-h" => {
-                    eprintln!(
-                        "options: --machines N | --window SECONDS | --quick | --large | \
-                         --seed S | --json PATH"
-                    );
-                    std::process::exit(0);
-                }
-                other => usage(other),
-            }
-        }
-        if out.quick && out.large {
+        let common =
+            defaults.parse_with(
+                2_000,
+                " | --window SECONDS | --large",
+                |flag, args| match flag {
+                    "--window" => {
+                        window = args.positive(flag);
+                        true
+                    }
+                    "--quick" => {
+                        window = 14_400.0;
+                        true
+                    }
+                    "--large" => {
+                        large = true;
+                        true
+                    }
+                    _ => false,
+                },
+            );
+        if common.quick && large {
             eprintln!("--quick and --large are mutually exclusive");
             std::process::exit(2);
         }
-        out
-    }
-
-    fn mode(&self) -> &'static str {
-        if self.quick {
-            "quick"
-        } else if self.large {
-            "large"
-        } else {
-            "default"
+        PoolArgs {
+            common,
+            window,
+            large,
         }
     }
-}
-
-fn usage(flag: &str) -> ! {
-    eprintln!("bad or missing argument near {flag}; see --help");
-    std::process::exit(2);
 }
 
 /// The provisioned fabric for a pool: fixed NIC and uplink tiers, core
@@ -306,14 +285,13 @@ struct SpeedupGate {
     rescan_events_per_sec: f64,
     speedup: f64,
     floor: f64,
-    pass: bool,
 }
 
 fn speedup_gate(args: &PoolArgs) -> SpeedupGate {
-    let machines = args.machines.min(1_024);
+    let machines = args.common.machines.min(1_024);
     let window = args.window.min(21_600.0);
     eprintln!("[speedup] reference pool: {machines} machines, window {window:.0} s ...");
-    let mut fleet = build_fleet(machines, window, args.seed);
+    let mut fleet = build_fleet(machines, window, args.common.seed);
     let t = Instant::now();
     let pool = PoolSim::run(&fleet.config, &fleet.workload, &mut fleet.policy).expect("pool run");
     let pool_wall = t.elapsed().as_secs_f64();
@@ -325,10 +303,6 @@ fn speedup_gate(args: &PoolArgs) -> SpeedupGate {
     let rescan_eps = rescan.events as f64 / rescan_wall.max(1e-9);
     let speedup = pool_eps / rescan_eps.max(1e-9);
     let floor = 2.0;
-    eprintln!(
-        "[speedup] calendar {:.0} events/s vs rescan {:.0} events/s: {speedup:.1}x",
-        pool_eps, rescan_eps
-    );
     SpeedupGate {
         ref_machines: machines,
         ref_window_s: window,
@@ -340,7 +314,6 @@ fn speedup_gate(args: &PoolArgs) -> SpeedupGate {
         rescan_events_per_sec: rescan_eps,
         speedup,
         floor,
-        pass: speedup >= floor,
     }
 }
 
@@ -353,7 +326,6 @@ struct MemoryGate {
     bytes_per_machine: f64,
     ceiling_bytes_per_machine: f64,
     enforced: bool,
-    pass: bool,
 }
 
 fn memory_gate(machines: usize) -> MemoryGate {
@@ -367,7 +339,6 @@ fn memory_gate(machines: usize) -> MemoryGate {
         bytes_per_machine: per_machine,
         ceiling_bytes_per_machine: ceiling,
         enforced,
-        pass: !enforced || per_machine <= ceiling,
     }
 }
 
@@ -385,7 +356,6 @@ struct ContentionGate {
     window_s: f64,
     tolerance: f64,
     cases: Vec<ContentionCase>,
-    pass: bool,
 }
 
 /// Small single-link pools must match the manager's classic-profile
@@ -427,20 +397,11 @@ fn contention_gate() -> ContentionGate {
             counts_match,
         });
     }
-    let pass = cases
-        .iter()
-        .all(|c| c.max_rel < tolerance && c.counts_match);
-    eprintln!(
-        "[contention] {} cases, worst rel {:.2e}",
-        cases.len(),
-        cases.iter().fold(0.0, |m, c| c.max_rel.max(m))
-    );
     ContentionGate {
         jobs,
         window_s: window,
         tolerance,
         cases,
-        pass,
     }
 }
 
@@ -513,7 +474,6 @@ impl SchedulePolicy for DyadicPolicy {
 struct ClosedFormGate {
     fields_compared: usize,
     mismatched_fields: usize,
-    pass: bool,
 }
 
 /// A 1-machine uncontended pool on a dyadic config must reproduce the
@@ -576,15 +536,9 @@ fn closed_form_gate() -> ClosedFormGate {
     };
     let (g, e) = (bits(&got.cycle), bits(&expect));
     let mismatched = g.iter().zip(&e).filter(|(a, b)| *a != *b).count();
-    eprintln!(
-        "[closed-form] {} / {} ledger fields bitwise equal",
-        g.len() - mismatched,
-        g.len()
-    );
     ClosedFormGate {
         fields_compared: g.len(),
         mismatched_fields: mismatched,
-        pass: mismatched == 0,
     }
 }
 
@@ -595,16 +549,15 @@ struct DeterminismGate {
     store_digest_match: bool,
     run_digest_match: bool,
     events_match: bool,
-    pass: bool,
 }
 
 /// Reversed calendar insertion + a 1-thread store build must replay to
 /// the same digest as the default run.
 fn determinism_gate(args: &PoolArgs) -> DeterminismGate {
-    let machines = args.machines.min(8_192);
+    let machines = args.common.machines.min(8_192);
     let window = args.window.min(21_600.0);
     eprintln!("[determinism] replaying {machines} machines twice ...");
-    let mut fleet = build_fleet(machines, window, args.seed);
+    let mut fleet = build_fleet(machines, window, args.common.seed);
     let costs = CheckpointCosts::symmetric(fleet.config.nominal_cost());
     let fits: Vec<_> = (0..fleet.workload.streams())
         .map(|s| fit_model(ModelKind::Weibull, &fleet.workload.history(s)).expect("stream fit"))
@@ -630,7 +583,6 @@ fn determinism_gate(args: &PoolArgs) -> DeterminismGate {
         store_digest_match,
         run_digest_match: a.digest == b.digest,
         events_match: a.events == b.events,
-        pass: store_digest_match && a.digest == b.digest && a.events == b.events,
     }
 }
 
@@ -655,16 +607,15 @@ struct CongestionSweep {
     window_s: f64,
     rows: Vec<CongestionRow>,
     collapse_core_scale: Option<f64>,
-    pass: bool,
 }
 
 /// Sweep core capacity from 4× down to ⅛× provisioned and locate the
 /// congestion-collapse threshold: the first scale (descending) whose
 /// goodput falls below 98% of the best seen so far.
 fn congestion_sweep(args: &PoolArgs) -> CongestionSweep {
-    let machines = args.machines.min(20_000);
+    let machines = args.common.machines.min(20_000);
     let window = args.window.min(21_600.0);
-    let fleet = build_fleet(machines, window, args.seed);
+    let fleet = build_fleet(machines, window, args.common.seed);
     let mut rows = Vec::new();
     for &scale in &[4.0, 2.0, 1.0, 0.5, 0.25, 0.125] {
         let mut config = fleet.config;
@@ -700,19 +651,11 @@ fn congestion_sweep(args: &PoolArgs) -> CongestionSweep {
         }
         best = best.max(row.goodput);
     }
-    // Sanity, not physics-shape: the best-provisioned core must commit
-    // work, and shrinking the core 32× must not *increase* goodput
-    // beyond chaotic jitter. Zero goodput at the bottom of the sweep is
-    // the congestion collapse itself, not a failure.
-    let first = rows.first().map(|r| r.goodput).unwrap_or(0.0);
-    let last = rows.last().map(|r| r.goodput).unwrap_or(0.0);
-    let pass = first > 0.0 && first >= last * 0.995;
     CongestionSweep {
         machines,
         window_s: window,
         rows,
         collapse_core_scale: collapse,
-        pass,
     }
 }
 
@@ -728,11 +671,11 @@ struct PoolBenchReport {
     closed_form: ClosedFormGate,
     determinism: DeterminismGate,
     congestion: CongestionSweep,
-    pass: bool,
 }
 
 fn main() {
     let args = PoolArgs::parse();
+    let json_path = args.common.report_path("BENCH_pool.json");
 
     let speedup = speedup_gate(&args);
     let contention_differential = contention_gate();
@@ -742,23 +685,97 @@ fn main() {
 
     // Scale rows last so VmHWM reflects the largest fleet when the
     // memory gate reads it.
-    let mut rows = vec![run_scale("default", args.machines, args.window, args.seed)];
+    let mut rows = vec![run_scale(
+        "default",
+        args.common.machines,
+        args.window,
+        args.common.seed,
+    )];
     if args.large {
-        rows.push(run_scale("large", 1_000_000, 21_600.0, args.seed));
+        rows.push(run_scale("large", 1_000_000, 21_600.0, args.common.seed));
     }
     let max_machines = rows.iter().map(|r| r.machines).max().unwrap_or(0);
     let memory = memory_gate(max_machines);
 
-    let pass = speedup.pass
-        && memory.pass
-        && contention_differential.pass
-        && closed_form.pass
-        && determinism.pass
-        && congestion.pass;
+    let mut gates = Gates::new();
+    gates.check(
+        "speedup",
+        speedup.speedup >= speedup.floor,
+        format!(
+            "{:.1}x vs rescan reference, floor {:.1}x",
+            speedup.speedup, speedup.floor
+        ),
+    );
+    gates.check(
+        "memory",
+        !memory.enforced || memory.bytes_per_machine <= memory.ceiling_bytes_per_machine,
+        if memory.enforced {
+            format!(
+                "{:.0} bytes/machine, ceiling {:.0}",
+                memory.bytes_per_machine, memory.ceiling_bytes_per_machine
+            )
+        } else {
+            "not enforced below 1e5 machines".into()
+        },
+    );
+    let worst = contention_differential
+        .cases
+        .iter()
+        .fold(0.0, |m, c| c.max_rel.max(m));
+    gates.check(
+        "contention_differential",
+        contention_differential
+            .cases
+            .iter()
+            .all(|c| c.max_rel < contention_differential.tolerance && c.counts_match),
+        format!(
+            "worst rel {worst:.2e}, tolerance {:.0e}",
+            contention_differential.tolerance
+        ),
+    );
+    gates.check(
+        "closed_form_bitwise",
+        closed_form.mismatched_fields == 0,
+        format!(
+            "{} of {} ledger fields mismatched",
+            closed_form.mismatched_fields, closed_form.fields_compared
+        ),
+    );
+    gates.check(
+        "determinism",
+        determinism.store_digest_match && determinism.run_digest_match && determinism.events_match,
+        format!(
+            "store digests match: {}, run digests match: {}, events match: {}",
+            determinism.store_digest_match, determinism.run_digest_match, determinism.events_match
+        ),
+    );
+    // Sanity, not physics-shape: the best-provisioned core must commit
+    // work, and shrinking the core 32× must not *increase* goodput
+    // beyond chaotic jitter. Zero goodput at the bottom of the sweep is
+    // the congestion collapse itself, not a failure.
+    let first = congestion.rows.first().map(|r| r.goodput).unwrap_or(0.0);
+    let last = congestion.rows.last().map(|r| r.goodput).unwrap_or(0.0);
+    gates.check(
+        "congestion_sanity",
+        first > 0.0 && first >= last * 0.995,
+        format!(
+            "goodput {first:.4} at core x4, {last:.4} at x0.125; {}",
+            match congestion.collapse_core_scale {
+                Some(s) => format!("collapse at core x{s}"),
+                None => "no collapse within sweep".into(),
+            }
+        ),
+    );
+
     let report = PoolBenchReport {
         generated_by: "pool_bench".into(),
-        mode: args.mode().into(),
-        seed: args.seed,
+        mode: match (args.common.quick, args.large) {
+            (true, _) => "quick",
+            (_, true) => "large",
+            _ => "default",
+        }
+        .into(),
+        seed: args.common.seed,
         rows,
         speedup,
         memory,
@@ -766,80 +783,6 @@ fn main() {
         closed_form,
         determinism,
         congestion,
-        pass,
     };
-    let json = serde_json::to_string_pretty(&report).expect("serialize report");
-    std::fs::write(&args.json, json + "\n").expect("write report");
-    eprintln!("report written to {}", args.json);
-
-    let mut failed = false;
-    let mut gate = |name: &str, ok: bool, detail: String| {
-        if ok {
-            eprintln!("PASS: {name} ({detail})");
-        } else {
-            eprintln!("FAIL: {name} ({detail})");
-            failed = true;
-        }
-    };
-    gate(
-        "speedup",
-        report.speedup.pass,
-        format!(
-            "{:.1}x vs rescan reference, floor {:.1}x",
-            report.speedup.speedup, report.speedup.floor
-        ),
-    );
-    gate(
-        "memory",
-        report.memory.pass,
-        if report.memory.enforced {
-            format!(
-                "{:.0} bytes/machine, ceiling {:.0}",
-                report.memory.bytes_per_machine, report.memory.ceiling_bytes_per_machine
-            )
-        } else {
-            "not enforced below 1e5 machines".into()
-        },
-    );
-    gate(
-        "contention differential",
-        report.contention_differential.pass,
-        format!(
-            "worst rel {:.2e}, tolerance {:.0e}",
-            report
-                .contention_differential
-                .cases
-                .iter()
-                .fold(0.0, |m, c| c.max_rel.max(m)),
-            report.contention_differential.tolerance
-        ),
-    );
-    gate(
-        "closed-form bitwise identity",
-        report.closed_form.pass,
-        format!(
-            "{} mismatched ledger fields",
-            report.closed_form.mismatched_fields
-        ),
-    );
-    gate(
-        "determinism",
-        report.determinism.pass,
-        format!(
-            "store digests match: {}, run digests match: {}",
-            report.determinism.store_digest_match, report.determinism.run_digest_match
-        ),
-    );
-    gate(
-        "congestion sweep sanity",
-        report.congestion.pass,
-        match report.congestion.collapse_core_scale {
-            Some(s) => format!("collapse at core x{s}"),
-            None => "no collapse within sweep".into(),
-        },
-    );
-    if failed {
-        std::process::exit(1);
-    }
-    eprintln!("all pool gates passed");
+    finish(&json_path, &report, &gates);
 }

@@ -15,29 +15,10 @@
 //! ```
 //! (Γ-evaluation and memo lines read 0 without `bench-counters`.)
 
+use chs_benchmark::counters;
 use chs_dist::{FittedModel, Weibull};
 use chs_markov::{CheckpointCosts, CompressedPolicy, CompressionConfig, VaidyaModel};
 use std::time::Instant;
-
-/// (Γ evaluations, fresh-memo hits, fresh-memo misses) since the last
-/// reset; all-zero without `bench-counters`.
-#[cfg(feature = "bench-counters")]
-fn counters_snapshot() -> (u64, u64, u64) {
-    chs_markov::counters::snapshot()
-}
-
-#[cfg(not(feature = "bench-counters"))]
-fn counters_snapshot() -> (u64, u64, u64) {
-    (0, 0, 0)
-}
-
-#[cfg(feature = "bench-counters")]
-fn counters_reset() {
-    chs_markov::counters::reset();
-}
-
-#[cfg(not(feature = "bench-counters"))]
-fn counters_reset() {}
 
 fn main() {
     let model = FittedModel::Weibull(Weibull::new(0.8, 4000.0).unwrap());
@@ -81,8 +62,8 @@ fn main() {
     );
 
     // full build
-    let t0 = Instant::now();
     let reps = 50;
+    let t0 = Instant::now();
     for _ in 0..reps {
         std::hint::black_box(CompressedPolicy::build(&model, &cfg).unwrap());
     }
@@ -113,12 +94,12 @@ fn main() {
         let shape = 0.45 + 0.45 * unif();
         let scale = 600.0 * 30f64.powf(unif());
         let m = FittedModel::Weibull(Weibull::new(shape, scale).unwrap());
-        counters_reset();
+        counters::reset();
         let t0 = Instant::now();
         let tb = CompressedPolicy::build(&m, &cfg).unwrap();
         tot += t0.elapsed().as_secs_f64();
         tot_searches += tb.build_evals() as u64;
-        let (g, h, mi) = counters_snapshot();
+        let [g, h, mi, _] = counters::read();
         tot_gamma += g;
         tot_hits += h;
         tot_miss += mi;

@@ -3,30 +3,32 @@
 //! then high-QPS `next_interval` serving.
 //!
 //! ```text
-//! cargo run -p chs-bench --release --bin serve_bench [--quick] [--json PATH]
+//! cargo run -p chs-bench --release --bin serve_bench [--quick] [--queries N] [--json PATH]
 //! ```
 //!
 //! The scheduler parks the fleet's initial fits at ingest; the bench
 //! resolves them (`Scheduler::flush`) before it times the publish and
 //! reports their batch time as `refit_seconds`.
 //!
-//! Results are written to `BENCH_serve.json` (override with `--json`).
-//! The run is also a correctness gate and exits nonzero when any of
-//! four contracts is violated:
+//! Results are written to `BENCH_serve.json` (override with `--json`)
+//! in the common report envelope. The run is also a correctness gate
+//! and exits 1 when any of these gates fails:
 //!
-//! * **publish throughput** — the build path must compress tables at a
+//! * `publish_throughput` — the build path must compress tables at a
 //!   floor rate (tables/sec); the lane-batched warm `T_opt` search is
 //!   what holds builds cheap, and a regression to scalar-probe cost
 //!   trips this gate;
-//! * **accuracy** — served (compressed, deduplicated) `T_opt` must stay
+//! * `accuracy` — served (compressed, deduplicated) `T_opt` must stay
 //!   within the 1e-3 relative-error budget of each sampled machine's
 //!   own exact kernel optimum across a dense age grid including age 0;
-//! * **throughput** — ≥ 1e5 `next_interval` queries/sec against the
+//! * `qps` — ≥ 1e5 `next_interval` queries/sec against the
 //!   full fleet store (default 10⁴ machines), single-threaded;
-//! * **determinism** — a 1-thread and a 4-thread scheduler replay of
+//! * `determinism` — a 1-thread and a 4-thread scheduler replay of
 //!   the same event tape must publish bitwise-identical store epochs
 //!   and fold bitwise-identical query-answer digests.
 
+use chs_bench::harness::{finish, Gates};
+use chs_bench::CommonArgs;
 use chs_dist::fit::StreamingFitConfig;
 use chs_dist::{AvailabilityModel, ModelKind, Weibull};
 use chs_markov::{
@@ -45,57 +47,26 @@ use std::time::Instant;
 /// machine installs its initial fit on its last training observation.
 const TRAIN_PER_MACHINE: usize = 25;
 
-#[derive(Debug, Clone)]
-struct ServeArgs {
-    machines: usize,
-    seed: u64,
-    queries: usize,
-    json: String,
-    quick: bool,
-}
-
-impl ServeArgs {
-    fn parse() -> Self {
-        let mut out = ServeArgs {
-            machines: 10_000,
-            seed: 2_005,
-            queries: 1_000_000,
-            json: "BENCH_serve.json".into(),
-            quick: false,
-        };
-        let mut args = std::env::args().skip(1);
-        while let Some(arg) = args.next() {
-            let mut num = |flag: &str| -> u64 {
-                args.next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage(flag))
-            };
-            match arg.as_str() {
-                "--machines" => out.machines = num("--machines") as usize,
-                "--seed" => out.seed = num("--seed"),
-                "--queries" => out.queries = num("--queries") as usize,
-                "--quick" => {
-                    out.quick = true;
-                    out.machines = 500;
-                    out.queries = 200_000;
-                }
-                "--json" => out.json = args.next().unwrap_or_else(|| usage("--json")),
-                "--help" | "-h" => {
-                    eprintln!(
-                        "options: --machines N | --quick | --seed S | --queries N | --json PATH"
-                    );
-                    std::process::exit(0);
-                }
-                other => usage(other),
-            }
+/// The common options (10⁴ machines by default, 500 under `--quick`)
+/// plus the query count (10⁶, 2·10⁵ under `--quick`).
+fn parse_args() -> (CommonArgs, usize) {
+    let mut queries = 1_000_000;
+    let defaults = CommonArgs {
+        machines: 10_000,
+        ..CommonArgs::default()
+    };
+    let args = defaults.parse_with(500, " | --queries N", |flag, args| match flag {
+        "--queries" => {
+            queries = args.count(flag);
+            true
         }
-        out
-    }
-}
-
-fn usage(flag: &str) -> ! {
-    eprintln!("bad or missing argument near {flag}; see --help");
-    std::process::exit(2);
+        "--quick" => {
+            queries = 200_000;
+            true
+        }
+        _ => false,
+    });
+    (args, queries)
 }
 
 fn scheduler_config() -> SchedulerConfig {
@@ -147,7 +118,6 @@ struct FleetReport {
     publish_seconds_per_table: f64,
     tables_per_sec: f64,
     tables_per_sec_floor: f64,
-    publish_pass: bool,
     store: StoreStats,
     segments_per_machine: f64,
     cache_hits: u64,
@@ -164,7 +134,6 @@ struct AccuracyReport {
     worst_machine: u64,
     worst_age: f64,
     budget: f64,
-    pass: bool,
 }
 
 #[derive(Debug, Serialize)]
@@ -173,7 +142,6 @@ struct ThroughputReport {
     seconds: f64,
     qps: f64,
     qps_floor: f64,
-    pass: bool,
 }
 
 #[derive(Debug, Serialize)]
@@ -182,7 +150,6 @@ struct DeterminismReport {
     publishes: usize,
     single_thread: RunSummary,
     four_thread: RunSummary,
-    pass: bool,
 }
 
 #[derive(Debug, Serialize)]
@@ -199,7 +166,7 @@ struct ServeBenchReport {
 /// Stream the whole fleet's training prefixes through the scheduler,
 /// run the parked initial fits, and publish one epoch; the three phases
 /// are timed apart, so `tables_per_sec` measures table builds only.
-fn build_fleet(args: &ServeArgs) -> (Scheduler, FleetReport) {
+fn build_fleet(args: &CommonArgs) -> (Scheduler, FleetReport) {
     let mut sched = Scheduler::new(scheduler_config()).expect("valid config");
     let t0 = Instant::now();
     for machine in 0..args.machines as u64 {
@@ -234,7 +201,6 @@ fn build_fleet(args: &ServeArgs) -> (Scheduler, FleetReport) {
         publish_seconds_per_table: publish_seconds / counters.builds.max(1) as f64,
         tables_per_sec,
         tables_per_sec_floor,
-        publish_pass: tables_per_sec >= tables_per_sec_floor,
         segments_per_machine: stats.total_segments as f64 / stats.tables.max(1) as f64,
         store: stats,
         cache_hits: counters.hits,
@@ -247,7 +213,7 @@ fn build_fleet(args: &ServeArgs) -> (Scheduler, FleetReport) {
 
 /// Max relative error of the served table vs each sampled machine's own
 /// exact kernel optimum, over a log age grid including age 0.
-fn measure_accuracy(sched: &Scheduler, args: &ServeArgs) -> AccuracyReport {
+fn measure_accuracy(sched: &Scheduler, args: &CommonArgs) -> AccuracyReport {
     let sample = if args.quick { 24 } else { 64 };
     let ages_n = if args.quick { 60 } else { 120 };
     let stride = (args.machines / sample).max(1) as u64;
@@ -294,18 +260,17 @@ fn measure_accuracy(sched: &Scheduler, args: &ServeArgs) -> AccuracyReport {
         worst_machine,
         worst_age,
         budget: DEFAULT_MAX_REL_ERROR,
-        pass: worst <= DEFAULT_MAX_REL_ERROR,
     }
 }
 
 /// Single-threaded serving throughput against the published store.
-fn measure_throughput(sched: &Scheduler, args: &ServeArgs) -> ThroughputReport {
+fn measure_throughput(sched: &Scheduler, args: &CommonArgs, queries: usize) -> ThroughputReport {
     let store = sched.store();
     let machines = args.machines as u64;
     let max_age = sched.config().compression.max_age;
     let mut digest = 0u64;
     let t0 = Instant::now();
-    for i in 0..args.queries as u64 {
+    for i in 0..queries as u64 {
         // Deterministic scatter over (machine, age), ages past the
         // horizon included — the clamp path is part of serving.
         let machine = i.wrapping_mul(0x9e37_79b9_7f4a_7c15) % machines;
@@ -316,19 +281,18 @@ fn measure_throughput(sched: &Scheduler, args: &ServeArgs) -> ThroughputReport {
     }
     let seconds = t0.elapsed().as_secs_f64();
     black_box(digest);
-    let qps = args.queries as f64 / seconds.max(1e-12);
+    let qps = queries as f64 / seconds.max(1e-12);
     ThroughputReport {
-        queries: args.queries,
+        queries,
         seconds,
         qps,
         qps_floor: 1e5,
-        pass: qps >= 1e5,
     }
 }
 
 /// Replay one event tape on 1-thread and 4-thread pools; the summaries
 /// (published digests, query digests, counters) must match bitwise.
-fn measure_determinism(args: &ServeArgs) -> DeterminismReport {
+fn measure_determinism(args: &CommonArgs) -> DeterminismReport {
     let machines = args.machines.min(if args.quick { 200 } else { 1_000 });
     let mut events = Vec::new();
     let streams: Vec<Vec<f64>> = (0..machines as u64)
@@ -363,20 +327,16 @@ fn measure_determinism(args: &ServeArgs) -> DeterminismReport {
     };
     let single_thread = replay(1);
     let four_thread = replay(4);
-    let pass = single_thread == four_thread
-        && !single_thread.publishes.is_empty()
-        && single_thread.answered > 0;
     DeterminismReport {
         machines,
         publishes: single_thread.publishes.len(),
         single_thread,
         four_thread,
-        pass,
     }
 }
 
 fn main() {
-    let args = ServeArgs::parse();
+    let (args, queries) = parse_args();
     eprintln!(
         "serve bench: {} machines ({} unique streams), seed {}",
         args.machines,
@@ -408,32 +368,58 @@ fn main() {
 
     eprintln!("measuring accuracy vs exact kernel T_opt ...");
     let accuracy = measure_accuracy(&sched, &args);
-    eprintln!(
-        "max rel error {:.3e} over {} machines x {} ages (budget {:.1e})",
-        accuracy.max_rel_error,
-        accuracy.sampled_machines,
-        accuracy.ages_per_machine,
-        accuracy.budget
-    );
 
     eprintln!("measuring serving throughput ...");
-    let throughput = measure_throughput(&sched, &args);
-    eprintln!(
-        "{:.2e} queries/sec over {} queries (floor 1e5)",
-        throughput.qps, throughput.queries
-    );
+    let throughput = measure_throughput(&sched, &args, queries);
 
     eprintln!("replaying determinism tape on 1-thread and 4-thread pools ...");
     let determinism = measure_determinism(&args);
-    eprintln!(
-        "determinism: {} publishes, digests {} ({} machines)",
-        determinism.publishes,
-        if determinism.pass {
-            "MATCH"
-        } else {
-            "DIVERGED"
-        },
-        determinism.machines
+
+    let mut gates = Gates::new();
+    gates.check(
+        "publish_throughput",
+        fleet.tables_per_sec >= fleet.tables_per_sec_floor,
+        format!(
+            "{:.0} tables/sec, floor {:.0}",
+            fleet.tables_per_sec, fleet.tables_per_sec_floor
+        ),
+    );
+    gates.check(
+        "accuracy",
+        accuracy.max_rel_error <= accuracy.budget,
+        format!(
+            "served T_opt max rel error {:.3e} over {} machines x {} ages, budget {:.1e}",
+            accuracy.max_rel_error,
+            accuracy.sampled_machines,
+            accuracy.ages_per_machine,
+            accuracy.budget
+        ),
+    );
+    gates.check(
+        "qps",
+        throughput.qps >= throughput.qps_floor,
+        format!(
+            "{:.3e} queries/sec over {} queries, floor {:.0e}",
+            throughput.qps, throughput.queries, throughput.qps_floor
+        ),
+    );
+    let d = &determinism;
+    gates.check(
+        "determinism",
+        d.single_thread == d.four_thread
+            && !d.single_thread.publishes.is_empty()
+            && d.single_thread.answered > 0,
+        format!(
+            "{} publishes and {} answers on 1 thread over {} machines; 4-thread summary {}",
+            d.publishes,
+            d.single_thread.answered,
+            d.machines,
+            if d.single_thread == d.four_thread {
+                "equal"
+            } else {
+                "DIVERGED"
+            }
+        ),
     );
 
     let report = ServeBenchReport {
@@ -446,48 +432,5 @@ fn main() {
         determinism,
     };
 
-    match serde_json::to_string_pretty(&report) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(&args.json, json) {
-                eprintln!("could not write {}: {e}", args.json);
-                std::process::exit(1);
-            }
-            eprintln!("report written to {}", args.json);
-        }
-        Err(e) => {
-            eprintln!("could not serialize report: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    let mut failed = false;
-    if !report.fleet.publish_pass {
-        eprintln!(
-            "FAIL: publish built {:.0} tables/sec, under the {:.0} floor",
-            report.fleet.tables_per_sec, report.fleet.tables_per_sec_floor
-        );
-        failed = true;
-    }
-    if !report.accuracy.pass {
-        eprintln!(
-            "FAIL: served T_opt off by {:.3e} relative (budget {:.1e})",
-            report.accuracy.max_rel_error, report.accuracy.budget
-        );
-        failed = true;
-    }
-    if !report.throughput.pass {
-        eprintln!(
-            "FAIL: {:.3e} queries/sec under the 1e5 floor",
-            report.throughput.qps
-        );
-        failed = true;
-    }
-    if !report.determinism.pass {
-        eprintln!("FAIL: 1-thread and 4-thread replays diverged");
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    eprintln!("all serving gates passed");
+    finish(&args.report_path("BENCH_serve.json"), &report, &gates);
 }

@@ -3,20 +3,30 @@
 //! the serial cold-search [`sweep_paper_grid_reference`] (the structure
 //! and cost profile the sweep had before the flat fan-out), verifies the
 //! flat fan-out against the serial warm-fill sweep cell-by-cell, and
-//! audits the warm `T_opt` fill against the cold one point by point
-//! (exit 1 if any Weibull point is worse in Γ/T by more than 1e-6).
+//! audits the warm `T_opt` fill against the cold one point by point.
 //!
 //! ```text
 //! cargo run -p chs-bench --release --features bench-counters --bin sweep_bench \
 //!     [--quick | --full] [--json PATH]
 //! ```
 //!
-//! Results are written to `BENCH_sweep.json` (override with `--json`).
+//! Results are written to `BENCH_sweep.json` (override with `--json`)
+//! in the common report envelope. The run exits 1 if any gate fails:
+//!
+//! * `nonempty` — the sweep covered at least one work item (a pool whose
+//!   machines were all dropped proves nothing);
+//! * `serial_identity` — the flat fan-out matches the serial warm-fill
+//!   sweep to 1e-9 relative in every efficiency and megabyte entry;
+//! * `weibull_plateau` — no Weibull grid point's warm fill is worse in
+//!   Γ/T than the cold fill by more than 1e-6.
+//!
 //! With the `bench-counters` feature the report also includes Γ-evaluation
 //! counts and fresh-quantity memo hit rates for both paths; without it
 //! those fields are zero and `counters_enabled` is false.
 
+use chs_bench::harness::{best_of, finish, Gates};
 use chs_bench::{prepare_pool_reported, CommonArgs, TablePrinter};
+use chs_benchmark::counters;
 use chs_dist::ModelKind;
 use chs_sim::sweep::PAPER_C_GRID;
 use chs_sim::{
@@ -25,25 +35,6 @@ use chs_sim::{
 };
 use serde::Serialize;
 use std::time::Instant;
-
-#[cfg(feature = "bench-counters")]
-fn counters_reset() {
-    chs_markov::counters::reset();
-}
-
-#[cfg(not(feature = "bench-counters"))]
-fn counters_reset() {}
-
-/// (Γ evaluations, fresh-memo hits, fresh-memo misses).
-#[cfg(feature = "bench-counters")]
-fn counters_snapshot() -> (u64, u64, u64) {
-    chs_markov::counters::snapshot()
-}
-
-#[cfg(not(feature = "bench-counters"))]
-fn counters_snapshot() -> (u64, u64, u64) {
-    (0, 0, 0)
-}
 
 #[derive(Debug, Serialize)]
 struct PathReport {
@@ -72,7 +63,7 @@ struct SweepBenchReport {
     speedup: f64,
     /// Deviation from the serial warm-fill sweep (identical numerics,
     /// old orchestration). The fan-out must reproduce this bitwise, so
-    /// these are required to be ≤ 1e-9 — the run aborts otherwise.
+    /// the `serial_identity` gate requires these to be ≤ 1e-9.
     max_rel_dev_vs_serial_efficiency: f64,
     max_rel_dev_vs_serial_megabytes: f64,
     /// Deviation from the cold-search reference, recorded as measured.
@@ -87,7 +78,8 @@ struct SweepBenchReport {
     /// Per family: Γ/T at the warm-filled T against Γ/T at the cold T,
     /// over every reachable (machine, C, age) grid point (the lattice
     /// from the last age at or below `R = C`), counting excesses above
-    /// `PLATEAU_TOL`. The run aborts if any Weibull point exceeds it.
+    /// `PLATEAU_TOL`. The `weibull_plateau` gate fails if any Weibull
+    /// point exceeds it.
     plateau_audit: Vec<FillExcess>,
     counters_enabled: bool,
 }
@@ -97,21 +89,21 @@ struct SweepBenchReport {
 /// Weibull fits), far below a different basin.
 const PLATEAU_TOL: f64 = 1e-6;
 
-fn time_sweep<F: FnOnce() -> SweepGrid>(f: F) -> (SweepGrid, f64, (u64, u64, u64)) {
-    counters_reset();
-    let t0 = Instant::now();
-    let grid = f();
-    let secs = t0.elapsed().as_secs_f64();
-    (grid, secs, counters_snapshot())
+/// One timed sweep with its `[Γ evaluations, memo hits, memo misses,
+/// quadrature fallbacks]` counts.
+fn time_sweep(f: impl FnMut() -> SweepGrid) -> (SweepGrid, f64, [u64; 4]) {
+    counters::reset();
+    let (grid, secs) = best_of(1, f);
+    (grid, secs, counters::read())
 }
 
-fn path_report(secs: f64, counters: (u64, u64, u64), machines: usize) -> PathReport {
+fn path_report(secs: f64, counts: [u64; 4], machines: usize) -> PathReport {
     PathReport {
         seconds: secs,
         machines_per_second: machines as f64 / secs.max(1e-12),
-        gamma_evaluations: counters.0,
-        fresh_memo_hits: counters.1,
-        fresh_memo_misses: counters.2,
+        gamma_evaluations: counts[0],
+        fresh_memo_hits: counts[1],
+        fresh_memo_misses: counts[2],
     }
 }
 
@@ -134,11 +126,9 @@ fn max_rel_dev(a: &SweepGrid, b: &SweepGrid) -> (f64, f64) {
 }
 
 fn main() {
-    let mut args = CommonArgs::parse();
-    let json_path = args
-        .json
-        .take()
-        .unwrap_or_else(|| "BENCH_sweep.json".into());
+    let args = CommonArgs::parse();
+    let json_path = args.report_path("BENCH_sweep.json");
+    let mut gates = Gates::new();
 
     let t0 = Instant::now();
     let prepared = prepare_pool_reported(&args);
@@ -146,6 +136,11 @@ fn main() {
     let (experiments, prepare_report) = (prepared.experiments, prepared.report);
     let machines = experiments.len();
     let work_items = machines * PAPER_C_GRID.len() * ModelKind::PAPER_SET.len();
+    gates.check(
+        "nonempty",
+        work_items > 0,
+        format!("{work_items} work items over {machines} usable machines"),
+    );
 
     eprintln!("timing reference sweep (serial, cold T_opt search) ...");
     let (ref_grid, ref_secs, ref_counters) =
@@ -159,13 +154,11 @@ fn main() {
     let serial_grid = sweep_paper_grid_serial(&experiments, &PAPER_C_GRID, 500.0);
 
     let (ser_eff, ser_mb) = max_rel_dev(&opt_grid, &serial_grid);
-    if ser_eff > 1e-9 || ser_mb > 1e-9 {
-        eprintln!(
-            "FAIL: flat fan-out diverged from the serial sweep \
-             (efficiency {ser_eff:.3e}, megabytes {ser_mb:.3e} > 1e-9)"
-        );
-        std::process::exit(1);
-    }
+    gates.check(
+        "serial_identity",
+        ser_eff <= 1e-9 && ser_mb <= 1e-9,
+        format!("efficiency {ser_eff:.3e}, megabytes {ser_mb:.3e}, bound 1e-9"),
+    );
     let (dev_eff, dev_mb) = max_rel_dev(&opt_grid, &ref_grid);
 
     eprintln!("auditing warm vs cold T_opt fills at every reachable grid point ...");
@@ -188,7 +181,7 @@ fn main() {
         max_rel_dev_vs_cold_efficiency: dev_eff,
         max_rel_dev_vs_cold_megabytes: dev_mb,
         plateau_audit,
-        counters_enabled: cfg!(feature = "bench-counters"),
+        counters_enabled: counters::ENABLED,
     };
 
     println!("\nsweep benchmark ({machines} machines, {work_items} work items)");
@@ -221,10 +214,6 @@ fn main() {
         prepare_seconds, report.speedup
     );
     println!(
-        "identity vs serial sweep (must be <= 1e-9): efficiency {ser_eff:.3e}, \
-         megabytes {ser_mb:.3e}"
-    );
-    println!(
         "deviation vs cold-search reference (plateau + event flips, recorded as \
          measured): efficiency {dev_eff:.3e}, megabytes {dev_mb:.3e}"
     );
@@ -250,20 +239,6 @@ fn main() {
         println!("(rebuild with --features bench-counters for Γ/memo counts)");
     }
 
-    match serde_json::to_string_pretty(&report) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(&json_path, json) {
-                eprintln!("could not write {json_path}: {e}");
-                std::process::exit(1);
-            }
-            eprintln!("report written to {json_path}");
-        }
-        Err(e) => {
-            eprintln!("could not serialize report: {e}");
-            std::process::exit(1);
-        }
-    }
-
     // Hyperexponential Γ/T can be bimodal, and a warm chain can stay in
     // the basin the global optimum left; Weibull Γ/T is unimodal, so any
     // excess there is a search defect.
@@ -271,12 +246,16 @@ fn main() {
         .plateau_audit
         .iter()
         .find(|r| r.kind == ModelKind::Weibull);
-    if let Some(row) = weibull.filter(|r| r.above > 0) {
-        eprintln!(
-            "FAIL: {} Weibull grid points exceed the cold fill's Γ/T by more than \
-             {PLATEAU_TOL:.0e} (worst {:.3e})",
-            row.above, row.worst
-        );
-        std::process::exit(1);
-    }
+    gates.check(
+        "weibull_plateau",
+        weibull.is_some_and(|r| r.above == 0),
+        match weibull {
+            Some(r) => format!(
+                "{} of {} points above {PLATEAU_TOL:.0e} (worst {:.3e})",
+                r.above, r.points, r.worst
+            ),
+            None => "no Weibull audit row".into(),
+        },
+    );
+    finish(&json_path, &report, &gates);
 }

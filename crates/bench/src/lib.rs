@@ -1,5 +1,5 @@
 //! Shared infrastructure for the experiment binaries that regenerate the
-//! paper's tables and figures.
+//! paper's tables and figures, and for the layer benches.
 //!
 //! Every binary accepts the same tiny CLI surface (no external parser):
 //!
@@ -7,12 +7,25 @@
 //!   `--full` for that),
 //! * `--seed S` — RNG seed,
 //! * `--full` — paper-scale pool (640 machines),
+//! * `--quick` — CI-sized run,
 //! * `--json PATH` — also dump the raw results as JSON.
+//!
+//! A bench with options of its own (`pool_bench --window`, `--large`;
+//! `serve_bench --queries`) reads them through the same parser
+//! ([`CommonArgs::parse_with`]), and every count must be positive.
 //!
 //! Output is printed as fixed-width tables matching the paper's layout so
 //! rows can be compared side by side with the published numbers.
+//!
+//! The eight `*_bench` binaries share one report-and-gate path
+//! ([`harness`]). The frozen rescan-style pool engine that `pool_bench`
+//! measures the calendar engine against lives here too ([`rescan`]), so
+//! no production crate carries a reference engine.
 
 #![deny(missing_docs)]
+
+pub mod harness;
+pub mod rescan;
 
 use chs_sim::{
     prepare_experiments_reported, sweep_paper_grid, MachineExperiment, PreparedExperiments,
@@ -32,6 +45,8 @@ pub struct CommonArgs {
     pub json: Option<String>,
     /// Observations per machine (training 25 + experimental remainder).
     pub observations: usize,
+    /// `--quick` was given.
+    pub quick: bool,
 }
 
 impl Default for CommonArgs {
@@ -41,6 +56,7 @@ impl Default for CommonArgs {
             seed: 2_005,
             json: None,
             observations: 225,
+            quick: false,
         }
     }
 }
@@ -48,32 +64,58 @@ impl Default for CommonArgs {
 impl CommonArgs {
     /// Parse from `std::env::args`, exiting with a usage message on error.
     pub fn parse() -> Self {
-        let mut out = Self::default();
-        let mut args = std::env::args().skip(1);
-        while let Some(arg) = args.next() {
+        Self::default().parse_with(24, "", |_, _| false)
+    }
+
+    /// Parse `std::env::args` over `self`, the binary's defaults. Exits 2
+    /// with a usage message on an unknown flag or a bad value, and 0
+    /// after `--help`.
+    ///
+    /// `--quick` sets `quick`, `quick_machines` machines and 125
+    /// observations. It and every flag the common options do not know
+    /// are then offered to `extra`, which returns whether it took the
+    /// flag and reads any value through the [`ArgReader`]. `extra_help`
+    /// lists the binary's own options for `--help`.
+    pub fn parse_with(
+        mut self,
+        quick_machines: usize,
+        extra_help: &str,
+        mut extra: impl FnMut(&str, &mut ArgReader) -> bool,
+    ) -> Self {
+        let mut args = ArgReader(std::env::args().skip(1).collect::<Vec<_>>().into_iter());
+        while let Some(arg) = args.0.next() {
             match arg.as_str() {
-                "--machines" => out.machines = next_num(&mut args, "--machines") as usize,
-                "--seed" => out.seed = next_num(&mut args, "--seed") as u64,
-                "--observations" => {
-                    out.observations = next_num(&mut args, "--observations") as usize
-                }
-                "--full" => out.machines = 640,
+                "--machines" => self.machines = args.count("--machines"),
+                "--seed" => self.seed = args.parse("--seed"),
+                "--observations" => self.observations = args.count("--observations"),
+                "--full" => self.machines = 640,
                 "--quick" => {
-                    out.machines = 24;
-                    out.observations = 125;
+                    self.quick = true;
+                    self.machines = quick_machines;
+                    self.observations = 125;
+                    extra("--quick", &mut args);
                 }
-                "--json" => out.json = Some(args.next().unwrap_or_else(|| usage("--json"))),
+                "--json" => self.json = Some(args.value("--json")),
                 "--help" | "-h" => {
                     eprintln!(
                         "options: --machines N | --full | --quick | --seed S | \
-                         --observations N | --json PATH"
+                         --observations N | --json PATH{extra_help}"
                     );
                     std::process::exit(0);
                 }
-                other => usage(other),
+                other => {
+                    if !extra(other, &mut args) {
+                        usage(other)
+                    }
+                }
             }
         }
-        out
+        self
+    }
+
+    /// The `--json` path, or `default` when none was given.
+    pub fn report_path(&self, default: &str) -> String {
+        self.json.clone().unwrap_or_else(|| default.into())
     }
 
     /// The synthetic-pool configuration for these arguments.
@@ -87,17 +129,38 @@ impl CommonArgs {
     }
 }
 
-fn next_num(args: &mut impl Iterator<Item = String>, flag: &str) -> f64 {
-    let v: f64 = args
-        .next()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| usage(flag));
-    // Negative counts/seeds would silently saturate to 0 on the `as`
-    // casts at the call sites.
-    if v < 0.0 {
-        usage(flag)
+/// The remaining command-line arguments, read through validated value
+/// readers that exit 2 with a usage message on a missing or bad value.
+pub struct ArgReader(std::vec::IntoIter<String>);
+
+impl ArgReader {
+    /// The raw value after `flag`.
+    fn value(&mut self, flag: &str) -> String {
+        self.0.next().unwrap_or_else(|| usage(flag))
     }
-    v
+
+    /// The value after `flag`, parsed as a `T`.
+    fn parse<T: std::str::FromStr>(&mut self, flag: &str) -> T {
+        self.value(flag).parse().unwrap_or_else(|_| usage(flag))
+    }
+
+    /// A count: a whole number of at least 1 (a zero pool, trace or
+    /// query count has nothing to measure).
+    pub fn count(&mut self, flag: &str) -> usize {
+        match self.parse(flag) {
+            0 => usage(flag),
+            n => n,
+        }
+    }
+
+    /// A finite number greater than zero.
+    pub fn positive(&mut self, flag: &str) -> f64 {
+        let v: f64 = self.parse(flag);
+        if !(v.is_finite() && v > 0.0) {
+            usage(flag)
+        }
+        v
+    }
 }
 
 fn usage(flag: &str) -> ! {
@@ -212,6 +275,40 @@ fn step_drive_segment(
             return;
         }
     }
+}
+
+/// The `{label}.conservation` gate over one aggregated ledger: time and
+/// bytes balance to 1e-6 relative, and the ledger's fault, retry and
+/// abandonment counters match `faults`. Checkpoints that admission
+/// control deferred (`deferred`) are abandonments the fault report does
+/// not count.
+pub fn conservation_gate(
+    gates: &mut harness::Gates,
+    label: &str,
+    ledger: &chs_cycle::CycleAccounting,
+    faults: &chs_condor::FaultReport,
+    deferred: u64,
+) {
+    let time = ledger.conservation_residual().abs();
+    let bytes = ledger.byte_conservation_residual().abs();
+    let retries = faults.retries + faults.checkpoints_abandoned;
+    let abandoned = faults.checkpoints_abandoned + deferred;
+    gates.check(
+        format!("{label}.conservation"),
+        time < 1e-6 * ledger.total_seconds.max(1.0)
+            && bytes < 1e-6 * ledger.megabytes.max(1.0)
+            && ledger.faults_injected == faults.total_faults()
+            && ledger.transfer_retries == retries
+            && ledger.checkpoints_abandoned == abandoned,
+        format!(
+            "time residual {time:.3e}, byte residual {bytes:.3e}; ledger vs report: \
+             faults {} / {}, retries {} / {retries}, abandoned {} / {abandoned}",
+            ledger.faults_injected,
+            faults.total_faults(),
+            ledger.transfer_retries,
+            ledger.checkpoints_abandoned
+        ),
+    );
 }
 
 /// Fixed-width table printer.

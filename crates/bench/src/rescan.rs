@@ -1,4 +1,4 @@
-//! The frozen rescan-style reference engine.
+//! The frozen rescan-style reference for `chs_pool`'s calendar engine.
 //!
 //! This generalizes the frozen classic contention loop (`run_contention`
 //! in the root `tests/contention_differential.rs`) to the pool
@@ -7,8 +7,8 @@
 //! water level from scratch, and advances every placed machine — O(n)
 //! per event, exactly the cost model the calendar engine replaces.
 //! `pool_bench` gates the calendar engine's machine-events/s against
-//! this loop, and the differential suite checks both engines agree on
-//! small pools. Do not optimize this module; its slowness is the
+//! this loop, and the unit tests below check both engines agree on a
+//! small pool. Do not optimize this module; its slowness is the
 //! baseline.
 
 use chs_cycle::{
@@ -16,10 +16,7 @@ use chs_cycle::{
     NoopObserver,
 };
 
-use crate::engine::PoolSimConfig;
-use crate::policy::PoolPolicy;
-use crate::workload::{Seg, Timeline};
-use crate::Result;
+use chs_pool::{PoolPolicy, PoolSimConfig, Result, Seg, Timeline};
 
 /// Event-lumping tolerance, seconds — as in the classic loop.
 const EPS: f64 = 1e-7;
@@ -270,10 +267,9 @@ fn plan_and_work(m: &mut Machine, id: u32, policy: &mut dyn PoolPolicy) -> Resul
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::PoolSim;
-    use crate::fabric::FabricConfig;
-    use crate::policy::FixedIntervalPolicy;
-    use crate::workload::{VecTimeline, Workload, WorkloadConfig};
+    use chs_pool::{
+        FabricConfig, FixedIntervalPolicy, PoolSim, VecTimeline, Workload, WorkloadConfig,
+    };
 
     fn config(machines: usize) -> PoolSimConfig {
         PoolSimConfig {

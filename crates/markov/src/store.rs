@@ -255,11 +255,11 @@ impl CompressedPolicy {
     /// coarse parameter clustering.
     ///
     /// The check strides the table's knots down to at most
-    /// [`CLUSTER_VERIFY_PROBES`] ages, searches `model`'s exact `T_opt`
+    /// `CLUSTER_VERIFY_PROBES` (16) ages, searches `model`'s exact `T_opt`
     /// at each (warm-started from the shared surface — when the share is
     /// good the hint is the answer, so verification costs a fraction of
     /// a build), and rejects on the first probe whose deviation exceeds
-    /// [`CLUSTER_ACCEPT_FRACTION`]`·max_rel_error`. Knots concentrate
+    /// `CLUSTER_ACCEPT_FRACTION · max_rel_error` (0.4 of the budget). Knots concentrate
     /// where the surface curves, so the stride covers exactly the ages
     /// the builder found interesting; between knots the shared surface
     /// adds only its own (half-budget-bounded) interpolation error on

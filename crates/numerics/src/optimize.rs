@@ -1,22 +1,20 @@
-//! One-dimensional minimization: bracketing, golden-section search, and
-//! Brent's parabolic-interpolation method.
+//! One-dimensional minimization: golden-section search over a fixed
+//! bracket, successive parabolic interpolation, and the lane-batched
+//! searches.
 //!
 //! The paper minimizes the overhead ratio `Γ(T)/T` with "the Golden
-//! Section Search method as implemented in Numerical Recipes"; we provide
-//! that algorithm (with the same bracketing contract as NR's
-//! `mnbrak`/`golden`) plus Brent's method as a faster drop-in used by the
-//! schedule optimizer's ablation benches.
+//! Section Search method as implemented in Numerical Recipes".
+//! [`minimize_bounded`] is that golden-ratio search, run over a fixed
+//! bracket `[lo, hi]` (the schedule optimizer's `[ln t_min, ln t_max]`)
+//! instead of one found by NR's downhill `mnbrak` expansion, so it needs
+//! no interior bracket and clamps to an edge when the objective is
+//! monotone there.
 
 use crate::{NumericsError, Result};
 
 /// Golden ratio constants: `R = (√5 − 1)/2 ≈ 0.618`, `C = 1 − R`.
 const GOLD_R: f64 = 0.618_033_988_749_894_8;
 const GOLD_C: f64 = 1.0 - GOLD_R;
-
-/// Default fractional precision for the minimizers. Below ~√ε golden
-/// section cannot distinguish function values, so this is the floor NR
-/// recommends.
-pub const DEFAULT_TOL: f64 = 3e-8;
 
 /// Result of a 1-D minimization.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -27,300 +25,6 @@ pub struct Minimum {
     pub f: f64,
     /// Number of function evaluations consumed.
     pub evaluations: usize,
-}
-
-/// A triple `(a, b, c)` with `a < b < c` and `f(b) < f(a)`, `f(b) < f(c)`:
-/// the precondition for golden-section and Brent minimization.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Bracket {
-    /// Left edge.
-    pub a: f64,
-    /// Interior point with the smallest function value seen so far.
-    pub b: f64,
-    /// Right edge.
-    pub c: f64,
-    /// `f(b)`.
-    pub fb: f64,
-}
-
-/// Expand downhill from `(a, b)` until a bracketing triple is found
-/// (Numerical Recipes `mnbrak`, with golden-ratio expansion and parabolic
-/// extrapolation steps).
-///
-/// # Errors
-/// [`NumericsError::NoConvergence`] if no bracket is found within 100
-/// expansions (monotone function on the search ray).
-pub fn bracket_minimum<F: Fn(f64) -> f64>(f: F, a0: f64, b0: f64) -> Result<Bracket> {
-    const GLIMIT: f64 = 100.0;
-    const TINY: f64 = 1e-20;
-    const MAX_EXPAND: usize = 100;
-
-    let (mut ax, mut bx) = (a0, b0);
-    let mut fa = f(ax);
-    let mut fb = f(bx);
-    if fb > fa {
-        std::mem::swap(&mut ax, &mut bx);
-        std::mem::swap(&mut fa, &mut fb);
-    }
-    let mut cx = bx + (1.0 + GOLD_R) * (bx - ax);
-    let mut fc = f(cx);
-    let mut iters = 0usize;
-    while fb >= fc {
-        iters += 1;
-        if iters > MAX_EXPAND {
-            return Err(NumericsError::NoConvergence {
-                routine: "bracket_minimum",
-                iterations: MAX_EXPAND,
-            });
-        }
-        // Parabolic extrapolation from a, b, c.
-        let r = (bx - ax) * (fb - fc);
-        let q = (bx - cx) * (fb - fa);
-        let denom = 2.0 * (q - r).abs().max(TINY) * (q - r).signum();
-        let mut u = bx - ((bx - cx) * q - (bx - ax) * r) / denom;
-        let ulim = bx + GLIMIT * (cx - bx);
-        if (bx - u) * (u - cx) > 0.0 {
-            // u between b and c
-            let fu = f(u);
-            if fu < fc {
-                return Ok(order_bracket(bx, u, cx, fu));
-            } else if fu > fb {
-                return Ok(order_bracket(ax, bx, u, fb));
-            }
-            u = cx + (1.0 + GOLD_R) * (cx - bx);
-        } else if (cx - u) * (u - ulim) > 0.0 {
-            // u between c and limit
-            let fu_probe = f(u);
-            if fu_probe < fc {
-                let unew = u + (1.0 + GOLD_R) * (u - cx);
-                ax = cx;
-                fa = fc;
-                bx = u;
-                fb = fu_probe;
-                cx = unew;
-                fc = f(cx);
-                continue;
-            }
-            ax = bx;
-            fa = fb;
-            bx = cx;
-            fb = fc;
-            cx = u;
-            fc = fu_probe;
-            continue;
-        } else if (u - ulim) * (ulim - cx) >= 0.0 {
-            u = ulim;
-        } else {
-            u = cx + (1.0 + GOLD_R) * (cx - bx);
-        }
-        let fu = f(u);
-        ax = bx;
-        fa = fb;
-        bx = cx;
-        fb = fc;
-        cx = u;
-        fc = fu;
-    }
-    Ok(order_bracket(ax, bx, cx, fb))
-}
-
-fn order_bracket(a: f64, b: f64, c: f64, fb: f64) -> Bracket {
-    if a <= c {
-        Bracket { a, b, c, fb }
-    } else {
-        Bracket { a: c, b, c: a, fb }
-    }
-}
-
-/// Golden-section search for the minimum of `f` inside `bracket`, to
-/// fractional precision `tol` (Numerical Recipes `golden`).
-pub fn golden_section<F: Fn(f64) -> f64>(f: F, bracket: Bracket, tol: f64) -> Result<Minimum> {
-    let Bracket { a, b, c, .. } = bracket;
-    if !(a < b && b < c) {
-        return Err(NumericsError::InvalidBracket { lo: a, hi: c });
-    }
-    let tol = tol.max(f64::EPSILON.sqrt());
-    let mut x0 = a;
-    let mut x3 = c;
-    let (mut x1, mut x2);
-    if (c - b).abs() > (b - a).abs() {
-        x1 = b;
-        x2 = b + GOLD_C * (c - b);
-    } else {
-        x2 = b;
-        x1 = b - GOLD_C * (b - a);
-    }
-    let mut f1 = f(x1);
-    let mut f2 = f(x2);
-    let mut evals = 2usize;
-    const MAX_ITER: usize = 200;
-    let mut iters = 0usize;
-    while (x3 - x0).abs() > tol * (x1.abs() + x2.abs()).max(1e-30) {
-        iters += 1;
-        if iters > MAX_ITER {
-            return Err(NumericsError::NoConvergence {
-                routine: "golden_section",
-                iterations: MAX_ITER,
-            });
-        }
-        if f2 < f1 {
-            x0 = x1;
-            x1 = x2;
-            x2 = GOLD_R * x2 + GOLD_C * x3;
-            f1 = f2;
-            f2 = f(x2);
-        } else {
-            x3 = x2;
-            x2 = x1;
-            x1 = GOLD_R * x1 + GOLD_C * x0;
-            f2 = f1;
-            f1 = f(x1);
-        }
-        evals += 1;
-    }
-    Ok(if f1 < f2 {
-        Minimum {
-            x: x1,
-            f: f1,
-            evaluations: evals,
-        }
-    } else {
-        Minimum {
-            x: x2,
-            f: f2,
-            evaluations: evals,
-        }
-    })
-}
-
-/// Brent's method: golden-section with parabolic acceleration (Numerical
-/// Recipes `brent`). Typically converges in a third of the evaluations of
-/// pure golden section for smooth objectives like `Γ(T)/T`.
-pub fn brent_min<F: Fn(f64) -> f64>(f: F, bracket: Bracket, tol: f64) -> Result<Minimum> {
-    const ITMAX: usize = 200;
-    const ZEPS: f64 = 1e-18;
-    let Bracket {
-        a: ba,
-        b: bb,
-        c: bc,
-        ..
-    } = bracket;
-    if !(ba < bb && bb < bc) {
-        return Err(NumericsError::InvalidBracket { lo: ba, hi: bc });
-    }
-    let tol = tol.max(f64::EPSILON.sqrt());
-    let (mut a, mut b) = (ba, bc);
-    let mut x = bb;
-    let mut w = bb;
-    let mut v = bb;
-    let mut fx = f(x);
-    let mut fw = fx;
-    let mut fv = fx;
-    let mut e: f64 = 0.0;
-    let mut d: f64 = 0.0;
-    // One evaluation per iteration plus the initial f(x); tracked for the
-    // golden-vs-Brent ablation bench.
-    let mut evals = 1usize;
-    #[allow(clippy::explicit_counter_loop)]
-    for _ in 0..ITMAX {
-        let xm = 0.5 * (a + b);
-        let tol1 = tol * x.abs() + ZEPS;
-        let tol2 = 2.0 * tol1;
-        if (x - xm).abs() <= tol2 - 0.5 * (b - a) {
-            return Ok(Minimum {
-                x,
-                f: fx,
-                evaluations: evals,
-            });
-        }
-        let mut use_golden = true;
-        if e.abs() > tol1 {
-            // Trial parabolic fit through x, v, w.
-            let r = (x - w) * (fx - fv);
-            let mut q = (x - v) * (fx - fw);
-            let mut p = (x - v) * q - (x - w) * r;
-            q = 2.0 * (q - r);
-            if q > 0.0 {
-                p = -p;
-            }
-            q = q.abs();
-            let etemp = e;
-            e = d;
-            if p.abs() < (0.5 * q * etemp).abs() && p > q * (a - x) && p < q * (b - x) {
-                d = p / q;
-                let u = x + d;
-                if u - a < tol2 || b - u < tol2 {
-                    d = tol1.copysign(xm - x);
-                }
-                use_golden = false;
-            }
-        }
-        if use_golden {
-            e = if x >= xm { a - x } else { b - x };
-            d = GOLD_C * e;
-        }
-        let u = if d.abs() >= tol1 {
-            x + d
-        } else {
-            x + tol1.copysign(d)
-        };
-        let fu = f(u);
-        evals += 1;
-        if fu <= fx {
-            if u >= x {
-                a = x;
-            } else {
-                b = x;
-            }
-            v = w;
-            fv = fw;
-            w = x;
-            fw = fx;
-            x = u;
-            fx = fu;
-        } else {
-            if u < x {
-                a = u;
-            } else {
-                b = u;
-            }
-            if fu <= fw || w == x {
-                v = w;
-                fv = fw;
-                w = u;
-                fw = fu;
-            } else if fu <= fv || v == x || v == w {
-                v = u;
-                fv = fu;
-            }
-        }
-    }
-    Err(NumericsError::NoConvergence {
-        routine: "brent_min",
-        iterations: ITMAX,
-    })
-}
-
-/// Convenience: bracket from `(a0, b0)` then minimize with golden section.
-pub fn minimize_golden<F: Fn(f64) -> f64 + Copy>(
-    f: F,
-    a0: f64,
-    b0: f64,
-    tol: f64,
-) -> Result<Minimum> {
-    let br = bracket_minimum(f, a0, b0)?;
-    golden_section(f, br, tol)
-}
-
-/// Convenience: bracket from `(a0, b0)` then minimize with Brent.
-pub fn minimize_brent<F: Fn(f64) -> f64 + Copy>(
-    f: F,
-    a0: f64,
-    b0: f64,
-    tol: f64,
-) -> Result<Minimum> {
-    let br = bracket_minimum(f, a0, b0)?;
-    brent_min(f, br, tol)
 }
 
 /// Minimize over a *bounded* interval `[lo, hi]` by golden section without
@@ -404,7 +108,7 @@ pub const SPI_H_FLOOR: f64 = 1e-5;
 /// convex the step degrades to a downhill move of size `h`, so the
 /// routine still makes progress from a start on a monotone stretch.
 ///
-/// Unlike the bracketing minimizers this never fails: it returns the best
+/// Unlike [`minimize_bounded`] this never fails: it returns the best
 /// point seen, which is `x0` itself in the worst case. The schedule
 /// optimizer uses it as the *common* final stage of both the cold
 /// (full-bracket) and warm-started `T_opt` searches; because both finish
@@ -650,7 +354,7 @@ const BATCH_PARABOLA_WIDTH: f64 = 0.5;
 /// shrinks to the neighbours of the best probe — the same bracket-keeping
 /// update as golden section for unimodal objectives, retiring 4 probes
 /// per objective call instead of 1. Once the window is narrower than
-/// [`BATCH_PARABOLA_WIDTH`] the shrink jumps onto the local parabola
+/// `BATCH_PARABOLA_WIDTH` (0.5) the shrink jumps onto the local parabola
 /// vertex (×0.14 per batch), and the converged bracket returns its
 /// (unevaluated) vertex, well inside `tol`. `escaped` reports a window still
 /// wider than `tol` at the batch budget — callers fall back to their
@@ -765,57 +469,16 @@ mod tests {
     }
 
     #[test]
-    fn bracket_simple_parabola() {
-        let br = bracket_minimum(|x| (x - 3.0) * (x - 3.0), 0.0, 1.0).unwrap();
-        assert!(br.a < br.b && br.b < br.c);
-        assert!(
-            br.a <= 3.0 && 3.0 <= br.c,
-            "bracket {br:?} should contain 3"
-        );
-    }
-
-    #[test]
-    fn bracket_monotone_fails() {
-        // Strictly decreasing on the whole line: no bracket exists.
-        assert!(bracket_minimum(|x| -x, 0.0, 1.0).is_err());
-    }
-
-    #[test]
     fn golden_parabola() {
-        let m = minimize_golden(|x| (x - 2.5) * (x - 2.5) + 1.0, 0.0, 1.0, 1e-10).unwrap();
+        let m = minimize_bounded(|x| (x - 2.5) * (x - 2.5) + 1.0, 0.0, 10.0, 1e-10).unwrap();
         assert!(approx_eq(m.x, 2.5, 1e-6, 1e-6), "x={}", m.x);
         assert!(approx_eq(m.f, 1.0, 1e-9, 1e-9));
     }
 
     #[test]
-    fn brent_parabola() {
-        let m = minimize_brent(|x| (x - 2.5) * (x - 2.5) + 1.0, 0.0, 1.0, 1e-10).unwrap();
-        assert!(approx_eq(m.x, 2.5, 1e-7, 1e-7));
-    }
-
-    #[test]
-    fn brent_beats_golden_on_evals() {
-        let f = |x: f64| x.powi(4) - 3.0 * x.powi(2) + x;
-        let g = minimize_golden(f, 0.2, 0.5, 1e-9).unwrap();
-        let b = minimize_brent(f, 0.2, 0.5, 1e-9).unwrap();
-        assert!(
-            approx_eq(g.x, b.x, 1e-4, 1e-4),
-            "golden {} vs brent {}",
-            g.x,
-            b.x
-        );
-        assert!(
-            b.evaluations < g.evaluations,
-            "brent {} !< golden {}",
-            b.evaluations,
-            g.evaluations
-        );
-    }
-
-    #[test]
     fn golden_nonsmooth_objective() {
         // |x − 1.3| + 0.1: kink at the minimum; golden section handles it.
-        let m = minimize_golden(|x: f64| (x - 1.3).abs() + 0.1, 0.0, 0.4, 1e-10).unwrap();
+        let m = minimize_bounded(|x: f64| (x - 1.3).abs() + 0.1, 0.0, 4.0, 1e-10).unwrap();
         assert!(approx_eq(m.x, 1.3, 1e-6, 1e-6), "x={}", m.x);
     }
 
@@ -825,7 +488,7 @@ mod tests {
         let c = 100.0;
         let k = 0.001;
         let f = move |t: f64| (c + t + k * t * t) / t;
-        let m = minimize_golden(f, 10.0, 50.0, 1e-10).unwrap();
+        let m = minimize_bounded(f, 10.0, 5_000.0, 1e-10).unwrap();
         assert!(approx_eq(m.x, (c / k).sqrt(), 1e-5, 1e-3), "x={}", m.x);
     }
 
@@ -849,17 +512,6 @@ mod tests {
     fn bounded_invalid_interval() {
         assert!(minimize_bounded(|x| x, 5.0, 5.0, 1e-8).is_err());
         assert!(minimize_bounded(|x| x, 6.0, 5.0, 1e-8).is_err());
-    }
-
-    #[test]
-    fn golden_rejects_bad_bracket() {
-        let br = Bracket {
-            a: 1.0,
-            b: 0.5,
-            c: 2.0,
-            fb: 0.0,
-        };
-        assert!(golden_section(|x| x * x, br, 1e-8).is_err());
     }
 
     fn quad_x4(c: f64) -> impl FnMut([f64; 4]) -> [f64; 4] {

@@ -1,6 +1,6 @@
 //! Property-based tests for the numerical kernel.
 
-use chs_numerics::optimize::{minimize_bounded, minimize_brent, minimize_golden};
+use chs_numerics::optimize::{minimize_batched, minimize_bounded};
 use chs_numerics::quadrature::{adaptive_simpson, composite_gauss_legendre, gauss_legendre_20};
 use chs_numerics::roots::{bisect, brent_root};
 use chs_numerics::special::{ln_gamma, reg_inc_beta, reg_inc_gamma_p, reg_inc_gamma_q};
@@ -70,13 +70,14 @@ proptest! {
         prop_assert!((br - root).abs() < 1e-6);
     }
 
-    /// Golden section and Brent agree on a shifted quartic, and the
-    /// located minimum is no worse than either endpoint of the bracket.
+    /// Golden section over a fixed bracket and the lane-batched search
+    /// agree on a shifted quartic whose minimum is off the bracket's
+    /// centre.
     #[test]
     fn minimizers_agree(center in -20.0f64..20.0) {
         let f = move |x: f64| (x - center).powi(4) + 2.0;
-        let g = minimize_golden(f, center - 7.0, center - 3.0, 1e-9).unwrap();
-        let b = minimize_brent(f, center - 7.0, center - 3.0, 1e-9).unwrap();
+        let g = minimize_bounded(f, center - 7.0, center + 3.0, 1e-9).unwrap();
+        let b = minimize_batched(|xs: [f64; 4]| xs.map(f), center - 7.0, center + 3.0, 1e-9, 64);
         // Quartic is flat near its minimum: abscissa agreement is loose but
         // the minimum values must both be ~2.
         prop_assert!((g.f - 2.0).abs() < 1e-6);

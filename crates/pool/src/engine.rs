@@ -17,8 +17,8 @@
 //!   machine-local coordinates, so an uncontended pool reproduces the
 //!   closed-form executor's ledger bitwise (the identity gate).
 //! * Per-event work: O(rack_size) for the fair-share update plus O(log)
-//!   heap traffic — independent of pool size. The `rescan` module keeps
-//!   the O(machines)-per-event reference this replaces.
+//!   heap traffic — independent of pool size. `chs_bench::rescan`
+//!   keeps the O(machines)-per-event reference this replaces.
 //!
 //! Determinism: ties order by `(time, kind, machine)` with completions
 //! first (the closed-form boundary-commit semantics), machine state is

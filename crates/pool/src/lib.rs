@@ -11,44 +11,43 @@
 //! same [`chs_cycle::CycleMachine`] per-machine state machine, the same
 //! ledger) and replaces the engine:
 //!
-//! * **Calendar-queue event heap** ([`calendar`]): time-keyed events
+//! * **Calendar-queue event heap** (`calendar`): time-keyed events
 //!   (placement, work-interval end, segment end) live in a bucketed ring
 //!   with O(1) amortized insert/pop; stale entries are invalidated by
 //!   per-machine generation counters instead of being removed.
-//! * **Structure-of-arrays machine state** ([`engine`]): phase clocks,
+//! * **Structure-of-arrays machine state** (`engine`): phase clocks,
 //!   segment bounds, pending-transfer bytes and policy measurements sit
 //!   in parallel `Vec`s indexed by machine id — no per-machine boxes, no
 //!   steady-state allocation.
-//! * **Incremental max-min fair sharing** ([`fabric`]): for the symmetric
+//! * **Incremental max-min fair sharing** (`fabric`): for the symmetric
 //!   machine → rack → core tree, every flow in a rack with `k` active
 //!   transfers gets `min(nic, uplink/k, λ)`, where the core water level
 //!   `λ` depends only on the *histogram* of rack flow-counts. An
 //!   arrival/departure therefore touches its own rack plus an
 //!   O(rack_size) bucket summary — never the other 10⁶ machines.
-//! * **Virtual-volume completions** ([`fabric`]): per-bucket service
+//! * **Virtual-volume completions** (`fabric`): per-bucket service
 //!   integrals `A_k(t) = ∫ min(s_k, λ) dt` turn "when does this transfer
 //!   finish?" into a *constant* key in volume space, so completions sit
 //!   in ordinary heaps and survive every rate change without reindexing.
-//! * **Lazy workloads** ([`workload`]): availability segments are drawn
+//! * **Lazy workloads** (`workload`): availability segments are drawn
 //!   on demand from counter-mode splitmix64 streams keyed by stable
 //!   machine ids — no pre-generated timelines, and bitwise determinism
 //!   regardless of event ordering or thread count.
-//! * **Table-driven policies** ([`policy`]): per-machine `next_interval`
+//! * **Table-driven policies** (`policy`): per-machine `next_interval`
 //!   decisions come from [`chs_markov::PolicyStore`] /
 //!   [`chs_markov::CompressedPolicy`] snapshots (dedup + cluster sharing
 //!   make a million policies affordable).
 //!
-//! A frozen rescan-style reference engine ([`rescan`]) generalizes the
-//! classic loop to the same topology and is kept deliberately
-//! naive: the `pool_bench` binary gates the calendar engine's
-//! machine-events/s against it.
+//! The crate holds no reference engine. The frozen rescan-style loop
+//! that generalizes the classic one to the same topology lives in the
+//! `chs-bench` library (`chs_bench::rescan`), where the `pool_bench`
+//! binary gates the calendar engine's machine-events/s against it.
 
 mod calendar;
 mod engine;
 mod fabric;
 mod fairshare;
 mod policy;
-mod rescan;
 mod stats;
 mod workload;
 
@@ -60,7 +59,6 @@ pub use policy::{
     build_policy_store, AdaptiveVaidyaPolicy, FixedIntervalPolicy, PoolPolicy,
     SchedulePolicyBridge, StoreBuildReport, StorePolicy,
 };
-pub use rescan::{rescan_run, RescanResult};
 pub use stats::{DistSummary, TimeHistogram};
 pub use workload::{Seg, Timeline, VecTimeline, Workload, WorkloadConfig};
 
