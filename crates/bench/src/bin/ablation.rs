@@ -17,15 +17,25 @@ use chs_bench::{maybe_dump_json, CommonArgs, TablePrinter};
 use chs_dist::fit::fit_model;
 use chs_dist::{AvailabilityModel, ModelKind};
 use chs_markov::CheckpointCosts;
-use chs_sim::{prepare_experiments, simulate_trace, CachedPolicy, FixedIntervalPolicy, SimConfig};
+use chs_sim::{
+    prepare_experiments_reported, simulate_trace, CachedPolicy, FixedIntervalPolicy,
+    MachineExperiment, SimConfig,
+};
 use chs_stats::Summary;
 use chs_trace::synthetic::generate_pool;
 use chs_trace::PAPER_TRAIN_LEN;
+use std::sync::Arc;
+
+/// The model of `exp`'s family slot `mi`. A 25-duration training prefix
+/// always has at least its exponential fallback, never Young's tier.
+fn slot(exp: &MachineExperiment, mi: usize) -> Arc<chs_dist::FittedModel> {
+    Arc::clone(exp.fits[mi].as_ref().expect("exponential fallback fits"))
+}
 
 fn main() {
     let args = CommonArgs::parse();
     let pool = generate_pool(&args.pool_config()).as_machine_pool();
-    let experiments = prepare_experiments(&pool, PAPER_TRAIN_LEN);
+    let experiments = prepare_experiments_reported(&pool, PAPER_TRAIN_LEN).experiments;
     eprintln!("pool: {} usable machines", experiments.len());
     let c = 250.0;
     let config = SimConfig::paper(c);
@@ -40,7 +50,7 @@ fn main() {
     let mut young = (Vec::new(), Vec::new());
     let mut fixed_best = (Vec::new(), Vec::new());
     for exp in &experiments {
-        let weib = &exp.fits[1]; // Weibull slot of PAPER_SET
+        let weib = slot(exp, 1); // Weibull slot of PAPER_SET
         let max_age = exp.test_durations.iter().cloned().fold(0.0f64, f64::max);
 
         // (a) the paper's aperiodic T_opt policy
@@ -135,7 +145,7 @@ fn main() {
         .iter()
         .map(|e| {
             let max_age = e.test_durations.iter().cloned().fold(0.0f64, f64::max);
-            let p = CachedPolicy::new(e.fits[0].clone(), CheckpointCosts::symmetric(c), max_age);
+            let p = CachedPolicy::new(slot(e, 0), CheckpointCosts::symmetric(c), max_age);
             simulate_trace(&e.test_durations, &p, &config)
                 .unwrap()
                 .efficiency()
@@ -145,7 +155,7 @@ fn main() {
         .iter()
         .map(|e| {
             let max_age = e.test_durations.iter().cloned().fold(0.0f64, f64::max);
-            let p = CachedPolicy::new(e.fits[1].clone(), CheckpointCosts::symmetric(c), max_age);
+            let p = CachedPolicy::new(slot(e, 1), CheckpointCosts::symmetric(c), max_age);
             simulate_trace(&e.test_durations, &p, &config)
                 .unwrap()
                 .efficiency()

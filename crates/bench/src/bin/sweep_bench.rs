@@ -1,5 +1,5 @@
 //! Wall-clock benchmark for the flattened pool sweep: times
-//! `prepare_experiments` plus the optimized [`sweep_paper_grid`] against
+//! `prepare_experiments_reported` plus the optimized [`sweep_paper_grid`] against
 //! the serial cold-search [`sweep_paper_grid_reference`] (the structure
 //! and cost profile the sweep had before the flat fan-out), verifies the
 //! flat fan-out against the serial warm-fill sweep cell-by-cell, and

@@ -174,17 +174,21 @@ pub fn prepare_pool(args: &CommonArgs) -> Vec<MachineExperiment> {
     prepare_pool_reported(args).experiments
 }
 
-/// Like [`prepare_pool`], but also returns the prepare-phase drop
-/// accounting (short traces vs per-estimator fit failures) for binaries
-/// that surface it in their reports.
+/// Like [`prepare_pool`], but also returns the prepare-phase accounting
+/// (short-trace drops, per-estimator fit failures and the fallback tiers
+/// they degraded to) for binaries that surface it in their reports.
 pub fn prepare_pool_reported(args: &CommonArgs) -> PreparedExperiments {
     let pool = generate_pool(&args.pool_config()).as_machine_pool();
     let prepared = prepare_experiments_reported(&pool, PAPER_TRAIN_LEN);
     let r = &prepared.report;
     eprintln!(
         "pool: {} machines generated, {} usable after fitting (paper: ~640 of >1000); \
-         dropped {} short-trace, {} fit-failure",
-        r.machines_total, r.machines_usable, r.dropped_short_trace, r.dropped_fit_failure
+         dropped {} short-trace; {} slots on the exponential fallback, {} on Young's interval",
+        r.machines_total,
+        r.machines_usable,
+        r.dropped_short_trace,
+        r.fallback_exponential,
+        r.fallback_fixed
     );
     prepared
 }

@@ -95,6 +95,13 @@ impl ExperimentConfig {
         if self.streams == 0 {
             return Err(CondorError::InvalidConfig("need at least one stream"));
         }
+        // An empty history has no mean either: it would plan Young's
+        // interval at MTTF 0 for every machine.
+        if self.history_len == 0 {
+            return Err(CondorError::InvalidConfig(
+                "need at least one historical duration per machine",
+            ));
+        }
         if !(self.heartbeat_period.is_finite() && self.heartbeat_period > 0.0) {
             return Err(CondorError::InvalidConfig(
                 "heartbeat period must be positive and finite",
@@ -449,6 +456,15 @@ mod tests {
         let mut c = tiny_config();
         c.streams = 0;
         assert!(run_experiment(&c).is_err());
+    }
+
+    #[test]
+    fn config_rejects_empty_history() {
+        let mut c = tiny_config();
+        c.history_len = 0;
+        assert!(c.validate().is_err());
+        assert!(run_experiment(&c).is_err());
+        assert!(crate::run_experiment_with_faults(&c, &chs_net::FaultPlan::none()).is_err());
     }
 
     #[test]

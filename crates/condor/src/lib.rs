@@ -23,9 +23,9 @@
 //!   machine's fitted availability model, and loops until evicted.
 //!
 //! * [`resilient`] — the live experiment under injected faults, plus the
-//!   fit-fallback chain ([`resolve_fit`]) and [`FaultReport`] it shares
-//!   with `chs_manager::run_manager`, the one driver for many jobs
-//!   contending on a shared link (the paper's §5.2 conjecture).
+//!   per-machine [`MachinePlanner`] and [`FaultReport`] it shares with
+//!   `chs_manager::run_manager`, the one driver for many jobs contending
+//!   on a shared link (the paper's §5.2 conjecture).
 //!
 //! Every executor in this crate drives a `chs_cycle::CycleMachine`, the
 //! same state machine the batch simulator executes in closed form, so
@@ -48,7 +48,7 @@ pub use log::{LogDigest, LogEvent, LogRecorder, ProcessLog};
 pub use machine::{EmulatedMachine, MachinePark};
 pub use manager::{RunRecord, TransferKind, TransferRecord};
 pub use monitor::{run_monitor, MonitorConfig};
-pub use resilient::{resolve_fit, run_experiment_with_faults, FaultReport, ResolvedFit};
+pub use resilient::{run_experiment_with_faults, FaultReport, MachinePlanner};
 
 /// Errors from the emulation.
 #[derive(Debug)]

@@ -2,7 +2,7 @@
 //! that wake periodically, report elapsed time, and record — on eviction —
 //! the availability duration they enjoyed. This is how the *historical*
 //! training data is collected in the first place, closing the system
-//! loop: monitor → `HistoryStore`-style traces → model fits → schedules.
+//! loop: monitor → a `MachinePool` of traces → model fits → schedules.
 //!
 //! The emulated monitor floods the pool with sensor jobs (one per
 //! machine, resubmitted immediately after every eviction, as Condor's

@@ -1,7 +1,7 @@
 //! The live experiment under a [`FaultPlan`], with a resilient
-//! manager-side transfer protocol, plus the fit-fallback chain and fault
-//! counters it shares with `chs_manager::run_manager`, the shared-link
-//! driver.
+//! manager-side transfer protocol, plus the per-machine planner and
+//! fault counters it shares with `chs_manager::run_manager`, the
+//! shared-link driver.
 //!
 //! The classic driver ([`crate::run_experiment`]) stays untouched as the
 //! frozen reference — the repo's differential-gate convention. This
@@ -24,13 +24,13 @@
 //!    and re-sent. When a checkpoint's retry budget is exhausted the
 //!    process falls back to its last *verified* checkpoint: the
 //!    interval's work is re-accounted as lost and the run continues.
-//! 4. **Policy degradation** ([`resolve_fit`]). An injected fit failure
-//!    falls back to an exponential-MLE fit of the same history, and — if
-//!    even that fails — to Young's fixed interval `√(2·C·mean)`; the
-//!    machine is never silently dropped. (A *natural* fit failure keeps
-//!    the classic behavior so the zero-fault plan stays bitwise
-//!    identical.) Mid-run `T_opt` failures degrade to the fixed interval
-//!    likewise, counted in [`FaultReport::fallback_planning`].
+//! 4. **Policy degradation** ([`MachinePlanner`]). A fit failure,
+//!    natural or injected, falls back through [`chs_markov::resolve_fit`]
+//!    to an exponential-MLE fit of the same history, and — if even that
+//!    fails — to Young's fixed interval `√(2·C·mean)`; the machine is
+//!    never silently dropped. Mid-run `T_opt` failures degrade to the
+//!    fixed interval likewise, counted in
+//!    [`FaultReport::fallback_planning`].
 //!
 //! Timeouts only ever cut *injected stalls*: a healthy sampled transfer
 //! can legitimately exceed `k×` its forecast (the lognormal tail), so
@@ -48,8 +48,8 @@ use chs_cycle::{
     clamp_interval, sanitize_age, CycleConfig, CycleMachine, CycleObserver, TransferFaultKind,
 };
 use chs_dist::fit::fit_model;
-use chs_dist::{DistError, ModelKind};
-use chs_markov::MeasuredCostPlanner;
+use chs_dist::ModelKind;
+use chs_markov::{resolve_fit, young_interval, FitTier, MeasuredCostPlanner};
 use chs_net::faults::{FaultPlan, TransferFault};
 use chs_net::{AdaptiveForecaster, Forecaster, TransferModel};
 use rand::{Rng, SeedableRng};
@@ -75,9 +75,11 @@ pub struct FaultReport {
     pub retries: u64,
     /// Checkpoints abandoned after exhausting the retry budget.
     pub checkpoints_abandoned: u64,
-    /// Injected fit failures that degraded to an exponential-MLE fit.
+    /// Fit failures (natural or injected) that degraded to an
+    /// exponential-MLE fit.
     pub fallback_exponential: u64,
-    /// Injected fit failures that degraded to Young's fixed interval.
+    /// Fit failures (natural or injected) that degraded to Young's
+    /// fixed interval.
     pub fallback_fixed: u64,
     /// Mid-run `T_opt` plans that errored or went non-finite and
     /// degraded to Young's fixed interval.
@@ -105,70 +107,58 @@ impl FaultReport {
     }
 }
 
-/// A machine's fit after [`resolve_fit`]: the planner of the tier it
-/// resolved to (`None` on Young's fixed tier) plus the history mean
-/// every fallback tier needs.
+/// A machine's planner on the tier [`chs_markov::resolve_fit`] reached:
+/// a [`MeasuredCostPlanner`] over the native or exponential fit, or
+/// none on Young's fixed tier, plus the history mean every fallback
+/// needs.
 #[derive(Debug, Clone)]
-pub struct ResolvedFit {
+pub struct MachinePlanner {
     planner: Option<MeasuredCostPlanner>,
     mean_history: f64,
 }
 
-impl ResolvedFit {
+impl MachinePlanner {
+    /// Fit `kind` to `history` — skipped when fault injection makes the
+    /// fit fail — and walk the degradation chain, counting a degraded
+    /// machine in `report.fallback_exponential` or
+    /// `report.fallback_fixed`. Natural and injected failures degrade
+    /// alike; no machine is dropped.
+    pub fn fit(kind: ModelKind, history: &[f64], injected: bool, report: &mut FaultReport) -> Self {
+        let native = (!injected).then(|| fit_model(kind, history));
+        let (fit, tier) = resolve_fit(native, history);
+        match tier {
+            FitTier::Native => {}
+            FitTier::Exponential => report.fallback_exponential += 1,
+            FitTier::Fixed => report.fallback_fixed += 1,
+        }
+        let mean_history = if history.is_empty() {
+            0.0
+        } else {
+            history.iter().sum::<f64>() / history.len() as f64
+        };
+        MachinePlanner {
+            planner: fit.map(MeasuredCostPlanner::new),
+            mean_history,
+        }
+    }
+
     /// Plan the next work interval for checkpoint cost `cost` at machine
     /// age `age`: Vaidya's `T_opt`, clamped to the work floor, degrading
-    /// to Young's `√(2·C·mean)` if the model tier errors or goes
-    /// non-finite — never dropping the machine, and counting each such
-    /// degradation in `report.fallback_planning`. A NaN or negative age
-    /// plans as age 0.
+    /// to Young's interval if the model tier errors or goes non-finite —
+    /// never dropping the machine, and counting each such degradation in
+    /// `report.fallback_planning`. A NaN or negative age plans as age 0.
     pub fn interval(&mut self, cost: f64, age: f64, report: &mut FaultReport) -> f64 {
         let Some(planner) = &mut self.planner else {
-            return self.fixed_interval(cost);
+            return young_interval(cost, self.mean_history);
         };
         match planner.plan(cost, age).map(clamp_interval) {
             Ok(t) if t.is_finite() => t,
             _ => {
                 report.fallback_planning += 1;
-                self.fixed_interval(cost)
+                young_interval(cost, self.mean_history)
             }
         }
     }
-
-    /// Young's approximation with the history mean as the MTTF.
-    fn fixed_interval(&self, cost: f64) -> f64 {
-        clamp_interval((2.0 * cost.max(0.0) * self.mean_history).sqrt())
-    }
-}
-
-/// Resolve a machine's fit of `kind` to `history` under fit-failure
-/// injection. A natural failure returns the fit error: the live driver
-/// drops the machine and the manager aborts, as their classic
-/// counterparts do, so zero-fault runs match them bitwise. An injected
-/// failure walks the degradation chain, counted in `report`.
-pub fn resolve_fit(
-    kind: ModelKind,
-    history: &[f64],
-    injected: bool,
-    report: &mut FaultReport,
-) -> std::result::Result<ResolvedFit, DistError> {
-    let mean_history = if history.is_empty() {
-        0.0
-    } else {
-        history.iter().sum::<f64>() / history.len() as f64
-    };
-    let fit = if !injected {
-        Some(fit_model(kind, history)?)
-    } else if let Ok(fit) = fit_model(ModelKind::Exponential, history) {
-        report.fallback_exponential += 1;
-        Some(fit)
-    } else {
-        report.fallback_fixed += 1;
-        None
-    };
-    Ok(ResolvedFit {
-        planner: fit.map(MeasuredCostPlanner::new),
-        mean_history,
-    })
 }
 
 // ---------------------------------------------------------------------
@@ -355,7 +345,7 @@ fn drive_transfer_phase(
 /// the classic `execute_run`).
 #[allow(clippy::too_many_arguments)]
 fn execute_run_resilient(
-    fit: &mut ResolvedFit,
+    fit: &mut MachinePlanner,
     kind: ModelKind,
     placement: &Placement,
     transfer: &TransferModel,
@@ -557,7 +547,7 @@ pub fn run_experiment_with_faults(
             let mut fault_counter = 0u64;
             let mut forecaster = AdaptiveForecaster::standard();
 
-            let mut fits: Vec<Option<Option<ResolvedFit>>> = vec![None; config.machines];
+            let mut fits: Vec<Option<MachinePlanner>> = vec![None; config.machines];
 
             let mut t = 0.0;
             while t < config.window {
@@ -567,22 +557,14 @@ pub fn run_experiment_with_faults(
                 if placement.placed_at >= config.window {
                     break;
                 }
-                let slot = &mut fits[placement.machine_index];
-                if slot.is_none() {
+                let fit = fits[placement.machine_index].get_or_insert_with(|| {
                     let history = &park.machines()[placement.machine_index].history;
                     let injected = plan.fit_failure(
                         stream_seed.wrapping_add(placement.machine_index as u64),
                         model_index as u64,
                     );
-                    *slot = Some(resolve_fit(kind, history, injected, &mut report).ok());
-                }
-                let Some(Some(fit)) = slot else {
-                    // Natural fit failure: the classic drop (the paper
-                    // drops such machines too). Injected failures never
-                    // land here — they resolve to a fallback tier.
-                    t = placement.eviction_at;
-                    continue;
-                };
+                    MachinePlanner::fit(kind, history, injected, &mut report)
+                });
                 let (run, log) = execute_run_resilient(
                     fit,
                     kind,
@@ -685,8 +667,9 @@ mod tests {
     #[test]
     fn planning_failures_degrade_to_young_and_are_counted() {
         let history: Vec<f64> = (0..40).map(|i| 600.0 + 97.0 * i as f64).collect();
+        let mean = history.iter().sum::<f64>() / history.len() as f64;
         let mut report = FaultReport::default();
-        let mut fit = resolve_fit(ModelKind::Exponential, &history, false, &mut report).unwrap();
+        let mut fit = MachinePlanner::fit(ModelKind::Exponential, &history, false, &mut report);
         let planned = fit.interval(110.0, 500.0, &mut report);
         assert!(planned.is_finite() && planned > 0.0);
         assert_eq!(report, FaultReport::default());
@@ -695,16 +678,47 @@ mod tests {
         // at the clamped cost, counted once per degraded plan.
         for cost in [f64::NAN, f64::INFINITY] {
             let t = fit.interval(cost, 500.0, &mut report);
-            assert_eq!(t.to_bits(), fit.fixed_interval(cost).to_bits());
+            assert_eq!(t.to_bits(), young_interval(cost, mean).to_bits());
         }
         assert_eq!(report.fallback_planning, 2);
         assert_eq!(report.fallback_fixed, 0);
 
         // The fixed tier plans Young's interval by design: not a fallback.
-        let mut fixed = resolve_fit(ModelKind::Exponential, &[], true, &mut report).unwrap();
+        let mut fixed = MachinePlanner::fit(ModelKind::Exponential, &[], true, &mut report);
         assert_eq!(report.fallback_fixed, 1);
         fixed.interval(f64::NAN, 0.0, &mut report);
         assert_eq!(report.fallback_planning, 2);
+    }
+
+    #[test]
+    fn natural_fit_failures_degrade_in_the_live_driver() {
+        // A Weibull ground truth with an astronomically large shape
+        // samples exactly its scale, so every machine records identical
+        // durations and defeats the Weibull MLE. The classic driver drops
+        // every such machine; the resilient one plans them on the
+        // exponential fallback, counted once per machine it places.
+        let config = ExperimentConfig {
+            pool: chs_trace::synthetic::PoolConfig {
+                weibull_fraction: 1.0,
+                bimodal_fraction: 0.0,
+                diurnal_fraction: 0.0,
+                shape_range: (1e18, 1e18),
+                scale_log_sigma: 0.0,
+                ..chs_trace::synthetic::PoolConfig::default()
+            },
+            ..small_live()
+        };
+        let is_weibull = |r: &&RunRecord| r.model == ModelKind::Weibull;
+        let classic = run_experiment(&config).unwrap();
+        assert_eq!(classic.runs.iter().filter(is_weibull).count(), 0);
+        let (result, report) = run_experiment_with_faults(&config, &FaultPlan::none()).unwrap();
+        let weibull_runs: Vec<_> = result.runs.iter().filter(is_weibull).collect();
+        assert!(!weibull_runs.is_empty());
+        let mut placed: Vec<_> = weibull_runs.iter().map(|r| r.machine).collect();
+        placed.sort();
+        placed.dedup();
+        assert_eq!(report.fallback_exponential, placed.len() as u64);
+        assert_eq!(report.fallback_fixed, 0);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! supplies those measures so the model-selection question the paper
 //! raises can actually be answered on any trace.
 
-use crate::{AvailabilityModel, DistError, Result};
+use crate::fit::fit_model;
+use crate::{AvailabilityModel, DistError, FittedModel, ModelKind, Result};
 
 /// Akaike information criterion: `2k − 2 ln L̂` (lower is better).
 pub fn aic(model: &dyn AvailabilityModel, data: &[f64]) -> f64 {
@@ -92,6 +93,33 @@ pub fn score(model: &dyn AvailabilityModel, data: &[f64]) -> Result<FitScore> {
         ks,
         ks_p: ks_p_value(ks, data.len()),
     })
+}
+
+/// Fit all four paper families to `data` and keep the one with the
+/// lowest BIC — automatic model selection (an extension beyond the
+/// paper, which compares the families but does not auto-select). Ties
+/// keep the earlier family in [`ModelKind::PAPER_SET`] order.
+///
+/// # Errors
+/// The last estimator's error when no family fits.
+pub fn fit_best(data: &[f64]) -> Result<FittedModel> {
+    let mut best: Option<(f64, FittedModel)> = None;
+    let mut last_err = None;
+    for kind in ModelKind::PAPER_SET {
+        match fit_model(kind, data) {
+            Ok(model) => {
+                let score = bic(&model, data);
+                if best.as_ref().is_none_or(|(b, _)| score < *b) {
+                    best = Some((score, model));
+                }
+            }
+            Err(e) => last_err = Some(e),
+        }
+    }
+    match best {
+        Some((_, model)) => Ok(model),
+        None => Err(last_err.expect("at least one fit attempted")),
+    }
 }
 
 #[cfg(test)]
@@ -184,6 +212,26 @@ mod tests {
         assert_eq!(s.bic, bic(&weib, &data));
         assert!(s.ks > 0.0 && s.ks < 1.0);
         assert!(s.bic > s.aic); // ln(400) > 2 so BIC penalty dominates
+    }
+
+    #[test]
+    fn fit_best_picks_plausible_model_on_heavy_data() {
+        // Heavy-tailed Weibull data: BIC should not select the exponential.
+        let best = fit_best(&weibull_sample(1_500, 3)).unwrap();
+        assert_ne!(
+            best.kind(),
+            ModelKind::Exponential,
+            "picked {:?}",
+            best.kind()
+        );
+    }
+
+    #[test]
+    fn fit_best_picks_exponential_on_memoryless_data() {
+        let truth = Exponential::from_mean(3_600.0).unwrap();
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(4);
+        let data: Vec<f64> = (0..1_500).map(|_| truth.sample(&mut rng)).collect();
+        assert_eq!(fit_best(&data).unwrap().kind(), ModelKind::Exponential);
     }
 
     #[test]

@@ -86,6 +86,13 @@ impl ManagerConfig {
         if self.clients == 0 {
             return Err(ManagerError::InvalidConfig("need at least one client"));
         }
+        // An empty history has no mean either: it would plan Young's
+        // interval at MTTF 0 for every client.
+        if self.history_len == 0 {
+            return Err(ManagerError::InvalidConfig(
+                "need at least one historical duration per client",
+            ));
+        }
         if !(self.link_mb_per_s.is_finite() && self.link_mb_per_s > 0.0) {
             return Err(ManagerError::InvalidConfig(
                 "link capacity must be positive and finite",
@@ -251,6 +258,14 @@ mod tests {
         let mut c = ManagerConfig::campus(1, ModelKind::Exponential);
         c.admission.watermark = 0.0;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_empty_history() {
+        let mut c = ManagerConfig::campus(2, ModelKind::Exponential);
+        c.history_len = 0;
+        assert!(c.validate().is_err());
+        assert!(crate::run_manager(&c, &chs_net::FaultPlan::none()).is_err());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! and runs the retry/abandon protocol. A [`WeightedFairLink`] serves
 //! three priority lanes, checkpoint starts pass admission control, and
 //! retry-exhausted transfers go to the dead-letter queue with full
-//! resume state. Fits resolve through chs-condor's [`resolve_fit`].
+//! resume state. Each client plans through chs-condor's [`MachinePlanner`].
 //!
 //! Determinism discipline: every decision that could depend on
 //! scheduling order (backoff jitter, prefetch draws) is keyed by a
@@ -20,7 +20,7 @@ use crate::config::{ManagerConfig, ManagerOutcome, ManagerReport, ManagerResult}
 use crate::index::TimeIndex;
 use crate::{ManagerError, Result};
 use chs_condor::machine::{EmulatedMachine, Segment};
-use chs_condor::{resolve_fit, FaultReport, ResolvedFit};
+use chs_condor::{FaultReport, MachinePlanner};
 use chs_cycle::{
     CycleAccounting, CycleConfig, CycleMachine, CycleObserver, CyclePhase, NoopObserver,
     TransferFaultKind,
@@ -54,20 +54,15 @@ fn jitter_draw(seed: u64, client: u64, seq: u64, attempt: u32) -> f64 {
     )
 }
 
-/// One bootstrapped client: its machine, resolved fit, and the fit
-/// fallbacks its resolution counted.
-type BootstrappedClient = (EmulatedMachine, ResolvedFit, FaultReport);
+/// One bootstrapped client: its machine, its planner, and the fit
+/// fallbacks resolving it counted.
+type BootstrappedClient = (EmulatedMachine, MachinePlanner, FaultReport);
 
-/// Per-client bootstrap: generate the machine and resolve its fit under
-/// the plan's fit-failure injection. A natural fit failure aborts the
-/// run, as the classic loop does; only injected failures degrade. Pure
-/// function of `(config, plan, i)` — safe to evaluate on any thread in
-/// any order.
-fn bootstrap_client(
-    config: &ManagerConfig,
-    plan: &FaultPlan,
-    i: usize,
-) -> Result<BootstrappedClient> {
+/// Per-client bootstrap: generate the machine and fit its planner under
+/// the plan's fit-failure injection; a natural or injected fit failure
+/// degrades the client, never the run. Pure function of
+/// `(config, plan, i)` — safe to evaluate on any thread in any order.
+fn bootstrap_client(config: &ManagerConfig, plan: &FaultPlan, i: usize) -> BootstrappedClient {
     let machine = EmulatedMachine::generate(
         &config.pool,
         i as u32,
@@ -77,8 +72,8 @@ fn bootstrap_client(
     );
     let injected = plan.fit_failure(config.seed.wrapping_add(i as u64), 0);
     let mut report = FaultReport::default();
-    let fit = resolve_fit(config.model, &machine.history, injected, &mut report)?;
-    Ok((machine, fit, report))
+    let fit = MachinePlanner::fit(config.model, &machine.history, injected, &mut report);
+    (machine, fit, report)
 }
 
 /// Bootstrap every client, fanning out across `threads` workers. Each
@@ -88,7 +83,7 @@ fn bootstrap_client(
 fn bootstrap_clients(
     config: &ManagerConfig,
     plan: &FaultPlan,
-) -> Result<(Vec<(EmulatedMachine, ResolvedFit)>, FaultReport)> {
+) -> (Vec<(EmulatedMachine, MachinePlanner)>, FaultReport) {
     let n = config.clients;
     let threads = if config.threads == 0 {
         std::thread::available_parallelism().map_or(1, |p| p.get())
@@ -98,7 +93,7 @@ fn bootstrap_clients(
     .min(n)
     .max(1);
 
-    let mut slots: Vec<Option<Result<BootstrappedClient>>> = Vec::new();
+    let mut slots: Vec<Option<BootstrappedClient>> = Vec::new();
     slots.resize_with(n, || None);
     if threads == 1 {
         for (i, slot) in slots.iter_mut().enumerate() {
@@ -121,12 +116,12 @@ fn bootstrap_clients(
     let mut out = Vec::with_capacity(n);
     let mut fallbacks = FaultReport::default();
     for slot in slots {
-        let (machine, fit, counted) = slot.expect("bootstrap slot unfilled")?;
+        let (machine, fit, counted) = slot.expect("bootstrap slot unfilled");
         fallbacks.fallback_exponential += counted.fallback_exponential;
         fallbacks.fallback_fixed += counted.fallback_fixed;
         out.push((machine, fit));
     }
-    Ok((out, fallbacks))
+    (out, fallbacks)
 }
 
 // ---------------------------------------------------------------------
@@ -156,7 +151,7 @@ enum ActiveFault {
 
 struct Client {
     machine: EmulatedMachine,
-    fit: ResolvedFit,
+    fit: MachinePlanner,
     seg_index: usize,
     cycle: CycleMachine,
     work_until: f64,
@@ -393,7 +388,7 @@ pub fn run_manager_observed(
         image_mb: config.image_mb,
         count_recovery_bytes: true,
     };
-    let (boot, faults) = bootstrap_clients(config, plan)?;
+    let (boot, faults) = bootstrap_clients(config, plan);
     let mut report = ManagerReport {
         faults,
         ..ManagerReport::default()

@@ -89,3 +89,26 @@ fn recovery_lane_outranks_checkpoint_lane() {
         "weighted {weighted_total} < uniform {flat_total} recoveries over 16 seeds"
     );
 }
+
+#[test]
+fn natural_fit_failures_degrade_instead_of_aborting() {
+    // A Weibull ground truth with an astronomically large shape samples
+    // exactly its scale, so every client records identical durations:
+    // the Weibull MLE fails on each, and each client plans on the
+    // exponential fallback instead of aborting the run.
+    let config = ManagerConfig {
+        pool: chs_trace::synthetic::PoolConfig {
+            weibull_fraction: 1.0,
+            bimodal_fraction: 0.0,
+            diurnal_fraction: 0.0,
+            shape_range: (1e18, 1e18),
+            scale_log_sigma: 0.0,
+            ..chs_trace::synthetic::PoolConfig::default()
+        },
+        ..ManagerConfig::campus(4, ModelKind::Weibull)
+    };
+    let outcome = run_manager(&config, &FaultPlan::none()).unwrap();
+    assert_eq!(outcome.report.faults.fallback_exponential, 4);
+    assert_eq!(outcome.report.faults.fallback_fixed, 0);
+    assert!(outcome.result.cycle.useful_seconds > 0.0);
+}

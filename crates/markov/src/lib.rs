@@ -32,12 +32,14 @@
 
 #![deny(missing_docs)]
 
+mod fallback;
 mod planner;
 pub mod predict;
 mod schedule;
 mod store;
 mod vaidya;
 
+pub use fallback::{resolve_fit, young_interval, FitTier};
 pub use planner::MeasuredCostPlanner;
 pub use predict::{predict_steady_state, SteadyStatePrediction};
 pub use schedule::{Schedule, ScheduleEntry};

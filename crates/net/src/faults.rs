@@ -229,7 +229,7 @@ pub struct FaultPlan {
     pub p_corrupt: f64,
     /// P(manager transiently unavailable before the attempt).
     pub p_unavailable: f64,
-    /// P(a model fit is forced to fail in `prepare_experiments`).
+    /// P(a model fit is forced to fail and walk the fit-fallback chain).
     pub p_fit_failure: f64,
     /// Upper bound on the payload fraction delivered before a stall
     /// (the actual fraction is uniform in [0, `stall_fraction`)).

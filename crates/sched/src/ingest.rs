@@ -3,11 +3,11 @@
 //!
 //! Both faces of the pipeline go through [`fit_batch`]:
 //!
-//! * the **batch prepare** (`chs-sim::prepare_experiments*`) builds one
-//!   [`FitItem`] per `(machine, family)` in machine-major order and
-//!   reduces the results by index arithmetic — exactly the fan-out it
-//!   ran inline before this crate existed, so the refactor is pinned
-//!   bitwise by the existing prepare-determinism suites;
+//! * the **batch prepare** (`chs-sim::prepare_experiments_resilient`)
+//!   builds one [`FitItem`] per `(machine, family)` in machine-major
+//!   order and reduces the results by index arithmetic — exactly the
+//!   fan-out it ran inline before this crate existed, so the refactor is
+//!   pinned bitwise by the existing prepare-determinism suites;
 //! * the **online scheduler** bootstraps cold machines by batching
 //!   their buffered windows through the same path.
 //!

@@ -30,10 +30,9 @@ pub use engine::{simulate_trace, simulate_trace_observed, SimConfig};
 pub use metrics::SimResult;
 pub use policy::{CachedPolicy, FixedIntervalPolicy, ModelPolicy, SchedulePolicy};
 pub use sweep::{
-    audit_warm_fill, prepare_experiments, prepare_experiments_reported,
-    prepare_experiments_resilient, sweep_paper_grid, sweep_paper_grid_reference,
-    sweep_paper_grid_serial, FillExcess, FitFailureCount, FitFallback, MachineExperiment,
-    PrepareReport, PreparedExperiments, SweepCell, SweepGrid,
+    audit_warm_fill, prepare_experiments_reported, prepare_experiments_resilient, sweep_paper_grid,
+    sweep_paper_grid_reference, sweep_paper_grid_serial, FillExcess, FitFailureCount,
+    MachineExperiment, PrepareReport, PreparedExperiments, SweepCell, SweepGrid,
 };
 pub use timeline::{
     simulate_with_timeline, IntervalOutcome, IntervalRecord, SegmentRecord, Timeline,

@@ -19,9 +19,8 @@
 use crate::engine::{simulate_trace, SimConfig};
 use crate::metrics::SimResult;
 use crate::policy::{CachedPolicy, FixedIntervalPolicy};
-use chs_dist::fit::fit_model;
-use chs_dist::{Exponential, FittedModel, ModelKind};
-use chs_markov::{CheckpointCosts, VaidyaModel};
+use chs_dist::{FittedModel, ModelKind};
+use chs_markov::{resolve_fit, young_interval, CheckpointCosts, FitTier, VaidyaModel};
 use chs_net::FaultPlan;
 use chs_sched::ingest::{fit_batch, FitItem};
 use chs_stats::mean;
@@ -30,38 +29,20 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// Which policy tier a `(machine, family)` slot runs on after
-/// fit-failure handling: the requested family, the exponential-MLE
-/// fallback, or Young's fixed interval — the resilient prepare's
-/// degradation chain ([`prepare_experiments_resilient`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FitFallback {
-    /// The requested family fitted normally.
-    Native,
-    /// The family's fit failed (or was injected to fail); the slot runs
-    /// on an exponential-MLE fit of the same training prefix.
-    Exponential,
-    /// Even the exponential fallback failed; the slot runs on the fixed
-    /// interval `√(2·C·mean_train)`.
-    Fixed,
-}
-
 /// One machine prepared for the sweep: its four fitted models plus the
 /// held-out experimental durations.
 #[derive(Debug, Clone)]
 pub struct MachineExperiment {
     /// Which machine.
     pub machine: MachineId,
-    /// Fitted models, in [`ModelKind::PAPER_SET`] order, shared with
-    /// every sweep cell that simulates this machine.
-    pub fits: Vec<Arc<FittedModel>>,
-    /// Policy tier per family, aligned with `fits`. All `Native` from
-    /// the classic prepare; the resilient prepare records which slots
-    /// degraded (a `Fixed` slot's `fits` entry is a placeholder the
-    /// sweep never consults).
-    pub fallbacks: Vec<FitFallback>,
-    /// Mean of the training prefix: the MTTF estimate Young's fixed
-    /// interval uses when a slot degrades all the way to `Fixed`.
+    /// The model each family's slot plans with, in
+    /// [`ModelKind::PAPER_SET`] order, shared with every sweep cell that
+    /// simulates this machine: the native fit, or the exponential-MLE
+    /// fallback when it failed; `None` on Young's fixed tier
+    /// ([`resolve_fit`]).
+    pub fits: Vec<Option<Arc<FittedModel>>>,
+    /// Mean of the training prefix: the MTTF Young's fixed interval uses
+    /// for a slot without a model.
     pub mean_train: f64,
     /// The experimental (held-out) durations.
     pub test_durations: Vec<f64>,
@@ -85,181 +66,83 @@ pub struct FitFailureCount {
 }
 
 /// Accounting for the prepare phase: how many machines entered, how many
-/// survived, and why the rest were dropped — previously a silent
-/// `.ok()?` discard of the whole machine.
+/// survived, why the rest were dropped, and which slots degraded.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct PrepareReport {
     /// Machines in the input pool.
     pub machines_total: usize,
-    /// Machines with all four fits (length of the experiment list).
+    /// Machines in the experiment list.
     pub machines_usable: usize,
-    /// Machines dropped because the trace was too short to split into
-    /// the training prefix plus a non-empty experimental remainder.
+    /// Machines dropped because the trace could not be split into a
+    /// non-empty training prefix plus a non-empty experimental
+    /// remainder — the only reason a machine leaves the sweep.
     pub dropped_short_trace: usize,
-    /// Machines dropped because at least one estimator failed.
-    pub dropped_fit_failure: usize,
-    /// Which estimator failed, per family in [`ModelKind::PAPER_SET`]
+    /// Natural estimator failures, per family in [`ModelKind::PAPER_SET`]
     /// order (a machine defeating several estimators counts once in
-    /// each).
+    /// each). Each one also lands in a fallback count.
     pub fit_failures: Vec<FitFailureCount>,
-    /// Slots the resilient prepare degraded to the exponential-MLE
-    /// fallback instead of dropping the machine (always 0 from the
-    /// classic prepare).
+    /// Slots that degraded to the exponential-MLE fallback.
     pub fallback_exponential: usize,
     /// Slots that degraded past the exponential fallback to Young's
-    /// fixed interval (always 0 from the classic prepare).
+    /// fixed interval.
     pub fallback_fixed: usize,
 }
 
-/// [`prepare_experiments`] plus its [`PrepareReport`].
+/// [`prepare_experiments_resilient`]'s experiments plus its
+/// [`PrepareReport`].
 #[derive(Debug, Clone)]
 pub struct PreparedExperiments {
-    /// The machines that survived, with all four fits.
+    /// The machines that survived, with a plan for every family.
     pub experiments: Vec<MachineExperiment>,
-    /// Drop accounting.
+    /// Drop and fallback accounting.
     pub report: PrepareReport,
 }
 
-/// Fit the paper's four models to every machine's training prefix,
-/// reporting machines dropped per reason.
-///
-/// Machines that cannot be split (too few observations) or whose data
-/// defeats one of the estimators are dropped, mirroring the paper's
-/// "chosen a sufficient number of times" filter.
-///
-/// The fits run as one flat rayon fan-out over `(machine × model)` work
-/// items — four items per machine instead of one, so the pool's cores
-/// stay busy even when a few machines' EM fits dominate — with an
-/// index-aligned reduction (item `ei·4 + mi` is machine `ei`, family
-/// `mi`). Every fit depends only on its own training prefix and results
-/// are reduced in input order, so the output is bitwise-identical for
-/// any thread count (pinned by `tests/prepare_determinism.rs`).
+/// [`prepare_experiments_resilient`] with no injected fit failures.
 pub fn prepare_experiments_reported(pool: &MachinePool, train_len: usize) -> PreparedExperiments {
-    let kinds = ModelKind::PAPER_SET;
-    let n_k = kinds.len();
-
-    // Serial split pass (cheap): keep machines long enough to train on.
-    let mut splits: Vec<(MachineId, Vec<f64>, Vec<f64>)> = Vec::new();
-    let mut dropped_short_trace = 0usize;
-    for trace in pool.traces() {
-        match trace.split(train_len) {
-            Ok((train, test)) if !test.is_empty() => splits.push((trace.machine, train, test)),
-            _ => dropped_short_trace += 1,
-        }
-    }
-
-    // Flat fan-out: one work item per (machine, family), routed through
-    // the online scheduler's shared ingest path — batch prepare is a
-    // replay of the same fan-out the serving loop uses.
-    let items: Vec<FitItem<'_>> = splits
-        .iter()
-        .flat_map(|(_, train, _)| kinds.iter().map(|&kind| FitItem::new(kind, train)))
-        .collect();
-    let fits = fit_batch(&items);
-
-    // Index-aligned reduction in machine order.
-    let mut experiments = Vec::with_capacity(splits.len());
-    let mut fit_failures: Vec<FitFailureCount> = kinds
-        .iter()
-        .map(|&kind| FitFailureCount { kind, failures: 0 })
-        .collect();
-    let mut dropped_fit_failure = 0usize;
-    let mut fit_iter = fits.into_iter();
-    for (machine, train, test) in splits {
-        let family: Vec<chs_dist::Result<FittedModel>> = (0..n_k)
-            .map(|_| {
-                fit_iter
-                    .next()
-                    .expect("index-aligned")
-                    .expect("every classic-prepare item is enabled")
-            })
-            .collect();
-        if family.iter().all(Result::is_ok) {
-            experiments.push(MachineExperiment {
-                machine,
-                fits: family
-                    .into_iter()
-                    .map(|fit| Arc::new(fit.expect("checked ok")))
-                    .collect(),
-                fallbacks: vec![FitFallback::Native; n_k],
-                mean_train: mean(&train),
-                test_durations: test,
-            });
-        } else {
-            dropped_fit_failure += 1;
-            for (mi, fit) in family.iter().enumerate() {
-                if fit.is_err() {
-                    fit_failures[mi].failures += 1;
-                }
-            }
-        }
-    }
-
-    let report = PrepareReport {
-        machines_total: pool.len(),
-        machines_usable: experiments.len(),
-        dropped_short_trace,
-        dropped_fit_failure,
-        fit_failures,
-        fallback_exponential: 0,
-        fallback_fixed: 0,
-    };
-    PreparedExperiments {
-        experiments,
-        report,
-    }
+    prepare_experiments_resilient(pool, train_len, &FaultPlan::none())
 }
 
-/// [`prepare_experiments_reported`] without the drop accounting — the
-/// original surface, kept for callers that only need the experiments.
-pub fn prepare_experiments(pool: &MachinePool, train_len: usize) -> Vec<MachineExperiment> {
-    prepare_experiments_reported(pool, train_len).experiments
-}
-
-/// Degradation chain for one `(machine, family)` slot: exponential-MLE
-/// fit of the same training prefix, then Young's fixed interval. The
-/// `Fixed` tier's fit entry is a placeholder ([`run_cell_item`] switches
-/// to [`FixedIntervalPolicy`] and never consults it).
-fn degraded_slot(train: &[f64], mean_train: f64) -> (FittedModel, FitFallback) {
-    match fit_model(ModelKind::Exponential, train) {
-        Ok(fit) => (fit, FitFallback::Exponential),
-        Err(_) => (
-            FittedModel::Exponential(
-                Exponential::from_mean(mean_train.max(1.0)).expect("positive mean"),
-            ),
-            FitFallback::Fixed,
-        ),
-    }
-}
-
-/// Fault-aware prepare: like [`prepare_experiments_reported`], but a fit
-/// failure — natural, or injected through `plan.fit_failure(machine,
-/// family)` — **degrades the slot instead of dropping the machine**:
-/// first to an exponential-MLE fit of the same training prefix, then to
-/// Young's fixed interval `√(2·C·mean_train)`. Only short traces are
-/// still dropped (nothing can be fitted to them); every degradation is
-/// counted in the report, so no machine leaves the sweep silently.
+/// Fit the paper's four models to every machine's training prefix.
+///
+/// Machines that cannot be split into a non-empty training prefix and a
+/// non-empty experimental remainder are dropped as short traces. A
+/// fit failure — natural, or injected through `plan.fit_failure(machine,
+/// family)` — degrades the slot through [`resolve_fit`] instead of
+/// dropping the machine: first to an exponential-MLE fit of the same
+/// training prefix, then to Young's fixed interval `√(2·C·mean_train)`.
+/// Every degradation is counted in the report, so no machine leaves the
+/// sweep silently.
+///
+/// The native fits run as one flat rayon fan-out over `(machine ×
+/// model)` work items, routed through the online scheduler's shared
+/// ingest path, with an index-aligned reduction (item `ei·4 + mi` is
+/// machine `ei`, family `mi`). Injected failures become disabled items
+/// that skip the native fit but keep their slot. Every fit depends only
+/// on its own training prefix and results are reduced in input order,
+/// so the output is bitwise-identical for any thread count (pinned by
+/// `tests/prepare_determinism.rs`).
 pub fn prepare_experiments_resilient(
     pool: &MachinePool,
     train_len: usize,
     plan: &FaultPlan,
 ) -> PreparedExperiments {
     let kinds = ModelKind::PAPER_SET;
-    let n_k = kinds.len();
 
+    // Serial split pass (cheap): keep machines long enough to train on
+    // and test on. An empty training prefix has no mean either, so it
+    // would plan Young's interval at MTTF 0: drop it as too short.
     let mut splits: Vec<(MachineId, Vec<f64>, Vec<f64>)> = Vec::new();
     let mut dropped_short_trace = 0usize;
     for trace in pool.traces() {
         match trace.split(train_len) {
-            Ok((train, test)) if !test.is_empty() => splits.push((trace.machine, train, test)),
+            Ok((train, test)) if !train.is_empty() && !test.is_empty() => {
+                splits.push((trace.machine, train, test))
+            }
             _ => dropped_short_trace += 1,
         }
     }
 
-    // Same shared ingest fan-out as the classic prepare; injected
-    // failures become disabled items that skip the native fit entirely
-    // (the paper's estimator "fails" by decree) while keeping their
-    // slot in the index-aligned result.
     let items: Vec<FitItem<'_>> = splits
         .iter()
         .flat_map(|(machine, train, _)| {
@@ -272,56 +155,42 @@ pub fn prepare_experiments_resilient(
             })
         })
         .collect();
-    let fits = fit_batch(&items);
+    let natives = fit_batch(&items);
 
+    let mut report = PrepareReport {
+        machines_total: pool.len(),
+        dropped_short_trace,
+        fit_failures: kinds
+            .iter()
+            .map(|&kind| FitFailureCount { kind, failures: 0 })
+            .collect(),
+        ..PrepareReport::default()
+    };
     let mut experiments = Vec::with_capacity(splits.len());
-    let mut fit_failures: Vec<FitFailureCount> = kinds
-        .iter()
-        .map(|&kind| FitFailureCount { kind, failures: 0 })
-        .collect();
-    let mut fallback_exponential = 0usize;
-    let mut fallback_fixed = 0usize;
-    let mut fit_iter = fits.into_iter();
+    let mut natives = natives.into_iter();
     for (machine, train, test) in splits {
-        let mean_train = mean(&train);
-        let mut slot_fits = Vec::with_capacity(n_k);
-        let mut fallbacks = Vec::with_capacity(n_k);
-        for counter in fit_failures.iter_mut().take(n_k) {
-            let native = fit_iter.next().expect("index-aligned");
-            let (fit, tier) = match native {
-                Some(Ok(fit)) => (fit, FitFallback::Native),
-                Some(Err(_)) => {
-                    counter.failures += 1;
-                    degraded_slot(&train, mean_train)
-                }
-                None => degraded_slot(&train, mean_train),
-            };
-            match tier {
-                FitFallback::Native => {}
-                FitFallback::Exponential => fallback_exponential += 1,
-                FitFallback::Fixed => fallback_fixed += 1,
+        let mut fits = Vec::with_capacity(kinds.len());
+        for counter in &mut report.fit_failures {
+            let native = natives.next().expect("index-aligned");
+            if matches!(native, Some(Err(_))) {
+                counter.failures += 1;
             }
-            slot_fits.push(Arc::new(fit));
-            fallbacks.push(tier);
+            let (fit, tier) = resolve_fit(native, &train);
+            match tier {
+                FitTier::Native => {}
+                FitTier::Exponential => report.fallback_exponential += 1,
+                FitTier::Fixed => report.fallback_fixed += 1,
+            }
+            fits.push(fit.map(Arc::new));
         }
         experiments.push(MachineExperiment {
             machine,
-            fits: slot_fits,
-            fallbacks,
-            mean_train,
+            fits,
+            mean_train: mean(&train),
             test_durations: test,
         });
     }
-
-    let report = PrepareReport {
-        machines_total: pool.len(),
-        machines_usable: experiments.len(),
-        dropped_short_trace,
-        dropped_fit_failure: 0,
-        fit_failures,
-        fallback_exponential,
-        fallback_fixed,
-    };
+    report.machines_usable = experiments.len();
     PreparedExperiments {
         experiments,
         report,
@@ -381,15 +250,14 @@ fn run_cell_item(
 ) -> SimResult {
     let mut config = SimConfig::paper(c);
     config.image_mb = image_mb;
-    // A slot degraded past the exponential fallback schedules with
-    // Young's fixed interval; its fit entry is a placeholder.
-    if exp.fallbacks.get(model_index) == Some(&FitFallback::Fixed) {
+    // A slot without a model schedules with Young's fixed interval.
+    let Some(fit) = &exp.fits[model_index] else {
         let policy = FixedIntervalPolicy {
-            interval: (2.0 * c.max(0.0) * exp.mean_train).sqrt().max(1.0),
+            interval: young_interval(c, exp.mean_train),
         };
         return simulate_trace(&exp.test_durations, &policy, &config).expect("validated durations");
-    }
-    let fit = Arc::clone(&exp.fits[model_index]);
+    };
+    let fit = Arc::clone(fit);
     let costs = CheckpointCosts::symmetric(c);
     let policy = if warm {
         CachedPolicy::new(fit, costs, max_age)
@@ -577,10 +445,9 @@ pub fn audit_warm_fill(
         .map(|idx| {
             let exp = &experiments[idx / (n_c * n_k)];
             let mi = idx % n_k;
-            if exp.fallbacks.get(mi) == Some(&FitFallback::Fixed) {
+            let Some(fit) = &exp.fits[mi] else {
                 return (0, 0, 0.0);
-            }
-            let fit = &exp.fits[mi];
+            };
             let costs = CheckpointCosts::symmetric(c_values[(idx / n_k) % n_c]);
             let Ok(vaidya) = VaidyaModel::shared(Arc::clone(fit), costs) else {
                 return (0, 0, 0.0);
@@ -623,7 +490,9 @@ pub fn audit_warm_fill(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chs_dist::AvailabilityModel;
     use chs_trace::synthetic::{generate_pool, PoolConfig};
+    use chs_trace::AvailabilityTrace;
 
     fn small_pool() -> MachinePool {
         generate_pool(&PoolConfig::small(12, 60, 17)).as_machine_pool()
@@ -631,13 +500,13 @@ mod tests {
 
     #[test]
     fn prepare_fits_all_four_models() {
-        let exps = prepare_experiments(&small_pool(), 25);
+        let exps = prepare_experiments_reported(&small_pool(), 25).experiments;
         assert!(!exps.is_empty());
         for e in &exps {
             assert_eq!(e.fits.len(), 4);
             assert_eq!(e.test_durations.len(), 35);
             for (kind, fit) in ModelKind::PAPER_SET.iter().zip(&e.fits) {
-                assert_eq!(fit.kind(), *kind);
+                assert_eq!(fit.as_ref().unwrap().kind(), *kind);
             }
         }
     }
@@ -646,7 +515,9 @@ mod tests {
     fn prepare_drops_short_traces() {
         let pool = generate_pool(&PoolConfig::small(4, 10, 3)).as_machine_pool();
         // train_len 25 > 10 observations: everything dropped.
-        assert!(prepare_experiments(&pool, 25).is_empty());
+        assert!(prepare_experiments_reported(&pool, 25)
+            .experiments
+            .is_empty());
     }
 
     #[test]
@@ -656,10 +527,7 @@ mod tests {
         let r = &prepared.report;
         assert_eq!(r.machines_total, pool.len());
         assert_eq!(r.machines_usable, prepared.experiments.len());
-        assert_eq!(
-            r.machines_usable + r.dropped_short_trace + r.dropped_fit_failure,
-            r.machines_total
-        );
+        assert_eq!(r.machines_usable + r.dropped_short_trace, r.machines_total);
         assert_eq!(r.fit_failures.len(), ModelKind::PAPER_SET.len());
         for (fc, kind) in r.fit_failures.iter().zip(ModelKind::PAPER_SET) {
             assert_eq!(fc.kind, kind);
@@ -671,7 +539,35 @@ mod tests {
         let r = prepare_experiments_reported(&short, 25).report;
         assert_eq!(r.dropped_short_trace, 4);
         assert_eq!(r.machines_usable, 0);
-        assert_eq!(r.dropped_fit_failure, 0);
+
+        // So does an empty training prefix: it has no mean to plan on.
+        let r = prepare_experiments_reported(&pool, 0).report;
+        assert_eq!(r.dropped_short_trace, pool.len());
+        assert_eq!(r.machines_usable, 0);
+    }
+
+    #[test]
+    fn natural_fit_failures_degrade_and_are_counted() {
+        // Machine 1's training prefix is 25 identical durations, which
+        // defeat the Weibull MLE: its Weibull slot runs on the
+        // exponential fallback, counted as a failure and a fallback.
+        let varied: Vec<f64> = (0..40).map(|i| 300.0 + 157.0 * f64::from(i % 13)).collect();
+        let mut flat = vec![900.0; 25];
+        flat.extend_from_slice(&varied[..15]);
+        let pool = MachinePool::new(vec![
+            AvailabilityTrace::from_durations(MachineId(0), &varied).unwrap(),
+            AvailabilityTrace::from_durations(MachineId(1), &flat).unwrap(),
+        ]);
+        let prepared = prepare_experiments_reported(&pool, 25);
+        let r = &prepared.report;
+        assert_eq!(r.machines_usable, 2);
+        assert_eq!(r.fit_failures[1].failures, 1, "{r:?}");
+        let degraded = r.fit_failures.iter().map(|f| f.failures).sum::<usize>();
+        assert_eq!(r.fallback_exponential, degraded);
+        assert_eq!(r.fallback_fixed, 0);
+        let weibull_slot = prepared.experiments[1].fits[1].as_ref().unwrap();
+        assert_eq!(weibull_slot.kind(), ModelKind::Exponential);
+        assert!((weibull_slot.mean() - 900.0).abs() < 1e-9);
     }
 
     #[test]
@@ -684,21 +580,23 @@ mod tests {
         };
         let prepared = prepare_experiments_resilient(&pool, 25, &plan);
         let classic = prepare_experiments_reported(&pool, 25);
-        // Same machines survive as the classic prepare keeps plus every
-        // machine the classic prepare dropped for fit failure.
+        // The same machines survive as without injection.
         assert_eq!(
             prepared.report.machines_usable,
-            classic.report.machines_usable + classic.report.dropped_fit_failure
+            classic.report.machines_usable
         );
-        assert_eq!(prepared.report.dropped_fit_failure, 0);
         assert_eq!(
             prepared.report.fallback_exponential + prepared.report.fallback_fixed,
             prepared.report.machines_usable * ModelKind::PAPER_SET.len(),
             "every slot must land on a fallback tier"
         );
         for e in &prepared.experiments {
-            assert_eq!(e.fallbacks.len(), ModelKind::PAPER_SET.len());
-            assert!(e.fallbacks.iter().all(|f| *f != FitFallback::Native));
+            assert_eq!(e.fits.len(), ModelKind::PAPER_SET.len());
+            assert!(e
+                .fits
+                .iter()
+                .flatten()
+                .all(|f| f.kind() == ModelKind::Exponential));
         }
         // The degraded pool still sweeps: every machine covered.
         let grid = sweep_paper_grid(&prepared.experiments, &[250.0], 500.0);
@@ -712,48 +610,26 @@ mod tests {
     }
 
     #[test]
-    fn resilient_prepare_with_zero_plan_matches_classic() {
-        let pool = small_pool();
-        let resilient = prepare_experiments_resilient(&pool, 25, &FaultPlan::none());
-        let classic = prepare_experiments_reported(&pool, 25);
-        // With no injection and no natural failures the experiment lists
-        // agree machine-for-machine and every slot is Native.
-        assert_eq!(
-            resilient.experiments.len(),
-            classic.experiments.len() // small_pool has no natural failures
-        );
-        for (r, c) in resilient.experiments.iter().zip(&classic.experiments) {
-            assert_eq!(r.machine, c.machine);
-            assert_eq!(r.test_durations, c.test_durations);
-            assert!(r.fallbacks.iter().all(|f| *f == FitFallback::Native));
-            for (rf, cf) in r.fits.iter().zip(&c.fits) {
-                assert_eq!(rf.kind(), cf.kind());
-            }
-        }
-        assert_eq!(resilient.report.fallback_exponential, 0);
-        assert_eq!(resilient.report.fallback_fixed, 0);
-    }
-
-    #[test]
     fn fixed_tier_slots_run_youngs_interval() {
-        let pool = small_pool();
-        let plan = FaultPlan {
-            p_fit_failure: 1.0,
-            ..FaultPlan::none()
-        };
-        let mut prepared = prepare_experiments_resilient(&pool, 25, &plan);
+        let mut exps = prepare_experiments_reported(&small_pool(), 25).experiments;
         // Force one slot all the way down to the Fixed tier and check the
-        // sweep still produces sane metrics for it.
-        prepared.experiments[0].fallbacks[0] = FitFallback::Fixed;
-        let grid = sweep_paper_grid(&prepared.experiments[..1], &[100.0], 500.0);
+        // sweep runs it on exactly Young's interval.
+        exps[0].fits[0] = None;
+        let grid = sweep_paper_grid(&exps[..1], &[100.0], 500.0);
+        let policy = FixedIntervalPolicy {
+            interval: young_interval(100.0, exps[0].mean_train),
+        };
+        let young =
+            simulate_trace(&exps[0].test_durations, &policy, &SimConfig::paper(100.0)).unwrap();
         let eff = grid.cells[0][0].efficiency[0];
+        assert_eq!(eff.to_bits(), young.efficiency().to_bits());
         assert!((0.0..=1.0).contains(&eff));
         assert!(grid.cells[0][0].aggregate.conservation_residual().abs() < 1e-3);
     }
 
     #[test]
     fn sweep_shapes_and_alignment() {
-        let exps = prepare_experiments(&small_pool(), 25);
+        let exps = prepare_experiments_reported(&small_pool(), 25).experiments;
         let grid = sweep_paper_grid(&exps, &[100.0, 500.0], 500.0);
         assert_eq!(grid.c_values, vec![100.0, 500.0]);
         assert_eq!(grid.models.len(), 4);
@@ -770,7 +646,7 @@ mod tests {
 
     #[test]
     fn efficiency_decreases_with_checkpoint_cost() {
-        let exps = prepare_experiments(&small_pool(), 25);
+        let exps = prepare_experiments_reported(&small_pool(), 25).experiments;
         let grid = sweep_paper_grid(&exps, &[50.0, 1_500.0], 500.0);
         for mi in 0..4 {
             let cheap = grid.mean_efficiency(0, mi);
@@ -784,7 +660,7 @@ mod tests {
 
     #[test]
     fn all_efficiencies_are_fractions() {
-        let exps = prepare_experiments(&small_pool(), 25);
+        let exps = prepare_experiments_reported(&small_pool(), 25).experiments;
         let grid = sweep_paper_grid(&exps, &[250.0], 500.0);
         for cell in &grid.cells[0] {
             for &e in &cell.efficiency {

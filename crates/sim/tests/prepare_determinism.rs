@@ -14,10 +14,10 @@ use rayon::ThreadPoolBuilder;
 fn fingerprint(train_len: usize) -> (String, String) {
     let pool = generate_pool(&PoolConfig::small(16, 60, 9)).as_machine_pool();
     let prepared = prepare_experiments_reported(&pool, train_len);
-    let fits: Vec<Vec<&chs_dist::FittedModel>> = prepared
+    let fits: Vec<Vec<Option<&chs_dist::FittedModel>>> = prepared
         .experiments
         .iter()
-        .map(|e| e.fits.iter().map(|f| &**f).collect())
+        .map(|e| e.fits.iter().map(|f| f.as_deref()).collect())
         .collect();
     (
         serde_json::to_string(&fits).expect("fits serialize"),
@@ -84,7 +84,7 @@ fn prepare_matches_frozen_serial_fit_path() {
 
     assert_eq!(prepared.experiments.len(), frozen.len());
     for (exp, frozen_fits) in prepared.experiments.iter().zip(&frozen) {
-        for (fit, frozen_fit) in exp.fits.iter().zip(frozen_fits) {
+        for (fit, frozen_fit) in exp.fits.iter().flatten().zip(frozen_fits) {
             assert_eq!(
                 serde_json::to_string(&**fit).unwrap(),
                 serde_json::to_string(frozen_fit).unwrap(),

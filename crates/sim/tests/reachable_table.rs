@@ -6,7 +6,7 @@
 
 use chs_dist::{FittedModel, ModelKind};
 use chs_markov::{CheckpointCosts, VaidyaModel};
-use chs_sim::{prepare_experiments, CachedPolicy, ModelPolicy, SchedulePolicy};
+use chs_sim::{prepare_experiments_reported, CachedPolicy, ModelPolicy, SchedulePolicy};
 use chs_trace::synthetic::{generate_pool, PoolConfig};
 use std::sync::Arc;
 
@@ -14,13 +14,14 @@ use std::sync::Arc;
 /// machines, each with the machine's longest held-out segment.
 fn fits() -> Vec<(Arc<FittedModel>, f64)> {
     let pool = generate_pool(&PoolConfig::small(4, 80, 7)).as_machine_pool();
-    let experiments = prepare_experiments(&pool, 25);
+    let experiments = prepare_experiments_reported(&pool, 25).experiments;
     assert!(experiments.len() >= 2, "too few usable machines");
     let fits: Vec<_> = experiments
         .iter()
         .flat_map(|e| {
             e.fits
                 .iter()
+                .flatten()
                 .filter(|fit| !fit.kind().is_memoryless())
                 .map(|fit| (Arc::clone(fit), e.max_age()))
                 .collect::<Vec<_>>()

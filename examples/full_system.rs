@@ -1,7 +1,7 @@
 //! The complete system loop of paper §4: run the occupancy monitor over
-//! an emulated Condor pool to *collect* availability histories, feed them
-//! into the `HistoryStore`, fit per-machine models, and compute the
-//! checkpoint schedule a freshly placed job would use — no synthetic
+//! an emulated Condor pool to *collect* availability histories, persist
+//! them as a trace file, fit per-machine models, and compute the
+//! checkpoint interval a freshly placed job would use — no synthetic
 //! shortcut anywhere in the chain.
 //!
 //! ```text
@@ -9,9 +9,11 @@
 //! ```
 
 use cycle_harvest::condor::{run_monitor, MachinePark, MonitorConfig};
-use cycle_harvest::core::{HistoryStore, SchedulerConfig};
+use cycle_harvest::dist::fit::fit_model;
 use cycle_harvest::dist::ModelKind;
+use cycle_harvest::markov::{CheckpointCosts, VaidyaModel};
 use cycle_harvest::trace::analysis;
+use cycle_harvest::trace::io::{pool_from_json, pool_to_json};
 use cycle_harvest::trace::synthetic::PoolConfig;
 
 fn main() {
@@ -28,39 +30,42 @@ fn main() {
     let observations: usize = collected.traces().iter().map(|t| t.len()).sum();
     println!("monitor recorded {observations} availability durations\n");
 
-    // 3. Histories accumulate in the store (in production this persists
-    //    across campaigns; see chs_trace::io for the JSON/CSV formats).
-    let mut store = HistoryStore::new();
-    store.import_pool(&collected);
+    // 3. Histories persist across campaigns as a trace file (JSON here;
+    //    chs_trace::io also reads and writes CSV).
+    let histories = pool_from_json(&pool_to_json(&collected).expect("serialize"))
+        .expect("reload the persisted histories");
 
-    // 4. A job lands: fit the machine's model and compute its schedule.
+    // 4. A job lands: fit the machine's model and compute its first
+    //    interval at the campus path's measured cost.
     println!(
         "{:>14} {:>6} {:>9} {:>8} {:>11} {:>11} {:>9}",
         "machine", "obs", "mean(s)", "CV", "model", "T_opt(0)", "pred eff"
     );
-    for trace in collected.traces() {
+    for trace in histories.traces() {
         let machine = trace.machine;
-        let durations = store.durations(machine);
+        let durations = trace.durations();
         if durations.len() < 10 {
             continue;
         }
         let st = analysis::stats(&durations).expect("enough data");
         // Heavier-tailed machines (CV > 1.3) get the hyperexponential;
-        // others Weibull — or use CheckpointScheduler::fit_best for BIC
+        // others Weibull — or use chs_dist::gof::fit_best for BIC
         // selection.
         let kind = if st.cv > 1.3 {
             ModelKind::HyperExponential { phases: 2 }
         } else {
             ModelKind::Weibull
         };
-        let config = SchedulerConfig {
-            checkpoint_cost: 110.0,
-            recovery_cost: 110.0,
-            ..Default::default()
-        };
-        match store.scheduler_for(machine, kind, config) {
-            Ok(scheduler) => {
-                let first = scheduler.next_interval(0.0).expect("optimizable");
+        let planned = fit_model(kind, &durations)
+            .map_err(|e| e.to_string())
+            .and_then(|fit| {
+                VaidyaModel::new(&fit, CheckpointCosts::new(110.0, 110.0))
+                    .and_then(|v| v.with_bounds(1.0, 30.0 * 86_400.0))
+                    .and_then(|v| v.optimal_interval(0.0))
+                    .map_err(|e| e.to_string())
+            });
+        match planned {
+            Ok(first) => {
                 println!(
                     "{:>14} {:>6} {:>9.0} {:>8.2} {:>11} {:>9.0} s {:>9.3}",
                     machine.to_string(),

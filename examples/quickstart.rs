@@ -5,8 +5,9 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use cycle_harvest::core::{CheckpointScheduler, SchedulerConfig};
+use cycle_harvest::dist::fit::fit_model;
 use cycle_harvest::dist::ModelKind;
+use cycle_harvest::markov::{CheckpointCosts, Schedule, VaidyaModel};
 
 fn main() {
     // Availability durations (seconds) the monitoring system recorded for
@@ -18,26 +19,19 @@ fn main() {
         650.0, 32_000.0, 1_900.0,
     ];
 
-    // Fit a Weibull availability model and configure the measured
-    // checkpoint/recovery costs (500 MB over the campus LAN ≈ 110 s).
-    let scheduler = CheckpointScheduler::fit(
-        &history,
-        ModelKind::Weibull,
-        SchedulerConfig {
-            checkpoint_cost: 110.0,
-            recovery_cost: 110.0,
-            ..Default::default()
-        },
-    )
-    .expect("fit");
+    // Fit a Weibull availability model and bind it to the measured
+    // checkpoint/recovery costs (500 MB over the campus LAN ≈ 110 s),
+    // searching work intervals between 1 s and 30 days.
+    let fit = fit_model(ModelKind::Weibull, &history).expect("fit");
+    let vaidya = VaidyaModel::new(&fit, CheckpointCosts::new(110.0, 110.0))
+        .and_then(|v| v.with_bounds(1.0, 30.0 * 86_400.0))
+        .expect("valid costs and bounds");
 
-    println!("fitted model: {:?}", scheduler.model().kind());
+    println!("fitted model: {:?}", fit.kind());
 
     // The machine has been available for 10 minutes when our job lands.
     let age = 600.0;
-    let schedule = scheduler
-        .schedule(age, 8.0 * 3_600.0, 16)
-        .expect("schedule");
+    let schedule = Schedule::compute(&vaidya, age, 8.0 * 3_600.0, 16).expect("schedule");
     println!("\ncheckpoint schedule for the next ~8 hours (T_elapsed = {age} s):");
     println!(
         "{:>4} {:>12} {:>14} {:>12}",

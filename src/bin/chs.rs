@@ -15,13 +15,10 @@
 //! Every subcommand prints human-readable tables to stdout; exit code 2
 //! signals a usage error, 1 an execution failure.
 
-use cycle_harvest::core::{CheckpointScheduler, SchedulerConfig};
 use cycle_harvest::dist::fit::fit_model;
 use cycle_harvest::dist::{gof, ModelKind};
-use cycle_harvest::markov::CheckpointCosts;
-use cycle_harvest::sim::{
-    prepare_experiments, simulate_trace, sweep_paper_grid, CachedPolicy, SimConfig,
-};
+use cycle_harvest::markov::{CheckpointCosts, Schedule, VaidyaModel};
+use cycle_harvest::sim::{prepare_experiments_reported, sweep_paper_grid};
 use cycle_harvest::trace::synthetic::{generate_pool, PoolConfig};
 use cycle_harvest::trace::{analysis, io as trace_io, MachineId, MachinePool, PAPER_TRAIN_LEN};
 use std::collections::HashMap;
@@ -68,6 +65,16 @@ fn main() -> ExitCode {
                         .collect::<Vec<_>>()
                         .join(", ")
                 );
+                return ExitCode::from(2);
+            }
+        }
+    }
+    // A zero-size pool is a usage error, not an empty trace file.
+    if command == "generate" {
+        for key in ["machines", "observations"] {
+            if get_usize(&opts, key, 1) == Ok(0) {
+                eprintln!("error: --{key} must be at least 1");
+                usage();
                 return ExitCode::from(2);
             }
         }
@@ -293,24 +300,21 @@ fn cmd_schedule(opts: &Opts) -> Result<(), String> {
     let age = get_f64(opts, "age", 0.0)?;
     let horizon = get_f64(opts, "horizon", 8.0 * 3_600.0)?;
     let model_name = opts.get("model").map(String::as_str).unwrap_or("best");
-    let config = SchedulerConfig {
-        checkpoint_cost: cost,
-        recovery_cost: recovery,
-        ..Default::default()
-    };
     let durations = trace.durations();
-    let scheduler = match parse_model(model_name)? {
-        Some(kind) => CheckpointScheduler::fit(&durations, kind, config),
-        None => CheckpointScheduler::fit_best(&durations, config),
+    let fit = match parse_model(model_name)? {
+        Some(kind) => fit_model(kind, &durations),
+        None => gof::fit_best(&durations),
     }
-    .map_err(|e| e.to_string())?;
+    .map_err(|e| format!("fit: {e}"))?;
     println!(
         "model: {}   C = {cost} s, R = {recovery} s, T_elapsed = {age} s",
-        scheduler.model().kind().label()
+        fit.kind().label()
     );
-    let schedule = scheduler
-        .schedule(age, horizon, 64)
-        .map_err(|e| e.to_string())?;
+    // Work intervals between 1 s and 30 days.
+    let schedule = VaidyaModel::new(&fit, CheckpointCosts::new(cost, recovery))
+        .and_then(|vaidya| vaidya.with_bounds(1.0, 30.0 * 86_400.0))
+        .and_then(|vaidya| Schedule::compute(&vaidya, age, horizon, 64))
+        .map_err(|e| format!("schedule: {e}"))?;
     println!(
         "{:>4} {:>12} {:>14} {:>12}",
         "#", "start age", "work interval", "efficiency"
@@ -329,59 +333,53 @@ fn cmd_schedule(opts: &Opts) -> Result<(), String> {
 }
 
 fn cmd_simulate(opts: &Opts) -> Result<(), String> {
-    let pool = load_pool(opts)?;
+    let mut pool = load_pool(opts)?;
     let cost = get_f64(opts, "cost", 110.0)?;
     let train_len = get_usize(opts, "train", PAPER_TRAIN_LEN)?;
     let machine = get_usize(opts, "machine", usize::MAX)?;
     if machine != usize::MAX {
-        // Single-machine simulation across all models.
-        let trace = pick_machine(&pool, opts)?;
-        let (train, test) = trace
-            .split(train_len.min(trace.len()))
-            .map_err(|e| e.to_string())?;
-        if test.is_empty() {
-            return Err("trace too short to hold out an experimental set".to_string());
-        }
-        let max_age = test.iter().cloned().fold(0.0f64, f64::max);
+        pool = MachinePool::new(vec![pick_machine(&pool, opts)?.clone()]);
+    }
+    // One row of the paper's Table 1/3 at the requested C, through the
+    // sweep's prepare: a family whose fit fails plans on its fallback.
+    let prepared = prepare_experiments_reported(&pool, train_len);
+    let experiments = &prepared.experiments;
+    if experiments.is_empty() {
+        return Err(if machine == usize::MAX {
+            "no machine had enough observations to fit and hold out".to_string()
+        } else {
+            "trace too short to hold out an experimental set".to_string()
+        });
+    }
+    let grid = sweep_paper_grid(experiments, &[cost], 500.0);
+    let widths = if machine == usize::MAX {
+        println!(
+            "pool of {} usable machines at C = R = {cost} s (500 MB images)",
+            experiments.len()
+        );
+        println!("{:>20} {:>12} {:>14}", "model", "mean eff", "mean MB");
+        14
+    } else {
         println!(
             "machine {machine}: C = R = {cost} s over {} held-out durations",
-            test.len()
+            experiments[0].test_durations.len()
         );
         println!("{:>20} {:>12} {:>12}", "model", "efficiency", "megabytes");
-        for kind in ModelKind::PAPER_SET {
-            let Ok(fit) = fit_model(kind, &train) else {
-                println!("{:>20}  fit failed", kind.label());
-                continue;
-            };
-            let policy = CachedPolicy::new(fit, CheckpointCosts::symmetric(cost), max_age);
-            let r = simulate_trace(&test, &policy, &SimConfig::paper(cost))
-                .map_err(|e| e.to_string())?;
-            println!(
-                "{:>20} {:>12.3} {:>12.0}",
-                kind.label(),
-                r.efficiency(),
-                r.megabytes
-            );
-        }
-        return Ok(());
-    }
-    // Pool-wide: one row of the paper's Table 1/3 at the requested C.
-    let experiments = prepare_experiments(&pool, train_len);
-    if experiments.is_empty() {
-        return Err("no machine had enough observations to fit and hold out".to_string());
-    }
-    let grid = sweep_paper_grid(&experiments, &[cost], 500.0);
-    println!(
-        "pool of {} usable machines at C = R = {cost} s (500 MB images)",
-        experiments.len()
-    );
-    println!("{:>20} {:>12} {:>14}", "model", "mean eff", "mean MB");
+        12
+    };
     for (mi, kind) in ModelKind::PAPER_SET.iter().enumerate() {
         println!(
-            "{:>20} {:>12.3} {:>14.0}",
+            "{:>20} {:>12.3} {:>widths$.0}",
             kind.label(),
             grid.mean_efficiency(0, mi),
             grid.mean_megabytes(0, mi)
+        );
+    }
+    let r = &prepared.report;
+    if r.fallback_exponential + r.fallback_fixed > 0 {
+        println!(
+            "fit failures: {} slot(s) on the exponential fallback, {} on Young's interval",
+            r.fallback_exponential, r.fallback_fixed
         );
     }
     Ok(())

@@ -26,32 +26,30 @@
 //!   sharing.
 //! * [`stats`] — confidence intervals, paired t-tests, significance
 //!   tables.
-//! * [`core`] — the high-level [`core::CheckpointScheduler`] facade.
 //! * [`numerics`] — the numerical kernel underpinning everything.
 //!
 //! # Quickstart
 //!
 //! ```
-//! use cycle_harvest::core::{CheckpointScheduler, SchedulerConfig};
+//! use cycle_harvest::dist::fit::fit_model;
 //! use cycle_harvest::dist::ModelKind;
+//! use cycle_harvest::markov::{CheckpointCosts, VaidyaModel};
 //!
 //! // Historical availability durations for one machine (seconds).
 //! let history = vec![1200.0, 300.0, 86_400.0, 4_500.0, 600.0, 30_000.0,
 //!                    900.0, 2_000.0, 1_500.0, 60_000.0, 450.0, 700.0];
 //!
-//! let scheduler = CheckpointScheduler::fit(
-//!     &history,
-//!     ModelKind::Weibull,
-//!     SchedulerConfig { checkpoint_cost: 110.0, recovery_cost: 110.0, ..Default::default() },
-//! ).expect("fit");
+//! // Fit a Weibull availability model and bind it to the measured
+//! // checkpoint and recovery costs.
+//! let fit = fit_model(ModelKind::Weibull, &history).expect("fit");
+//! let vaidya = VaidyaModel::new(&fit, CheckpointCosts::new(110.0, 110.0)).expect("costs");
 //!
 //! // Machine has been up 600 s: first optimal work interval.
-//! let t0 = scheduler.next_interval(600.0).expect("optimize");
+//! let t0 = vaidya.optimal_interval(600.0).expect("optimize");
 //! assert!(t0.work_seconds > 0.0);
 //! ```
 
 pub use chs_condor as condor;
-pub use chs_core as core;
 pub use chs_cycle as cycle;
 pub use chs_dist as dist;
 pub use chs_markov as markov;

@@ -6,14 +6,14 @@ use chs_manager::{run_manager, ManagerConfig};
 use chs_net::FaultPlan;
 use cycle_harvest::condor::{run_experiment, ExperimentConfig};
 use cycle_harvest::dist::ModelKind;
-use cycle_harvest::sim::{prepare_experiments, sweep_paper_grid};
+use cycle_harvest::sim::{prepare_experiments_reported, sweep_paper_grid};
 use cycle_harvest::trace::synthetic::{generate_pool, PoolConfig};
 
 #[test]
 fn full_sweep_pipeline_is_deterministic() {
     let run = || {
         let pool = generate_pool(&PoolConfig::small(10, 80, 5)).as_machine_pool();
-        let experiments = prepare_experiments(&pool, 25);
+        let experiments = prepare_experiments_reported(&pool, 25).experiments;
         sweep_paper_grid(&experiments, &[100.0, 500.0], 500.0)
     };
     let a = run();
@@ -36,7 +36,7 @@ fn full_sweep_pipeline_is_deterministic() {
 fn seeds_actually_matter() {
     let grid = |seed: u64| {
         let pool = generate_pool(&PoolConfig::small(6, 60, seed)).as_machine_pool();
-        let experiments = prepare_experiments(&pool, 25);
+        let experiments = prepare_experiments_reported(&pool, 25).experiments;
         sweep_paper_grid(&experiments, &[250.0], 500.0)
     };
     let a = grid(1);
@@ -73,7 +73,7 @@ fn rayon_parallelism_does_not_change_results() {
     // The sweep uses rayon internally; results must not depend on thread
     // interleaving. Compare a 1-thread pool against the default.
     let pool = generate_pool(&PoolConfig::small(8, 70, 9)).as_machine_pool();
-    let experiments = prepare_experiments(&pool, 25);
+    let experiments = prepare_experiments_reported(&pool, 25).experiments;
     let sequential = rayon::ThreadPoolBuilder::new()
         .num_threads(1)
         .build()

@@ -3,14 +3,14 @@
 //! the paper's qualitative results asserted as invariants.
 
 use cycle_harvest::dist::ModelKind;
-use cycle_harvest::sim::{prepare_experiments, sweep_paper_grid};
+use cycle_harvest::sim::{prepare_experiments_reported, sweep_paper_grid};
 use cycle_harvest::stats::{significance_markers, Direction, Summary};
 use cycle_harvest::trace::synthetic::{generate_pool, PoolConfig};
 use cycle_harvest::trace::PAPER_TRAIN_LEN;
 
 fn run_pipeline(machines: usize, seed: u64) -> cycle_harvest::sim::SweepGrid {
     let pool = generate_pool(&PoolConfig::small(machines, 150, seed)).as_machine_pool();
-    let experiments = prepare_experiments(&pool, PAPER_TRAIN_LEN);
+    let experiments = prepare_experiments_reported(&pool, PAPER_TRAIN_LEN).experiments;
     assert!(
         experiments.len() >= machines / 2,
         "most machines should be fittable: {}/{machines}",

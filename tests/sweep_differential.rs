@@ -18,14 +18,14 @@
 
 use cycle_harvest::dist::ModelKind;
 use cycle_harvest::sim::{
-    audit_warm_fill, prepare_experiments, sweep_paper_grid, sweep_paper_grid_reference,
+    audit_warm_fill, prepare_experiments_reported, sweep_paper_grid, sweep_paper_grid_reference,
     sweep_paper_grid_serial, MachineExperiment, SweepGrid,
 };
 use cycle_harvest::trace::synthetic::{generate_pool, PoolConfig};
 
 fn six_machine_pool() -> Vec<MachineExperiment> {
     let pool = generate_pool(&PoolConfig::small(6, 80, 42)).as_machine_pool();
-    let experiments = prepare_experiments(&pool, 25);
+    let experiments = prepare_experiments_reported(&pool, 25).experiments;
     assert!(
         experiments.len() >= 4,
         "pool too small to exercise the fan-out"
