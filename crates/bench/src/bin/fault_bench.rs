@@ -1,5 +1,5 @@
 //! Fault-injection benchmark and correctness gate: sweeps fault
-//! intensity × model family over the resilient live emulation, the
+//! intensity × model family over the live emulation, the
 //! shared-link manager server in its classic profile
 //! (`ManagerConfig::classic`), and the resilient prepare, and writes the
 //! degradation curves to `BENCH_fault.json`.
@@ -11,11 +11,12 @@
 //! The report uses the common envelope. The run is also a correctness
 //! gate and exits 1 when any of these gates fails:
 //!
-//! * `live.zero_fault_identity`, `live.zero_fault_report` — under `FaultPlan::none()` the resilient
-//!   live driver must reproduce the classic one **bitwise** (`PartialEq`
-//!   over every field, no tolerances). The manager has no second driver
-//!   to match; `tests/contention_differential.rs` checks it against the
-//!   frozen classic loop (the report must count no fault either);
+//! * `live.zero_fault_identity`, `live.zero_fault_report` — under
+//!   `FaultPlan::none()` the live driver must reproduce the frozen
+//!   classic driver (`crates/condor/tests/frozen/live.rs`) **bitwise**
+//!   (`PartialEq` over every field, no tolerances) and count no fault.
+//!   The manager is checked against its own frozen classic loop in
+//!   `tests/contention_differential.rs`;
 //! * `live@{intensity}.conservation`,
 //!   `contention/{model}@{intensity}.conservation` — at every sweep point every ledger must balance
 //!   time (`useful + lost + recovery + checkpoint = total`) and bytes
@@ -29,7 +30,7 @@
 
 use chs_bench::harness::{finish, Gates};
 use chs_bench::{conservation_gate, CommonArgs};
-use chs_condor::{run_experiment, run_experiment_with_faults, ExperimentConfig, FaultReport};
+use chs_condor::{run_experiment, ExperimentConfig, FaultReport};
 use chs_cycle::CycleAccounting;
 use chs_dist::ModelKind;
 use chs_manager::{run_manager, ManagerConfig};
@@ -39,6 +40,11 @@ use chs_trace::synthetic::generate_pool;
 use chs_trace::PAPER_TRAIN_LEN;
 use serde::Serialize;
 use std::time::Instant;
+
+// The frozen classic live driver, shared with chs-condor's
+// `fault_differential` proptests.
+#[path = "../../../condor/tests/frozen/live.rs"]
+mod frozen;
 
 /// The fault-intensity grid: `FaultPlan::uniform(intensity, seed)`
 /// splits `intensity` evenly over the four transfer-fault kinds and uses
@@ -116,13 +122,13 @@ fn main() {
 
     // ---- Gate: zero-fault bitwise identity --------------------------
     eprintln!("verifying zero-fault bitwise identity ...");
-    let classic_live = run_experiment(&live_config).expect("classic live run");
-    match run_experiment_with_faults(&live_config, &FaultPlan::none()) {
-        Ok((resilient, report)) => {
+    let classic_live = frozen::run_experiment(&live_config).expect("frozen classic live run");
+    match run_experiment(&live_config, &FaultPlan::none()) {
+        Ok((live, report)) => {
             gates.check(
                 "live.zero_fault_identity",
-                resilient == classic_live,
-                "resilient vs classic live driver under FaultPlan::none(), full PartialEq",
+                live == classic_live,
+                "live driver vs frozen classic driver under FaultPlan::none(), full PartialEq",
             );
             gates.check(
                 "live.zero_fault_report",
@@ -150,8 +156,7 @@ fn main() {
         let plan = FaultPlan::uniform(intensity, args.seed ^ 0xFA);
 
         let t0 = Instant::now();
-        let (result, report) =
-            run_experiment_with_faults(&live_config, &plan).expect("faulted live run");
+        let (result, report) = run_experiment(&live_config, &plan).expect("faulted live run");
         let mut total = CycleAccounting::default();
         for run in &result.runs {
             total.absorb(&run.cycle);

@@ -8,6 +8,7 @@
 
 use chs_bench::{maybe_dump_json, CommonArgs, TablePrinter};
 use chs_condor::{run_experiment, ExperimentConfig, ExperimentResult};
+use chs_net::FaultPlan;
 
 fn print_table(title: &str, shape_note: &str, result: &ExperimentResult) {
     println!("\n{title}");
@@ -41,7 +42,8 @@ fn main() {
 
     let mut campus = ExperimentConfig::campus();
     campus.seed = args.seed;
-    let campus_result = run_experiment(&campus).expect("campus experiment");
+    let (campus_result, _) =
+        run_experiment(&campus, &FaultPlan::none()).expect("campus experiment");
     print_table(
         "Table 4: live experiment, checkpoint manager on the campus LAN (C ~ 110 s)",
         "paper shape: efficiencies ~0.68-0.73 across models; 2-phase hyperexponential \
@@ -51,7 +53,7 @@ fn main() {
 
     let mut wide = ExperimentConfig::wide_area();
     wide.seed = args.seed;
-    let wide_result = run_experiment(&wide).expect("wide-area experiment");
+    let (wide_result, _) = run_experiment(&wide, &FaultPlan::none()).expect("wide-area experiment");
     print_table(
         "Table 5: live experiment, checkpoint manager across the wide area (C ~ 475 s)",
         "paper shape: efficiencies drop to ~0.59-0.66; bandwidth gap between models \

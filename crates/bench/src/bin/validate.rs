@@ -17,13 +17,14 @@ use chs_bench::{maybe_dump_json, CommonArgs, TablePrinter};
 use chs_condor::{run_experiment, ExperimentConfig};
 use chs_dist::fit::fit_model;
 use chs_markov::CheckpointCosts;
+use chs_net::FaultPlan;
 use chs_sim::{simulate_trace, CachedPolicy, SimConfig};
 
 fn main() {
     let args = CommonArgs::parse();
     let mut config = ExperimentConfig::campus();
     config.seed = args.seed;
-    let live = run_experiment(&config).expect("live experiment");
+    let (live, _) = run_experiment(&config, &FaultPlan::none()).expect("live experiment");
 
     println!("\nValidation (paper 5.3): empirical vs post-mortem simulated efficiency");
     println!("simulation uses each model's mean measured transfer as constant C = R\n");

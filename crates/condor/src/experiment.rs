@@ -8,19 +8,49 @@
 //! closed form — with sampled transfer durations, and attaches a
 //! [`LogRecorder`] so the checkpoint manager's per-process log is
 //! written live from the cycle event stream.
+//!
+//! [`run_experiment`] runs under a [`FaultPlan`]; [`FaultPlan::none`]
+//! is the paper's perfect fabric, on which the first three of these
+//! mechanisms never fire:
+//!
+//! 1. **Fault injection.** Every transfer attempt consults
+//!    [`FaultPlan::transfer_fault`] on its own decision lane (one per
+//!    (stream, model) pair), so decisions are a pure function of the
+//!    plan — independent of scheduling order — and a zero plan draws
+//!    nothing.
+//! 2. **Bounded retries with backoff.** A faulted checkpoint attempt is
+//!    retried up to [`chs_net::RetryPolicy::max_retries`] times behind
+//!    exponential backoff with jitter drawn from the run RNG stream
+//!    (only on fault paths, so zero-fault runs consume the RNG sequence
+//!    of a perfect fabric). Recovery transfers retry until eviction:
+//!    there is no older image to fall back to.
+//! 3. **Resumable transfers and verified fallback.** Drops and stalls
+//!    keep the delivered prefix — the retry ships only the remainder.
+//!    A corrupted image (checksum mismatch at commit) is wasted in full
+//!    and re-sent. When a checkpoint's retry budget is exhausted the
+//!    process falls back to its last *verified* checkpoint: the
+//!    interval's work is re-accounted as lost and the run continues.
+//! 4. **Policy degradation** through each machine's [`MachinePlanner`],
+//!    counted in the run's [`FaultReport`].
+//!
+//! Timeouts only ever cut *injected stalls*: a healthy sampled transfer
+//! can legitimately exceed `k×` its forecast (the lognormal tail), so
+//! aborting it would change zero-fault behavior. In this emulation every
+//! pathology is injected, so the manager's timeout is modeled as the
+//! stall-detection deadline `timeout_factor × forecast`.
 
 use crate::log::{LogRecorder, ProcessLog};
 use crate::machine::MachinePark;
 use crate::manager::{RunRecord, TransferKind, TransferRecord};
 use crate::negotiator::{Negotiator, Placement};
+use crate::resilient::{FaultReport, MachinePlanner};
 use crate::{CondorError, Result};
-use chs_cycle::{clamp_interval, sanitize_age, CycleConfig, CycleMachine};
-use chs_dist::fit::fit_model;
-use chs_dist::{FittedModel, ModelKind};
-use chs_markov::{CheckpointCosts, VaidyaModel};
-use chs_net::{NetworkPath, RetryPolicy, TransferModel};
+use chs_cycle::{sanitize_age, CycleConfig, CycleMachine, CycleObserver, TransferFaultKind};
+use chs_dist::ModelKind;
+use chs_net::faults::{FaultPlan, TransferFault};
+use chs_net::{AdaptiveForecaster, Forecaster, NetworkPath, RetryPolicy, TransferModel};
 use chs_trace::synthetic::PoolConfig;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
@@ -48,10 +78,8 @@ pub struct ExperimentConfig {
     pub pool: PoolConfig,
     /// Master seed.
     pub seed: u64,
-    /// Manager-side resilience knobs (retries, backoff, timeouts). Only
-    /// consulted by the fault-aware driver
-    /// ([`crate::resilient::run_experiment_with_faults`]); the classic
-    /// [`run_experiment`] path ignores it.
+    /// Manager-side resilience knobs (retries, backoff, timeouts); only
+    /// a fault path reads them.
     pub retry: RetryPolicy,
 }
 
@@ -150,12 +178,19 @@ pub struct ExperimentResult {
     pub summaries: Vec<ModelSummary>,
 }
 
-/// Run the emulated live experiment for all four paper models.
+/// Run the emulated live experiment for all four paper models under
+/// `plan` ([`FaultPlan::none`] for the paper's fault-free experiment).
 ///
 /// Each model experiences the *same* pool realizations (per stream), so
 /// model comparisons are paired, exactly like the trace simulation.
-pub fn run_experiment(config: &ExperimentConfig) -> Result<ExperimentResult> {
+pub fn run_experiment(
+    config: &ExperimentConfig,
+    plan: &FaultPlan,
+) -> Result<(ExperimentResult, FaultReport)> {
     config.validate()?;
+    plan.validate()
+        .map_err(|_| CondorError::InvalidConfig("invalid fault plan"))?;
+    let mut report = FaultReport::default();
     let mut runs: Vec<RunRecord> = Vec::new();
     let mut logs: Vec<ProcessLog> = Vec::new();
     for (model_index, kind) in ModelKind::PAPER_SET.into_iter().enumerate() {
@@ -175,12 +210,19 @@ pub fn run_experiment(config: &ExperimentConfig) -> Result<ExperimentResult> {
                 stream_seed,
             );
             let mut negotiator = Negotiator::new(stream_seed ^ 0xBEEF);
-            let mut transfer_rng =
-                ChaCha8Rng::seed_from_u64(stream_seed ^ 0xAB1E ^ ((model_index as u64) << 32));
-            let transfer = TransferModel::new(config.path);
+            let mut sequence = Sequence {
+                config,
+                kind,
+                transfer: TransferModel::new(config.path),
+                rng: ChaCha8Rng::seed_from_u64(stream_seed ^ 0xAB1E ^ ((model_index as u64) << 32)),
+                plan,
+                lane: stream_seed ^ ((model_index as u64) << 48) ^ 0xFA17,
+                fault_counter: 0,
+                forecaster: AdaptiveForecaster::standard(),
+            };
 
             // Fit this model to each machine's history lazily.
-            let mut fits: Vec<Option<Option<FittedModel>>> = vec![None; config.machines];
+            let mut fits: Vec<Option<MachinePlanner>> = vec![None; config.machines];
 
             let mut t = 0.0;
             while t < config.window {
@@ -190,18 +232,15 @@ pub fn run_experiment(config: &ExperimentConfig) -> Result<ExperimentResult> {
                 if placement.placed_at >= config.window {
                     break;
                 }
-                let slot = &mut fits[placement.machine_index];
-                if slot.is_none() {
+                let fit = fits[placement.machine_index].get_or_insert_with(|| {
                     let history = &park.machines()[placement.machine_index].history;
-                    *slot = Some(fit_model(kind, history).ok());
-                }
-                let Some(Some(fit)) = slot.clone() else {
-                    // Unfittable machine (paper drops such machines too).
-                    t = placement.eviction_at;
-                    continue;
-                };
-                let (run, log) =
-                    execute_run(&fit, kind, &placement, &transfer, config, &mut transfer_rng)?;
+                    let injected = plan.fit_failure(
+                        stream_seed.wrapping_add(placement.machine_index as u64),
+                        model_index as u64,
+                    );
+                    MachinePlanner::fit(kind, history, injected, &mut report)
+                });
+                let (run, log) = execute_run(&mut sequence, fit, &placement, &mut report);
                 t = run.evicted_at;
                 runs.push(run);
                 logs.push(log);
@@ -209,11 +248,55 @@ pub fn run_experiment(config: &ExperimentConfig) -> Result<ExperimentResult> {
         }
     }
     let summaries = summarize(&runs);
-    Ok(ExperimentResult {
-        runs,
-        logs,
-        summaries,
-    })
+    Ok((
+        ExperimentResult {
+            runs,
+            logs,
+            summaries,
+        },
+        report,
+    ))
+}
+
+/// One (stream, model) submission sequence: the transfer model and RNG
+/// every run samples durations from, and the fault-decision lane and
+/// cost forecaster its transfers share.
+struct Sequence<'a> {
+    config: &'a ExperimentConfig,
+    kind: ModelKind,
+    transfer: TransferModel,
+    rng: ChaCha8Rng,
+    plan: &'a FaultPlan,
+    lane: u64,
+    fault_counter: u64,
+    forecaster: AdaptiveForecaster,
+}
+
+/// One placement in progress: the cycle machine and its live log, the
+/// manager's transfer records, the planned intervals, the virtual clock,
+/// and the work seconds the heartbeat floor counts. Work seconds accrue
+/// here rather than being read back from the ledger, which splits
+/// committed from lost work.
+struct LiveRun<'p> {
+    placement: &'p Placement,
+    machine: CycleMachine,
+    recorder: LogRecorder,
+    transfers: Vec<TransferRecord>,
+    t_opts: Vec<f64>,
+    t: f64,
+    work_seconds: f64,
+}
+
+/// How one transfer phase ended.
+enum PhaseEnd {
+    /// The payload was delivered and verified; `measured` is the
+    /// successful attempt's duration scaled to a full image.
+    Completed { measured: f64 },
+    /// The owner reclaimed the machine mid-phase (already accounted).
+    Evicted,
+    /// Checkpoint only: retry budget exhausted, fell back to the last
+    /// verified checkpoint (already accounted).
+    Abandoned,
 }
 
 /// Execute one test-process run: the §5.2 recovery → (work → checkpoint)*
@@ -221,181 +304,272 @@ pub fn run_experiment(config: &ExperimentConfig) -> Result<ExperimentResult> {
 /// accounting; this driver owns the virtual clock, the transfer-duration
 /// sampling, and the `T_opt` recomputation.
 fn execute_run(
-    fit: &FittedModel,
-    kind: ModelKind,
+    seq: &mut Sequence<'_>,
+    fit: &mut MachinePlanner,
     placement: &Placement,
-    transfer: &TransferModel,
-    config: &ExperimentConfig,
-    rng: &mut ChaCha8Rng,
-) -> Result<(RunRecord, ProcessLog)> {
+    report: &mut FaultReport,
+) -> (RunRecord, ProcessLog) {
     let eviction = placement.eviction_at;
-    let mut t = placement.placed_at;
-    let mut transfers: Vec<TransferRecord> = Vec::new();
-    let mut t_opts: Vec<f64> = Vec::new();
-    // Work seconds accrue here, not read back from the ledger, so the
-    // heartbeat floor sees the exact same single-accumulator sum it
-    // always has (the ledger splits committed from lost work).
-    let mut work_seconds_total = 0.0;
+    let heartbeat_period = seq.config.heartbeat_period;
+    let mut run = LiveRun::place(placement, seq.config.image_mb);
 
-    // In step-driven mode the machine only needs the image size and the
-    // byte-counting rule; phase durations are whatever the driver says.
-    let mut machine = CycleMachine::new(CycleConfig {
-        checkpoint_cost: 0.0,
-        recovery_cost: 0.0,
-        image_mb: config.image_mb,
-        count_recovery_bytes: true,
-    });
-    let mut recorder = LogRecorder::new(
-        placement.placed_at,
-        placement.machine,
-        placement.age_at_placement,
-    );
-    machine.place(eviction - placement.placed_at, &mut recorder);
-
-    // Initial recovery: the manager pushes the 500 MB image and the
-    // process times the transfer.
-    let full = transfer.sample_duration(config.image_mb, rng);
-    if t + full > eviction {
-        let elapsed = eviction - t;
-        let megabytes = transfer.partial_megabytes(config.image_mb, elapsed, full);
-        transfers.push(TransferRecord {
-            kind: TransferKind::Recovery,
-            started_at: t,
-            full_duration: full,
-            elapsed,
-            completed: false,
-            megabytes,
-        });
-        machine.advance(elapsed, megabytes);
-        machine.evict(&mut recorder);
-        return Ok(finish_run(
-            machine,
-            recorder,
-            placement,
-            kind,
-            transfers,
-            t_opts,
-            work_seconds_total,
-            config.heartbeat_period,
-        ));
-    }
-    transfers.push(TransferRecord {
-        kind: TransferKind::Recovery,
-        started_at: t,
-        full_duration: full,
-        elapsed: full,
-        completed: true,
-        megabytes: config.image_mb,
-    });
-    machine.advance(full, config.image_mb);
-    machine.complete_recovery(&mut recorder);
-    t += full;
-    let mut measured_cost = full;
+    // Initial recovery: the manager pushes the image and the process
+    // times the transfer.
+    let mut measured_cost = match run.transfer(TransferKind::Recovery, seq, report) {
+        PhaseEnd::Completed { measured } => {
+            run.machine.complete_recovery(&mut run.recorder);
+            measured
+        }
+        PhaseEnd::Evicted => return run.finish(seq.kind, heartbeat_period),
+        PhaseEnd::Abandoned => unreachable!("recovery transfers are never abandoned"),
+    };
 
     loop {
         // Recompute T_opt from the latest measured transfer time (used as
         // both C and R, per the paper) and the machine's current age.
-        let age = sanitize_age(placement.age_at_placement + (t - placement.placed_at));
-        let vaidya = VaidyaModel::new(fit, CheckpointCosts::symmetric(measured_cost))?;
-        let t_opt = clamp_interval(vaidya.optimal_interval(age)?.work_seconds);
-        t_opts.push(t_opt);
-        machine.start_work(t_opt, &mut recorder);
+        let age = sanitize_age(placement.age_at_placement + (run.t - placement.placed_at));
+        let t_opt = fit.interval(measured_cost, age, report);
+        run.t_opts.push(t_opt);
+        run.machine.start_work(t_opt, &mut run.recorder);
 
         // Work phase (spin + heartbeats).
-        if t + t_opt >= eviction {
-            let elapsed = eviction - t;
-            work_seconds_total += elapsed;
-            machine.advance(elapsed, 0.0);
-            machine.evict(&mut recorder);
-            return Ok(finish_run(
-                machine,
-                recorder,
-                placement,
-                kind,
-                transfers,
-                t_opts,
-                work_seconds_total,
-                config.heartbeat_period,
-            ));
+        if run.t + t_opt >= eviction {
+            run.work_seconds += eviction - run.t;
+            run.evict(0.0);
+            return run.finish(seq.kind, heartbeat_period);
         }
-        machine.advance(t_opt, 0.0);
-        t += t_opt;
-        work_seconds_total += t_opt;
-        machine.start_checkpoint(&mut recorder);
+        run.machine.advance(t_opt, 0.0);
+        run.t += t_opt;
+        run.work_seconds += t_opt;
+        run.machine.start_checkpoint(&mut run.recorder);
 
         // Checkpoint transfer back to the manager.
-        let full = transfer.sample_duration(config.image_mb, rng);
-        if t + full > eviction {
-            let elapsed = eviction - t;
-            let megabytes = transfer.partial_megabytes(config.image_mb, elapsed, full);
-            transfers.push(TransferRecord {
-                kind: TransferKind::Checkpoint,
-                started_at: t,
-                full_duration: full,
-                elapsed,
-                completed: false,
-                megabytes,
-            });
-            machine.advance(elapsed, megabytes);
-            machine.evict(&mut recorder);
-            return Ok(finish_run(
-                machine,
-                recorder,
-                placement,
-                kind,
-                transfers,
-                t_opts,
-                work_seconds_total,
-                config.heartbeat_period,
-            ));
+        match run.transfer(TransferKind::Checkpoint, seq, report) {
+            PhaseEnd::Completed { measured } => {
+                run.machine.complete_checkpoint(&mut run.recorder);
+                measured_cost = measured;
+            }
+            PhaseEnd::Evicted => return run.finish(seq.kind, heartbeat_period),
+            // Abandoned: fall back to the last verified checkpoint and
+            // keep planning (the machine is Ready again).
+            PhaseEnd::Abandoned => {}
         }
-        transfers.push(TransferRecord {
-            kind: TransferKind::Checkpoint,
-            started_at: t,
-            full_duration: full,
-            elapsed: full,
-            completed: true,
-            megabytes: config.image_mb,
-        });
-        machine.advance(full, config.image_mb);
-        machine.complete_checkpoint(&mut recorder);
-        t += full;
-        measured_cost = full;
     }
 }
 
-/// Seal a finished run: floor the heartbeat count, take the machine's
-/// ledger, and close the log with the negotiator's eviction timestamp.
-#[allow(clippy::too_many_arguments)]
-fn finish_run(
-    machine: CycleMachine,
-    recorder: LogRecorder,
-    placement: &Placement,
-    kind: ModelKind,
-    transfers: Vec<TransferRecord>,
-    t_opts: Vec<f64>,
-    work_seconds_total: f64,
-    heartbeat_period: f64,
-) -> (RunRecord, ProcessLog) {
-    let heartbeats = (work_seconds_total / heartbeat_period) as u64;
-    debug_assert!(
-        (machine.accounting().work_seconds() - work_seconds_total).abs()
-            <= 1e-6 * work_seconds_total.max(1.0),
-        "ledger work diverged from the driver's accumulator"
-    );
-    let record = RunRecord {
-        machine: placement.machine,
-        model: kind,
-        placed_at: placement.placed_at,
-        age_at_placement: placement.age_at_placement,
-        evicted_at: placement.eviction_at,
-        transfers,
-        t_opts,
-        cycle: machine.into_accounting(),
-        heartbeats,
-    };
-    let log = recorder.finish(placement.eviction_at, heartbeats);
-    (record, log)
+impl<'p> LiveRun<'p> {
+    /// Open the process's log and start the machine's clock. In
+    /// step-driven mode the machine only needs the image size and the
+    /// byte-counting rule; phase durations are whatever the driver says.
+    fn place(placement: &'p Placement, image_mb: f64) -> Self {
+        let mut machine = CycleMachine::new(CycleConfig {
+            checkpoint_cost: 0.0,
+            recovery_cost: 0.0,
+            image_mb,
+            count_recovery_bytes: true,
+        });
+        let mut recorder = LogRecorder::new(
+            placement.placed_at,
+            placement.machine,
+            placement.age_at_placement,
+        );
+        machine.place(placement.eviction_at - placement.placed_at, &mut recorder);
+        LiveRun {
+            placement,
+            machine,
+            recorder,
+            transfers: Vec::new(),
+            t_opts: Vec::new(),
+            t: placement.placed_at,
+            work_seconds: 0.0,
+        }
+    }
+
+    /// Run the clock out to the eviction, with `megabytes` crossing the
+    /// wire on the way, and evict.
+    fn evict(&mut self, megabytes: f64) {
+        self.machine
+            .advance(self.placement.eviction_at - self.t, megabytes);
+        self.t = self.placement.eviction_at;
+        self.machine.evict(&mut self.recorder);
+    }
+
+    /// Seal the run: floor the heartbeat count, take the machine's
+    /// ledger, and close the log with the negotiator's eviction
+    /// timestamp.
+    fn finish(self, kind: ModelKind, heartbeat_period: f64) -> (RunRecord, ProcessLog) {
+        let heartbeats = (self.work_seconds / heartbeat_period) as u64;
+        let placement = self.placement;
+        let record = RunRecord {
+            machine: placement.machine,
+            model: kind,
+            placed_at: placement.placed_at,
+            age_at_placement: placement.age_at_placement,
+            evicted_at: placement.eviction_at,
+            transfers: self.transfers,
+            t_opts: self.t_opts,
+            cycle: self.machine.into_accounting(),
+            heartbeats,
+        };
+        let log = self.recorder.finish(placement.eviction_at, heartbeats);
+        (record, log)
+    }
+
+    /// Drive one transfer phase (recovery or checkpoint) to completion,
+    /// eviction, or abandonment, injecting faults and retrying per
+    /// policy. The machine must already be in the matching transfer
+    /// phase; the clock advances past everything that happened
+    /// (attempts, waits, backoffs).
+    fn transfer(
+        &mut self,
+        tkind: TransferKind,
+        seq: &mut Sequence<'_>,
+        report: &mut FaultReport,
+    ) -> PhaseEnd {
+        let config = seq.config;
+        let retry = &config.retry;
+        let image_mb = config.image_mb;
+        let eviction = self.placement.eviction_at;
+        let mut retries_used = 0u32;
+
+        loop {
+            let rem = self
+                .machine
+                .transfer_remaining_mb()
+                .expect("transfer outside a transfer phase");
+            let fault = seq.plan.transfer_fault(seq.lane, seq.fault_counter);
+            seq.fault_counter += 1;
+
+            // Transient manager unavailability delays the attempt; no
+            // bytes move while waiting and no retry is consumed.
+            if let Some(TransferFault::Unavailable { wait_seconds }) = fault {
+                self.machine.fault_transfer(
+                    TransferFaultKind::Unavailable,
+                    false,
+                    false,
+                    &mut self.recorder,
+                );
+                report.record_fault(TransferFaultKind::Unavailable);
+                if self.t + wait_seconds > eviction {
+                    self.evict(0.0);
+                    return PhaseEnd::Evicted;
+                }
+                self.machine.advance(wait_seconds, 0.0);
+                self.t += wait_seconds;
+            }
+
+            // Sample the attempt's clean duration for the remaining
+            // payload (the whole image on a first attempt).
+            let full = seq.transfer.sample_duration(rem, &mut seq.rng);
+
+            // Shape of the attempt: progress stops at `cutoff` seconds,
+            // the manager sees the attempt end at `len` seconds.
+            let (cutoff, len, failed): (f64, f64, Option<TransferFaultKind>) = match fault {
+                None | Some(TransferFault::Unavailable { .. }) => (full, full, None),
+                Some(TransferFault::Corruption) => {
+                    (full, full, Some(TransferFaultKind::Corruption))
+                }
+                Some(TransferFault::Drop { progress_fraction }) => {
+                    let at = progress_fraction * full;
+                    (at, at, Some(TransferFaultKind::Drop))
+                }
+                Some(TransferFault::Stall { progress_fraction }) => {
+                    let forecast = seq
+                        .forecaster
+                        .predict()
+                        .unwrap_or_else(|| seq.transfer.expected_duration(image_mb));
+                    (
+                        progress_fraction * full,
+                        retry.timeout_factor * forecast,
+                        Some(TransferFaultKind::Stall),
+                    )
+                }
+            };
+
+            // Eviction clips the attempt wherever it is.
+            if self.t + len > eviction {
+                let dt = eviction - self.t;
+                let delivered = seq.transfer.partial_megabytes(rem, dt.min(cutoff), full);
+                self.transfers.push(TransferRecord {
+                    kind: tkind,
+                    started_at: self.t,
+                    full_duration: full,
+                    elapsed: dt,
+                    completed: false,
+                    megabytes: delivered,
+                });
+                self.evict(delivered);
+                return PhaseEnd::Evicted;
+            }
+
+            let Some(fkind) = failed else {
+                self.transfers.push(TransferRecord {
+                    kind: tkind,
+                    started_at: self.t,
+                    full_duration: full,
+                    elapsed: full,
+                    completed: true,
+                    megabytes: rem,
+                });
+                self.machine.advance(full, rem);
+                self.t += full;
+                // Scale the measurement to a full image so a retried
+                // partial shipment keeps `C` comparable (exact no-op on
+                // a first attempt, where rem == image_mb).
+                let measured = if rem == image_mb {
+                    full
+                } else {
+                    full * image_mb / rem
+                };
+                seq.forecaster.update(measured);
+                return PhaseEnd::Completed { measured };
+            };
+
+            let delivered = match fkind {
+                TransferFaultKind::Corruption => rem,
+                _ => seq.transfer.partial_megabytes(rem, cutoff.min(len), full),
+            };
+            self.transfers.push(TransferRecord {
+                kind: tkind,
+                started_at: self.t,
+                full_duration: full,
+                elapsed: len,
+                completed: false,
+                megabytes: delivered,
+            });
+            self.machine.advance(len, delivered);
+            self.t += len;
+            report.record_fault(fkind);
+            let resend = fkind == TransferFaultKind::Corruption;
+            self.machine
+                .fault_transfer(fkind, resend, true, &mut self.recorder);
+            retries_used += 1;
+
+            // Checkpoints have a bounded budget; recoveries retry until
+            // eviction (no older image exists to fall back to).
+            if tkind == TransferKind::Checkpoint && retries_used > retry.max_retries {
+                self.machine.abandon_checkpoint(&mut self.recorder);
+                report.checkpoints_abandoned += 1;
+                return PhaseEnd::Abandoned;
+            }
+            report.retries += 1;
+
+            // Exponential backoff; the jitter draw comes from the run RNG
+            // stream and only happens on fault paths.
+            let backoff = retry.backoff_jittered(retries_used, seq.rng.gen::<f64>());
+            self.recorder.on_retry_scheduled(
+                self.t - self.placement.placed_at,
+                retries_used,
+                backoff,
+            );
+            if self.t + backoff > eviction {
+                self.evict(0.0);
+                return PhaseEnd::Evicted;
+            }
+            self.machine.advance(backoff, 0.0);
+            self.t += backoff;
+        }
+    }
 }
 
 /// Build the Table 4/5 rows from raw runs.
@@ -445,17 +619,27 @@ mod tests {
         }
     }
 
+    fn live(config: &ExperimentConfig) -> ExperimentResult {
+        let (result, report) = run_experiment(config, &FaultPlan::none()).unwrap();
+        assert_eq!(
+            report,
+            FaultReport::default(),
+            "a zero plan reported faults"
+        );
+        result
+    }
+
     #[test]
     fn config_validation() {
         let mut c = tiny_config();
         c.machines = 0;
-        assert!(run_experiment(&c).is_err());
+        assert!(run_experiment(&c, &FaultPlan::none()).is_err());
         let mut c = tiny_config();
         c.window = 0.0;
-        assert!(run_experiment(&c).is_err());
+        assert!(run_experiment(&c, &FaultPlan::none()).is_err());
         let mut c = tiny_config();
         c.streams = 0;
-        assert!(run_experiment(&c).is_err());
+        assert!(run_experiment(&c, &FaultPlan::none()).is_err());
     }
 
     #[test]
@@ -463,8 +647,7 @@ mod tests {
         let mut c = tiny_config();
         c.history_len = 0;
         assert!(c.validate().is_err());
-        assert!(run_experiment(&c).is_err());
-        assert!(crate::run_experiment_with_faults(&c, &chs_net::FaultPlan::none()).is_err());
+        assert!(run_experiment(&c, &FaultPlan::none()).is_err());
     }
 
     #[test]
@@ -510,7 +693,7 @@ mod tests {
 
     #[test]
     fn experiment_produces_runs_for_all_models() {
-        let result = run_experiment(&tiny_config()).unwrap();
+        let result = live(&tiny_config());
         assert_eq!(result.summaries.len(), 4);
         for s in &result.summaries {
             assert!(s.sample_size > 0, "{:?} got no runs", s.model);
@@ -521,7 +704,7 @@ mod tests {
 
     #[test]
     fn runs_internally_consistent() {
-        let result = run_experiment(&tiny_config()).unwrap();
+        let result = live(&tiny_config());
         assert_eq!(result.runs.len(), result.logs.len());
         for r in &result.runs {
             assert!(r.evicted_at > r.placed_at);
@@ -552,7 +735,7 @@ mod tests {
         // The cycle ledger and the manager's per-transfer measurements
         // are two views of the same run; they accumulate the same values
         // in the same order, so the byte totals agree bitwise.
-        let result = run_experiment(&tiny_config()).unwrap();
+        let result = live(&tiny_config());
         for r in &result.runs {
             let from_transfers = r
                 .transfers
@@ -575,8 +758,8 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        let a = run_experiment(&tiny_config()).unwrap();
-        let b = run_experiment(&tiny_config()).unwrap();
+        let a = live(&tiny_config());
+        let b = live(&tiny_config());
         assert_eq!(a.runs.len(), b.runs.len());
         assert_eq!(a.summaries, b.summaries);
         assert_eq!(a.logs, b.logs);
@@ -584,7 +767,7 @@ mod tests {
 
     #[test]
     fn measured_costs_track_the_path() {
-        let result = run_experiment(&tiny_config()).unwrap();
+        let result = live(&tiny_config());
         for s in &result.summaries {
             if s.sample_size >= 5 {
                 assert!(
@@ -598,10 +781,10 @@ mod tests {
 
     #[test]
     fn wide_area_uses_more_time_per_transfer() {
-        let campus = run_experiment(&tiny_config()).unwrap();
+        let campus = live(&tiny_config());
         let mut wide_cfg = tiny_config();
         wide_cfg.path = NetworkPath::wide_area();
-        let wide = run_experiment(&wide_cfg).unwrap();
+        let wide = live(&wide_cfg);
         let mean_c: f64 = campus
             .summaries
             .iter()

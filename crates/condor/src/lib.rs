@@ -17,13 +17,14 @@
 //!   (stochastic per-transfer durations from `chs-net`), records
 //!   heartbeats, and keeps a per-run log from which efficiency and
 //!   network load are computed *post facto*.
-//! * [`experiment`] — the §5.2 harness: repeatedly submit test processes
-//!   over a measurement window; each process measures `C`/`R` from its
-//!   own transfers, recomputes `T_opt` after every checkpoint with the
-//!   machine's fitted availability model, and loops until evicted.
-//!
-//! * [`resilient`] — the live experiment under injected faults, plus the
-//!   per-machine [`MachinePlanner`] and [`FaultReport`] it shares with
+//! * [`experiment`] — the §5.2 harness, the crate's one live driver:
+//!   repeatedly submit test processes over a measurement window; each
+//!   process measures `C`/`R` from its own transfers, recomputes `T_opt`
+//!   after every checkpoint with the machine's fitted availability model,
+//!   and loops until evicted. It runs under a `chs_net::FaultPlan`; the
+//!   zero plan is the paper's fault-free experiment.
+//! * [`resilient`] — the per-machine [`MachinePlanner`] and the
+//!   [`FaultReport`] the live driver shares with
 //!   `chs_manager::run_manager`, the one driver for many jobs contending
 //!   on a shared link (the paper's §5.2 conjecture).
 //!
@@ -48,42 +49,24 @@ pub use log::{LogDigest, LogEvent, LogRecorder, ProcessLog};
 pub use machine::{EmulatedMachine, MachinePark};
 pub use manager::{RunRecord, TransferKind, TransferRecord};
 pub use monitor::{run_monitor, MonitorConfig};
-pub use resilient::{run_experiment_with_faults, FaultReport, MachinePlanner};
+pub use resilient::{FaultReport, MachinePlanner};
 
 /// Errors from the emulation.
 #[derive(Debug)]
 pub enum CondorError {
     /// Bad configuration.
     InvalidConfig(&'static str),
-    /// A model could not be fitted to a machine's history.
-    Fit(chs_dist::DistError),
-    /// Schedule optimization failed mid-run.
-    Markov(chs_markov::MarkovError),
 }
 
 impl std::fmt::Display for CondorError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CondorError::InvalidConfig(m) => write!(f, "invalid config: {m}"),
-            CondorError::Fit(e) => write!(f, "fit: {e}"),
-            CondorError::Markov(e) => write!(f, "markov: {e}"),
         }
     }
 }
 
 impl std::error::Error for CondorError {}
-
-impl From<chs_dist::DistError> for CondorError {
-    fn from(e: chs_dist::DistError) -> Self {
-        CondorError::Fit(e)
-    }
-}
-
-impl From<chs_markov::MarkovError> for CondorError {
-    fn from(e: chs_markov::MarkovError) -> Self {
-        CondorError::Markov(e)
-    }
-}
 
 /// Result alias for this crate.
 pub type Result<T> = std::result::Result<T, CondorError>;

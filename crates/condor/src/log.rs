@@ -288,8 +288,59 @@ impl CycleObserver for LogRecorder {
     // `on_evicted` is ignored too: `finish` pins the exact eviction time.
 }
 
+impl LogEvent {
+    /// The first quantity of this event — a time, duration, size or age —
+    /// that is negative or not finite, with its field name.
+    fn invalid_quantity(&self) -> Option<(&'static str, f64)> {
+        let quantities: &[(&'static str, f64)] = match *self {
+            LogEvent::Placed { at, age, .. } => &[("at", at), ("age", age)],
+            LogEvent::TransferStarted { at, .. } | LogEvent::Evicted { at, .. } => &[("at", at)],
+            LogEvent::TransferCompleted {
+                at,
+                seconds,
+                megabytes,
+            } => &[("at", at), ("seconds", seconds), ("megabytes", megabytes)],
+            LogEvent::TransferInterrupted {
+                at,
+                elapsed,
+                megabytes,
+            } => &[("at", at), ("elapsed", elapsed), ("megabytes", megabytes)],
+            LogEvent::IntervalPlanned { at, t_opt } => &[("at", at), ("t_opt", t_opt)],
+            LogEvent::WorkCommitted { at, seconds } => &[("at", at), ("seconds", seconds)],
+            LogEvent::TransferFaulted {
+                at,
+                elapsed,
+                wasted_mb,
+                ..
+            } => &[("at", at), ("elapsed", elapsed), ("wasted_mb", wasted_mb)],
+            LogEvent::RetryScheduled {
+                at,
+                backoff_seconds,
+                ..
+            } => &[("at", at), ("backoff_seconds", backoff_seconds)],
+            LogEvent::CheckpointAbandoned {
+                at,
+                lost_work,
+                wasted_mb,
+            } => &[
+                ("at", at),
+                ("lost_work", lost_work),
+                ("wasted_mb", wasted_mb),
+            ],
+        };
+        quantities
+            .iter()
+            .copied()
+            .find(|&(_, v)| !(v.is_finite() && v >= 0.0))
+    }
+}
+
 impl ProcessLog {
-    /// Compute the run's metrics from the events alone.
+    /// Compute the run's metrics from the events alone. For any log
+    /// whose quantities are finite and non-negative — every log
+    /// [`ProcessLog::read_jsonl`] accepts — no field is NaN: sums that
+    /// overflow saturate at ∞, and occupancy is the clamped difference
+    /// of two finite times.
     pub fn digest(&self) -> LogDigest {
         let mut placed_at = None;
         let mut evicted_at = None;
@@ -345,10 +396,12 @@ impl ProcessLog {
         Ok(())
     }
 
-    /// Read from JSON Lines. A malformed or truncated line produces an
-    /// error naming its 1-based line number, so a corrupt record in a
-    /// streamed campaign log can be located (and the file repaired)
-    /// instead of leaving only an anonymous parse failure.
+    /// Read from JSON Lines. A malformed or truncated line, or one with
+    /// a negative or non-finite quantity (JSON's `1e999` parses as ∞),
+    /// produces an `InvalidData` error naming its 1-based line number,
+    /// so a corrupt record in a streamed campaign log can be located
+    /// (and the file repaired) instead of leaving only an anonymous
+    /// parse failure or a NaN digest.
     pub fn read_jsonl<R: BufRead>(r: R) -> std::io::Result<Self> {
         let mut events = Vec::new();
         for (lineno, line) in r.lines().enumerate() {
@@ -358,12 +411,19 @@ impl ProcessLog {
             if line.trim().is_empty() {
                 continue;
             }
-            let e: LogEvent = serde_json::from_str(&line).map_err(|err| {
+            let invalid = |msg: String| {
                 std::io::Error::new(
                     std::io::ErrorKind::InvalidData,
-                    format!("line {}: {err}", lineno + 1),
+                    format!("line {}: {msg}", lineno + 1),
                 )
-            })?;
+            };
+            let e: LogEvent =
+                serde_json::from_str(&line).map_err(|err| invalid(err.to_string()))?;
+            if let Some((field, v)) = e.invalid_quantity() {
+                return Err(invalid(format!(
+                    "`{field}` must be finite and non-negative, got {v}"
+                )));
+            }
             events.push(e);
         }
         Ok(Self { events })
@@ -374,13 +434,14 @@ impl ProcessLog {
 mod tests {
     use super::*;
     use crate::experiment::{run_experiment, ExperimentConfig, ExperimentResult};
+    use chs_net::FaultPlan;
 
     fn small_experiment() -> ExperimentResult {
         let mut config = ExperimentConfig::campus();
         config.machines = 8;
         config.streams = 1;
         config.window = 0.5 * 86_400.0;
-        run_experiment(&config).unwrap()
+        run_experiment(&config, &FaultPlan::none()).unwrap().0
     }
 
     #[test]
@@ -478,6 +539,47 @@ mod tests {
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         let msg = err.to_string();
         assert!(msg.contains("line 3"), "no line number in error: {msg}");
+    }
+
+    #[test]
+    fn jsonl_rejects_non_finite_and_negative_quantities() {
+        // Accepted as-is, this log digests to NaN efficiency and NaN
+        // overhead: a negative placement time and two huge commits make
+        // both occupancy and useful work overflow to ∞.
+        let hostile = [
+            r#"{"Placed":{"at":-1e308,"machine":3,"age":0.0}}"#,
+            r#"{"WorkCommitted":{"at":1.0,"seconds":1e308}}"#,
+            r#"{"WorkCommitted":{"at":2.0,"seconds":1e308}}"#,
+            r#"{"Evicted":{"at":1e308,"heartbeats":0}}"#,
+        ]
+        .join("\n");
+        let err = ProcessLog::read_jsonl(hostile.as_bytes()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().starts_with("line 1: `at`"), "{err}");
+
+        for (line, field) in [
+            (
+                r#"{"TransferCompleted":{"at":5.0,"seconds":1.0,"megabytes":-500.0}}"#,
+                "megabytes",
+            ),
+            (r#"{"WorkCommitted":{"at":1e999,"seconds":1.0}}"#, "at"),
+            (r#"{"IntervalPlanned":{"at":0.0,"t_opt":-1e999}}"#, "t_opt"),
+        ] {
+            let text = format!("{}\n{line}\n", hostile.lines().last().unwrap());
+            let msg = ProcessLog::read_jsonl(text.as_bytes())
+                .unwrap_err()
+                .to_string();
+            assert!(msg.starts_with(&format!("line 2: `{field}`")), "{msg}");
+        }
+
+        // The largest finite quantities are accepted and digest without
+        // NaN: the overflowing commit sum saturates at ∞.
+        let huge = hostile.replacen("-1e308", "0.0", 1);
+        let d = ProcessLog::read_jsonl(huge.as_bytes()).unwrap().digest();
+        assert_eq!(d.useful_seconds, f64::INFINITY);
+        assert_eq!(d.occupied_seconds, 1e308);
+        assert_eq!(d.overhead_ratio, 0.0);
+        assert_eq!(d.efficiency, f64::INFINITY);
     }
 
     #[test]

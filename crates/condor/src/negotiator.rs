@@ -22,62 +22,36 @@ pub struct Placement {
     pub eviction_at: f64,
 }
 
-/// Matchmaking policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MatchPolicy {
-    /// Contended pool (default, the paper's setting): machines are
-    /// snapped up by *someone* as soon as their owner leaves, so a queued
-    /// job is matched at the next **segment start** plus a negotiation
-    /// delay. This samples availability segments unbiasedly — the reason
-    /// the paper's live Table 4 lines up with its simulated Table 1 row.
-    Contended,
-    /// Idle pool: the job picks uniformly among machines that are
-    /// available *right now*. Length-biased toward long segments (the job
-    /// preferentially lands inside big idle stretches); kept as an
-    /// ablation of the placement model.
-    IdlePool,
-}
-
-/// The negotiator: places each submission per the [`MatchPolicy`].
+/// The negotiator of a contended pool (the paper's setting): machines
+/// are snapped up by *someone* as soon as their owner leaves, so a
+/// queued job is matched at the next **segment start** plus a
+/// negotiation delay. This samples availability segments unbiasedly —
+/// the reason the paper's live Table 4 lines up with its simulated
+/// Table 1 row.
 #[derive(Debug)]
 pub struct Negotiator {
     rng: ChaCha8Rng,
-    policy: MatchPolicy,
     /// Negotiation-cycle delay bounds, seconds (Condor matches in
     /// minutes, not instantly).
     delay: (f64, f64),
 }
 
 impl Negotiator {
-    /// Deterministic negotiator with the contended-pool policy.
+    /// Deterministic negotiator.
     pub fn new(seed: u64) -> Self {
-        Self::with_policy(seed, MatchPolicy::Contended)
-    }
-
-    /// Deterministic negotiator with an explicit policy.
-    pub fn with_policy(seed: u64, policy: MatchPolicy) -> Self {
         Self {
             rng: ChaCha8Rng::seed_from_u64(seed ^ 0x4E60),
-            policy,
             delay: (30.0, 300.0),
         }
     }
 
-    /// Place a job submitted at `submit_time`. Marks the chosen machine
+    /// Place a job submitted at `submit_time`: match at the earliest
+    /// segment start ≥ submit time across free machines, then add a
+    /// negotiation delay. If the delay eats the whole segment, the match
+    /// fails and the next segment is tried. Marks the chosen machine
     /// occupied until its eviction. Returns `None` when every timeline is
     /// exhausted (the experiment window should end well before that).
     pub fn place(&mut self, park: &mut MachinePark, submit_time: f64) -> Option<Placement> {
-        match self.policy {
-            MatchPolicy::Contended => self.place_contended(park, submit_time),
-            MatchPolicy::IdlePool => self.place_idle_pool(park, submit_time),
-        }
-    }
-
-    /// Contended pool: match at the earliest segment start ≥ submit time
-    /// across free machines, then add a negotiation delay. If the delay
-    /// eats the whole segment, the match fails and the next segment is
-    /// tried.
-    fn place_contended(&mut self, park: &mut MachinePark, submit_time: f64) -> Option<Placement> {
         let mut t = submit_time;
         for _ in 0..1_000 {
             // Earliest upcoming segment start among free machines.
@@ -118,38 +92,6 @@ impl Negotiator {
             });
         }
         None
-    }
-
-    /// Idle pool: uniform choice among machines available right now;
-    /// otherwise the earliest availability.
-    fn place_idle_pool(&mut self, park: &mut MachinePark, submit_time: f64) -> Option<Placement> {
-        let mut now_available: Vec<(usize, f64, Segment)> = Vec::new();
-        let mut earliest: Option<(usize, f64, Segment)> = None;
-        for (i, m) in park.machines().iter().enumerate() {
-            if let Some((t, seg)) = m.next_free_available(submit_time) {
-                if t <= submit_time {
-                    now_available.push((i, t, seg));
-                }
-                if earliest.is_none_or(|(_, bt, _)| t < bt) {
-                    earliest = Some((i, t, seg));
-                }
-            }
-        }
-        let (index, placed_at, segment) = if now_available.is_empty() {
-            earliest?
-        } else {
-            let pick = self.rng.gen_range(0..now_available.len());
-            now_available[pick]
-        };
-        let machine = &mut park.machines_mut()[index];
-        machine.occupy_until(segment.end);
-        Some(Placement {
-            machine: machine.id,
-            machine_index: index,
-            placed_at,
-            age_at_placement: placed_at - segment.start,
-            eviction_at: segment.end,
-        })
     }
 }
 

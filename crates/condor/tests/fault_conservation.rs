@@ -1,10 +1,10 @@
-//! Conservation properties of the resilient live driver under **random
+//! Conservation properties of the live driver under **random
 //! fault plans**: whatever the injected fault mix, every ledger must
 //! balance its books — time (`useful + lost + recovery + checkpoint =
 //! total`) and bytes (`megabytes = full + partial + wasted`) — and the
 //! run's [`FaultReport`] must agree exactly with the per-run ledgers.
 
-use chs_condor::{run_experiment_with_faults, ExperimentConfig, FaultReport};
+use chs_condor::{run_experiment, ExperimentConfig, FaultReport};
 use chs_cycle::CycleAccounting;
 use chs_net::FaultPlan;
 use proptest::prelude::*;
@@ -67,7 +67,7 @@ proptest! {
         config.window = 6.0 * 3_600.0;
         config.seed = seed;
 
-        let (result, report) = run_experiment_with_faults(&config, &plan).unwrap();
+        let (result, report) = run_experiment(&config, &plan).unwrap();
         let mut total = CycleAccounting::default();
         for run in &result.runs {
             prop_assert!(

@@ -1,6 +1,7 @@
-//! Property-based tests for the Condor emulation.
+//! Property-based tests for the Condor emulation and its log reader.
 
-use chs_condor::{run_experiment, ExperimentConfig, TransferKind};
+use chs_condor::{run_experiment, ExperimentConfig, ExperimentResult, ProcessLog, TransferKind};
+use chs_net::FaultPlan;
 use proptest::prelude::*;
 
 fn config(seed: u64, machines: usize) -> ExperimentConfig {
@@ -12,6 +13,10 @@ fn config(seed: u64, machines: usize) -> ExperimentConfig {
     c
 }
 
+fn live(config: &ExperimentConfig) -> ExperimentResult {
+    run_experiment(config, &FaultPlan::none()).unwrap().0
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -19,7 +24,7 @@ proptest! {
     /// whatever the seed and pool size.
     #[test]
     fn run_invariants(seed in 0u64..5_000, machines in 2usize..12) {
-        let result = run_experiment(&config(seed, machines)).unwrap();
+        let result = live(&config(seed, machines));
         for r in &result.runs {
             prop_assert!(r.evicted_at > r.placed_at);
             prop_assert!(r.age_at_placement >= 0.0);
@@ -58,7 +63,7 @@ proptest! {
     /// tests).
     #[test]
     fn log_digest_faithful(seed in 0u64..5_000) {
-        let result = run_experiment(&config(seed, 6)).unwrap();
+        let result = live(&config(seed, 6));
         prop_assert_eq!(result.logs.len(), result.runs.len());
         for (r, log) in result.runs.iter().zip(&result.logs) {
             let d = log.digest();
@@ -71,7 +76,7 @@ proptest! {
     /// Runs never overlap on the same machine within a stream.
     #[test]
     fn no_machine_double_booking(seed in 0u64..5_000) {
-        let result = run_experiment(&config(seed, 4)).unwrap();
+        let result = live(&config(seed, 4));
         use std::collections::HashMap;
         // Group per (model, machine): within one model's stream, runs on
         // the same machine must be disjoint in time.
@@ -96,6 +101,95 @@ proptest! {
                     "overlapping runs: {:?}",
                     w
                 );
+            }
+        }
+    }
+}
+
+/// One JSONL line per event variant; `$0`..`$2` are its quantities.
+const EVENT_LINES: [&str; 10] = [
+    r#"{"Placed":{"at":$0,"machine":3,"age":$1}}"#,
+    r#"{"TransferStarted":{"at":$0,"kind":"Checkpoint"}}"#,
+    r#"{"TransferCompleted":{"at":$0,"seconds":$1,"megabytes":$2}}"#,
+    r#"{"TransferInterrupted":{"at":$0,"elapsed":$1,"megabytes":$2}}"#,
+    r#"{"IntervalPlanned":{"at":$0,"t_opt":$1}}"#,
+    r#"{"WorkCommitted":{"at":$0,"seconds":$1}}"#,
+    r#"{"TransferFaulted":{"at":$0,"kind":"Recovery","fault":"Drop","elapsed":$1,"wasted_mb":$2}}"#,
+    r#"{"RetryScheduled":{"at":$0,"attempt":1,"backoff_seconds":$1}}"#,
+    r#"{"CheckpointAbandoned":{"at":$0,"lost_work":$1,"wasted_mb":$2}}"#,
+    r#"{"Evicted":{"at":$0,"heartbeats":7}}"#,
+];
+
+/// Decode one drawn word into an event line and the quantities it
+/// carries: mostly ordinary values, and one time in eight an extreme a
+/// corrupt or hostile log can carry — the largest finite values,
+/// negatives, or ±∞, spelled `1e999` (which parses as ∞).
+fn hostile_line(word: u64) -> (String, Vec<f64>) {
+    const EXTREMES: [f64; 8] = [
+        0.0,
+        -0.0,
+        1e308,
+        f64::MAX,
+        -1.0,
+        -1e308,
+        f64::INFINITY,
+        -f64::INFINITY,
+    ];
+    let mut line = EVENT_LINES[(word % 10) as usize].to_string();
+    let mut quantities = Vec::new();
+    for i in 0..line.matches('$').count() {
+        let bits = (word >> (4 + 20 * i)) & 0xF_FFFF;
+        let v = if bits & 31 < 28 {
+            (bits >> 5) as f64 * 1.5
+        } else {
+            EXTREMES[((bits >> 5) % 8) as usize]
+        };
+        let text = match v {
+            f64::INFINITY => "1e999".to_string(),
+            f64::NEG_INFINITY => "-1e999".to_string(),
+            _ => format!("{v:e}"),
+        };
+        line = line.replace(&format!("${i}"), &text);
+        quantities.push(v);
+    }
+    (line, quantities)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `read_jsonl` accepts a log exactly when every quantity in it is
+    /// finite and non-negative, names the offending line otherwise, and
+    /// the digest of every accepted log is free of NaN.
+    #[test]
+    fn hostile_logs_are_rejected_or_digest_cleanly(
+        words in prop::collection::vec(0u64..u64::MAX, 0..12),
+    ) {
+        let mut text = String::new();
+        let mut first_bad = None;
+        for (i, &word) in words.iter().enumerate() {
+            let (line, quantities) = hostile_line(word);
+            if first_bad.is_none() && quantities.iter().any(|v| !(v.is_finite() && *v >= 0.0)) {
+                first_bad = Some(i + 1);
+            }
+            text += &line;
+            text.push('\n');
+        }
+        match (ProcessLog::read_jsonl(text.as_bytes()), first_bad) {
+            (Ok(log), None) => {
+                prop_assert_eq!(log.events.len(), words.len());
+                let d = log.digest();
+                for v in [d.useful_seconds, d.occupied_seconds, d.megabytes, d.overhead_ratio, d.efficiency] {
+                    prop_assert!(!v.is_nan() && v >= 0.0, "digest {:?}", d);
+                }
+            }
+            (Err(e), Some(line)) => {
+                prop_assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
+                prop_assert!(e.to_string().starts_with(&format!("line {line}: ")), "{}", e);
+            }
+            (got, want) => {
+                let got = got.map(|log| log.events.len());
+                prop_assert!(false, "read {:?}, first bad line {:?}", got, want);
             }
         }
     }

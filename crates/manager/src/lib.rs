@@ -50,26 +50,17 @@ pub use server::{run_manager, run_manager_observed};
 pub enum ManagerError {
     /// A configuration knob is out of range.
     InvalidConfig(&'static str),
-    /// A distribution fit failed during client bootstrap.
-    Dist(chs_dist::DistError),
 }
 
 impl std::fmt::Display for ManagerError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ManagerError::InvalidConfig(why) => write!(f, "invalid manager config: {why}"),
-            ManagerError::Dist(e) => write!(f, "dist error: {e}"),
         }
     }
 }
 
 impl std::error::Error for ManagerError {}
-
-impl From<chs_dist::DistError> for ManagerError {
-    fn from(e: chs_dist::DistError) -> Self {
-        ManagerError::Dist(e)
-    }
-}
 
 /// Convenience alias for manager results.
 pub type Result<T> = std::result::Result<T, ManagerError>;

@@ -7,7 +7,7 @@
 //! ```
 
 use cycle_harvest::condor::{run_experiment, ExperimentConfig};
-use cycle_harvest::net::NetworkPath;
+use cycle_harvest::net::{FaultPlan, NetworkPath};
 
 fn main() {
     let mut config = ExperimentConfig::campus();
@@ -24,7 +24,7 @@ fn main() {
         NetworkPath::campus().mean_bandwidth()
     );
 
-    let result = run_experiment(&config).expect("experiment");
+    let (result, _) = run_experiment(&config, &FaultPlan::none()).expect("experiment");
 
     println!(
         "{:>20} {:>6} {:>11} {:>10} {:>8} {:>9}",

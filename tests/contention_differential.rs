@@ -28,7 +28,13 @@
 //! which the runs take different paths. Swapping the classic formula
 //! into the manager makes the runs bitwise equal but moves the manager's
 //! golden digests (`crates/manager/tests/event_index.rs`), so that is a
-//! separate decision (ROADMAP item 1).
+//! separate decision (ROADMAP item 6).
+//!
+//! One edit since the loop was frozen: a client whose native fit fails
+//! plans the way the manager plans it — `chs_markov::resolve_fit`, then
+//! `young_interval` on the fixed tier — instead of aborting the run.
+//! Fitted clients keep the loop's own `VaidyaModel` planning, so the
+//! oracle is unchanged on every pool where no fit fails.
 
 use chs_condor::machine::Segment;
 use chs_condor::EmulatedMachine;
@@ -39,9 +45,10 @@ use chs_cycle::{
 use chs_dist::fit::fit_model;
 use chs_dist::{FittedModel, ModelKind};
 use chs_manager::{run_manager, ManagerConfig, ManagerResult};
-use chs_markov::{CheckpointCosts, VaidyaModel};
+use chs_markov::{resolve_fit, young_interval, CheckpointCosts, MarkovError, VaidyaModel};
 use chs_net::FaultPlan;
 use chs_pool::{AdaptiveVaidyaPolicy, FabricConfig, PoolSim, PoolSimConfig, Seg, VecTimeline};
+use chs_trace::synthetic::PoolConfig;
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------
@@ -64,7 +71,8 @@ struct ContentionResult {
 
 struct Job {
     machine: EmulatedMachine,
-    fit: FittedModel,
+    fit: Option<FittedModel>,
+    mean_history: f64,
     seg_index: usize,
     cycle: CycleMachine,
     work_until: f64,
@@ -79,12 +87,15 @@ impl Job {
         self.machine.segments().get(self.seg_index).copied()
     }
 
-    fn plan_next_interval(&mut self, t: f64, duration: f64) -> chs_condor::Result<()> {
+    fn plan_next_interval(&mut self, t: f64, duration: f64) -> Result<(), MarkovError> {
         self.measured_cost = duration.max(1.0);
         self.completed_transfer_time += duration;
         self.completed_transfers += 1;
         let age = t - self.seg_start;
-        let t_work = plan_interval(&self.fit, self.measured_cost, age)?;
+        let t_work = match &self.fit {
+            Some(fit) => plan_interval(fit, self.measured_cost, age)?,
+            None => young_interval(self.measured_cost, self.mean_history),
+        };
         self.cycle.start_work(t_work, &mut NoopObserver);
         self.work_until = t + t_work;
         Ok(())
@@ -96,7 +107,7 @@ impl Job {
     }
 }
 
-fn plan_interval(fit: &FittedModel, cost: f64, age: f64) -> chs_condor::Result<f64> {
+fn plan_interval(fit: &FittedModel, cost: f64, age: f64) -> Result<f64, MarkovError> {
     let age = sanitize_age(age).max(0.0);
     let vaidya = VaidyaModel::new(fit, CheckpointCosts::symmetric(cost))?;
     Ok(clamp_interval(vaidya.optimal_interval(age)?.work_seconds))
@@ -105,7 +116,7 @@ fn plan_interval(fit: &FittedModel, cost: f64, age: f64) -> chs_condor::Result<f
 /// The classic loop: `config.clients` jobs share one link by processor
 /// sharing (each of `n` concurrent transfers moves at `capacity / n`).
 /// Only the client/link/planning knobs of a valid `config` are read.
-fn run_contention(config: &ManagerConfig) -> chs_condor::Result<ContentionResult> {
+fn run_contention(config: &ManagerConfig) -> Result<ContentionResult, MarkovError> {
     let nominal_cost = config.image_mb / config.link_mb_per_s;
     let cycle_config = CycleConfig {
         checkpoint_cost: 0.0,
@@ -123,10 +134,13 @@ fn run_contention(config: &ManagerConfig) -> chs_condor::Result<ContentionResult
             config.window * 2.0 + 7.0 * 86_400.0,
             config.seed,
         );
-        let fit = fit_model(config.model, &machine.history)?;
+        let history = &machine.history;
+        let (fit, _tier) = resolve_fit(Some(fit_model(config.model, history)), history);
+        let mean_history = history.iter().sum::<f64>() / history.len() as f64;
         jobs.push(Job {
             machine,
             fit,
+            mean_history,
             seg_index: 0,
             cycle: CycleMachine::new(cycle_config),
             work_until: 0.0,
@@ -269,6 +283,24 @@ fn rel_close(a: f64, b: f64, tol: f64) -> bool {
     (a - b).abs() <= tol * a.abs().max(b.abs()).max(1.0)
 }
 
+/// Every field of a zero-fault manager run equals the oracle's, bitwise.
+fn assert_bitwise_classic(cc: &ManagerConfig) {
+    let seed = cc.seed;
+    let classic = run_contention(cc).unwrap();
+    let outcome = run_manager(cc, &FaultPlan::none()).unwrap();
+    let m = &outcome.result;
+
+    assert_eq!(m.useful_seconds, classic.useful_seconds, "seed {seed}");
+    assert_eq!(m.occupied_seconds, classic.occupied_seconds);
+    assert_eq!(m.megabytes, classic.megabytes);
+    assert_eq!(m.checkpoints_committed, classic.checkpoints_committed);
+    assert_eq!(m.transfers_started, classic.transfers_started);
+    assert_eq!(m.mean_transfer_seconds, classic.mean_transfer_seconds);
+    assert_eq!(m.mean_link_concurrency, classic.mean_link_concurrency);
+    assert_eq!(m.link_utilization, classic.link_utilization);
+    assert_eq!(m.cycle, classic.cycle);
+}
+
 #[test]
 fn single_client_zero_fault_is_bitwise_classic() {
     for (model, seed) in [
@@ -278,20 +310,28 @@ fn single_client_zero_fault_is_bitwise_classic() {
     ] {
         let mut cc = ManagerConfig::classic(1, model);
         cc.seed = seed;
-        let classic = run_contention(&cc).unwrap();
-        let outcome = run_manager(&cc, &FaultPlan::none()).unwrap();
-        let m = &outcome.result;
-
-        assert_eq!(m.useful_seconds, classic.useful_seconds, "seed {seed}");
-        assert_eq!(m.occupied_seconds, classic.occupied_seconds);
-        assert_eq!(m.megabytes, classic.megabytes);
-        assert_eq!(m.checkpoints_committed, classic.checkpoints_committed);
-        assert_eq!(m.transfers_started, classic.transfers_started);
-        assert_eq!(m.mean_transfer_seconds, classic.mean_transfer_seconds);
-        assert_eq!(m.mean_link_concurrency, classic.mean_link_concurrency);
-        assert_eq!(m.link_utilization, classic.link_utilization);
-        assert_eq!(m.cycle, classic.cycle);
+        assert_bitwise_classic(&cc);
     }
+}
+
+#[test]
+fn natural_fit_failure_plans_like_the_classic_loop() {
+    // A Weibull ground truth with an astronomically large shape samples
+    // exactly its scale, so the client's history is flat and defeats the
+    // Weibull MLE. The manager and the oracle both plan it on the
+    // exponential-MLE tier of the one fallback chain.
+    let mut cc = ManagerConfig::classic(1, ModelKind::Weibull);
+    cc.pool = PoolConfig {
+        weibull_fraction: 1.0,
+        bimodal_fraction: 0.0,
+        diurnal_fraction: 0.0,
+        shape_range: (1e18, 1e18),
+        scale_log_sigma: 0.0,
+        ..PoolConfig::default()
+    };
+    let report = run_manager(&cc, &FaultPlan::none()).unwrap().report.faults;
+    assert_eq!(report.fallback_exponential, 1);
+    assert_bitwise_classic(&cc);
 }
 
 #[test]

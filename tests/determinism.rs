@@ -53,8 +53,8 @@ fn live_experiment_bitwise_reproducible() {
     config.machines = 6;
     config.streams = 1;
     config.window = 0.25 * 86_400.0;
-    let a = run_experiment(&config).unwrap();
-    let b = run_experiment(&config).unwrap();
+    let a = run_experiment(&config, &FaultPlan::none()).unwrap().0;
+    let b = run_experiment(&config, &FaultPlan::none()).unwrap().0;
     assert_eq!(a.runs, b.runs);
     assert_eq!(a.summaries, b.summaries);
 }

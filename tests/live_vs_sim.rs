@@ -7,6 +7,7 @@ use cycle_harvest::condor::{run_experiment, ExperimentConfig};
 use cycle_harvest::dist::fit::fit_model;
 use cycle_harvest::dist::ModelKind;
 use cycle_harvest::markov::CheckpointCosts;
+use cycle_harvest::net::FaultPlan;
 use cycle_harvest::sim::{simulate_trace, CachedPolicy, SimConfig};
 
 fn live_result() -> cycle_harvest::condor::ExperimentResult {
@@ -15,7 +16,9 @@ fn live_result() -> cycle_harvest::condor::ExperimentResult {
     config.streams = 2;
     config.window = 1.5 * 86_400.0;
     config.seed = 2005;
-    run_experiment(&config).expect("live experiment")
+    run_experiment(&config, &FaultPlan::none())
+        .expect("live experiment")
+        .0
 }
 
 #[test]
@@ -90,8 +93,8 @@ fn wide_area_lowers_efficiency() {
     let mut wide_cfg = campus_cfg.clone();
     wide_cfg.path = cycle_harvest::net::NetworkPath::wide_area();
 
-    let campus = run_experiment(&campus_cfg).expect("campus");
-    let wide = run_experiment(&wide_cfg).expect("wide");
+    let (campus, _) = run_experiment(&campus_cfg, &FaultPlan::none()).expect("campus");
+    let (wide, _) = run_experiment(&wide_cfg, &FaultPlan::none()).expect("wide");
     let avg = |r: &cycle_harvest::condor::ExperimentResult| {
         r.summaries.iter().map(|s| s.avg_efficiency).sum::<f64>() / 4.0
     };
