@@ -340,7 +340,8 @@ impl ProcessLog {
     /// whose quantities are finite and non-negative — every log
     /// [`ProcessLog::read_jsonl`] accepts — no field is NaN: sums that
     /// overflow saturate at ∞, and occupancy is the clamped difference
-    /// of two finite times.
+    /// of two finite times. The reader also holds the committed work
+    /// inside the placement, so an accepted log's efficiency is at most 1.
     pub fn digest(&self) -> LogDigest {
         let mut placed_at = None;
         let mut evicted_at = None;
@@ -396,14 +397,16 @@ impl ProcessLog {
         Ok(())
     }
 
-    /// Read from JSON Lines. A malformed or truncated line, or one with
-    /// a negative or non-finite quantity (JSON's `1e999` parses as ∞),
-    /// produces an `InvalidData` error naming its 1-based line number,
-    /// so a corrupt record in a streamed campaign log can be located
-    /// (and the file repaired) instead of leaving only an anonymous
-    /// parse failure or a NaN digest.
+    /// Read from JSON Lines. A malformed or truncated line, one with a
+    /// negative or non-finite quantity (JSON's `1e999` parses as ∞), or
+    /// one whose committed work no longer fits inside the log's placement
+    /// (see `Placement`) produces an `InvalidData` error naming its
+    /// 1-based line number, so a corrupt record in a streamed campaign log
+    /// can be located (and the file repaired) instead of leaving only an
+    /// anonymous parse failure, a NaN digest or an efficiency above 1.
     pub fn read_jsonl<R: BufRead>(r: R) -> std::io::Result<Self> {
         let mut events = Vec::new();
+        let mut placement = Placement::default();
         for (lineno, line) in r.lines().enumerate() {
             let line = line.map_err(|err| {
                 std::io::Error::new(err.kind(), format!("line {}: {err}", lineno + 1))
@@ -424,9 +427,66 @@ impl ProcessLog {
                     "`{field}` must be finite and non-negative, got {v}"
                 )));
             }
+            placement.admit(&e).map_err(invalid)?;
             events.push(e);
         }
         Ok(Self { events })
+    }
+}
+
+/// What [`ProcessLog::read_jsonl`] has read so far of the one placement
+/// a log records, to hold the committed work inside it.
+///
+/// [`ProcessLog::digest`] divides the committed seconds by the time from
+/// the `Placed` to the last `Evicted`. The reader therefore rejects a
+/// second `Placed`, a `WorkCommitted` before the `Placed`, and any
+/// `WorkCommitted` or `Evicted` at which the cumulative committed seconds
+/// exceed the time elapsed since the `Placed` — up to the commit itself,
+/// or to the latest eviction if that came first. Elapsed time is clamped
+/// at zero, as the digest's occupancy is. Every accepted log then digests
+/// to `useful ≤ occupied`, so its efficiency is at most 1.
+#[derive(Default)]
+struct Placement {
+    placed_at: Option<f64>,
+    evicted_at: Option<f64>,
+    committed: f64,
+}
+
+impl Placement {
+    fn admit(&mut self, e: &LogEvent) -> Result<(), String> {
+        match *e {
+            LogEvent::Placed { .. } if self.placed_at.is_some() => {
+                return Err("a second `Placed`: a log records one placement".into());
+            }
+            LogEvent::Placed { at, .. } => self.placed_at = Some(at),
+            LogEvent::WorkCommitted { at, seconds } => {
+                let Some(placed) = self.placed_at else {
+                    return Err("`WorkCommitted` before the `Placed`".into());
+                };
+                self.committed += seconds;
+                let end = self.evicted_at.map_or(at, |evicted| evicted.min(at));
+                self.fits(placed, end)?;
+            }
+            LogEvent::Evicted { at, .. } => {
+                if let Some(placed) = self.placed_at {
+                    self.fits(placed, at)?;
+                }
+                self.evicted_at = Some(at);
+            }
+            _ => {}
+        }
+        Ok(())
+    }
+
+    fn fits(&self, placed: f64, end: f64) -> Result<(), String> {
+        let elapsed = (end - placed).max(0.0);
+        if self.committed > elapsed {
+            return Err(format!(
+                "{} s of committed work exceed the {elapsed} s elapsed since `Placed`",
+                self.committed
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -572,14 +632,41 @@ mod tests {
             assert!(msg.starts_with(&format!("line 2: `{field}`")), "{msg}");
         }
 
-        // The largest finite quantities are accepted and digest without
-        // NaN: the overflowing commit sum saturates at ∞.
+        // Finite quantities whose commits outgrow the placement are
+        // rejected at the first commit that does not fit: 1e308 s
+        // committed one second after placement.
         let huge = hostile.replacen("-1e308", "0.0", 1);
-        let d = ProcessLog::read_jsonl(huge.as_bytes()).unwrap().digest();
-        assert_eq!(d.useful_seconds, f64::INFINITY);
-        assert_eq!(d.occupied_seconds, 1e308);
-        assert_eq!(d.overhead_ratio, 0.0);
-        assert_eq!(d.efficiency, f64::INFINITY);
+        let err = ProcessLog::read_jsonl(huge.as_bytes()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().starts_with("line 2: "), "{err}");
+    }
+
+    #[test]
+    fn jsonl_holds_committed_work_inside_the_placement() {
+        let read = |lines: &[&str]| ProcessLog::read_jsonl(lines.join("\n").as_bytes());
+        let placed = r#"{"Placed":{"at":100.0,"machine":3,"age":0.0}}"#;
+        let commit = |at: f64, seconds: f64| {
+            format!(r#"{{"WorkCommitted":{{"at":{at:e},"seconds":{seconds:e}}}}}"#)
+        };
+        let evicted = |at: f64| format!(r#"{{"Evicted":{{"at":{at:e},"heartbeats":0}}}}"#);
+        let (c1, c2) = (commit(150.0, 40.0), commit(200.0, 60.0));
+
+        // Exactly filled: 100 s committed in the 100 s since placement.
+        let full = read(&[placed, &c1, &c2, &evicted(200.0)]).unwrap().digest();
+        assert_eq!(full.efficiency, 1.0);
+
+        let line_of = |lines: &[&str]| read(lines).unwrap_err().to_string();
+        // The second commit brings 101 s into 100 s.
+        let over = commit(200.0, 61.0);
+        assert!(line_of(&[placed, &c1, &over]).starts_with("line 3: "));
+        // An eviction before the committed work was done.
+        assert!(line_of(&[placed, &c1, &c2, &evicted(199.0)]).starts_with("line 4: "));
+        // A commit after the eviction is held to the eviction time.
+        let late = commit(300.0, 1.0);
+        assert!(line_of(&[placed, &c1, &c2, &evicted(200.0), &late]).starts_with("line 5: "));
+        // Work with no placement, and a second placement.
+        assert!(line_of(&[&c1, placed]).starts_with("line 1: "));
+        assert!(line_of(&[placed, placed]).starts_with("line 2: "));
     }
 
     #[test]

@@ -155,21 +155,57 @@ fn hostile_line(word: u64) -> (String, Vec<f64>) {
     (line, quantities)
 }
 
+/// Whether a line of kind `word % 10` with (valid) `quantities` keeps the
+/// committed work inside the log's one placement: `placed` and `evicted`
+/// are the times seen so far, `committed` the running commit sum.
+fn fits_placement(
+    word: u64,
+    quantities: &[f64],
+    placed: &mut Option<f64>,
+    evicted: &mut Option<f64>,
+    committed: &mut f64,
+) -> bool {
+    let at = quantities[0];
+    let within = |p: f64, end: f64, committed: f64| committed <= (end - p).max(0.0);
+    match word % 10 {
+        0 if placed.is_some() => false,
+        0 => {
+            *placed = Some(at);
+            true
+        }
+        5 => {
+            *committed += quantities[1];
+            placed.is_some_and(|p| within(p, evicted.map_or(at, |e| e.min(at)), *committed))
+        }
+        9 => {
+            let ok = placed.is_none_or(|p| within(p, at, *committed));
+            *evicted = Some(at);
+            ok
+        }
+        _ => true,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// `read_jsonl` accepts a log exactly when every quantity in it is
-    /// finite and non-negative, names the offending line otherwise, and
-    /// the digest of every accepted log is free of NaN.
+    /// finite and non-negative and its committed work fits inside its one
+    /// placement, names the offending line otherwise, and the digest of
+    /// every accepted log is free of NaN with an efficiency of at most 1.
     #[test]
     fn hostile_logs_are_rejected_or_digest_cleanly(
         words in prop::collection::vec(0u64..u64::MAX, 0..12),
     ) {
         let mut text = String::new();
         let mut first_bad = None;
+        let (mut placed, mut evicted, mut committed) = (None, None, 0.0);
         for (i, &word) in words.iter().enumerate() {
             let (line, quantities) = hostile_line(word);
-            if first_bad.is_none() && quantities.iter().any(|v| !(v.is_finite() && *v >= 0.0)) {
+            if first_bad.is_none()
+                && (quantities.iter().any(|v| !(v.is_finite() && *v >= 0.0))
+                    || !fits_placement(word, &quantities, &mut placed, &mut evicted, &mut committed))
+            {
                 first_bad = Some(i + 1);
             }
             text += &line;
@@ -182,6 +218,7 @@ proptest! {
                 for v in [d.useful_seconds, d.occupied_seconds, d.megabytes, d.overhead_ratio, d.efficiency] {
                     prop_assert!(!v.is_nan() && v >= 0.0, "digest {:?}", d);
                 }
+                prop_assert!(d.efficiency <= 1.0, "digest {:?}", d);
             }
             (Err(e), Some(line)) => {
                 prop_assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);

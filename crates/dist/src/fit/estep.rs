@@ -28,7 +28,10 @@
 //!   exactly the sequences the interleaved loop produces;
 //! * the underflow skip only elides terms whose `exp` is **exactly**
 //!   `+0.0` (shifted exponent below [`EXP_UNDERFLOW`]), and adding `+0.0`
-//!   to a non-negative accumulator is a bitwise identity.
+//!   to a non-negative accumulator is a bitwise identity;
+//! * a shifted exponent of exactly `±0.0` (the max phase, and any phase
+//!   tied with it) takes `1.0` without calling `exp`, which returns
+//!   exactly `1.0` there.
 //!
 //! The differential suite in `crates/dist/tests/em_differential.rs` pins
 //! this contract against a verbatim copy of the pre-batching loop.
@@ -121,7 +124,9 @@ pub(crate) fn estep_batched(
 
         // Pass 3 — exponentials and normalizers. Each denom[c] receives
         // its terms in ascending j, the frozen accumulation order; terms
-        // past the underflow cutoff are exactly +0.0 and are skipped.
+        // past the underflow cutoff are exactly +0.0 and are skipped, and
+        // the max phase's shifted exponent is exactly 0.0, whose `exp` is
+        // exactly 1.0 without the call.
         scratch.denom[..m].fill(0.0);
         for j in 0..k {
             let row = &mut scratch.lw[j * CHUNK..j * CHUNK + m];
@@ -134,7 +139,7 @@ pub(crate) fn estep_batched(
                 if d < EXP_UNDERFLOW {
                     *v = 0.0;
                 } else {
-                    let e = d.exp();
+                    let e = if d == 0.0 { 1.0 } else { d.exp() };
                     *v = e;
                     *dn += e;
                 }

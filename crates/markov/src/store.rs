@@ -9,8 +9,9 @@
 //!
 //! * [`CompressedPolicy`] — knots in `(ln(1+age), ln T_opt)` built by
 //!   adaptive bisection against the exact [`VaidyaModel`] optimizer.
-//!   A segment is accepted only when its midpoint *and* both quarter
-//!   points interpolate within half the relative-error budget, so the
+//!   Every bisection node's midpoint becomes a knot, and each of the two
+//!   segments it opens is served only when its own midpoint
+//!   interpolates within half the relative-error budget, so the
 //!   committed table stays within `max_rel_error` of the exact optimum
 //!   (asserted against dense probe grids in this crate's tests and
 //!   enforced end-to-end by the `serve_bench` gate).
@@ -151,8 +152,8 @@ impl CompressionConfig {
 /// the last knot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompressedPolicy {
-    vs: Vec<f64>,
-    ln_ts: Vec<f64>,
+    vs: Box<[f64]>,
+    ln_ts: Box<[f64]>,
     build_evals: u32,
 }
 
@@ -160,10 +161,14 @@ impl CompressedPolicy {
     /// Compress the exact `T_opt(age)` curve of `model` under `config`.
     ///
     /// Memoryless models produce a single flat segment from their
-    /// closed-form optimum; other families are bisected adaptively, warm-starting
-    /// each probe from the interpolated guess. Hinted probes — every
-    /// subdivision midpoint and quarter point — run through the
-    /// lane-batched warm search
+    /// closed-form optimum; other families are bisected adaptively,
+    /// warm-starting each probe from the interpolated guess. A node no
+    /// wider than `MAX_SEGMENT_SPAN` (2 in `ln(1+age)`) is split at its
+    /// midpoint, which becomes a knot, and is served as its two halves
+    /// when each half's midpoint lies within `ln(1 + ε/2)` of that half's
+    /// chord; a half that fails is bisected again from its already
+    /// searched midpoint. Hinted probes — every node and half midpoint —
+    /// run through the lane-batched warm search
     /// ([`VaidyaModel::optimal_interval_near_lane`]), which evaluates 4
     /// Γ candidates per kernel pass; only the hintless anchor searches
     /// take the scalar full-bracket path.
@@ -189,8 +194,8 @@ impl CompressedPolicy {
         let ln_t0 = exact(0.0, f64::NAN)?;
         if model.kind().is_memoryless() {
             return Ok(CompressedPolicy {
-                vs: vec![0.0, v_hi],
-                ln_ts: vec![ln_t0, ln_t0],
+                vs: Box::new([0.0, v_hi]),
+                ln_ts: Box::new([ln_t0, ln_t0]),
                 build_evals: evals,
             });
         }
@@ -201,11 +206,16 @@ impl CompressedPolicy {
         // only spend lane batches walking to an escape before running
         // the same full search anyway.
         let ln_t_hi = exact(v_hi, f64::NAN)?;
-        // |ln T̂ − ln T| ≤ ln(1 + ε/2) at every probe point keeps the
-        // whole segment within ε with headroom for un-probed ages.
+        // |ln T̂ − ln T| ≤ ln(1 + ε/2) at each served segment's midpoint
+        // keeps the whole segment within ε with headroom for un-probed
+        // ages.
         let tol = (0.5 * config.max_rel_error).ln_1p();
-        let mut vs = vec![0.0];
-        let mut ln_ts = vec![ln_t0];
+        // Most tables stay under 64 knots: reserving them spares the
+        // pushes their growth reallocations before the exact-size copy.
+        let mut vs = Vec::with_capacity(64);
+        let mut ln_ts = Vec::with_capacity(64);
+        vs.push(0.0);
+        ln_ts.push(ln_t0);
         subdivide(
             (0.0, ln_t0),
             (v_hi, ln_t_hi),
@@ -217,9 +227,11 @@ impl CompressedPolicy {
             &mut vs,
             &mut ln_ts,
         )?;
+        // Exact-size knot storage: a table stays resident as long as a
+        // cache or store holds it, so capacity slack would be too.
         Ok(CompressedPolicy {
-            vs,
-            ln_ts,
+            vs: vs.into_boxed_slice(),
+            ln_ts: ln_ts.into_boxed_slice(),
             build_evals: evals,
         })
     }
@@ -308,10 +320,15 @@ impl CompressedPolicy {
 
 /// Recursive adaptive bisection of `[a, b]` in `(v, ln T)`. Appends
 /// every knot after `a` (including `b`) to `vs`/`ln_ts` in order.
-/// `known_mid` carries an already-searched value for this interval's
-/// midpoint: a parent whose quarter-point confirmation failed has
-/// evaluated both children's midpoints (its own quarter points), so the
-/// recursion reuses them instead of re-running the searches.
+///
+/// A node within `MAX_SEGMENT_SPAN` always splits at its midpoint `m`,
+/// which becomes a knot, and searches the midpoints of both halves. The
+/// node is served as the two segments `[a, m]` and `[m, b]` when each
+/// half-midpoint lies within `tol` of its half's chord; otherwise the
+/// half-midpoints are the children's `known_mid`, so the recursion
+/// reuses them instead of re-running the searches. Every exact search
+/// is either a knot, the certificate of a served segment, or a child's
+/// midpoint: none is spent only to be thrown away.
 #[allow(clippy::too_many_arguments)]
 fn subdivide(
     a: (f64, f64),
@@ -325,56 +342,36 @@ fn subdivide(
     ln_ts: &mut Vec<f64>,
 ) -> Result<()> {
     let span = b.0 - a.0;
-    let interp = |frac: f64| a.1 + frac * (b.1 - a.1);
-    let accept = |vs: &mut Vec<f64>, ln_ts: &mut Vec<f64>| {
+    if depth >= max_depth || span < MIN_SEGMENT_SPAN {
         vs.push(b.0);
         ln_ts.push(b.1);
-    };
-    if depth >= max_depth || span < MIN_SEGMENT_SPAN {
-        accept(vs, ln_ts);
         return Ok(());
     }
-    let v_m = 0.5 * (a.0 + b.0);
-    let ln_t_m = match known_mid {
-        Some(known) => known,
-        None => exact(v_m, interp(0.5).exp())?,
-    };
-    let mid_ok = span <= MAX_SEGMENT_SPAN && (ln_t_m - interp(0.5)).abs() <= tol;
-    let mut quarters = (None, None);
-    if mid_ok {
-        // Midpoint fits the chord — confirm at the quarter points
-        // before committing the whole segment.
-        let q1 = exact(0.25f64.mul_add(span, a.0), interp(0.25).exp())?;
-        let q3 = exact(0.75f64.mul_add(span, a.0), interp(0.75).exp())?;
-        if (q1 - interp(0.25)).abs() <= tol && (q3 - interp(0.75)).abs() <= tol {
-            accept(vs, ln_ts);
+    let chord_mid = |p: (f64, f64), q: (f64, f64)| (0.5 * (p.0 + q.0), 0.5 * (p.1 + q.1));
+    let (v_m, chord) = chord_mid(a, b);
+    let m = (
+        v_m,
+        match known_mid {
+            Some(known) => known,
+            None => exact(v_m, chord.exp())?,
+        },
+    );
+    let mut halves = (None, None);
+    if span <= MAX_SEGMENT_SPAN {
+        // Certify each half at its own midpoint against its own chord.
+        let (v_l, chord_l) = chord_mid(a, m);
+        let (v_r, chord_r) = chord_mid(m, b);
+        let ln_t_l = exact(v_l, chord_l.exp())?;
+        let ln_t_r = exact(v_r, chord_r.exp())?;
+        if (ln_t_l - chord_l).abs() <= tol && (ln_t_r - chord_r).abs() <= tol {
+            vs.extend([m.0, b.0]);
+            ln_ts.extend([m.1, b.1]);
             return Ok(());
         }
-        quarters = (Some(q1), Some(q3));
+        halves = (Some(ln_t_l), Some(ln_t_r));
     }
-    let m = (v_m, ln_t_m);
-    subdivide(
-        a,
-        m,
-        quarters.0,
-        depth + 1,
-        max_depth,
-        tol,
-        exact,
-        vs,
-        ln_ts,
-    )?;
-    subdivide(
-        m,
-        b,
-        quarters.1,
-        depth + 1,
-        max_depth,
-        tol,
-        exact,
-        vs,
-        ln_ts,
-    )
+    subdivide(a, m, halves.0, depth + 1, max_depth, tol, exact, vs, ln_ts)?;
+    subdivide(m, b, halves.1, depth + 1, max_depth, tol, exact, vs, ln_ts)
 }
 
 /// Identity of a compressed table: model family, parameters quantized
