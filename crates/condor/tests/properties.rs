@@ -120,11 +120,26 @@ const EVENT_LINES: [&str; 10] = [
     r#"{"Evicted":{"at":$0,"heartbeats":7}}"#,
 ];
 
-/// Decode one drawn word into an event line and the quantities it
+/// The JSONL line of kind `kind` carrying `quantities`; ±∞ are spelled
+/// `±1e999` (which parse as ±∞).
+fn event_line(kind: u64, quantities: &[f64]) -> String {
+    let mut line = EVENT_LINES[kind as usize].to_string();
+    for (i, &v) in quantities.iter().enumerate() {
+        let text = match v {
+            f64::INFINITY => "1e999".to_string(),
+            f64::NEG_INFINITY => "-1e999".to_string(),
+            _ => format!("{v:e}"),
+        };
+        line = line.replace(&format!("${i}"), &text);
+    }
+    line
+}
+
+/// Decode one drawn word into an event kind and the quantities it
 /// carries: mostly ordinary values, and one time in eight an extreme a
 /// corrupt or hostile log can carry — the largest finite values,
-/// negatives, or ±∞, spelled `1e999` (which parses as ∞).
-fn hostile_line(word: u64) -> (String, Vec<f64>) {
+/// negatives, or ±∞.
+fn hostile_event(word: u64) -> (u64, Vec<f64>) {
     const EXTREMES: [f64; 8] = [
         0.0,
         -0.0,
@@ -135,31 +150,65 @@ fn hostile_line(word: u64) -> (String, Vec<f64>) {
         f64::INFINITY,
         -f64::INFINITY,
     ];
-    let mut line = EVENT_LINES[(word % 10) as usize].to_string();
-    let mut quantities = Vec::new();
-    for i in 0..line.matches('$').count() {
-        let bits = (word >> (4 + 20 * i)) & 0xF_FFFF;
-        let v = if bits & 31 < 28 {
-            (bits >> 5) as f64 * 1.5
-        } else {
-            EXTREMES[((bits >> 5) % 8) as usize]
-        };
-        let text = match v {
-            f64::INFINITY => "1e999".to_string(),
-            f64::NEG_INFINITY => "-1e999".to_string(),
-            _ => format!("{v:e}"),
-        };
-        line = line.replace(&format!("${i}"), &text);
-        quantities.push(v);
-    }
-    (line, quantities)
+    let kind = word % 10;
+    let quantities = (0..EVENT_LINES[kind as usize].matches('$').count())
+        .map(|i| {
+            let bits = (word >> (4 + 20 * i)) & 0xF_FFFF;
+            if bits & 31 < 28 {
+                (bits >> 5) as f64 * 1.5
+            } else {
+                EXTREMES[((bits >> 5) % 8) as usize]
+            }
+        })
+        .collect();
+    (kind, quantities)
 }
 
-/// Whether a line of kind `word % 10` with (valid) `quantities` keeps the
+/// A log drawn to reach the placement check: a `Placed` at `p`, then
+/// events at non-decreasing times — commits whose seconds mostly fit
+/// the time elapsed since `p` (one in eight overshoots), other kinds in
+/// between — and a closing `Evicted` that, one time in two, comes before
+/// the committed seconds fit; one time in four a last commit follows it.
+fn placed_log(word: u64, steps: &[u64]) -> Vec<(u64, Vec<f64>)> {
+    let fraction = |bits: u64| (bits & 0xFF) as f64 / 256.0;
+    let p = (word & 0xFFF) as f64;
+    let (mut t, mut committed) = (p, 0.0);
+    let mut log = vec![(0, vec![p, 0.0])];
+    for &s in steps {
+        t += (s & 0xFF) as f64 * 0.5;
+        let kind = [5, 5, 5, 1, 2, 3, 4, 6, 7, 8][((s >> 8) % 10) as usize];
+        let seconds = if kind != 5 {
+            fraction(s >> 16) * 10.0
+        } else if (s >> 12).is_multiple_of(8) {
+            t - p - committed + 1.0
+        } else {
+            (t - p - committed) * fraction(s >> 16)
+        };
+        if kind == 5 {
+            committed += seconds;
+        }
+        log.push((kind, vec![t, seconds, seconds]));
+    }
+    let evicted = if (word >> 12).is_multiple_of(2) {
+        t + fraction(word >> 16) * 100.0
+    } else {
+        p + committed * fraction(word >> 16)
+    };
+    log.push((9, vec![evicted]));
+    if (word >> 24).is_multiple_of(4) {
+        log.push((5, vec![evicted + 1.0, fraction(word >> 32)]));
+    }
+    for (kind, quantities) in &mut log {
+        quantities.truncate(EVENT_LINES[*kind as usize].matches('$').count());
+    }
+    log
+}
+
+/// Whether a line of kind `kind` with (valid) `quantities` keeps the
 /// committed work inside the log's one placement: `placed` and `evicted`
 /// are the times seen so far, `committed` the running commit sum.
 fn fits_placement(
-    word: u64,
+    kind: u64,
     quantities: &[f64],
     placed: &mut Option<f64>,
     evicted: &mut Option<f64>,
@@ -167,7 +216,7 @@ fn fits_placement(
 ) -> bool {
     let at = quantities[0];
     let within = |p: f64, end: f64, committed: f64| committed <= (end - p).max(0.0);
-    match word % 10 {
+    match kind {
         0 if placed.is_some() => false,
         0 => {
             *placed = Some(at);
@@ -186,48 +235,76 @@ fn fits_placement(
     }
 }
 
+/// `read_jsonl` accepts the log of `events` exactly when every quantity
+/// in it is finite and non-negative and its committed work fits inside
+/// its one placement, names the offending line otherwise, and the digest
+/// of every accepted log is free of NaN with an efficiency of at most 1.
+fn check_log(events: &[(u64, Vec<f64>)]) -> Result<(), TestCaseError> {
+    let mut text = String::new();
+    let mut first_bad = None;
+    let (mut placed, mut evicted, mut committed) = (None, None, 0.0);
+    for (i, (kind, quantities)) in events.iter().enumerate() {
+        if first_bad.is_none()
+            && (quantities.iter().any(|v| !(v.is_finite() && *v >= 0.0))
+                || !fits_placement(*kind, quantities, &mut placed, &mut evicted, &mut committed))
+        {
+            first_bad = Some(i + 1);
+        }
+        text += &event_line(*kind, quantities);
+        text.push('\n');
+    }
+    match (ProcessLog::read_jsonl(text.as_bytes()), first_bad) {
+        (Ok(log), None) => {
+            prop_assert_eq!(log.events.len(), events.len());
+            let d = log.digest();
+            for v in [
+                d.useful_seconds,
+                d.occupied_seconds,
+                d.megabytes,
+                d.overhead_ratio,
+                d.efficiency,
+            ] {
+                prop_assert!(!v.is_nan() && v >= 0.0, "digest {:?}", d);
+            }
+            prop_assert!(d.efficiency <= 1.0, "digest {:?}", d);
+        }
+        (Err(e), Some(line)) => {
+            prop_assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
+            prop_assert!(
+                e.to_string().starts_with(&format!("line {line}: ")),
+                "{}",
+                e
+            );
+        }
+        (got, want) => {
+            let got = got.map(|log| log.events.len());
+            prop_assert!(false, "read {:?}, first bad line {:?}", got, want);
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// `read_jsonl` accepts a log exactly when every quantity in it is
-    /// finite and non-negative and its committed work fits inside its one
-    /// placement, names the offending line otherwise, and the digest of
-    /// every accepted log is free of NaN with an efficiency of at most 1.
+    /// Uniformly drawn lines, hostile quantities included (see
+    /// [`check_log`]).
     #[test]
     fn hostile_logs_are_rejected_or_digest_cleanly(
         words in prop::collection::vec(0u64..u64::MAX, 0..12),
     ) {
-        let mut text = String::new();
-        let mut first_bad = None;
-        let (mut placed, mut evicted, mut committed) = (None, None, 0.0);
-        for (i, &word) in words.iter().enumerate() {
-            let (line, quantities) = hostile_line(word);
-            if first_bad.is_none()
-                && (quantities.iter().any(|v| !(v.is_finite() && *v >= 0.0))
-                    || !fits_placement(word, &quantities, &mut placed, &mut evicted, &mut committed))
-            {
-                first_bad = Some(i + 1);
-            }
-            text += &line;
-            text.push('\n');
-        }
-        match (ProcessLog::read_jsonl(text.as_bytes()), first_bad) {
-            (Ok(log), None) => {
-                prop_assert_eq!(log.events.len(), words.len());
-                let d = log.digest();
-                for v in [d.useful_seconds, d.occupied_seconds, d.megabytes, d.overhead_ratio, d.efficiency] {
-                    prop_assert!(!v.is_nan() && v >= 0.0, "digest {:?}", d);
-                }
-                prop_assert!(d.efficiency <= 1.0, "digest {:?}", d);
-            }
-            (Err(e), Some(line)) => {
-                prop_assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
-                prop_assert!(e.to_string().starts_with(&format!("line {line}: ")), "{}", e);
-            }
-            (got, want) => {
-                let got = got.map(|log| log.events.len());
-                prop_assert!(false, "read {:?}, first bad line {:?}", got, want);
-            }
-        }
+        let events: Vec<_> = words.iter().map(|&w| hostile_event(w)).collect();
+        check_log(&events)?;
+    }
+
+    /// Logs that open with a `Placed` and keep their times in order, so
+    /// commits mostly fit and early evictions reach the placement check
+    /// (see [`check_log`]).
+    #[test]
+    fn placed_logs_are_rejected_or_digest_cleanly(
+        word in 0u64..u64::MAX,
+        steps in prop::collection::vec(0u64..u64::MAX, 0..10),
+    ) {
+        check_log(&placed_log(word, &steps))?;
     }
 }

@@ -9,8 +9,9 @@
 //!
 //! * **Weighted fair lanes** ([`chs_net::Lane`]): recovery > checkpoint
 //!   \> prefetch shares of the link, served max-min fairly by
-//!   [`chs_pool::WeightedFairLink`] — the virtual-volume completion math
-//!   of `chs-pool::fabric` on a per-lane axis.
+//!   [`chs_pool::WeightedFairLink`], which runs on the virtual-volume
+//!   lane core it shares with the pool's [`chs_pool::Fabric`]: one
+//!   service integral and one finish-key heap per lane.
 //! * **Admission control** ([`chs_net::AdmissionConfig`]): new
 //!   checkpoints are *deferred* when forecast link utilization exceeds a
 //!   watermark; the client falls back to its last verified image and the

@@ -4,7 +4,8 @@
 //! Each client is a job pinned to its own emulated machine, driving a
 //! [`CycleMachine`]; every transfer attempt consults the [`FaultPlan`]
 //! and runs the retry/abandon protocol. A [`WeightedFairLink`] serves
-//! three priority lanes, checkpoint starts pass admission control, and
+//! three priority lanes and times each flow's completion on its lane's
+//! virtual-volume axis, checkpoint starts pass admission control, and
 //! retry-exhausted transfers go to the dead-letter queue with full
 //! resume state. Each client plans through chs-condor's [`MachinePlanner`].
 //!

@@ -36,9 +36,15 @@
 //! Rate changes move every deadline *in lockstep per bucket*, so no key
 //! ever needs rewriting.
 //!
-//! Departures (evictions mid-transfer) invalidate heap entries by
-//! generation counter; stale entries are discarded when they surface.
+//! The buckets are the lanes of the crate's virtual-volume lane core
+//! (`lanes`), shared with [`crate::WeightedFairLink`]: the core owns the
+//! integrals `A_k`, the per-flow rates, the heaps and the projection,
+//! and the fabric keeps the rack histogram, the water-fill and the
+//! per-rack volume axes. Departures (evictions mid-transfer) invalidate
+//! heap entries by generation counter; stale entries are discarded when
+//! they surface.
 
+use crate::lanes::{Entry, KeyHeap, Lanes};
 use crate::{PoolError, Result};
 
 /// Capacities of the symmetric two-level tree.
@@ -56,17 +62,15 @@ pub struct FabricConfig {
 
 impl FabricConfig {
     /// Check capacities are positive finite and the rack size nonzero.
+    /// The error names the first bad field.
     pub fn validate(&self) -> Result<()> {
         for (value, what) in [
-            (self.nic_mb_s, "nic rate"),
-            (self.uplink_mb_s, "uplink rate"),
-            (self.core_mb_s, "core rate"),
+            (self.nic_mb_s, "nic_mb_s must be positive and finite"),
+            (self.uplink_mb_s, "uplink_mb_s must be positive and finite"),
+            (self.core_mb_s, "core_mb_s must be positive and finite"),
         ] {
             if !(value.is_finite() && value > 0.0) {
-                let _ = what;
-                return Err(PoolError::InvalidConfig(
-                    "fabric rates must be positive and finite",
-                ));
+                return Err(PoolError::InvalidConfig(what));
             }
         }
         if self.rack_size == 0 {
@@ -78,65 +82,6 @@ impl FabricConfig {
     /// The rate one flow gets on an otherwise idle fabric.
     pub fn uncontended_mb_s(&self) -> f64 {
         self.nic_mb_s.min(self.uplink_mb_s).min(self.core_mb_s)
-    }
-}
-
-/// A flow's completion key on its rack's volume axis. Min-heap by
-/// `(key, machine)`.
-#[derive(Debug, Clone, Copy)]
-struct FlowEntry {
-    key: f64,
-    machine: u32,
-    gen: u32,
-}
-
-impl PartialEq for FlowEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-impl Eq for FlowEntry {}
-impl PartialOrd for FlowEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for FlowEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: `std::collections::BinaryHeap` is a max-heap.
-        other
-            .key
-            .total_cmp(&self.key)
-            .then(other.machine.cmp(&self.machine))
-    }
-}
-
-/// A rack's earliest completion projected onto its bucket's `A_k` axis.
-/// Min-heap by `(deadline, rack)`.
-#[derive(Debug, Clone, Copy)]
-struct RackEntry {
-    deadline: f64,
-    rack: u32,
-    gen: u32,
-}
-
-impl PartialEq for RackEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-impl Eq for RackEntry {}
-impl PartialOrd for RackEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for RackEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .deadline
-            .total_cmp(&self.deadline)
-            .then(other.rack.cmp(&self.rack))
     }
 }
 
@@ -154,21 +99,19 @@ pub struct Fabric {
     /// `A_k` snapshot at the last rebase (k = the rack's current count).
     snapshot: Vec<f64>,
     rack_gen: Vec<u32>,
-    flows: Vec<std::collections::BinaryHeap<FlowEntry>>,
+    /// The rack's flows, keyed on its volume axis by machine id.
+    flows: Vec<KeyHeap<u32>>,
 
     // Per machine.
     flow_gen: Vec<u32>,
 
-    // Per bucket k (index 0 unused).
-    /// Service integral `A_k`.
-    acc: Vec<f64>,
-    /// Rack-local per-flow cap `s_k = min(nic, uplink/k)`.
+    /// Rack-local per-flow cap `s_k = min(nic, uplink/k)` per bucket k
+    /// (bucket 0 never holds a rack).
     cap: Vec<f64>,
-    /// Racks currently holding exactly `k` active flows.
-    cnt: Vec<u32>,
-    /// Current per-flow rate `min(s_k, λ)`.
-    rate: Vec<f64>,
-    racks_by_deadline: Vec<std::collections::BinaryHeap<RackEntry>>,
+    /// One lane per bucket k: `A_k`, the per-flow rate `min(s_k, λ)`,
+    /// the racks holding exactly `k` active flows and their deadlines on
+    /// the `A_k` axis, keyed by rack id.
+    buckets: Lanes<u32>,
 
     total_flows: u64,
 }
@@ -187,25 +130,12 @@ impl Fabric {
             volume: vec![0.0; racks],
             snapshot: vec![0.0; racks],
             rack_gen: vec![0; racks],
-            flows: (0..racks)
-                .map(|_| std::collections::BinaryHeap::new())
-                .collect(),
+            flows: (0..racks).map(|_| KeyHeap::new()).collect(),
             flow_gen: vec![0; machines],
-            acc: vec![0.0; k_max + 1],
             cap: (0..=k_max)
-                .map(|k| {
-                    if k == 0 {
-                        0.0
-                    } else {
-                        config.nic_mb_s.min(config.uplink_mb_s / k as f64)
-                    }
-                })
+                .map(|k| config.nic_mb_s.min(config.uplink_mb_s / k as f64))
                 .collect(),
-            cnt: vec![0; k_max + 1],
-            rate: vec![0.0; k_max + 1],
-            racks_by_deadline: (0..=k_max)
-                .map(|_| std::collections::BinaryHeap::new())
-                .collect(),
+            buckets: Lanes::new(k_max + 1),
             total_flows: 0,
         })
     }
@@ -220,11 +150,6 @@ impl Fabric {
         self.total_flows
     }
 
-    /// Racks with at least one flow in flight.
-    pub fn active_racks(&self) -> u32 {
-        self.cnt[1..].iter().sum()
-    }
-
     /// Total racks.
     pub fn racks(&self) -> usize {
         self.active.len()
@@ -233,20 +158,17 @@ impl Fabric {
     /// Aggregate MB/s currently crossing the core.
     pub fn core_rate(&self) -> f64 {
         let mut total = 0.0;
-        for k in 1..self.cnt.len() {
-            if self.cnt[k] > 0 {
-                total += self.cnt[k] as f64 * k as f64 * self.rate[k];
-            }
-        }
+        self.for_each_active_bucket(|k, racks, rate| total += racks as f64 * k as f64 * rate);
         total
     }
 
     /// Visit every active bucket: `(flows per rack, racks, per-flow
     /// MB/s)`. The engine's time-weighted link statistics read this.
     pub fn for_each_active_bucket(&self, mut f: impl FnMut(usize, u32, f64)) {
-        for k in 1..self.cnt.len() {
-            if self.cnt[k] > 0 {
-                f(k, self.cnt[k], self.rate[k]);
+        let Lanes { count, rate, .. } = &self.buckets;
+        for k in 1..count.len() {
+            if count[k] > 0 {
+                f(k, count[k], rate[k]);
             }
         }
     }
@@ -257,11 +179,7 @@ impl Fabric {
         let dt = t - self.now;
         debug_assert!(dt >= 0.0, "fabric time must not go backwards");
         if dt > 0.0 {
-            for k in 1..self.cnt.len() {
-                if self.cnt[k] > 0 {
-                    self.acc[k] += self.rate[k] * dt;
-                }
-            }
+            self.buckets.advance(dt);
         }
         self.now = t;
     }
@@ -276,7 +194,7 @@ impl Fabric {
         if k == 0 {
             self.volume[r]
         } else {
-            self.volume[r] + (self.acc[k] - self.snapshot[r])
+            self.volume[r] + (self.buckets.acc[k] - self.snapshot[r])
         }
     }
 
@@ -289,11 +207,16 @@ impl Fabric {
         let k_old = self.active[r] as usize;
         self.rebase(r, k_old, k_old + 1);
         let v = self.volume[r];
-        self.flows[r].push(FlowEntry {
-            key: v + image_mb,
-            machine,
-            gen: self.flow_gen[machine as usize],
-        });
+        let flow_gen = &self.flow_gen;
+        self.flows[r].push(
+            Entry {
+                key: v + image_mb,
+                id: machine,
+                gen: flow_gen[machine as usize],
+            },
+            self.active[r],
+            |e| e.gen == flow_gen[e.id as usize],
+        );
         self.total_flows += 1;
         self.reindex_rack(r);
         self.resolve();
@@ -315,13 +238,14 @@ impl Fabric {
     /// Move rack `r` from bucket `k_old` to `k_new`, carrying its
     /// per-flow volume axis across the bucket change.
     fn rebase(&mut self, r: usize, k_old: usize, k_new: usize) {
+        let Lanes { acc, count, .. } = &mut self.buckets;
         if k_old > 0 {
-            self.volume[r] += self.acc[k_old] - self.snapshot[r];
-            self.cnt[k_old] -= 1;
+            self.volume[r] += acc[k_old] - self.snapshot[r];
+            count[k_old] -= 1;
         }
         if k_new > 0 {
-            self.cnt[k_new] += 1;
-            self.snapshot[r] = self.acc[k_new];
+            count[k_new] += 1;
+            self.snapshot[r] = acc[k_new];
         }
         self.active[r] = k_new as u32;
         self.rack_gen[r] = self.rack_gen[r].wrapping_add(1);
@@ -333,47 +257,32 @@ impl Fabric {
         if k == 0 {
             return;
         }
-        // Purge flows that ended while buried in the heap.
-        while let Some(head) = self.flows[r].peek() {
-            if head.gen == self.flow_gen[head.machine as usize] {
-                break;
-            }
-            self.flows[r].pop();
-        }
-        let Some(head) = self.flows[r].peek() else {
+        let flow_gen = &self.flow_gen;
+        let Some(head) = self.flows[r].head(|e| e.gen == flow_gen[e.id as usize]) else {
             debug_assert!(false, "rack with active flows has an empty flow heap");
             return;
         };
-        // Deadline on the A_k axis: the head finishes when
-        // `A_k - snapshot == head.key - volume`.
-        let deadline = head.key - self.volume[r] + self.snapshot[r];
-        let heap = &mut self.racks_by_deadline[k];
-        heap.push(RackEntry {
-            deadline,
-            rack: r as u32,
-            gen: self.rack_gen[r],
-        });
-        // Stale-entry bloat control: rebuild when mostly garbage.
-        if heap.len() > 64 && heap.len() as u32 > 4 * self.cnt[k] {
-            let live: Vec<RackEntry> = heap
-                .drain()
-                .filter(|e| e.gen == self.rack_gen[e.rack as usize])
-                .collect();
-            heap.extend(live);
-        }
+        // The rack was just rebased (`snapshot == A_k`): its head has
+        // `head.key - volume` MB left on the bucket's axis.
+        let (active, rack_gen) = (&self.active, &self.rack_gen);
+        self.buckets
+            .push(k, head.key - self.volume[r], r as u32, rack_gen[r], |e| {
+                rack_is_live(active, rack_gen, k, e)
+            });
     }
 
     /// Re-solve the core water level `λ` and refresh per-bucket rates.
     /// Water-filling over buckets in ascending per-flow cap (descending
     /// `k`): O(rack_size).
     fn resolve(&mut self) {
+        let b = &mut self.buckets;
         let core = self.config.core_mb_s;
         let mut demand = 0.0;
         let mut flows = 0.0;
-        for k in 1..self.cnt.len() {
-            if self.cnt[k] > 0 {
-                demand += self.cnt[k] as f64 * k as f64 * self.cap[k];
-                flows += self.cnt[k] as f64 * k as f64;
+        for k in 1..b.count.len() {
+            if b.count[k] > 0 {
+                demand += b.count[k] as f64 * k as f64 * self.cap[k];
+                flows += b.count[k] as f64 * k as f64;
             }
         }
         let lambda = if demand <= core {
@@ -382,11 +291,11 @@ impl Fabric {
             let mut remaining = core;
             let mut unfilled = flows;
             let mut level = 0.0;
-            for k in (1..self.cnt.len()).rev() {
-                if self.cnt[k] == 0 {
+            for k in (1..b.count.len()).rev() {
+                if b.count[k] == 0 {
                     continue;
                 }
-                let m = self.cnt[k] as f64 * k as f64;
+                let m = b.count[k] as f64 * k as f64;
                 level = remaining / unfilled;
                 if level <= self.cap[k] {
                     break;
@@ -396,8 +305,8 @@ impl Fabric {
             }
             level
         };
-        for k in 1..self.cnt.len() {
-            self.rate[k] = if self.cnt[k] > 0 {
+        for k in 1..b.count.len() {
+            b.rate[k] = if b.count[k] > 0 {
                 self.cap[k].min(lambda)
             } else {
                 0.0
@@ -408,40 +317,23 @@ impl Fabric {
     /// The earliest transfer completion anywhere: `(time, machine)`.
     /// Ties across racks break deterministically by machine id.
     pub fn next_completion(&mut self) -> Option<(f64, u32)> {
-        let mut best: Option<(f64, u32)> = None;
-        for k in 1..self.cnt.len() {
-            if self.cnt[k] == 0 {
-                continue;
-            }
-            // Purge stale rack entries off the top.
-            let rack = loop {
-                let Some(head) = self.racks_by_deadline[k].peek() else {
-                    break None;
-                };
-                if head.gen == self.rack_gen[head.rack as usize]
-                    && self.active[head.rack as usize] as usize == k
-                {
-                    break Some(*head);
-                }
-                self.racks_by_deadline[k].pop();
-            };
-            let Some(entry) = rack else { continue };
-            let rate = self.rate[k];
-            if rate <= 0.0 {
-                continue;
-            }
-            let t = self.now + ((entry.deadline - self.acc[k]) / rate).max(0.0);
-            let r = entry.rack as usize;
-            let machine = self.flows[r]
-                .peek()
-                .expect("live rack entry has a head")
-                .machine;
-            if best.is_none_or(|(bt, bm)| (t, machine) < (bt, bm)) {
-                best = Some((t, machine));
-            }
-        }
-        best
+        let (now, active, rack_gen, flows) = (self.now, &self.active, &self.rack_gen, &self.flows);
+        self.buckets.earliest(
+            |k, e| rack_is_live(active, rack_gen, k, e),
+            |e, eta| {
+                let machine = flows[e.id as usize]
+                    .peek()
+                    .expect("live rack entry has a head")
+                    .id;
+                (now + eta.max(0.0), machine)
+            },
+        )
     }
+}
+
+/// Whether a bucket-`k` heap entry is its rack's current registration.
+fn rack_is_live(active: &[u32], rack_gen: &[u32], k: usize, e: &Entry<u32>) -> bool {
+    e.gen == rack_gen[e.id as usize] && active[e.id as usize] as usize == k
 }
 
 #[cfg(test)]
@@ -463,28 +355,49 @@ mod tests {
 
     #[test]
     fn rejects_degenerate_configs() {
+        let good = FabricConfig {
+            nic_mb_s: 1.0,
+            uplink_mb_s: 1.0,
+            core_mb_s: 1.0,
+            rack_size: 4,
+        };
+        let expect_err = |config: FabricConfig, field: &str| {
+            let Err(PoolError::InvalidConfig(msg)) = Fabric::new(config, 8) else {
+                panic!("{config:?} accepted");
+            };
+            assert!(msg.starts_with(field), "{config:?}: {msg}");
+        };
         for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            assert!(Fabric::new(
+            expect_err(
                 FabricConfig {
                     nic_mb_s: bad,
-                    uplink_mb_s: 1.0,
-                    core_mb_s: 1.0,
-                    rack_size: 4,
+                    ..good
                 },
-                8,
-            )
-            .is_err());
+                "nic_mb_s",
+            );
+            expect_err(
+                FabricConfig {
+                    uplink_mb_s: bad,
+                    ..good
+                },
+                "uplink_mb_s",
+            );
+            expect_err(
+                FabricConfig {
+                    core_mb_s: bad,
+                    ..good
+                },
+                "core_mb_s",
+            );
         }
-        assert!(Fabric::new(
+        expect_err(
             FabricConfig {
-                nic_mb_s: 1.0,
-                uplink_mb_s: 1.0,
-                core_mb_s: 1.0,
                 rack_size: 0,
+                ..good
             },
-            8,
-        )
-        .is_err());
+            "rack_size",
+        );
+        assert!(Fabric::new(good, 8).is_ok());
     }
 
     #[test]

@@ -7,22 +7,19 @@
 //! heavier lane get proportionally more of the capacity `C`, flows
 //! within one lane split their lane's share equally.
 //!
-//! Completion tracking reuses [`crate::Fabric`]'s virtual-volume trick:
-//! each lane carries a service integral `A_l(t) = ∫ r_l dt` (the volume
-//! delivered to one flow of that lane so far), so a flow that starts
-//! when the integral reads `a` with `target` MB to move completes at the
-//! constant key `a + target` on the lane's volume axis — no reindexing
-//! when rates change as flows come and go. Keys sit in per-lane
-//! min-heaps; departures invalidate entries by generation and stale
-//! entries are discarded when they surface, exactly as in `fabric`.
+//! Completion tracking is the crate's virtual-volume lane core
+//! (`lanes`), shared with [`crate::Fabric`]: each priority lane is one
+//! core lane, so a flow that starts when its lane's service integral
+//! reads `a` with `target` MB to move completes at the constant key
+//! `a + target` — no reindexing when rates change as flows come and go.
+//! The link itself keeps only the weighted water level and the flow
+//! map, which holds each flow's lane and generation.
 //!
-//! Two exact-arithmetic cases matter for the repo's differential gates
-//! and are special-cased to reproduce the classic processor-sharing
-//! arithmetic bitwise:
-//!
-//! * one active lane: each flow's rate is literally `C / n` (one IEEE
-//!   divide, no weight multiplication), and
-//! * all active lanes equally weighted: `C / n_total` likewise.
+//! One exact-arithmetic case matters for the repo's differential gates
+//! and is special-cased to reproduce the classic processor-sharing
+//! arithmetic bitwise: when every active lane has the same weight (one
+//! active lane included), each flow's rate is literally `C / n_total`
+//! (one IEEE divide, no weight multiplication).
 //!
 //! In addition, a lane's integral is rebased to 0 whenever the lane
 //! empties, so the first flow on an idle lane has deadline exactly
@@ -30,44 +27,14 @@
 //! the same float operations as the frozen classic contention loop
 //! (`run_contention` in the root `tests/contention_differential.rs`).
 
+use crate::lanes::{Entry, Lanes};
 use crate::{PoolError, Result};
-use std::collections::{BinaryHeap, HashMap};
-
-/// A flow's completion key on its lane's volume axis. Min-heap by
-/// `(deadline, id)`; `BinaryHeap` is a max-heap, so the ordering is
-/// reversed.
-#[derive(Debug, Clone, Copy)]
-struct FlowEntry {
-    deadline: f64,
-    id: u64,
-    gen: u64,
-}
-
-impl PartialEq for FlowEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-impl Eq for FlowEntry {}
-impl PartialOrd for FlowEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for FlowEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .deadline
-            .total_cmp(&self.deadline)
-            .then(other.id.cmp(&self.id))
-    }
-}
+use std::collections::HashMap;
 
 /// Live registration of one flow.
 #[derive(Debug, Clone, Copy)]
 struct FlowSlot {
     lane: usize,
-    deadline: f64,
     gen: u64,
 }
 
@@ -78,13 +45,7 @@ pub struct WeightedFairLink {
     capacity: f64,
     weights: Vec<f64>,
     now: f64,
-    /// Per-lane service integral: volume delivered to one flow of the
-    /// lane since the lane's last rebase.
-    acc: Vec<f64>,
-    /// Per-flow rate in each lane under the current membership.
-    rate: Vec<f64>,
-    count: Vec<u32>,
-    heaps: Vec<BinaryHeap<FlowEntry>>,
+    lanes: Lanes<u64>,
     flows: HashMap<u64, FlowSlot>,
     next_gen: u64,
 }
@@ -101,96 +62,57 @@ impl WeightedFairLink {
         if weights.iter().any(|w| !w.is_finite() || *w <= 0.0) {
             return Err(PoolError::InvalidConfig("lane weights must be finite > 0"));
         }
-        let lanes = weights.len();
         Ok(Self {
             capacity: capacity_mb_s,
             weights: weights.to_vec(),
             now: 0.0,
-            acc: vec![0.0; lanes],
-            rate: vec![0.0; lanes],
-            count: vec![0; lanes],
-            heaps: (0..lanes).map(|_| BinaryHeap::new()).collect(),
+            lanes: Lanes::new(weights.len()),
             flows: HashMap::new(),
             next_gen: 0,
         })
     }
 
-    /// Current virtual time.
-    pub fn now(&self) -> f64 {
-        self.now
-    }
-
-    /// The link capacity, MB/s.
-    pub fn capacity(&self) -> f64 {
-        self.capacity
-    }
-
     /// Active flows in `lane`.
     pub fn count(&self, lane: usize) -> u32 {
-        self.count[lane]
+        self.lanes.count[lane]
     }
 
     /// Active flows across all lanes.
     pub fn active(&self) -> u32 {
-        self.count.iter().sum()
+        self.lanes.count.iter().sum()
     }
 
     /// The per-flow rate currently in effect in `lane` (0 when idle).
     pub fn rate(&self, lane: usize) -> f64 {
-        self.rate[lane]
+        self.lanes.rate[lane]
     }
 
-    /// Whether flow `id` is registered.
-    pub fn is_active(&self, id: u64) -> bool {
-        self.flows.contains_key(&id)
-    }
-
-    /// Recompute per-flow rates after a membership change. The two
-    /// equal-share cases use the classic single-divide arithmetic so the
-    /// manager's single-client differential gate against the classic
-    /// loop holds bitwise; the general case applies the weighted water
-    /// level.
+    /// Recompute per-flow rates after a membership change. When every
+    /// active lane has the same weight (one active lane included) each
+    /// flow gets the classic single divide `C / n`, so the manager's
+    /// single-client differential gate against the classic loop holds
+    /// bitwise; otherwise the weighted water level applies.
     /// Allocation-free: it runs on every flow start and end.
     fn resolve(&mut self) {
-        let total: u32 = self.count.iter().sum();
-        for r in self.rate.iter_mut() {
-            *r = 0.0;
-        }
-        if total == 0 {
+        let Lanes { rate, count, .. } = &mut self.lanes;
+        rate.fill(0.0);
+        let active = || (0..self.weights.len()).filter(|&l| count[l] > 0);
+        let Some(first) = active().next() else {
             return;
+        };
+        let (mut total, mut denom, mut equal) = (0, 0.0, true);
+        for l in active() {
+            total += count[l];
+            denom += count[l] as f64 * self.weights[l];
+            equal &= self.weights[l] == self.weights[first];
         }
-        let mut lanes = (0..self.weights.len()).filter(|&l| self.count[l] > 0);
-        let first = lanes.next().expect("a flow is registered");
-        let w0 = self.weights[first];
-        let (mut active, mut equal) = (1, true);
-        for l in lanes {
-            active += 1;
-            equal &= self.weights[l] == w0;
-        }
-        if active == 1 {
-            self.rate[first] = self.capacity / self.count[first] as f64;
-            return;
-        }
-        if equal {
-            let shared = self.capacity / total as f64;
-            for l in 0..self.weights.len() {
-                if self.count[l] > 0 {
-                    self.rate[l] = shared;
-                }
-            }
-            return;
-        }
-        let mut denom = 0.0;
-        for l in 0..self.weights.len() {
-            if self.count[l] > 0 {
-                denom += self.count[l] as f64 * self.weights[l];
-            }
-        }
-        let level = self.capacity / denom;
-        for l in 0..self.weights.len() {
-            if self.count[l] > 0 {
-                self.rate[l] = self.weights[l] * level;
-            }
+        let level = self.capacity / if equal { total as f64 } else { denom };
+        for l in active() {
+            rate[l] = if equal {
+                level
+            } else {
+                self.weights[l] * level
+            };
         }
     }
 
@@ -198,41 +120,24 @@ impl WeightedFairLink {
     /// active lane.
     pub fn advance_by(&mut self, dt: f64) {
         self.now += dt;
-        for l in 0..self.weights.len() {
-            if self.count[l] > 0 {
-                self.acc[l] += self.rate[l] * dt;
-            }
-        }
+        self.lanes.advance(dt);
     }
 
     /// Register flow `id` on `lane` with `target_mb` to move. Replaces
-    /// any prior registration of the same id. When the lane was idle its
-    /// volume axis is rebased to 0 first, so the flow's deadline is
+    /// any prior registration of the same id. An idle lane's volume axis
+    /// reads 0 (see [`Self::end_flow`]), so the first flow's deadline is
     /// exactly `target_mb`.
     pub fn start_flow(&mut self, id: u64, lane: usize, target_mb: f64) {
         if self.flows.contains_key(&id) {
             self.end_flow(id);
         }
-        if self.count[lane] == 0 {
-            self.acc[lane] = 0.0;
-            self.heaps[lane].clear();
-        }
         self.next_gen += 1;
-        let deadline = self.acc[lane] + target_mb;
-        self.flows.insert(
-            id,
-            FlowSlot {
-                lane,
-                deadline,
-                gen: self.next_gen,
-            },
-        );
-        self.heaps[lane].push(FlowEntry {
-            deadline,
-            id,
-            gen: self.next_gen,
-        });
-        self.count[lane] += 1;
+        let gen = self.next_gen;
+        self.flows.insert(id, FlowSlot { lane, gen });
+        self.lanes.count[lane] += 1;
+        let flows = &self.flows;
+        self.lanes
+            .push(lane, target_mb, id, gen, |e| is_live(flows, e));
         self.resolve();
     }
 
@@ -244,56 +149,32 @@ impl WeightedFairLink {
             return false;
         };
         let l = slot.lane;
-        self.count[l] -= 1;
-        if self.count[l] == 0 {
-            self.acc[l] = 0.0;
-            self.heaps[l].clear();
+        self.lanes.count[l] -= 1;
+        if self.lanes.count[l] == 0 {
+            self.lanes.acc[l] = 0.0;
+            self.lanes.heaps[l].clear();
         }
         self.resolve();
         true
     }
 
-    /// Megabytes flow `id` still has to move.
-    pub fn remaining_mb(&self, id: u64) -> Option<f64> {
-        let slot = self.flows.get(&id)?;
-        Some(slot.deadline - self.acc[slot.lane])
-    }
-
     /// The earliest projected completion across all lanes, with the
-    /// completing flow's id. Lazily purges heap entries invalidated by
-    /// [`Self::end_flow`] or re-registration. A flow completes at
+    /// completing flow's id (the least id on an exact tie). Lazily
+    /// purges heap entries invalidated by [`Self::end_flow`] or
+    /// re-registration. A flow completes at
     /// `now + (deadline − acc) / rate` if membership stays as-is; for
     /// the first flow on a rebased lane this is exactly
     /// `now + target / rate` — the classic arithmetic.
     pub fn next_completion(&mut self) -> Option<(f64, u64)> {
-        let mut best: Option<(f64, u64)> = None;
-        for l in 0..self.weights.len() {
-            if self.count[l] == 0 {
-                continue;
-            }
-            let head = loop {
-                match self.heaps[l].peek() {
-                    None => break None,
-                    Some(e) => {
-                        let live = self.flows.get(&e.id).is_some_and(|slot| slot.gen == e.gen);
-                        if live {
-                            break Some(*e);
-                        }
-                        self.heaps[l].pop();
-                    }
-                }
-            };
-            let Some(head) = head else {
-                debug_assert!(false, "lane with active flows has an empty heap");
-                continue;
-            };
-            let t = self.now + (head.deadline - self.acc[l]) / self.rate[l];
-            if best.is_none_or(|(bt, _)| t < bt) {
-                best = Some((t, head.id));
-            }
-        }
-        best
+        let (now, flows) = (self.now, &self.flows);
+        self.lanes
+            .earliest(|_, e| is_live(flows, e), |e, eta| (now + eta, e.id))
     }
+}
+
+/// Whether a heap entry is its flow's current registration.
+fn is_live(flows: &HashMap<u64, FlowSlot>, e: &Entry<u64>) -> bool {
+    flows.get(&e.id).is_some_and(|slot| slot.gen == e.gen)
 }
 
 #[cfg(test)]
@@ -353,7 +234,6 @@ mod tests {
         // A fresh flow on the re-idled lane: completion is exactly
         // now + target / rate (0.0 + x == x bitwise).
         link.start_flow(1, 0, 64.0);
-        assert_eq!(link.remaining_mb(1), Some(64.0));
         assert_eq!(link.next_completion(), Some((3.0 + 64.0 / 4.0, 1)));
     }
 
@@ -367,9 +247,9 @@ mod tests {
         let (t, id) = link.next_completion().unwrap();
         assert_eq!(id, 0);
         assert!((t - 8.0).abs() < 1e-12, "t = {t}");
-        assert!((link.remaining_mb(0).unwrap() - 6.0).abs() < 1e-12);
+        assert!(((t - 2.0) * link.rate(0) - 6.0).abs() < 1e-12);
         // Drive to the completion and swap the membership again.
-        link.advance_by(t - link.now());
+        link.advance_by(t - 2.0);
         link.end_flow(0);
         // Flow 1: moved 6 MB at 1 MB/s alongside flow 0, 14 left alone
         // at 2 MB/s → done at 8 + 7 = 15.
@@ -402,6 +282,5 @@ mod tests {
         let mut link = WeightedFairLink::new(1.0, &[1.0]).unwrap();
         assert!(link.next_completion().is_none());
         assert!(!link.end_flow(9));
-        assert!(link.remaining_mb(9).is_none());
     }
 }

@@ -25,10 +25,12 @@
 //!   `λ` depends only on the *histogram* of rack flow-counts. An
 //!   arrival/departure therefore touches its own rack plus an
 //!   O(rack_size) bucket summary — never the other 10⁶ machines.
-//! * **Virtual-volume completions** (`fabric`): per-bucket service
+//! * **Virtual-volume completions** (`lanes`): per-bucket service
 //!   integrals `A_k(t) = ∫ min(s_k, λ) dt` turn "when does this transfer
 //!   finish?" into a *constant* key in volume space, so completions sit
 //!   in ordinary heaps and survive every rate change without reindexing.
+//!   The same lane core serves [`WeightedFairLink`], the checkpoint
+//!   manager's weighted priority lanes on one link.
 //! * **Lazy workloads** (`workload`): availability segments are drawn
 //!   on demand from counter-mode splitmix64 streams keyed by stable
 //!   machine ids — no pre-generated timelines, and bitwise determinism
@@ -47,6 +49,7 @@ mod calendar;
 mod engine;
 mod fabric;
 mod fairshare;
+mod lanes;
 mod policy;
 mod stats;
 mod workload;

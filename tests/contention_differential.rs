@@ -485,7 +485,7 @@ proptest! {
     /// always: over this test's whole domain (2..=16 jobs × seeds
     /// 9000..9499, 7,500 draws) 508 draws exceed 1e-6, worst 2.57e-5,
     /// all with equal counters. The five name-seeded draws below miss
-    /// those cases (ROADMAP item 3). Over days the engines decohere by
+    /// those cases (ROADMAP item 6). Over days the engines decohere by
     /// design — that regime is covered by the aggregate-statistics gates
     /// in `pool_bench`, not by trajectory comparison.
     #[test]
