@@ -44,8 +44,8 @@ pub use planner::MeasuredCostPlanner;
 pub use predict::{predict_steady_state, SteadyStatePrediction};
 pub use schedule::{Schedule, ScheduleEntry};
 pub use store::{
-    mix64, CacheCounters, ClusterKey, CompressedPolicy, CompressionConfig, DedupKey, PolicyCache,
-    PolicyStore, StoreStats, DEFAULT_CLUSTER_QUANTUM, DEFAULT_MAX_AGE, DEFAULT_MAX_REL_ERROR,
+    mix64, CacheCounters, CompressedPolicy, CompressionConfig, PolicyCache, PolicyStore,
+    StoreStats, DEFAULT_CLUSTER_QUANTUM, DEFAULT_MAX_AGE, DEFAULT_MAX_REL_ERROR,
 };
 pub use vaidya::{CheckpointCosts, GammaAtAge, IntervalQuantities, OptimalInterval, VaidyaModel};
 

@@ -15,9 +15,13 @@
 //!   committed table stays within `max_rel_error` of the exact optimum
 //!   (asserted against dense probe grids in this crate's tests and
 //!   enforced end-to-end by the `serve_bench` gate).
-//! * [`DedupKey`] / [`PolicyCache`] — machines whose fitted parameters
-//!   agree to ~10⁻⁴ relative share one `Arc<CompressedPolicy>`; the
-//!   expensive compression runs once per distinct key.
+//! * [`PolicyCache`] — machines whose fitted parameters agree to ~10⁻⁴
+//!   relative (one dedup key) share one `Arc<CompressedPolicy>`, and
+//!   keys in one coarse parameter cell share a representative's table
+//!   once it verifies for them. [`PolicyCache::resolve`] is the one
+//!   build: the scheduler's publish and the pool's store build both
+//!   call it, and the expensive compression runs once per key it
+//!   cannot share.
 //! * [`PolicyStore`] — an immutable epoch snapshot mapping machine ids
 //!   to shared tables, answering queries by binary search over sorted
 //!   ids. Serving threads swap whole stores atomically between epochs;
@@ -28,10 +32,12 @@
 //! casing of fresh machines) while keeping day-scale ages on a log
 //! grid; memoryless fits collapse to a single flat segment.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use chs_dist::{AvailabilityModel, FittedModel};
+use rayon::prelude::*;
 use serde::Serialize;
 
 use crate::vaidya::{CheckpointCosts, VaidyaModel};
@@ -47,7 +53,7 @@ pub const DEFAULT_MAX_AGE: f64 = 30.0 * 86_400.0;
 /// kernel optimum.
 pub const DEFAULT_MAX_REL_ERROR: f64 = 1e-3;
 
-/// Knot quantization for [`DedupKey`]: natural-log parameters are
+/// Knot quantization for `DedupKey`: natural-log parameters are
 /// rounded to this many steps per unit, i.e. two models dedup when all
 /// parameters agree to ~10⁻⁴ relative. `T_opt` moves O(1·δ) under a
 /// relative parameter perturbation δ, so sharing a table across a key
@@ -56,13 +62,13 @@ pub const DEFAULT_MAX_REL_ERROR: f64 = 1e-3;
 const LN_QUANTUM: f64 = 1e4;
 
 /// Default coarse clustering cell width in natural-log parameter space
-/// (see [`ClusterKey`]): fitted models whose parameters agree to ~5·10⁻⁴
+/// (see [`PolicyCache::resolve`]): fitted models whose parameters agree to ~5·10⁻⁴
 /// relative fall in the same candidate cell and may share one table —
 /// *after* a per-member verification against the cell's representative
 /// surface ([`CompressedPolicy::acceptable_for`]). `T_opt` moves O(δ)
 /// under a relative parameter perturbation δ, so a 5·10⁻⁴ cell keeps the
 /// candidate drift inside the acceptance threshold for typical fits
-/// while being 5× coarser than the exact [`DedupKey`] quantization.
+/// while being 5× coarser than the exact dedup-key quantization.
 pub const DEFAULT_CLUSTER_QUANTUM: f64 = 5e-4;
 
 /// Fraction of [`CompressionConfig::max_rel_error`] a cluster member may
@@ -101,7 +107,7 @@ pub struct CompressionConfig {
     /// Bisection depth cap (2^depth segments worst case).
     pub max_depth: u32,
     /// Coarse clustering cell width in ln-parameter space (see
-    /// [`ClusterKey`]); `0.0` disables clustering entirely.
+    /// [`PolicyCache::resolve`]); `0.0` disables clustering entirely.
     pub cluster_quantum: f64,
 }
 
@@ -118,6 +124,7 @@ impl CompressionConfig {
     }
 
     fn validate(&self) -> Result<()> {
+        self.costs.validate()?;
         if !(self.max_age.is_finite() && self.max_age > 0.0) {
             return Err(MarkovError::InvalidParameter {
                 parameter: "max_age",
@@ -378,22 +385,15 @@ fn subdivide(
 /// to ~10⁻⁴ relative, and the cost/geometry knobs. Machines mapping to
 /// the same key share one [`CompressedPolicy`].
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct DedupKey {
+struct DedupKey {
     tag: u8,
     quantized: Vec<i64>,
 }
 
 impl DedupKey {
     /// Key for `model` compressed under `config`.
-    pub fn new(model: &FittedModel, config: &CompressionConfig) -> Self {
-        let (tag, params): (u8, Vec<f64>) = match model {
-            FittedModel::Exponential(_) => (0, vec![model.mean()]),
-            FittedModel::Weibull(w) => (1, vec![w.shape(), w.scale()]),
-            FittedModel::HyperExponential(h) => {
-                (2, h.weights().iter().chain(h.rates()).copied().collect())
-            }
-        };
-        let mut quantized: Vec<i64> = params.iter().map(|&p| quantize_ln(p)).collect();
+    fn new(model: &FittedModel, config: &CompressionConfig) -> Self {
+        let (tag, mut quantized) = quantized_params(model, 6, |ln_p| ln_p * LN_QUANTUM);
         // Geometry/cost knobs are part of the identity so one cache is
         // safe to share across differently-configured stores.
         for knob in [
@@ -410,19 +410,42 @@ impl DedupKey {
     }
 }
 
-/// Quantize a positive parameter on a relative (log) grid.
-fn quantize_ln(p: f64) -> i64 {
-    if p.is_finite() && p > 0.0 {
-        (p.ln() * LN_QUANTUM).round() as i64
-    } else {
-        i64::MIN
-    }
+/// Family tag and parameters of a fitted model quantized on a relative
+/// (log) grid, the common core of both key types: `cell` maps `ln p` to
+/// grid units before rounding, and the vector is allocated once with
+/// room for `extra` more entries.
+fn quantized_params(
+    model: &FittedModel,
+    extra: usize,
+    cell: impl Fn(f64) -> f64,
+) -> (u8, Vec<i64>) {
+    let fixed;
+    let (tag, head, tail): (u8, &[f64], &[f64]) = match model {
+        FittedModel::Exponential(_) => {
+            fixed = [model.mean(), 0.0];
+            (0, &fixed[..1], &[])
+        }
+        FittedModel::Weibull(w) => {
+            fixed = [w.shape(), w.scale()];
+            (1, &fixed, &[])
+        }
+        FittedModel::HyperExponential(h) => (2, h.weights(), h.rates()),
+    };
+    let mut quantized = Vec::with_capacity(head.len() + tail.len() + extra);
+    quantized.extend(head.iter().chain(tail).map(|&p| {
+        if p.is_finite() && p > 0.0 {
+            cell(p.ln()).round() as i64
+        } else {
+            i64::MIN
+        }
+    }));
+    (tag, quantized)
 }
 
 /// Coarse clustering cell of a fitted model: family tag plus parameters
 /// quantized to [`CompressionConfig::cluster_quantum`] in ln-space.
 ///
-/// Unlike [`DedupKey`] — whose exact ~10⁻⁴ quantization shares a table
+/// Unlike `DedupKey` — whose exact ~10⁻⁴ quantization shares a table
 /// *unconditionally* — a shared cluster cell is only a *candidate*: the
 /// first missing member of a cell becomes the representative whose
 /// table is built exactly, and every other member must pass
@@ -431,7 +454,7 @@ fn quantize_ln(p: f64) -> i64 {
 /// lets the cell be 5× coarser than the dedup grid without loosening
 /// the serving budget.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ClusterKey {
+struct ClusterKey {
     tag: u8,
     cell: Vec<i64>,
 }
@@ -439,33 +462,17 @@ pub struct ClusterKey {
 impl ClusterKey {
     /// Cell of `model` under `config`, or `None` when clustering is
     /// disabled (`cluster_quantum == 0`).
-    pub fn new(model: &FittedModel, config: &CompressionConfig) -> Option<Self> {
+    fn new(model: &FittedModel, config: &CompressionConfig) -> Option<Self> {
         let quantum = config.cluster_quantum;
         if !(quantum.is_finite() && quantum > 0.0) {
             return None;
         }
-        let (tag, params): (u8, Vec<f64>) = match model {
-            FittedModel::Exponential(_) => (0, vec![model.mean()]),
-            FittedModel::Weibull(w) => (1, vec![w.shape(), w.scale()]),
-            FittedModel::HyperExponential(h) => {
-                (2, h.weights().iter().chain(h.rates()).copied().collect())
-            }
-        };
-        let cell = params
-            .iter()
-            .map(|&p| {
-                if p.is_finite() && p > 0.0 {
-                    (p.ln() / quantum).round() as i64
-                } else {
-                    i64::MIN
-                }
-            })
-            .collect();
+        let (tag, cell) = quantized_params(model, 0, |ln_p| ln_p / quantum);
         Some(ClusterKey { tag, cell })
     }
 }
 
-/// Build-side cache: one [`CompressedPolicy`] per distinct [`DedupKey`],
+/// Build-side cache: one [`CompressedPolicy`] per distinct dedup key,
 /// shared by `Arc` across every machine (and every epoch) that maps to
 /// it. Deterministic iteration order (`BTreeMap`) so rebuild statistics
 /// are reproducible.
@@ -476,6 +483,7 @@ pub struct PolicyCache {
     hits: u64,
     builds: u64,
     shared: u64,
+    rejects: u64,
 }
 
 /// Counters of one [`PolicyCache`]: how machines were resolved across
@@ -491,73 +499,134 @@ pub struct CacheCounters {
     /// Keys resolved by *cluster sharing*: a verified alias onto another
     /// key's table instead of a build.
     pub shared: u64,
+    /// Cluster candidates whose representative's surface failed
+    /// verification and that built a private table (also in `builds`).
+    pub rejects: u64,
 }
 
 impl PolicyCache {
     /// Empty cache building tables under `config`.
-    pub fn new(config: CompressionConfig) -> Self {
-        PolicyCache {
+    ///
+    /// # Errors
+    /// [`MarkovError::InvalidParameter`] naming the first bad field of
+    /// `config` (costs included), so a bad geometry fails here rather
+    /// than at the first build.
+    pub fn new(config: CompressionConfig) -> Result<Self> {
+        config.validate()?;
+        Ok(PolicyCache {
             config,
             tables: BTreeMap::new(),
             hits: 0,
             builds: 0,
             shared: 0,
-        }
+            rejects: 0,
+        })
     }
 
-    /// The table for `model`, compressing it on first sight of its key.
+    /// One table per model, in the order of `models`, building what the
+    /// cache does not hold yet.
+    ///
+    /// The dedup keys not yet cached are taken in first-reference order
+    /// and grouped into coarse cluster cells (see `ClusterKey`); the first
+    /// key of a cell is its representative, every later one a sharing
+    /// candidate. The build then runs in three deterministic waves:
+    /// every representative and unclustered key compresses in parallel;
+    /// every candidate verifies against its representative's surface
+    /// ([`CompressedPolicy::acceptable_for`]) in parallel, sharing it when
+    /// the per-cell bound holds and building a private table otherwise;
+    /// finally the new tables are inserted sequentially in
+    /// first-reference order. Every model not behind one of this call's
+    /// builds counts as a hit, so the counters describe models, not
+    /// keys. The result is bitwise identical on any thread count.
     ///
     /// # Errors
-    /// Propagates [`CompressedPolicy::build`] failures (nothing is
-    /// cached for the failing key).
-    pub fn get_or_build(&mut self, model: &FittedModel) -> Result<Arc<CompressedPolicy>> {
-        let key = DedupKey::new(model, &self.config);
-        if let Some(table) = self.tables.get(&key) {
-            self.hits += 1;
-            return Ok(Arc::clone(table));
+    /// Propagates build and verification failures; nothing is inserted
+    /// and no counter moves.
+    pub fn resolve(&mut self, models: &[&FittedModel]) -> Result<Vec<Arc<CompressedPolicy>>> {
+        let config = self.config;
+        let keys: Vec<DedupKey> = models.iter().map(|m| DedupKey::new(m, &config)).collect();
+        let mut seen: BTreeSet<&DedupKey> = BTreeSet::new();
+        let missing: Vec<(&DedupKey, &FittedModel)> = keys
+            .iter()
+            .zip(models)
+            .filter(|(key, _)| !self.tables.contains_key(*key) && seen.insert(*key))
+            .map(|(key, model)| (key, *model))
+            .collect();
+
+        let mut rep_of_cell: BTreeMap<ClusterKey, usize> = BTreeMap::new();
+        let rep_of: Vec<Option<usize>> = missing
+            .iter()
+            .enumerate()
+            .map(|(i, (_, model))| {
+                let cell = ClusterKey::new(model, &config)?;
+                match rep_of_cell.entry(cell) {
+                    Entry::Vacant(e) => {
+                        e.insert(i);
+                        None
+                    }
+                    Entry::Occupied(e) => Some(*e.get()),
+                }
+            })
+            .collect();
+
+        // Wave 1: representatives and unclustered keys build exactly.
+        let reps: Vec<Option<Arc<CompressedPolicy>>> = (0..missing.len())
+            .into_par_iter()
+            .map(|i| {
+                rep_of[i]
+                    .is_none()
+                    .then(|| CompressedPolicy::build(missing[i].1, &config).map(Arc::new))
+                    .transpose()
+            })
+            .collect::<Result<_>>()?;
+
+        // Wave 2: candidates verify against their cell's surface; `true`
+        // marks a share, `false` a reject's private build.
+        let members: Vec<Option<(Arc<CompressedPolicy>, bool)>> = (0..missing.len())
+            .into_par_iter()
+            .map(|i| {
+                rep_of[i]
+                    .map(|rep| {
+                        let surface = reps[rep].as_ref().expect("rep built in wave 1");
+                        Ok(if surface.acceptable_for(missing[i].1, &config)? {
+                            (Arc::clone(surface), true)
+                        } else {
+                            (
+                                Arc::new(CompressedPolicy::build(missing[i].1, &config)?),
+                                false,
+                            )
+                        })
+                    })
+                    .transpose()
+            })
+            .collect::<Result<_>>()?;
+
+        // Wave 3: sequential inserts in first-reference order.
+        let builds_before = self.builds;
+        for ((key, _), (rep, member)) in missing.iter().zip(reps.into_iter().zip(members)) {
+            let table = match (rep, member) {
+                (Some(table), _) => {
+                    self.builds += 1;
+                    table
+                }
+                (None, Some((table, true))) => {
+                    self.shared += 1;
+                    table
+                }
+                (None, Some((table, false))) => {
+                    self.builds += 1;
+                    self.rejects += 1;
+                    table
+                }
+                (None, None) => unreachable!("every missing key resolves in wave 1 or 2"),
+            };
+            self.tables.insert((*key).clone(), table);
         }
-        let table = Arc::new(CompressedPolicy::build(model, &self.config)?);
-        self.builds += 1;
-        self.tables.insert(key, Arc::clone(&table));
-        Ok(table)
-    }
-
-    /// The key `model` would be cached under.
-    pub fn key(&self, model: &FittedModel) -> DedupKey {
-        DedupKey::new(model, &self.config)
-    }
-
-    /// Look up an already-built table by key (no build, no counter).
-    pub fn get(&self, key: &DedupKey) -> Option<&Arc<CompressedPolicy>> {
-        self.tables.get(key)
-    }
-
-    /// Insert an externally-built table (e.g. from a parallel build
-    /// fan-out) under `key`. First insertion wins; either way the
-    /// resident table is returned, so concurrent duplicate builds
-    /// converge on one `Arc`.
-    pub fn insert(&mut self, key: DedupKey, table: Arc<CompressedPolicy>) -> Arc<CompressedPolicy> {
-        self.builds += 1;
-        Arc::clone(self.tables.entry(key).or_insert(table))
-    }
-
-    /// Insert a *cluster-shared* alias: `key` serves from a table built
-    /// for another key in the same coarse cell (already verified via
-    /// [`CompressedPolicy::acceptable_for`]). Counted under `shared`,
-    /// not `builds` — no compression ran for this key.
-    pub fn insert_alias(
-        &mut self,
-        key: DedupKey,
-        table: Arc<CompressedPolicy>,
-    ) -> Arc<CompressedPolicy> {
-        self.shared += 1;
-        Arc::clone(self.tables.entry(key).or_insert(table))
-    }
-
-    /// Credit `n` machines resolved without build work this publish
-    /// (already-cached keys and extra machines behind a just-built key).
-    pub fn note_hits(&mut self, n: u64) {
-        self.hits += n;
+        self.hits += models.len() as u64 - (self.builds - builds_before);
+        Ok(keys
+            .iter()
+            .map(|key| Arc::clone(&self.tables[key]))
+            .collect())
     }
 
     /// Distinct tables cached so far.
@@ -570,12 +639,14 @@ impl PolicyCache {
         self.tables.is_empty()
     }
 
-    /// Lifetime resolution counters (hits / builds / cluster shares).
+    /// Lifetime resolution counters (hits / builds / cluster shares and
+    /// rejects).
     pub fn counters(&self) -> CacheCounters {
         CacheCounters {
             hits: self.hits,
             builds: self.builds,
             shared: self.shared,
+            rejects: self.rejects,
         }
     }
 
@@ -830,15 +901,62 @@ mod tests {
 
     #[test]
     fn cache_shares_tables_across_equal_models() {
-        let mut cache = PolicyCache::new(config());
+        let mut cache = PolicyCache::new(config()).unwrap();
         let a = FittedModel::Weibull(Weibull::paper_exemplar());
         let b = a.clone();
-        let ta = cache.get_or_build(&a).unwrap();
-        let tb = cache.get_or_build(&b).unwrap();
-        assert!(Arc::ptr_eq(&ta, &tb));
+        let t = cache.resolve(&[&a, &b]).unwrap();
+        assert!(Arc::ptr_eq(&t[0], &t[1]));
         assert_eq!(cache.len(), 1);
         let c = cache.counters();
-        assert_eq!((c.hits, c.builds, c.shared), (1, 1, 0));
+        assert_eq!((c.hits, c.builds, c.shared, c.rejects), (1, 1, 0, 0));
+        // A later resolve of a cached key is a pure hit on the same `Arc`.
+        let again = cache.resolve(&[&b]).unwrap();
+        assert!(Arc::ptr_eq(&again[0], &t[0]));
+        assert_eq!(cache.counters().hits, 2);
+    }
+
+    #[test]
+    fn resolve_shares_verified_cell_members_and_rejects_the_rest() {
+        let mut cfg = config();
+        cfg.cluster_quantum = 0.1;
+        let mut cache = PolicyCache::new(cfg).unwrap();
+        let weibull = |scale: f64| FittedModel::Weibull(Weibull::new(0.6, scale).unwrap());
+        // Same cell; 3e-4 off the base scale verifies, 2% off does not.
+        let (base, near, far) = (weibull(2_000.0), weibull(2_000.6), weibull(2_040.0));
+        let t = cache.resolve(&[&base, &near, &far, &base]).unwrap();
+        assert!(Arc::ptr_eq(&t[0], &t[1]));
+        assert!(!Arc::ptr_eq(&t[0], &t[2]));
+        assert!(Arc::ptr_eq(&t[0], &t[3]));
+        assert_eq!(cache.len(), 3, "the alias is its own key");
+        let c = cache.counters();
+        assert_eq!((c.hits, c.builds, c.shared, c.rejects), (2, 2, 1, 1));
+        // With clustering off every distinct key builds its own table.
+        cfg.cluster_quantum = 0.0;
+        let mut unclustered = PolicyCache::new(cfg).unwrap();
+        let t = unclustered.resolve(&[&base, &near, &far]).unwrap();
+        assert!(!Arc::ptr_eq(&t[0], &t[1]));
+        assert_eq!(unclustered.counters().builds, 3);
+    }
+
+    #[test]
+    fn failed_resolve_inserts_nothing() {
+        let mut cache = PolicyCache::new(config()).unwrap();
+        let good = FittedModel::Weibull(Weibull::paper_exemplar());
+        // No finite optimum bracket: the build fails in its first search.
+        let bad = FittedModel::Weibull(Weibull::new(1e-3, 1e-3).unwrap());
+        assert!(cache.resolve(&[&good, &bad]).is_err());
+        assert!(cache.is_empty());
+        assert_eq!(
+            cache.counters(),
+            CacheCounters {
+                hits: 0,
+                builds: 0,
+                shared: 0,
+                rejects: 0
+            }
+        );
+        cache.resolve(&[&good]).unwrap();
+        assert_eq!(cache.counters().builds, 1);
     }
 
     #[test]
@@ -852,11 +970,10 @@ mod tests {
 
     #[test]
     fn store_assembles_sorted_and_deduped() {
-        let mut cache = PolicyCache::new(config());
+        let mut cache = PolicyCache::new(config()).unwrap();
         let w = FittedModel::Weibull(Weibull::paper_exemplar());
         let e = FittedModel::Exponential(Exponential::from_mean(5_000.0).unwrap());
-        let tw = cache.get_or_build(&w).unwrap();
-        let te = cache.get_or_build(&e).unwrap();
+        let [tw, te] = <[_; 2]>::try_from(cache.resolve(&[&w, &e]).unwrap()).unwrap();
         let store = PolicyStore::assemble(
             7,
             vec![
@@ -882,11 +999,10 @@ mod tests {
 
     #[test]
     fn digest_is_input_order_invariant_and_epoch_sensitive() {
-        let mut cache = PolicyCache::new(config());
+        let mut cache = PolicyCache::new(config()).unwrap();
         let w = FittedModel::Weibull(Weibull::paper_exemplar());
         let e = FittedModel::Exponential(Exponential::from_mean(5_000.0).unwrap());
-        let tw = cache.get_or_build(&w).unwrap();
-        let te = cache.get_or_build(&e).unwrap();
+        let [tw, te] = <[_; 2]>::try_from(cache.resolve(&[&w, &e]).unwrap()).unwrap();
         let fwd = PolicyStore::assemble(1, vec![(1, te.clone()), (2, tw.clone())]).unwrap();
         let rev = PolicyStore::assemble(1, vec![(2, tw.clone()), (1, te.clone())]).unwrap();
         assert_eq!(fwd.digest(), rev.digest());

@@ -72,7 +72,7 @@ impl CheckpointCosts {
         }
     }
 
-    fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         for (name, v) in [
             ("checkpoint", self.checkpoint),
             ("recovery", self.recovery),

@@ -412,6 +412,20 @@ mod tests {
     }
 
     #[test]
+    fn overdue_completion_is_due_now_not_in_the_past() {
+        // The 512 MB flow finishes at 128 s, but time moves on to 200 s
+        // before it is ended: its completion is due now, and serving it
+        // must never step the clock backwards.
+        let mut f = fab(4.0, 100.0, 1000.0, 8, 16);
+        f.start_flow(3, 0, 512.0);
+        f.advance(200.0);
+        let (t, m) = f.next_completion().unwrap();
+        assert_eq!(m, 3);
+        assert!(t >= f.now(), "completion at {t} s before now {} s", f.now());
+        f.advance(t);
+    }
+
+    #[test]
     fn rack_uplink_is_shared_fairly() {
         // nic 10, uplink 8: two flows in one rack get 4 each.
         let mut f = fab(10.0, 8.0, 1000.0, 4, 8);

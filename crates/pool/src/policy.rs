@@ -7,8 +7,8 @@
 //!
 //! * [`StorePolicy`] — the scale path: per-machine `T_opt(age)` lookups
 //!   against a [`PolicyStore`] epoch snapshot of compressed tables,
-//!   built once by [`build_policy_store`] with the same dedup + cluster
-//!   sharing waves as `chs-sched`'s publish.
+//!   built once by [`build_policy_store`] through the same
+//!   [`PolicyCache::resolve`] as `chs-sched`'s publish.
 //! * [`AdaptiveVaidyaPolicy`] — the classic contention protocol (the
 //!   frozen `run_contention` in the root `tests/contention_differential.rs`
 //!   and the manager server's planning): every completed transfer's
@@ -22,15 +22,13 @@
 //! * [`FixedIntervalPolicy`] / [`SchedulePolicyBridge`] — deterministic
 //!   schedules for identity tests against the closed-form executor.
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use chs_dist::FittedModel;
 use chs_markov::{
-    CheckpointCosts, ClusterKey, CompressedPolicy, CompressionConfig, DedupKey,
-    MeasuredCostPlanner, PolicyCache, PolicyStore,
+    CheckpointCosts, CompressedPolicy, CompressionConfig, MeasuredCostPlanner, PolicyCache,
+    PolicyStore,
 };
-use rayon::prelude::*;
 
 use crate::{PoolError, Result};
 
@@ -159,12 +157,17 @@ pub struct StoreBuildReport {
 }
 
 /// Build a [`PolicyStore`] for `machines` machines whose availability
-/// models are `fits[stream_of(machine)]`, using the same three-wave
-/// dedup + cluster-sharing construction as the scheduler's publish:
-/// representatives build exactly in parallel, cell members verify
-/// against the shared surface (rejects fall back to private builds),
-/// and inserts happen sequentially in first-reference order so the
-/// result is bitwise identical on any thread count.
+/// models are `fits[stream_of(machine)]`, compressed at the default
+/// geometry for `costs`. The fits resolve through one fresh
+/// [`PolicyCache::resolve`] — the scheduler's publish build: dedup,
+/// verified cluster sharing and private builds for rejects, bitwise
+/// identical on any thread count — and every machine maps to its
+/// stream's table.
+///
+/// # Errors
+/// [`PoolError::Markov`] for invalid `costs` (even with no fits) or a
+/// failed build; [`PoolError::MissingPolicy`] for a machine whose
+/// stream index is not below `fits.len()`.
 pub fn build_policy_store(
     fits: &[FittedModel],
     machines: usize,
@@ -172,106 +175,24 @@ pub fn build_policy_store(
     costs: CheckpointCosts,
     epoch: u64,
 ) -> Result<(Arc<PolicyStore>, StoreBuildReport)> {
-    let compression = CompressionConfig::new(costs);
-    let mut cache = PolicyCache::new(compression);
-    let keys: Vec<DedupKey> = fits.iter().map(|m| cache.key(m)).collect();
-
-    let mut seen: BTreeSet<&DedupKey> = BTreeSet::new();
-    let mut missing: Vec<(&DedupKey, &FittedModel)> = Vec::new();
-    for (model, key) in fits.iter().zip(&keys) {
-        if cache.get(key).is_none() && seen.insert(key) {
-            missing.push((key, model));
-        }
-    }
-
-    // Coarse ln-parameter cells; the first member of a cell builds, the
-    // rest try to share its surface.
-    let mut rep_of_cell: BTreeMap<ClusterKey, usize> = BTreeMap::new();
-    let mut member_of: Vec<Option<usize>> = Vec::with_capacity(missing.len());
-    for (i, (_, model)) in missing.iter().enumerate() {
-        member_of.push(match ClusterKey::new(model, &compression) {
-            Some(cell) => match rep_of_cell.entry(cell) {
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(i);
-                    None
-                }
-                std::collections::btree_map::Entry::Occupied(e) => Some(*e.get()),
-            },
-            None => None,
-        });
-    }
-
-    let rep_tables: Vec<Option<Arc<CompressedPolicy>>> = (0..missing.len())
-        .into_par_iter()
-        .map(|i| {
-            member_of[i]
-                .is_none()
-                .then(|| CompressedPolicy::build(missing[i].1, &compression).map(Arc::new))
-                .transpose()
-        })
-        .collect::<chs_markov::Result<_>>()?;
-
-    enum Resolved {
-        Shared(Arc<CompressedPolicy>),
-        Private(Arc<CompressedPolicy>),
-    }
-    let member_tables: Vec<Option<Resolved>> = (0..missing.len())
-        .into_par_iter()
-        .map(|i| {
-            member_of[i]
-                .map(|rep| {
-                    let surface = rep_tables[rep].as_ref().expect("rep built in wave 1");
-                    if surface.acceptable_for(missing[i].1, &compression)? {
-                        Ok(Resolved::Shared(Arc::clone(surface)))
-                    } else {
-                        let private = CompressedPolicy::build(missing[i].1, &compression)?;
-                        Ok(Resolved::Private(Arc::new(private)))
-                    }
-                })
-                .transpose()
-        })
-        .collect::<chs_markov::Result<_>>()?;
-
-    let mut builds = 0u64;
-    let mut rejects = 0u64;
-    for ((key, _), (rep, member)) in missing
-        .iter()
-        .zip(rep_tables.into_iter().zip(member_tables))
-    {
-        match (rep, member) {
-            (Some(table), _) => {
-                cache.insert((*key).clone(), table);
-                builds += 1;
-            }
-            (None, Some(Resolved::Shared(table))) => {
-                cache.insert_alias((*key).clone(), table);
-            }
-            (None, Some(Resolved::Private(table))) => {
-                cache.insert((*key).clone(), table);
-                rejects += 1;
-                builds += 1;
-            }
-            (None, None) => unreachable!("every missing key resolves in wave 1 or 2"),
-        }
-    }
-
+    let mut cache = PolicyCache::new(CompressionConfig::new(costs))?;
+    let tables = cache.resolve(&fits.iter().collect::<Vec<_>>())?;
     let entries: Vec<(u64, Arc<CompressedPolicy>)> = (0..machines)
         .map(|m| {
-            let stream = stream_of(m as u32);
-            let table = cache
-                .get(&keys[stream])
+            let table = tables
+                .get(stream_of(m as u32))
                 .ok_or(PoolError::MissingPolicy { machine: m as u64 })?;
             Ok((m as u64, Arc::clone(table)))
         })
         .collect::<Result<_>>()?;
     let store = PolicyStore::assemble(epoch, entries)?;
-    let shared = cache.counters().shared;
+    let counters = cache.counters();
     let report = StoreBuildReport {
         machines,
         tables: store.stats().tables,
-        builds,
-        shared,
-        rejects,
+        builds: counters.builds,
+        shared: counters.shared,
+        rejects: counters.rejects,
     };
     Ok((Arc::new(store), report))
 }
@@ -328,6 +249,18 @@ mod tests {
             .install(|| build_policy_store(&fits, 40, |m| m as usize % 5, costs, 7))
             .unwrap();
         assert_eq!(a.digest(), b.digest());
+    }
+
+    #[test]
+    fn out_of_range_stream_is_a_missing_policy() {
+        let fits = fits(2);
+        let n = fits.len();
+        let err =
+            build_policy_store(&fits, 3, |_| n, CheckpointCosts::symmetric(110.0), 0).unwrap_err();
+        assert!(
+            matches!(err, PoolError::MissingPolicy { machine: 0 }),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -1,17 +1,15 @@
 //! The deterministic serving loop: ingest → refit → publish → query.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use chs_dist::fit::{validate_duration, RefitJob, RefitTrigger, StreamingFit, StreamingFitConfig};
 use chs_dist::FittedModel;
-use chs_markov::{
-    mix64, ClusterKey, CompressedPolicy, CompressionConfig, DedupKey, PolicyCache, PolicyStore,
-};
+use chs_markov::{mix64, CompressionConfig, PolicyCache, PolicyStore};
 use rayon::prelude::*;
 use serde::Serialize;
 
-use crate::{Result, SchedError};
+use crate::Result;
 
 /// Scheduler configuration: how machines are fitted online, how
 /// policies are compressed, and how often epochs publish.
@@ -119,23 +117,17 @@ pub struct Scheduler {
     ingested: u64,
     refits: u64,
     regime_shifts: u64,
-    cluster_rejects: u64,
 }
 
 impl Scheduler {
     /// A scheduler with no machines and an empty epoch-0 store.
     ///
     /// # Errors
-    /// [`SchedError::Dist`] / [`SchedError::Markov`] for invalid
-    /// streaming or compression configs.
+    /// [`crate::SchedError::Dist`] / [`crate::SchedError::Markov`] for
+    /// invalid streaming or compression configs.
     pub fn new(config: SchedulerConfig) -> Result<Self> {
         config.streaming.validate()?;
-        // Surface bad compression geometry now, not at first publish.
-        let probe = FittedModel::Exponential(
-            chs_dist::Exponential::from_mean(1.0).map_err(SchedError::Dist)?,
-        );
-        CompressedPolicy::build(&probe, &config.compression)?;
-        let cache = PolicyCache::new(config.compression);
+        let cache = PolicyCache::new(config.compression)?;
         Ok(Scheduler {
             config,
             machines: BTreeMap::new(),
@@ -145,7 +137,6 @@ impl Scheduler {
             ingested: 0,
             refits: 0,
             regime_shifts: 0,
-            cluster_rejects: 0,
         })
     }
 
@@ -160,7 +151,7 @@ impl Scheduler {
     /// in [`Scheduler::refit_failures`]; it is not an error here.
     ///
     /// # Errors
-    /// [`SchedError::Dist`] for non-finite/non-positive durations; the
+    /// [`crate::SchedError::Dist`] for non-finite/non-positive durations; the
     /// observation is not recorded.
     pub fn observe(&mut self, machine: u64, duration: f64) -> Result<Option<RefitTrigger>> {
         validate_duration(duration)?;
@@ -216,14 +207,10 @@ impl Scheduler {
     /// epoch. Machines still warming up (no installed fit) are absent
     /// from the epoch and their queries return `None`.
     ///
-    /// New tables build in three order-preserving deterministic waves:
-    /// first every cluster-cell representative (and unclustered key)
-    /// compresses in parallel; then the remaining cell members verify
-    /// against their representative's surface in parallel, serving from
-    /// it when the per-cell error bound holds and falling back to a
-    /// private build otherwise; finally everything is inserted in
-    /// first-reference order. Machines whose fitted parameters hit the
-    /// dedup cache share the existing `Arc` without any build. The
+    /// The fitted models, in machine-id order, go through the shared
+    /// cache's one store build ([`PolicyCache::resolve`]): cached keys
+    /// reuse their `Arc`, new keys build or share a verified cluster
+    /// representative's table in deterministic parallel waves. The
     /// assembled store is bitwise identical for any thread count.
     ///
     /// # Errors
@@ -231,116 +218,17 @@ impl Scheduler {
     /// published.
     pub fn publish(&mut self) -> Result<Arc<PolicyStore>> {
         self.flush();
-        let fitted: Vec<(u64, &FittedModel)> = self
+        let (ids, models): (Vec<u64>, Vec<&FittedModel>) = self
             .machines
             .iter()
             .filter_map(|(id, fit)| fit.model().map(|m| (*id, m)))
-            .collect();
-        let keys: Vec<DedupKey> = fitted.iter().map(|(_, m)| self.cache.key(m)).collect();
-
-        // Distinct keys not yet cached, in first-reference order over
-        // the (sorted) machines.
-        let mut seen: BTreeSet<&DedupKey> = BTreeSet::new();
-        let mut missing: Vec<(&DedupKey, &FittedModel)> = Vec::new();
-        for ((_, model), key) in fitted.iter().zip(&keys) {
-            if self.cache.get(key).is_none() && seen.insert(key) {
-                missing.push((key, model));
-            }
-        }
-        let compression = self.config.compression;
-
-        // Coarse parameter cells over the missing keys; the first
-        // missing member of a cell (first-reference order) is its
-        // representative, every later member only a sharing candidate.
-        let mut rep_of_cell: BTreeMap<ClusterKey, usize> = BTreeMap::new();
-        let mut member_of: Vec<Option<usize>> = Vec::with_capacity(missing.len());
-        for (i, (_, model)) in missing.iter().enumerate() {
-            member_of.push(match ClusterKey::new(model, &compression) {
-                Some(cell) => match rep_of_cell.entry(cell) {
-                    std::collections::btree_map::Entry::Vacant(e) => {
-                        e.insert(i);
-                        None
-                    }
-                    std::collections::btree_map::Entry::Occupied(e) => Some(*e.get()),
-                },
-                None => None,
-            });
-        }
-
-        // Wave 1: representatives and unclustered keys build exactly.
-        let rep_tables: Vec<Option<Arc<CompressedPolicy>>> = (0..missing.len())
-            .into_par_iter()
-            .map(|i| {
-                member_of[i]
-                    .is_none()
-                    .then(|| CompressedPolicy::build(missing[i].1, &compression).map(Arc::new))
-                    .transpose()
-            })
-            .collect::<chs_markov::Result<_>>()?;
-
-        // Wave 2: members verify against their cell's shared surface;
-        // rejects fall back to a private build.
-        enum Resolved {
-            Shared(Arc<CompressedPolicy>),
-            Private(Arc<CompressedPolicy>),
-        }
-        let member_tables: Vec<Option<Resolved>> = (0..missing.len())
-            .into_par_iter()
-            .map(|i| {
-                member_of[i]
-                    .map(|rep| {
-                        let surface = rep_tables[rep].as_ref().expect("rep built in wave 1");
-                        if surface.acceptable_for(missing[i].1, &compression)? {
-                            Ok(Resolved::Shared(Arc::clone(surface)))
-                        } else {
-                            let private = CompressedPolicy::build(missing[i].1, &compression)?;
-                            Ok(Resolved::Private(Arc::new(private)))
-                        }
-                    })
-                    .transpose()
-            })
-            .collect::<chs_markov::Result<_>>()?;
-
-        // Wave 3: sequential inserts in first-reference order.
-        let mut builds_this_publish = 0u64;
-        for (i, ((key, _), (rep, member))) in missing
-            .iter()
-            .zip(rep_tables.into_iter().zip(member_tables))
-            .enumerate()
-        {
-            debug_assert_eq!(rep.is_some(), member_of[i].is_none());
-            match (rep, member) {
-                (Some(table), _) => {
-                    self.cache.insert((*key).clone(), table);
-                    builds_this_publish += 1;
-                }
-                (None, Some(Resolved::Shared(table))) => {
-                    self.cache.insert_alias((*key).clone(), table);
-                }
-                (None, Some(Resolved::Private(table))) => {
-                    self.cache.insert((*key).clone(), table);
-                    self.cluster_rejects += 1;
-                    builds_this_publish += 1;
-                }
-                (None, None) => unreachable!("every missing key resolves in wave 1 or 2"),
-            }
-        }
-        // Every fitted machine not behind one of this publish's builds
-        // was resolved from cache or sharing: count it as a hit so the
-        // hits/builds counters describe machines, not just lookups.
-        self.cache
-            .note_hits(fitted.len() as u64 - builds_this_publish);
-
-        let entries: Vec<(u64, Arc<CompressedPolicy>)> = fitted
-            .iter()
-            .zip(&keys)
-            .map(|((id, _), key)| {
-                let table = self.cache.get(key).expect("inserted above");
-                (*id, Arc::clone(table))
-            })
-            .collect();
+            .unzip();
+        let tables = self.cache.resolve(&models)?;
         let epoch = self.store.epoch() + 1;
-        self.store = Arc::new(PolicyStore::assemble(epoch, entries)?);
+        self.store = Arc::new(PolicyStore::assemble(
+            epoch,
+            ids.into_iter().zip(tables).collect(),
+        )?);
         Ok(Arc::clone(&self.store))
     }
 
@@ -446,10 +334,11 @@ impl Scheduler {
     }
 
     /// Cluster-sharing candidates that failed the per-cell bound check
-    /// and fell back to a private build, across all publishes. The
-    /// accepted counterpart is [`PolicyCache::counters`]' `shared`.
+    /// and fell back to a private build, across all publishes: the
+    /// cache's `rejects` counter. The accepted counterpart is
+    /// [`PolicyCache::counters`]' `shared`.
     pub fn cluster_rejects(&self) -> u64 {
-        self.cluster_rejects
+        self.cache.counters().rejects
     }
 
     /// The shared compression cache (dedup statistics live here).
@@ -472,7 +361,7 @@ pub(crate) fn decision_seed(machine: u64, epoch: u64) -> u64 {
 mod tests {
     use super::*;
     use chs_dist::{AvailabilityModel, Exponential, ModelKind, Weibull};
-    use chs_markov::CheckpointCosts;
+    use chs_markov::{CheckpointCosts, CompressedPolicy};
     use rand::SeedableRng;
 
     fn config(kind: ModelKind) -> SchedulerConfig {
