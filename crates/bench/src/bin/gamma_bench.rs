@@ -2,9 +2,10 @@
 //! times Γ(T) probes through the kernel-based [`VaidyaModel`] (one
 //! [`ConditionedDist`] per age, monomorphized families, bits-keyed fresh
 //! memo) against a frozen copy of the pre-kernel path (per-probe
-//! [`FutureLifetime`] conditioning through `&dyn AvailabilityModel`, the
-//! old 128-entry exact-f64-key `Vec::find` fresh memo), and verifies the
-//! two paths agree on every probe.
+//! `FutureLifetime` conditioning through the per-family closed forms of
+//! chs-dist's frozen oracle `tests/frozen/conditional.rs`, the old
+//! 128-entry exact-f64-key `Vec::find` fresh memo), and verifies the two
+//! paths agree on every probe.
 //!
 //! ```text
 //! cargo run -p chs-bench --release --features bench-counters --bin gamma_bench \
@@ -42,13 +43,17 @@
 use chs_bench::harness::{best_of, finish, Gates};
 use chs_bench::{CommonArgs, TablePrinter};
 use chs_benchmark::counters;
-use chs_dist::{
-    AvailabilityModel, ConditionedDist, Exponential, FittedModel, FutureLifetime, HyperExponential,
-    Weibull,
-};
+use chs_dist::{ConditionedDist, Exponential, FittedModel, HyperExponential, Weibull};
 use chs_markov::{CheckpointCosts, VaidyaModel};
 use serde::Serialize;
 use std::cell::RefCell;
+
+// The frozen per-call conditioning path, shared with chs-dist's
+// `kernel_properties` proptests.
+#[path = "../../../dist/tests/frozen/conditional.rs"]
+mod frozen;
+
+use frozen::{Conditional, FutureLifetime};
 
 /// Checkpoint/recovery cost (the paper's C = 110 s).
 const CHECKPOINT_COST: f64 = 110.0;
@@ -60,7 +65,7 @@ type OldMemoEntry = (f64, (f64, f64));
 /// every Γ probe and the old linear-scan fresh memo, kept verbatim as the
 /// baseline the kernel layer is measured against.
 struct DynPathModel<'a> {
-    dist: &'a dyn AvailabilityModel,
+    dist: &'a dyn Conditional,
     costs: CheckpointCosts,
     /// `(entries, round-robin cursor)` — the pre-kernel 128-entry memo.
     memo: RefCell<(Vec<OldMemoEntry>, usize)>,
@@ -70,7 +75,7 @@ struct DynPathModel<'a> {
 const OLD_MEMO_CAPACITY: usize = 128;
 
 impl<'a> DynPathModel<'a> {
-    fn new(dist: &'a dyn AvailabilityModel, costs: CheckpointCosts) -> Self {
+    fn new(dist: &'a dyn Conditional, costs: CheckpointCosts) -> Self {
         Self {
             dist,
             costs,

@@ -94,27 +94,6 @@ impl AvailabilityModel for Exponential {
         -u.ln() / self.lambda
     }
 
-    fn conditional_cdf(&self, _age: f64, x: f64) -> f64 {
-        // Memoryless: F_t = F for all t.
-        self.cdf(x)
-    }
-
-    fn conditional_survival(&self, _age: f64, x: f64) -> f64 {
-        self.survival(x)
-    }
-
-    fn conditional_pdf(&self, _age: f64, x: f64) -> f64 {
-        self.pdf(x)
-    }
-
-    fn conditional_survival_integral(&self, _age: f64, a: f64) -> f64 {
-        if a <= 0.0 {
-            return 0.0;
-        }
-        // ∫₀^a e^{−λx} dx = (1 − e^{−λa}) / λ, age-independent.
-        -(-self.lambda * a).exp_m1() / self.lambda
-    }
-
     fn log_likelihood(&self, data: &[f64]) -> f64 {
         // n ln λ − λ Σx: exact closed form, avoids n pdf evaluations.
         let n = data.len() as f64;
@@ -130,6 +109,7 @@ impl AvailabilityModel for Exponential {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ConditionedDist;
     use chs_numerics::approx_eq;
     use rand::SeedableRng;
 
@@ -165,14 +145,10 @@ mod tests {
     fn memorylessness() {
         let d = exp(0.001);
         for &age in &[0.0, 100.0, 10_000.0, 1e6] {
+            let kern = ConditionedDist::new(&d, age);
             for &x in &[1.0, 500.0, 5_000.0] {
-                assert!(approx_eq(d.conditional_cdf(age, x), d.cdf(x), 1e-14, 0.0));
-                assert!(approx_eq(
-                    d.conditional_survival(age, x),
-                    d.survival(x),
-                    1e-14,
-                    0.0
-                ));
+                assert!(approx_eq(kern.cdf(x), d.cdf(x), 1e-14, 0.0));
+                assert!(approx_eq(kern.survival(x), d.survival(x), 1e-14, 0.0));
             }
         }
     }

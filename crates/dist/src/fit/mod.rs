@@ -72,19 +72,6 @@ pub fn fit_model(kind: ModelKind, data: &[f64]) -> Result<FittedModel> {
     }
 }
 
-/// Fit all four of the paper's model kinds to the same training data,
-/// in [`ModelKind::PAPER_SET`] order. Machines whose data defeats one of
-/// the estimators yield an `Err` in that slot rather than aborting the
-/// whole batch.
-pub fn fit_paper_set(data: &[f64]) -> [Result<FittedModel>; 4] {
-    [
-        fit_model(ModelKind::PAPER_SET[0], data),
-        fit_model(ModelKind::PAPER_SET[1], data),
-        fit_model(ModelKind::PAPER_SET[2], data),
-        fit_model(ModelKind::PAPER_SET[3], data),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,16 +100,6 @@ mod tests {
             let sample_mean = data.iter().sum::<f64>() / data.len() as f64;
             let ratio = m.mean() / sample_mean;
             assert!(ratio > 0.3 && ratio < 3.0, "{kind:?} mean ratio {ratio}");
-        }
-    }
-
-    #[test]
-    fn fit_paper_set_shape() {
-        let data: Vec<f64> = (1..=60).map(|i| i as f64 * 37.5).collect();
-        let fits = fit_paper_set(&data);
-        assert_eq!(fits.len(), 4);
-        for (kind, fit) in ModelKind::PAPER_SET.iter().zip(&fits) {
-            assert_eq!(fit.as_ref().unwrap().kind(), *kind);
         }
     }
 }

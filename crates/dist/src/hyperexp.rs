@@ -9,8 +9,8 @@
 //!
 //! Note on Eq. 10: the paper prints the conditional survival denominator
 //! as `Σ p_i e^{−λ_i x}`; it must be `Σ p_i e^{−λ_i t}` (survival at the
-//! conditioning age `t`). We implement the corrected form; the tests
-//! verify it against the generic Eq. 8 ratio.
+//! conditioning age `t`). [`crate::ConditionedDist`] implements the
+//! corrected form; the tests verify it against the generic Eq. 8 ratio.
 
 use crate::model::check_probability;
 use crate::{AvailabilityModel, DistError, Result};
@@ -121,26 +121,6 @@ impl HyperExponential {
             .map(|(p, l)| p * (-l * x).exp())
             .sum()
     }
-
-    /// Fold over the age-`t` conditional phase weights without
-    /// materializing them: the conditional distribution of a mixture of
-    /// exponentials given survival to `t` is *again* a mixture of
-    /// exponentials with weights `q_i ∝ p_i e^{−λ_i t}`. Computed with a
-    /// max-shift so it stays exact even when every `e^{−λ_i t}`
-    /// underflows. `f(q_unnormalized_i, λ_i)` is accumulated and the
-    /// normalizer returned alongside.
-    #[inline]
-    fn fold_conditional<F: FnMut(f64, f64)>(&self, t: f64, mut f: F) -> f64 {
-        // Shift by the smallest exponent λ_min·t so at least one term is 1.
-        let min_rate = self.rates.iter().cloned().fold(f64::INFINITY, f64::min);
-        let mut denom = 0.0;
-        for (p, l) in self.weights.iter().zip(&self.rates) {
-            let q = p * (-(l - min_rate) * t).exp();
-            denom += q;
-            f(q, *l);
-        }
-        denom
-    }
 }
 
 impl AvailabilityModel for HyperExponential {
@@ -214,56 +194,6 @@ impl AvailabilityModel for HyperExponential {
         -v.ln() / rate
     }
 
-    fn conditional_survival(&self, age: f64, x: f64) -> f64 {
-        if x <= 0.0 {
-            return 1.0;
-        }
-        if age <= 0.0 {
-            return self.survival(x);
-        }
-        // Corrected Eq. 10: Σ p_i e^{−λ_i (t+x)} / Σ p_i e^{−λ_i t},
-        // evaluated shift-stably so extreme ages don't underflow to 0/0.
-        let mut num = 0.0;
-        let denom = self.fold_conditional(age, |q, l| num += q * (-l * x).exp());
-        if denom <= 0.0 {
-            return 0.0;
-        }
-        (num / denom).clamp(0.0, 1.0)
-    }
-
-    fn conditional_cdf(&self, age: f64, x: f64) -> f64 {
-        1.0 - self.conditional_survival(age, x)
-    }
-
-    fn conditional_pdf(&self, age: f64, x: f64) -> f64 {
-        if x < 0.0 {
-            return 0.0;
-        }
-        if age <= 0.0 {
-            return self.pdf(x);
-        }
-        let denom = self.mix_survival(age);
-        if denom <= 0.0 {
-            return 0.0;
-        }
-        self.pdf(age + x) / denom
-    }
-
-    fn conditional_survival_integral(&self, age: f64, a: f64) -> f64 {
-        if a <= 0.0 {
-            return 0.0;
-        }
-        let age = age.max(0.0);
-        // ∫₀^a Σ q_i e^{−λ_i x} dx = Σ q_i (1 − e^{−λ_i a}) / λ_i,
-        // with q_i the (shift-stable) conditional phase weights.
-        let mut num = 0.0;
-        let denom = self.fold_conditional(age, |q, l| num += q * -(-l * a).exp_m1() / l);
-        if denom <= 0.0 {
-            return 0.0;
-        }
-        (num / denom).clamp(0.0, a)
-    }
-
     fn parameter_count(&self) -> usize {
         // k rates + (k − 1) free weights.
         2 * self.rates.len() - 1
@@ -273,6 +203,7 @@ impl AvailabilityModel for HyperExponential {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ConditionedDist;
     use chs_numerics::approx_eq;
     use rand::SeedableRng;
 
@@ -340,12 +271,12 @@ mod tests {
     }
 
     #[test]
-    fn conditional_matches_generic_ratio() {
+    fn conditioned_cdf_matches_generic_ratio() {
         let h = bimodal();
         for &age in &[10.0, 300.0, 3_000.0, 60_000.0] {
             for &x in &[1.0, 100.0, 10_000.0] {
                 let generic = (h.cdf(age + x) - h.cdf(age)) / (1.0 - h.cdf(age));
-                let closed = h.conditional_cdf(age, x);
+                let closed = ConditionedDist::new(&h, age).cdf(x);
                 assert!(approx_eq(generic, closed, 1e-9, 1e-11), "age={age} x={x}");
             }
         }
@@ -357,7 +288,7 @@ mod tests {
         // so the conditional survival approaches e^{−λ_slow x}.
         let h = bimodal();
         let x = 10_000.0;
-        let s = h.conditional_survival(200_000.0, x);
+        let s = ConditionedDist::new(&h, 200_000.0).survival(x);
         let slow = (-x / 30_000.0f64).exp();
         assert!(approx_eq(s, slow, 1e-3, 1e-4), "s={s} slow={slow}");
     }

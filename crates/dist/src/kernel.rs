@@ -2,36 +2,30 @@
 //! conditional future-lifetime distribution with every age-dependent
 //! invariant hoisted out of the per-probe path.
 //!
-//! The `T_opt` search evaluates Γ(T) dozens of times per conditioning
-//! age, and each Γ needs the conditional survival, CDF and survival
-//! integral at one horizon. Routed through [`FutureLifetime`] those
-//! evaluations re-derive the conditioning from scratch on every probe:
-//! the hyperexponential re-folds its posterior phase weights (a mixture
-//! of exponentials conditioned on age is *again* a mixture with the same
-//! rates and reweighted phases), and the Weibull recomputes `z_t =
-//! (t/β)^α`, `ln Γ(1/α)` and the lower incomplete-gamma endpoint — all
-//! functions of the age alone. A [`ConditionedDist`] does that work once
-//! at construction; each probe then pays only the horizon-dependent
-//! arithmetic (one `powf` + one incomplete gamma for Weibull, one
-//! `exp`/`exp_m1` pair per phase for the hyperexponential, a single
-//! `exp` for the memoryless exponential).
+//! This is the crate's one implementation of the conditional
+//! future-lifetime law `F_t` (paper Eqs. 8–10). The `T_opt` search
+//! evaluates Γ(T) dozens of times per conditioning age, and each Γ needs
+//! the conditional survival, CDF and survival integral at one horizon.
+//! Everything that depends on the age alone is derived once, at
+//! construction: the hyperexponential's posterior phase weights (a
+//! mixture of exponentials conditioned on age is *again* a mixture with
+//! the same rates and reweighted phases), and the Weibull's `z_t =
+//! (t/β)^α`, `ln Γ(1/α)` and the lower incomplete-gamma endpoint. Each
+//! probe then pays only the horizon-dependent arithmetic (one `powf` +
+//! one incomplete gamma for Weibull, one `exp`/`exp_m1` pair per phase
+//! for the hyperexponential, a single `exp` for the memoryless
+//! exponential).
 //!
 //! Dispatch is an enum monomorphized over [`FittedModel`]'s variants —
-//! no `dyn` indirection in the hot loop. A [`DistRef::Dyn`] escape hatch
-//! keeps the layer usable with foreign [`AvailabilityModel`]
-//! implementations (it conditions through the trait object, exactly as
-//! [`FutureLifetime`] does).
+//! no `dyn` indirection in the hot loop.
 //!
-//! Every kernel replicates its family's `conditional_*` arithmetic
-//! operation-for-operation — same association, same branch structure,
-//! same guard ordering — so kernel-path results are bit-identical to the
-//! [`FutureLifetime`] path wherever the original computation is reached
-//! the same way (the differential suites in `chs-dist` and `chs-markov`
-//! pin this).
-//!
-//! [`FutureLifetime`]: crate::FutureLifetime
+//! Every kernel replicates, operation for operation, the per-call
+//! arithmetic of the frozen test oracle
+//! `crates/dist/tests/frozen/conditional.rs` — same association, same
+//! branch structure, same guard ordering — so the two are bit-identical
+//! wherever a computation is reached the same way (the differential
+//! suites in `chs-dist` and `chs-markov` pin this).
 
-use crate::weibull::QTail;
 use crate::{AvailabilityModel, Exponential, FittedModel, HyperExponential, Weibull};
 
 /// Relaxed atomic counters for the benchmark harness: how many Weibull
@@ -59,10 +53,10 @@ pub mod counters {
     }
 }
 
-/// A borrowed reference to one of the three paper families, or a trait
-/// object for everything else. This is the "which family?" question
-/// answered once, so the optimizer's inner loop never asks it again.
-#[derive(Clone, Copy)]
+/// A borrowed reference to one of the three paper families. This is the
+/// "which family?" question answered once, so the optimizer's inner loop
+/// never asks it again.
+#[derive(Debug, Clone, Copy)]
 pub enum DistRef<'a> {
     /// Memoryless exponential.
     Exponential(&'a Exponential),
@@ -70,9 +64,6 @@ pub enum DistRef<'a> {
     Weibull(&'a Weibull),
     /// k-phase hyperexponential.
     HyperExponential(&'a HyperExponential),
-    /// Any other [`AvailabilityModel`]; conditioned through the trait
-    /// object like [`crate::FutureLifetime`].
-    Dyn(&'a dyn AvailabilityModel),
 }
 
 impl<'a> From<&'a Exponential> for DistRef<'a> {
@@ -103,58 +94,24 @@ impl<'a> From<&'a FittedModel> for DistRef<'a> {
     }
 }
 
-impl<'a> From<&'a dyn AvailabilityModel> for DistRef<'a> {
-    fn from(d: &'a dyn AvailabilityModel) -> Self {
-        DistRef::Dyn(d)
-    }
-}
-
-impl<'a> DistRef<'a> {
-    /// Borrow as a trait object (for the non-hot-path surface).
-    pub fn as_dyn(self) -> &'a dyn AvailabilityModel {
-        match self {
-            DistRef::Exponential(d) => d,
-            DistRef::Weibull(d) => d,
-            DistRef::HyperExponential(d) => d,
-            DistRef::Dyn(d) => d,
-        }
-    }
-
+impl DistRef<'_> {
     /// Expected lifetime `E[X]` of the underlying distribution.
     pub fn mean(self) -> f64 {
         match self {
             DistRef::Exponential(d) => d.mean(),
             DistRef::Weibull(d) => d.mean(),
             DistRef::HyperExponential(d) => d.mean(),
-            DistRef::Dyn(d) => d.mean(),
         }
     }
 
     /// Build the conditioned kernel for `age` (clamped at 0).
-    pub fn condition(self, age: f64) -> ConditionedDist<'a> {
+    pub fn condition(self, age: f64) -> ConditionedDist {
         match self {
             DistRef::Exponential(d) => ConditionedDist::Exponential(ExpKernel::new(d, age)),
             DistRef::Weibull(d) => ConditionedDist::Weibull(WeibullKernel::new(d, age)),
             DistRef::HyperExponential(d) => {
                 ConditionedDist::HyperExponential(HyperKernel::new(d, age))
             }
-            DistRef::Dyn(d) => ConditionedDist::Dyn(DynKernel {
-                model: d,
-                age: age.max(0.0),
-            }),
-        }
-    }
-}
-
-impl std::fmt::Debug for DistRef<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DistRef::Exponential(d) => f.debug_tuple("DistRef::Exponential").field(d).finish(),
-            DistRef::Weibull(d) => f.debug_tuple("DistRef::Weibull").field(d).finish(),
-            DistRef::HyperExponential(d) => {
-                f.debug_tuple("DistRef::HyperExponential").field(d).finish()
-            }
-            DistRef::Dyn(_) => f.write_str("DistRef::Dyn(..)"),
         }
     }
 }
@@ -166,12 +123,11 @@ impl std::fmt::Debug for DistRef<'_> {
 /// [`truncated_mean`](ConditionedDist::truncated_mean)) do only
 /// horizon-dependent arithmetic.
 ///
-/// The three family kernels own their (few) parameters outright, so a
-/// kernel built from a [`FittedModel`] is `'static` — it can outlive the
-/// borrow it was built from, which is what lets a policy own both its
-/// `Arc<FittedModel>` and a long-lived optimizer over it.
+/// The family kernels own their (few) parameters outright, so a kernel
+/// can outlive the borrow it was built from, which is what lets a policy
+/// own both its `Arc<FittedModel>` and a long-lived optimizer over it.
 #[derive(Debug, Clone)]
-pub enum ConditionedDist<'a> {
+pub enum ConditionedDist {
     /// Conditioned exponential (the identity: memoryless).
     Exponential(ExpKernel),
     /// Conditioned Weibull with `z_t`, `ln Γ(1/α)` and the fixed
@@ -180,26 +136,12 @@ pub enum ConditionedDist<'a> {
     /// Conditioned hyperexponential with posterior phase weights
     /// precomputed.
     HyperExponential(HyperKernel),
-    /// Conditioning through a trait object (no precomputation).
-    Dyn(DynKernel<'a>),
 }
 
-impl<'a> ConditionedDist<'a> {
+impl ConditionedDist {
     /// Condition `dist` on survival to `age` (clamped at 0).
-    pub fn new(dist: impl Into<DistRef<'a>>, age: f64) -> Self {
+    pub fn new<'a>(dist: impl Into<DistRef<'a>>, age: f64) -> Self {
         dist.into().condition(age)
-    }
-
-    /// Condition a fitted model on `age`. The result owns its
-    /// parameters, hence `'static`.
-    pub fn from_fitted(model: &FittedModel, age: f64) -> ConditionedDist<'static> {
-        match model {
-            FittedModel::Exponential(d) => ConditionedDist::Exponential(ExpKernel::new(d, age)),
-            FittedModel::Weibull(d) => ConditionedDist::Weibull(WeibullKernel::new(d, age)),
-            FittedModel::HyperExponential(d) => {
-                ConditionedDist::HyperExponential(HyperKernel::new(d, age))
-            }
-        }
     }
 
     /// The conditioning age `t`.
@@ -208,7 +150,6 @@ impl<'a> ConditionedDist<'a> {
             ConditionedDist::Exponential(k) => k.age,
             ConditionedDist::Weibull(k) => k.age,
             ConditionedDist::HyperExponential(k) => k.age,
-            ConditionedDist::Dyn(k) => k.age,
         }
     }
 
@@ -218,7 +159,6 @@ impl<'a> ConditionedDist<'a> {
             ConditionedDist::Exponential(k) => k.survival(x),
             ConditionedDist::Weibull(k) => k.survival(x),
             ConditionedDist::HyperExponential(k) => k.survival(x),
-            ConditionedDist::Dyn(k) => k.model.conditional_survival(k.age, x),
         }
     }
 
@@ -228,7 +168,6 @@ impl<'a> ConditionedDist<'a> {
             ConditionedDist::Exponential(k) => k.cdf(x),
             ConditionedDist::Weibull(k) => 1.0 - k.survival(x),
             ConditionedDist::HyperExponential(k) => 1.0 - k.survival(x),
-            ConditionedDist::Dyn(k) => k.model.conditional_cdf(k.age, x),
         }
     }
 
@@ -238,12 +177,15 @@ impl<'a> ConditionedDist<'a> {
             ConditionedDist::Exponential(k) => k.survival_integral(a),
             ConditionedDist::Weibull(k) => k.survival_integral(a),
             ConditionedDist::HyperExponential(k) => k.survival_integral(a),
-            ConditionedDist::Dyn(k) => k.model.conditional_survival_integral(k.age, a),
         }
     }
 
-    /// Truncated conditional mean `E[x | x < a]` — same identity and
-    /// guard structure as [`crate::FutureLifetime::truncated_mean`].
+    /// Truncated conditional mean `E[x | x < a]` under `F_t`, by the
+    /// integration-by-parts identity
+    /// `E[x | x < a] = (∫₀^a S_t(x) dx − a·S_t(a)) / F_t(a)`, clamped to
+    /// `[0, a]`. This is the `K02`/`K22` cost of the paper's Markov
+    /// model. Returns 0 when `a ≤ 0` or `F_t(a) = 0` (failure within `a`
+    /// is impossible, so the caller's `P·K` product is 0 either way).
     pub fn truncated_mean(&self, a: f64) -> f64 {
         self.survival_and_truncated_mean(a).1
     }
@@ -256,7 +198,6 @@ impl<'a> ConditionedDist<'a> {
             ConditionedDist::Exponential(k) => k.eval(a),
             ConditionedDist::Weibull(k) => k.eval(a),
             ConditionedDist::HyperExponential(k) => k.eval(a),
-            ConditionedDist::Dyn(k) => k.eval(a),
         }
     }
 
@@ -291,7 +232,6 @@ impl<'a> ConditionedDist<'a> {
             ConditionedDist::Exponential(k) => a.map(|ai| k.eval(ai)),
             ConditionedDist::Weibull(k) => k.eval_x4(a),
             ConditionedDist::HyperExponential(k) => k.eval_x4(a),
-            ConditionedDist::Dyn(k) => a.map(|ai| k.eval(ai)),
         }
     }
 }
@@ -453,12 +393,11 @@ impl WeibullKernel {
         self.integral_with(a, self.z_shifted(a))
     }
 
-    /// The closed-form survival integral with quadrature fallback,
-    /// mirroring `Weibull::conditional_survival_integral` branch by
-    /// branch (P form in the body, log-space Q form in the tail, the
+    /// The closed-form survival integral with quadrature fallback: the
+    /// P form in the body, the log-space Q form in the tail, the
     /// continued-fraction form where `Q(1/α, z_t)` underflows or its
     /// difference cancels, Gauss–Legendre capped at `x_lim` when no
-    /// closed form holds).
+    /// closed form holds.
     fn integral_with(&self, a: f64, zta: f64) -> f64 {
         let closed = if self.zt < 1.0 {
             self.front_p.and_then(|(front, p_lo)| {
@@ -606,6 +545,164 @@ impl WeibullKernel {
     }
 }
 
+/// The tail branch (`z_t ≥ 1`) of the conditional survival integral at
+/// one age: `e^{z_t}(β/α)Γ(1/α)[Q(1/α, z_t) − Q(1/α, z_{t+a})]`, summed
+/// in log space. Each `Q` carries the rounding of its `e^{−z}` exponent,
+/// about `ulp(z_t)` relative, so their difference keeps about
+/// `ulp(z_t)·Q/diff` relative error. Where that exceeds ~2e-10, or `Q`
+/// underflows outright, [`LogTail`] takes over. With no log form (`z_t <
+/// 1/α + 1`, or no convergence) a difference below `1e-8·Q` returns
+/// `None`, and the caller integrates by quadrature.
+#[derive(Debug, Clone, Copy)]
+struct QTail {
+    /// `s = 1/α`, the incomplete-gamma order.
+    s: f64,
+    zt: f64,
+    /// `ln Γ(1/α)`.
+    ln_g: f64,
+    /// `ln(β/α)`.
+    ln_scale_term: f64,
+    /// `Q(1/α, z_t)`.
+    q_lo: f64,
+    log: Option<LogTail>,
+}
+
+impl QTail {
+    /// Use the log form where `diff ≤ CANCELLATION · z_t · Q(1/α, z_t)`.
+    const CANCELLATION: f64 = 1e-6;
+
+    /// The age-only part at `age` (with `z_t = (age/β)^α ≥ 1`); `None` if
+    /// `Q(1/α, z_t)` fails.
+    fn new(d: &Weibull, age: f64, zt: f64, ln_g: f64) -> Option<Self> {
+        let s = 1.0 / d.shape();
+        let log = LogTail::new(d, age, zt);
+        let q_lo = match log {
+            // `reg_inc_gamma_q` on its continued-fraction branch, bit for
+            // bit, without running the fraction twice.
+            Some(tail) => (-zt + s * zt.ln() - ln_g).exp() * tail.h_lo,
+            None => chs_numerics::special::reg_inc_gamma_q(s, zt).ok()?,
+        };
+        Some(Self {
+            s,
+            zt,
+            ln_g,
+            ln_scale_term: (d.scale() / d.shape()).ln(),
+            q_lo,
+            log,
+        })
+    }
+
+    /// Whether [`QTail::integral_with`] reads `Q(1/α, z_{t+a})`: not
+    /// once `Q(1/α, z_t)` is subnormal or zero.
+    fn needs_q_hi(&self) -> bool {
+        self.q_lo >= f64::MIN_POSITIVE
+    }
+
+    /// `∫₀^a S_t(x) dx` at `zta = z_{t+a}`; `None` sends the caller to
+    /// quadrature.
+    fn integral(&self, a: f64, zta: f64) -> Option<f64> {
+        let q_hi = self
+            .needs_q_hi()
+            .then(|| chs_numerics::special::reg_inc_gamma_q(self.s, zta).ok())
+            .flatten();
+        self.integral_with(a, q_hi, || {
+            chs_numerics::special::inc_gamma_cf_factor(self.s, zta).ok()
+        })
+    }
+
+    /// [`QTail::integral`] given `q_hi = Q(1/α, z_{t+a})` (when
+    /// [`needs_q_hi`](Self::needs_q_hi); `None` if it failed) and a way to
+    /// get `h(z_{t+a})`, which runs only if the log form is taken. The
+    /// lane path passes values it computed four at a time.
+    fn integral_with(
+        &self,
+        a: f64,
+        q_hi: Option<f64>,
+        h_hi: impl FnOnce() -> Option<f64>,
+    ) -> Option<f64> {
+        if self.needs_q_hi() {
+            let diff = self.q_lo - q_hi?;
+            let cancels = diff <= Self::CANCELLATION * self.zt * self.q_lo;
+            if !cancels || self.log.is_none() {
+                if diff <= 1e-8 * self.q_lo {
+                    return None;
+                }
+                return Some((self.zt + diff.ln() + self.ln_g + self.ln_scale_term).exp());
+            }
+        }
+        Some(self.log?.integral(a, h_hi()?))
+    }
+}
+
+/// The conditional survival integral where `Q(1/α, z_t)` underflows or
+/// its difference cancels, evaluated in log space. With `s = 1/α`, `h`
+/// the continued-fraction factor of `Q(s, x) = e^{−x} x^s h(x) / Γ(s)`,
+/// `u = ln(1 + a/t)` and `Δz = z_{t+a} − z_t = z_t · expm1(α u)`,
+///
+/// ```text
+/// ∫₀^a S_t = (β/α) · exp(s ln z_t + ln h(z_t) + ln(−expm1(r)))
+/// r = −Δz + u + ln(h(z_{t+a}) / h(z_t))
+/// ```
+///
+/// `r` is the log of `Q(s, z_{t+a}) / Q(s, z_t)`, built from `expm1` and
+/// `ln1p` terms so that nothing differences two numbers near `z_t`. Its
+/// last term is about `−Δz/z_t`. Once `Δz` is tiny, the two `h` values
+/// agree to nearly every bit, and their rounding would swamp `r ≈ −Δz`.
+/// So below `Δz = 1e-4` that term is `Δz · (ln h)'(z_t)` instead, with
+/// `(ln h)' = 1 − s/x − 1/(x h)` (from `d ln Q/dx = −1/(x h)`). The
+/// dropped second-order part is below `Δz/(2 z_t²)` of `r`.
+///
+/// Everything that depends on the age alone is computed once, in
+/// [`LogTail::new`].
+#[derive(Debug, Clone, Copy)]
+struct LogTail {
+    shape: f64,
+    age: f64,
+    zt: f64,
+    /// `β/α`.
+    scale_term: f64,
+    /// `h(z_t)`.
+    h_lo: f64,
+    /// `(ln h)'(z_t)`.
+    dlnh_lo: f64,
+    /// `s ln z_t + ln h(z_t)`.
+    ln_front: f64,
+}
+
+impl LogTail {
+    /// Below this `Δz`, `ln(h(z_{t+a}) / h(z_t))` is taken to first order.
+    const LINEAR_DZ: f64 = 1e-4;
+
+    /// The age-only part at `age` (with `z_t = (age/β)^α`); `None` where
+    /// the continued fraction does not apply (`z_t < 1/α + 1`) or fails.
+    fn new(d: &Weibull, age: f64, zt: f64) -> Option<Self> {
+        let s = 1.0 / d.shape();
+        let h_lo = chs_numerics::special::inc_gamma_cf_factor(s, zt).ok()?;
+        Some(Self {
+            shape: d.shape(),
+            age,
+            zt,
+            scale_term: d.scale() / d.shape(),
+            h_lo,
+            dlnh_lo: 1.0 - s / zt - 1.0 / (zt * h_lo),
+            ln_front: s * zt.ln() + h_lo.ln(),
+        })
+    }
+
+    /// `∫₀^a S_t(x) dx` given `h_hi = h(z_{t+a})`.
+    fn integral(&self, a: f64, h_hi: f64) -> f64 {
+        let u = (a / self.age).ln_1p();
+        let dz = self.zt * (self.shape * u).exp_m1();
+        let ln_h_ratio = if dz < Self::LINEAR_DZ {
+            dz * self.dlnh_lo
+        } else {
+            (h_hi / self.h_lo).ln()
+        };
+        let r = -dz + u + ln_h_ratio;
+        self.scale_term * (self.ln_front + (-r.exp_m1()).ln()).exp()
+    }
+}
+
 /// Conditioned hyperexponential: a mixture of exponentials conditioned
 /// on age `t` is again a mixture with the same rates and posterior
 /// weights `q_i ∝ p_i e^{−λ_i t}`. The kernel stores the (unnormalized,
@@ -631,8 +728,9 @@ impl HyperKernel {
         let weights = d.weights().to_vec();
         let rates = d.rates().to_vec();
         let inv_rates: Vec<f64> = rates.iter().map(|l| 1.0 / l).collect();
-        // Same shift-stable fold as `HyperExponential::fold_conditional`:
-        // at age 0 every factor is exactly 1.0, so q == weights bitwise.
+        // Shift by the smallest exponent λ_min·t so at least one term is 1
+        // and extreme ages never underflow to 0/0; at age 0 every factor
+        // is exactly 1.0, so q == weights bitwise.
         let min_rate = rates.iter().cloned().fold(f64::INFINITY, f64::min);
         let mut denom = 0.0;
         let mut q = Vec::with_capacity(rates.len());
@@ -763,116 +861,49 @@ impl HyperKernel {
     }
 }
 
-/// Conditioning through a trait object: no precomputation, exactly the
-/// [`crate::FutureLifetime`] evaluation path.
-#[derive(Clone, Copy)]
-pub struct DynKernel<'a> {
-    model: &'a dyn AvailabilityModel,
-    age: f64,
-}
-
-impl DynKernel<'_> {
-    fn eval(&self, a: f64) -> (f64, f64) {
-        let s = self.model.conditional_survival(self.age, a);
-        if a <= 0.0 {
-            return (s, 0.0);
-        }
-        let fa = self.model.conditional_cdf(self.age, a);
-        if fa <= 0.0 {
-            return (s, 0.0);
-        }
-        let integral = self.model.conditional_survival_integral(self.age, a);
-        (s, (((integral - a * s) / fa).max(0.0)).min(a))
-    }
-}
-
-impl std::fmt::Debug for DynKernel<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DynKernel")
-            .field("age", &self.age)
-            .finish_non_exhaustive()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FutureLifetime;
+    use chs_numerics::approx_eq;
 
     fn bimodal() -> HyperExponential {
         HyperExponential::new(&[(0.7, 1.0 / 300.0), (0.3, 1.0 / 30_000.0)]).unwrap()
     }
 
-    /// The kernel path must be bit-identical to the FutureLifetime path
-    /// for the concrete families (the arithmetic is replicated
-    /// operation-for-operation).
     #[test]
-    fn kernels_bitwise_match_future_lifetime() {
-        let e = Exponential::from_mean(3_600.0).unwrap();
-        let w = Weibull::paper_exemplar();
-        let h = bimodal();
-        let models: [(&dyn AvailabilityModel, DistRef<'_>); 3] = [
-            (&e, DistRef::from(&e)),
-            (&w, DistRef::from(&w)),
-            (&h, DistRef::from(&h)),
-        ];
-        for (dyn_model, dist_ref) in models {
-            for &age in &[0.0, 1.0, 500.0, 3_409.0, 86_400.0, 1e6, 1e8, 1e10] {
-                let kern = dist_ref.condition(age);
-                let fl = FutureLifetime::new(dyn_model, age);
-                for &x in &[0.5, 10.0, 110.0, 1_234.5, 10_000.0, 250_000.0] {
-                    assert_eq!(
-                        kern.survival(x).to_bits(),
-                        fl.survival(x).to_bits(),
-                        "survival age={age} x={x}"
-                    );
-                    assert_eq!(
-                        kern.cdf(x).to_bits(),
-                        fl.cdf(x).to_bits(),
-                        "cdf age={age} x={x}"
-                    );
-                    assert_eq!(
-                        kern.survival_integral(x).to_bits(),
-                        fl.survival_integral(x).to_bits(),
-                        "integral age={age} x={x}"
-                    );
-                    assert_eq!(
-                        kern.truncated_mean(x).to_bits(),
-                        fl.truncated_mean(x).to_bits(),
-                        "truncated_mean age={age} x={x}"
-                    );
+    fn tail_q_lo_is_reg_inc_gamma_q_bitwise() {
+        // The tail end rebuilds Q(1/α, z_t) from the continued-fraction
+        // factor it keeps; it must be the library's Q bit for bit, on
+        // both sides of the series/fraction switch and past underflow.
+        for (shape, scale) in [(0.43, 3_409.0), (0.94, 1_080.0), (2.5, 50.0), (0.005, 1e3)] {
+            let w = Weibull::new(shape, scale).unwrap();
+            let s = 1.0 / shape;
+            let ln_g = chs_numerics::special::ln_gamma(s).unwrap();
+            for zt in [1.0f64, 1.5, 2.2, 3.4, 40.0, 202.0, 700.0, 745.0, 1e4] {
+                let age = scale * zt.powf(s);
+                if !age.is_finite() {
+                    continue;
                 }
+                let zt = (age / w.scale()).powf(w.shape());
+                let want = chs_numerics::special::reg_inc_gamma_q(s, zt).unwrap();
+                let tail = QTail::new(&w, age, zt, ln_g).unwrap();
+                assert_eq!(tail.q_lo.to_bits(), want.to_bits(), "α={shape} z_t={zt}");
             }
         }
     }
 
     #[test]
-    fn dyn_kernel_matches_future_lifetime() {
-        let w = Weibull::paper_exemplar();
-        let kern = ConditionedDist::new(&w as &dyn AvailabilityModel, 777.0);
-        let fl = FutureLifetime::new(&w, 777.0);
-        for &x in &[1.0, 100.0, 5_000.0] {
-            assert_eq!(kern.survival(x).to_bits(), fl.survival(x).to_bits());
-            assert_eq!(
-                kern.truncated_mean(x).to_bits(),
-                fl.truncated_mean(x).to_bits()
-            );
-        }
-    }
-
-    #[test]
-    fn from_fitted_is_static_and_concrete() {
-        let kern: ConditionedDist<'static> = {
+    fn fitted_kernel_outlives_its_borrow_and_is_concrete() {
+        let kern = {
             let m = FittedModel::Weibull(Weibull::paper_exemplar());
-            ConditionedDist::from_fitted(&m, 500.0)
+            ConditionedDist::new(&m, 500.0)
         };
         // The borrow of `m` ended above; the kernel still evaluates.
         assert!(matches!(kern, ConditionedDist::Weibull(_)));
         let w = Weibull::paper_exemplar();
-        let fl = FutureLifetime::new(&w, 500.0);
         assert_eq!(
             kern.survival(1_000.0).to_bits(),
-            fl.survival(1_000.0).to_bits()
+            ConditionedDist::new(&w, 500.0).survival(1_000.0).to_bits()
         );
     }
 
@@ -884,36 +915,6 @@ mod tests {
             let (s, tm) = kern.survival_and_truncated_mean(a);
             assert_eq!(s.to_bits(), kern.survival(a).to_bits());
             assert_eq!(tm.to_bits(), kern.truncated_mean(a).to_bits());
-        }
-    }
-
-    /// Ages where `z_t` passes ~708 make `Q(1/α, z_t)` subnormal: a
-    /// closed form that differences two such near-ulp quantities returns
-    /// finite garbage (~10% errors in Γ, visible as branch-hopping
-    /// `T_opt(age)`). Those ages take the log-space form built from the
-    /// continued-fraction factors instead, which must agree with a fine
-    /// quadrature of the stable survival ratio.
-    #[test]
-    fn subnormal_tail_q_takes_quadrature_not_garbage() {
-        // A fleet fit that reproduced the glitch: z_t ≈ 744.6 here.
-        let w = Weibull::new(0.9387113626453845, 1080.429178916454).unwrap();
-        let age = 1_238_663.234801525;
-        let kern = ConditionedDist::new(&w, age);
-        let fl = FutureLifetime::new(&w, age);
-        for &a in &[500.0, 1_000.0, 2_000.0, 5_000.0, 20_000.0] {
-            let got = kern.survival_integral(a);
-            let reference = chs_numerics::quadrature::composite_gauss_legendre(
-                |x| kern.survival(x),
-                0.0,
-                a,
-                256,
-            );
-            assert!(
-                (got / reference - 1.0).abs() < 1e-6,
-                "a={a}: kernel {got} vs reference {reference}"
-            );
-            // The trait path must agree bitwise (same guard, same fallback).
-            assert_eq!(got.to_bits(), fl.survival_integral(a).to_bits(), "a={a}");
         }
     }
 
@@ -963,7 +964,7 @@ mod tests {
     }
 
     /// Lane batches must match four scalar evaluations bit for bit.
-    fn assert_x4_bitwise(kern: &ConditionedDist<'_>, batch: [f64; 4]) {
+    fn assert_x4_bitwise(kern: &ConditionedDist, batch: [f64; 4]) {
         let lanes = kern.survival_and_truncated_mean_x4(batch);
         for l in 0..4 {
             let (s, tm) = kern.survival_and_truncated_mean(batch[l]);
@@ -1004,33 +1005,113 @@ mod tests {
         }
     }
 
-    /// Just short of the underflow (z_t = 701), `Q(1/α, z_t)` is normal,
-    /// but each Q carries about ulp(z_t) of rounding from its `e^{−z}`.
-    /// For a horizon of a second the difference cancels to ~5e-4 of Q,
-    /// which would leave ~1e-10 error or more; such probes take the log
-    /// form too, while longer horizons keep the plain difference. Lanes
-    /// that mix the two stay bitwise.
     #[test]
-    fn cancelling_q_difference_takes_the_log_form() {
-        let w = Weibull::new(0.9387113626453845, 1080.429178916454).unwrap();
-        let age = w.scale() * 701f64.powf(1.0 / w.shape());
-        let kern = ConditionedDist::new(&w, age);
-        let fl = FutureLifetime::new(&w, age);
-        for a in [0.5, 1.0, 2.0, 5.0] {
-            let got = kern.survival_integral(a);
-            let reference = chs_numerics::quadrature::composite_gauss_legendre(
-                |x| kern.survival(x),
-                0.0,
-                a,
-                256,
-            );
-            assert!(
-                (got / reference - 1.0).abs() < 1e-10,
-                "a={a}: kernel {got} vs reference {reference}"
-            );
-            assert_eq!(got.to_bits(), fl.survival_integral(a).to_bits(), "a={a}");
+    fn age_zero_equals_unconditional() {
+        let w = Weibull::paper_exemplar();
+        let kern = ConditionedDist::new(&w, 0.0);
+        for &x in &[1.0, 100.0, 10_000.0] {
+            assert!(approx_eq(kern.cdf(x), w.cdf(x), 1e-13, 1e-14));
         }
-        assert_x4_bitwise(&kern, [1.0, 950.0, 2.0, 20_000.0]);
+    }
+
+    #[test]
+    fn exponential_truncated_mean_closed_form() {
+        // E[x | x < a] = 1/λ − a e^{−λa} / (1 − e^{−λa})
+        let e = Exponential::new(0.01).unwrap();
+        let kern = ConditionedDist::new(&e, 1_234.0); // age irrelevant
+        for &a in &[10.0, 100.0, 1_000.0] {
+            let la: f64 = 0.01 * a;
+            let expected = 100.0 - a * (-la).exp() / (1.0 - (-la).exp());
+            let got = kern.truncated_mean(a);
+            assert!(
+                approx_eq(got, expected, 1e-7, 1e-8),
+                "a={a} got={got} want={expected}"
+            );
+        }
+    }
+
+    #[test]
+    fn truncated_mean_below_truncation_point() {
+        let h = bimodal();
+        for &age in &[0.0, 500.0, 20_000.0] {
+            let kern = ConditionedDist::new(&h, age);
+            for &a in &[50.0, 600.0, 10_000.0] {
+                let m = kern.truncated_mean(a);
+                assert!(m > 0.0 && m < a, "age={age} a={a} m={m}");
+            }
+        }
+    }
+
+    #[test]
+    fn truncated_mean_approaches_conditional_mean() {
+        // As a → ∞ the truncated mean approaches the full conditional mean;
+        // for the exponential that is 1/λ by memorylessness.
+        let e = Exponential::new(0.002).unwrap();
+        let m = ConditionedDist::new(&e, 777.0).truncated_mean(50_000.0);
+        assert!(approx_eq(m, 500.0, 1e-4, 0.1), "m={m}");
+    }
+
+    #[test]
+    fn truncated_mean_zero_cases() {
+        let w = Weibull::paper_exemplar();
+        let kern = ConditionedDist::new(&w, 10.0);
+        assert_eq!(kern.truncated_mean(0.0), 0.0);
+        assert_eq!(kern.truncated_mean(-5.0), 0.0);
+    }
+
+    #[test]
+    fn survival_integral_closed_forms_match_quadrature() {
+        // Every family's closed form must agree with brute-force
+        // integration of its conditional survival.
+        let w = Weibull::paper_exemplar();
+        let w2 = Weibull::new(2.2, 800.0).unwrap();
+        let e = Exponential::new(0.003).unwrap();
+        let h = bimodal();
+        let models = [
+            DistRef::from(&w),
+            DistRef::from(&w2),
+            DistRef::from(&e),
+            DistRef::from(&h),
+        ];
+        for (mi, m) in models.into_iter().enumerate() {
+            for &age in &[0.0, 50.0, 2_000.0, 40_000.0] {
+                let kern = m.condition(age);
+                for &a in &[5.0, 160.0, 4_000.0, 60_000.0] {
+                    let closed = kern.survival_integral(a);
+                    let brute = chs_numerics::quadrature::adaptive_simpson(
+                        |x| kern.survival(x),
+                        0.0,
+                        a,
+                        1e-10 * a,
+                    )
+                    .unwrap();
+                    assert!(
+                        (closed - brute).abs() < 1e-6 * brute.max(1.0),
+                        "model {mi} age={age} a={a}: closed {closed} vs brute {brute}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn survival_integral_extreme_age_stable() {
+        // Deep-tail ages: the closed forms (or their fallbacks) must stay
+        // finite, positive, and bounded by a.
+        let w = Weibull::paper_exemplar();
+        let h = HyperExponential::new(&[(0.9, 0.01), (0.1, 1e-5)]).unwrap();
+        for &age in &[1e6, 1e8, 1e10] {
+            for m in [DistRef::from(&w), DistRef::from(&h)] {
+                let v = m.condition(age).survival_integral(1_000.0);
+                assert!(
+                    v.is_finite() && (0.0..=1_000.0).contains(&v),
+                    "age={age} v={v}"
+                );
+                // At these ages both distributions are dominated by their
+                // flattest regime, so survival over 1000 s is near-certain.
+                assert!(v > 500.0, "age={age} v={v}");
+            }
+        }
     }
 
     #[test]

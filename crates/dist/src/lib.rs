@@ -12,12 +12,15 @@
 //! * [`Exponential`], [`Weibull`], [`HyperExponential`] — the three
 //!   families with full pdf/cdf/survival/hazard/mean/quantile/sampling
 //!   support.
-//! * [`AvailabilityModel`] — the object-safe trait the Markov model
-//!   consumes, including the conditional (age-`t`) forms.
-//! * [`FutureLifetime`] — a distribution view conditioned on observed age.
-//! * [`ConditionedDist`] / [`DistRef`] — per-family age-conditioned
-//!   evaluation kernels with the conditioning invariants precomputed,
-//!   monomorphized over the families for the optimizer's hot loop.
+//! * [`AvailabilityModel`] — the object-safe trait for the unconditional
+//!   law: density, CDF, survival, hazard, mean, quantile, sampling and
+//!   likelihood.
+//! * [`ConditionedDist`] / [`DistRef`] — the one age-conditioned
+//!   implementation of the future-lifetime law (Eqs. 8–10): per-family
+//!   kernels with the conditioning invariants precomputed, monomorphized
+//!   over the families for the optimizer's hot loop. The per-call path
+//!   they replaced is a frozen test oracle in
+//!   `crates/dist/tests/frozen/conditional.rs`.
 //! * [`fit`] — maximum-likelihood fitting (closed-form exponential,
 //!   profile-likelihood Newton for Weibull) and mixture-of-exponentials EM
 //!   for hyperexponentials (the EMPht substitute).
@@ -28,7 +31,6 @@
 
 #![deny(missing_docs)]
 
-mod conditional;
 mod exponential;
 pub mod fit;
 pub mod gof;
@@ -38,7 +40,6 @@ mod lognormal;
 mod model;
 mod weibull;
 
-pub use conditional::FutureLifetime;
 pub use exponential::Exponential;
 pub use hyperexp::HyperExponential;
 #[cfg(feature = "bench-counters")]

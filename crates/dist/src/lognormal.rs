@@ -316,17 +316,4 @@ mod tests {
         assert!(fit_lognormal(&[]).is_err());
         assert!(fit_lognormal(&[1.0, -1.0]).is_err());
     }
-
-    #[test]
-    fn conditional_machinery_works_via_defaults() {
-        // LogNormal relies on the trait's generic conditional forms; they
-        // must satisfy the semigroup property.
-        let d = ln(7.0, 1.0);
-        let s_two = d.conditional_survival(500.0, 300.0) * d.conditional_survival(800.0, 700.0);
-        let s_one = d.conditional_survival(500.0, 1_000.0);
-        assert!(approx_eq(s_two, s_one, 1e-9, 1e-10), "{s_two} vs {s_one}");
-        // And the survival integral default (quadrature) stays in bounds.
-        let i = d.conditional_survival_integral(1_000.0, 2_000.0);
-        assert!(i > 0.0 && i <= 2_000.0);
-    }
 }

@@ -2,16 +2,19 @@
 //! carries a fitted distribution through the scheduler, simulator and
 //! experiment harness.
 
-use crate::{DistError, Exponential, FutureLifetime, HyperExponential, Result, Weibull};
+use crate::{DistError, Exponential, HyperExponential, Result, Weibull};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
-/// Behaviour required of a machine-availability lifetime distribution.
+/// Behaviour required of a machine-availability lifetime distribution:
+/// the unconditional law, sampling, and the likelihood the fitting and
+/// goodness-of-fit code scores.
 ///
-/// The trait is object-safe (`&dyn AvailabilityModel`) so the Markov model
-/// can be written once against any family. Conditional forms default to
-/// the generic ratio of Eq. 8 but each family overrides them with its
-/// closed form (Eqs. 9–10) for accuracy in the deep tail.
+/// The trait is object-safe (`&dyn AvailabilityModel`), so trace
+/// generators and goodness-of-fit reports take any family. The Markov
+/// model does not consume it: it conditions on age through
+/// [`crate::ConditionedDist`], which carries each paper family's closed
+/// form (Eqs. 8–10).
 pub trait AvailabilityModel {
     /// Probability density `f(x)`; 0 for `x < 0`.
     fn pdf(&self, x: f64) -> f64;
@@ -43,72 +46,6 @@ pub trait AvailabilityModel {
 
     /// Draw one lifetime using the supplied RNG.
     fn sample(&self, rng: &mut dyn RngCore) -> f64;
-
-    /// Conditional CDF of the *future* lifetime given the resource has
-    /// already been available `age` seconds (paper Eq. 8):
-    /// `F_age(x) = (F(age + x) − F(age)) / (1 − F(age))`.
-    fn conditional_cdf(&self, age: f64, x: f64) -> f64 {
-        if x <= 0.0 {
-            return 0.0;
-        }
-        let s_age = self.survival(age);
-        if s_age <= 0.0 {
-            // The model says survival to `age` was impossible; treat the
-            // resource as already failed.
-            return 1.0;
-        }
-        ((self.cdf(age + x) - self.cdf(age)) / s_age).clamp(0.0, 1.0)
-    }
-
-    /// Conditional survival `S_age(x) = S(age + x) / S(age)`; overridden
-    /// with cancellation-free forms per family.
-    fn conditional_survival(&self, age: f64, x: f64) -> f64 {
-        if x <= 0.0 {
-            return 1.0;
-        }
-        let s_age = self.survival(age);
-        if s_age <= 0.0 {
-            return 0.0;
-        }
-        (self.survival(age + x) / s_age).clamp(0.0, 1.0)
-    }
-
-    /// Conditional density `f_age(x) = f(age + x) / S(age)`.
-    fn conditional_pdf(&self, age: f64, x: f64) -> f64 {
-        if x < 0.0 {
-            return 0.0;
-        }
-        let s_age = self.survival(age);
-        if s_age <= 0.0 {
-            return 0.0;
-        }
-        self.pdf(age + x) / s_age
-    }
-
-    /// `∫₀^a S_age(x) dx` — the integral of the conditional survival over
-    /// `[0, a]`. This is the workhorse of the Markov model's truncated
-    /// means (`E[x | x < a] = (∫₀^a S_t − a·S_t(a)) / F_t(a)`), so each
-    /// family overrides it with a closed form; the default integrates the
-    /// conditional survival numerically.
-    fn conditional_survival_integral(&self, age: f64, a: f64) -> f64 {
-        if a <= 0.0 {
-            return 0.0;
-        }
-        chs_numerics::quadrature::adaptive_simpson(
-            |x| self.conditional_survival(age, x),
-            0.0,
-            a,
-            1e-10 * a.max(1.0),
-        )
-        .unwrap_or_else(|_| {
-            chs_numerics::quadrature::composite_gauss_legendre(
-                |x| self.conditional_survival(age, x),
-                0.0,
-                a,
-                64,
-            )
-        })
-    }
 
     /// Log-likelihood of an i.i.d. sample under this model.
     fn log_likelihood(&self, data: &[f64]) -> f64 {
@@ -211,11 +148,6 @@ impl FittedModel {
             FittedModel::HyperExponential(m) => m,
         }
     }
-
-    /// View of the distribution conditioned on an observed age.
-    pub fn future_lifetime(&self, age: f64) -> FutureLifetime<'_> {
-        FutureLifetime::new(self.as_model(), age)
-    }
 }
 
 macro_rules! delegate {
@@ -249,18 +181,6 @@ impl AvailabilityModel for FittedModel {
     }
     fn sample(&self, rng: &mut dyn RngCore) -> f64 {
         delegate!(self, sample, rng)
-    }
-    fn conditional_cdf(&self, age: f64, x: f64) -> f64 {
-        delegate!(self, conditional_cdf, age, x)
-    }
-    fn conditional_survival(&self, age: f64, x: f64) -> f64 {
-        delegate!(self, conditional_survival, age, x)
-    }
-    fn conditional_pdf(&self, age: f64, x: f64) -> f64 {
-        delegate!(self, conditional_pdf, age, x)
-    }
-    fn conditional_survival_integral(&self, age: f64, a: f64) -> f64 {
-        delegate!(self, conditional_survival_integral, age, a)
     }
     fn parameter_count(&self) -> usize {
         delegate!(self, parameter_count,)

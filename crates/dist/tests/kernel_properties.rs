@@ -1,16 +1,24 @@
 //! Property tests for the conditioned-evaluation kernel layer: across
 //! randomly drawn family parameters, conditioning ages, and horizons, the
-//! [`ConditionedDist`] kernels must reproduce the [`FutureLifetime`]
-//! reference path — conditional survival, CDF, survival integral, and
-//! truncated mean — to ≤ 1e-12 relative (they are in fact bitwise equal;
-//! the relative gate is the documented contract). A deep-tail suite pins
-//! the Weibull survival integral where `Q(1/α, z_t)` underflows against
-//! a fine quadrature.
+//! [`ConditionedDist`] kernels must reproduce the frozen per-call
+//! `FutureLifetime` path (`frozen/conditional.rs`) — conditional
+//! survival, CDF, survival integral, and truncated mean — to ≤ 1e-12
+//! relative (they are in fact bitwise equal; the relative gate is the
+//! documented contract). A deep-tail suite pins the Weibull survival
+//! integral where `Q(1/α, z_t)` underflows against a fine quadrature.
 
-use chs_dist::{
-    AvailabilityModel, ConditionedDist, Exponential, FutureLifetime, HyperExponential, Weibull,
-};
+use chs_dist::{ConditionedDist, DistRef, Exponential, HyperExponential, Weibull};
 use proptest::prelude::*;
+
+// The frozen per-call conditioning path (verbatim).
+#[path = "frozen/conditional.rs"]
+mod frozen;
+
+use frozen::{Conditional, FutureLifetime};
+
+fn bimodal() -> HyperExponential {
+    HyperExponential::new(&[(0.7, 1.0 / 300.0), (0.3, 1.0 / 30_000.0)]).unwrap()
+}
 
 /// `a ≡ b` to 1e-12 relative, with an exact short-circuit so zeros and
 /// infinities compare cleanly.
@@ -19,12 +27,7 @@ fn close(a: f64, b: f64) -> bool {
 }
 
 /// Compare all four conditioned quantities at one (age, horizon) pair.
-fn assert_kernel_matches(
-    dist: &dyn AvailabilityModel,
-    kernel: &ConditionedDist<'_>,
-    age: f64,
-    x: f64,
-) {
+fn assert_kernel_matches(dist: &dyn Conditional, kernel: &ConditionedDist, age: f64, x: f64) {
     let reference = FutureLifetime::new(dist, age);
     let pairs = [
         ("survival", kernel.survival(x), reference.survival(x)),
@@ -51,11 +54,116 @@ fn assert_kernel_matches(
 /// `∫₀^a S_t` by 256-panel Gauss–Legendre over the conditioned survival,
 /// cut where `S_t < e^{−40}` (beyond it the remainder is below 1e-17 of
 /// the integral).
-fn deep_tail_reference(d: &Weibull, kernel: &ConditionedDist<'_>, a: f64) -> f64 {
+fn deep_tail_reference(d: &Weibull, kernel: &ConditionedDist, a: f64) -> f64 {
     let age = kernel.age();
     let zt = (age / d.scale()).powf(d.shape());
     let cut = d.scale() * (zt + 40.0).powf(1.0 / d.shape()) - age;
     chs_numerics::quadrature::composite_gauss_legendre(|x| kernel.survival(x), 0.0, a.min(cut), 256)
+}
+
+/// The kernel path must be bit-identical to the frozen `FutureLifetime`
+/// path for the concrete families (the arithmetic is replicated
+/// operation-for-operation).
+#[test]
+fn kernels_bitwise_match_future_lifetime() {
+    let e = Exponential::from_mean(3_600.0).unwrap();
+    let w = Weibull::paper_exemplar();
+    let h = bimodal();
+    let models: [(&dyn Conditional, DistRef<'_>); 3] = [
+        (&e, DistRef::from(&e)),
+        (&w, DistRef::from(&w)),
+        (&h, DistRef::from(&h)),
+    ];
+    for (dyn_model, dist_ref) in models {
+        for &age in &[0.0, 1.0, 500.0, 3_409.0, 86_400.0, 1e6, 1e8, 1e10] {
+            let kern = dist_ref.condition(age);
+            let fl = FutureLifetime::new(dyn_model, age);
+            for &x in &[0.5, 10.0, 110.0, 1_234.5, 10_000.0, 250_000.0] {
+                assert_eq!(
+                    kern.survival(x).to_bits(),
+                    fl.survival(x).to_bits(),
+                    "survival age={age} x={x}"
+                );
+                assert_eq!(
+                    kern.cdf(x).to_bits(),
+                    fl.cdf(x).to_bits(),
+                    "cdf age={age} x={x}"
+                );
+                assert_eq!(
+                    kern.survival_integral(x).to_bits(),
+                    fl.survival_integral(x).to_bits(),
+                    "integral age={age} x={x}"
+                );
+                assert_eq!(
+                    kern.truncated_mean(x).to_bits(),
+                    fl.truncated_mean(x).to_bits(),
+                    "truncated_mean age={age} x={x}"
+                );
+            }
+        }
+    }
+}
+
+/// Ages where `z_t` passes ~708 make `Q(1/α, z_t)` subnormal: a
+/// closed form that differences two such near-ulp quantities returns
+/// finite garbage (~10% errors in Γ, visible as branch-hopping
+/// `T_opt(age)`). Those ages take the log-space form built from the
+/// continued-fraction factors instead, which must agree with a fine
+/// quadrature of the stable survival ratio.
+#[test]
+fn subnormal_tail_q_takes_quadrature_not_garbage() {
+    // A fleet fit that reproduced the glitch: z_t ≈ 744.6 here.
+    let w = Weibull::new(0.9387113626453845, 1080.429178916454).unwrap();
+    let age = 1_238_663.234801525;
+    let kern = ConditionedDist::new(&w, age);
+    let fl = FutureLifetime::new(&w, age);
+    for &a in &[500.0, 1_000.0, 2_000.0, 5_000.0, 20_000.0] {
+        let got = kern.survival_integral(a);
+        let reference =
+            chs_numerics::quadrature::composite_gauss_legendre(|x| kern.survival(x), 0.0, a, 256);
+        assert!(
+            (got / reference - 1.0).abs() < 1e-6,
+            "a={a}: kernel {got} vs reference {reference}"
+        );
+        // The frozen per-call path must agree bitwise (same guard, same
+        // fallback).
+        assert_eq!(got.to_bits(), fl.survival_integral(a).to_bits(), "a={a}");
+    }
+}
+
+/// Lane batches must match four scalar evaluations bit for bit.
+fn assert_x4_bitwise(kern: &ConditionedDist, batch: [f64; 4]) {
+    let lanes = kern.survival_and_truncated_mean_x4(batch);
+    for l in 0..4 {
+        let (s, tm) = kern.survival_and_truncated_mean(batch[l]);
+        assert_eq!(lanes[l].0.to_bits(), s.to_bits(), "survival lane {l}");
+        assert_eq!(lanes[l].1.to_bits(), tm.to_bits(), "tm lane {l}");
+    }
+}
+
+/// Just short of the underflow (z_t = 701), `Q(1/α, z_t)` is normal,
+/// but each Q carries about ulp(z_t) of rounding from its `e^{−z}`.
+/// For a horizon of a second the difference cancels to ~5e-4 of Q,
+/// which would leave ~1e-10 error or more; such probes take the log
+/// form too, while longer horizons keep the plain difference. Lanes
+/// that mix the two stay bitwise.
+#[test]
+fn cancelling_q_difference_takes_the_log_form() {
+    let w = Weibull::new(0.9387113626453845, 1080.429178916454).unwrap();
+    let age = w.scale() * 701f64.powf(1.0 / w.shape());
+    let kern = ConditionedDist::new(&w, age);
+    let fl = FutureLifetime::new(&w, age);
+    for a in [0.5, 1.0, 2.0, 5.0] {
+        let got = kern.survival_integral(a);
+        let reference =
+            chs_numerics::quadrature::composite_gauss_legendre(|x| kern.survival(x), 0.0, a, 256);
+        assert!(
+            (got / reference - 1.0).abs() < 1e-10,
+            "a={a}: kernel {got} vs reference {reference}"
+        );
+        assert_eq!(got.to_bits(), fl.survival_integral(a).to_bits(), "a={a}");
+    }
+    assert_x4_bitwise(&kern, [1.0, 950.0, 2.0, 20_000.0]);
 }
 
 proptest! {

@@ -1,7 +1,7 @@
 //! Property-based tests for the distribution families and fitting.
 
 use chs_dist::fit::{fit_exponential, fit_hyperexponential, fit_weibull, EmOptions};
-use chs_dist::{AvailabilityModel, Exponential, FutureLifetime, HyperExponential, Weibull};
+use chs_dist::{AvailabilityModel, ConditionedDist, Exponential, HyperExponential, Weibull};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -73,8 +73,9 @@ proptest! {
         x in 1.0f64..20_000.0,
     ) {
         let d = Weibull::new(shape, 3_409.0).unwrap();
-        let s_two_step = d.conditional_survival(age, dt) * d.conditional_survival(age + dt, x);
-        let s_one_step = d.conditional_survival(age, dt + x);
+        let at_age = ConditionedDist::new(&d, age);
+        let s_two_step = at_age.survival(dt) * ConditionedDist::new(&d, age + dt).survival(x);
+        let s_one_step = at_age.survival(dt + x);
         prop_assert!((s_two_step - s_one_step).abs() < 1e-9,
             "two-step {s_two_step} vs one-step {s_one_step}");
     }
@@ -84,7 +85,7 @@ proptest! {
     #[test]
     fn exponential_memoryless(lambda in 1e-5f64..0.1, age in 0.0f64..1e6, x in 0.0f64..1e5) {
         let d = Exponential::new(lambda).unwrap();
-        prop_assert!((d.conditional_cdf(age, x) - d.cdf(x)).abs() < 1e-12);
+        prop_assert!((ConditionedDist::new(&d, age).cdf(x) - d.cdf(x)).abs() < 1e-12);
     }
 
     /// Weibull with shape < 1: conditional survival of a fixed horizon is
@@ -92,8 +93,8 @@ proptest! {
     #[test]
     fn heavy_tail_aging_helps(age1 in 0.0f64..1e5, extra in 0.0f64..1e5) {
         let d = Weibull::paper_exemplar();
-        let s1 = d.conditional_survival(age1, 3_600.0);
-        let s2 = d.conditional_survival(age1 + extra, 3_600.0);
+        let s1 = ConditionedDist::new(&d, age1).survival(3_600.0);
+        let s2 = ConditionedDist::new(&d, age1 + extra).survival(3_600.0);
         prop_assert!(s2 + 1e-12 >= s1);
     }
 
@@ -102,8 +103,7 @@ proptest! {
     #[test]
     fn truncated_mean_in_range(shape in 0.3f64..3.0, age in 0.0f64..20_000.0, a in 10.0f64..50_000.0) {
         let d = Weibull::new(shape, 3_409.0).unwrap();
-        let fl = FutureLifetime::new(&d, age);
-        let m = fl.truncated_mean(a);
+        let m = ConditionedDist::new(&d, age).truncated_mean(a);
         prop_assert!(m >= 0.0 && m < a, "m={m} a={a}");
     }
 

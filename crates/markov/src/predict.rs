@@ -23,7 +23,7 @@
 
 use crate::vaidya::VaidyaModel;
 use crate::Result;
-use chs_dist::AvailabilityModel;
+use chs_dist::{ConditionedDist, DistRef};
 use serde::{Deserialize, Serialize};
 
 /// Predicted steady-state behaviour of a job driven by the model's own
@@ -59,24 +59,27 @@ pub const MAX_PREDICTION_INTERVALS: usize = 4_096;
 /// the same distribution the schedule was computed from, so comparing it
 /// against trace simulation on model-generated traces validates both
 /// sides (see the `prediction_matches_simulation` integration test).
-pub fn predict_steady_state(
+pub fn predict_steady_state<'a>(
     vaidya: &VaidyaModel<'_>,
-    dist: &dyn AvailabilityModel,
+    dist: impl Into<DistRef<'a>>,
     image_mb: f64,
 ) -> Result<SteadyStatePrediction> {
     let costs = vaidya.costs();
     let c = costs.checkpoint;
     let r = costs.recovery;
+    let dist = dist.into();
     let mean_segment = dist.mean();
 
-    // Survival integral from 0: I_S(x) = ∫₀^x S(a) da.
-    let integral = |x: f64| dist.conditional_survival_integral(0.0, x);
+    // The law at age 0 is the unconditional one: S(x) and
+    // I_S(x) = ∫₀^x S(a) da.
+    let fresh = ConditionedDist::new(dist, 0.0);
+    let integral = |x: f64| fresh.survival_integral(x);
 
     // Recovery bytes: full image if the segment survives R, else the
     // transferred fraction a/R.  E = I·[S(R) + (∫₀^R S − R·S(R))/R]
     // since ∫₀^R a f(a) da = ∫₀^R S − R·S(R).
     let mut megabytes = if r > 0.0 {
-        image_mb * (dist.survival(r) + (integral(r) - r * dist.survival(r)) / r)
+        image_mb * (fresh.survival(r) + (integral(r) - r * fresh.survival(r)) / r)
     } else {
         image_mb
     };
@@ -89,7 +92,7 @@ pub fn predict_steady_state(
         let t_k = vaidya.optimal_interval(boundary)?.work_seconds;
         let work_end = boundary + t_k; // w_k
         let commit = work_end + c; // b_k
-        let s_commit = dist.survival(commit);
+        let s_commit = fresh.survival(commit);
         useful += t_k * s_commit;
         checkpoints += s_commit;
         megabytes += image_mb * s_commit;
@@ -128,7 +131,75 @@ pub fn predict_steady_state(
 mod tests {
     use super::*;
     use crate::CheckpointCosts;
-    use chs_dist::{Exponential, Weibull};
+    use chs_dist::{Exponential, HyperExponential, Weibull};
+
+    /// The paper exemplar Weibull, a bimodal 2-phase hyperexponential and
+    /// an exponential at C = 110 s with a 500 MB image, pinned to the
+    /// bits `predict_steady_state` produced when it integrated through
+    /// the per-family trait forms. The switch to the age-0 kernel must
+    /// not move a single bit.
+    #[test]
+    fn predictions_are_pinned_to_exact_bits() {
+        let w = Weibull::paper_exemplar();
+        let h = HyperExponential::new(&[(0.7, 1.0 / 300.0), (0.3, 1.0 / 30_000.0)]).unwrap();
+        let e = Exponential::from_mean(3_600.0).unwrap();
+        let costs = CheckpointCosts::symmetric(110.0);
+        // (useful, checkpoints, megabytes, mean segment, efficiency,
+        // MB per hour) bits, and the intervals summed.
+        let cases: [(DistRef<'_>, [u64; 6], usize); 3] = [
+            (
+                DistRef::from(&w),
+                [
+                    0x40c0_1182_4c50_705d,
+                    0x4013_d42e_7ec1_a6f7,
+                    0x40a6_c7d6_7257_42f9,
+                    0x40c2_5928_c66f_4dfe,
+                    0x3fec_0618_3f14_73d8,
+                    0x4091_75a4_1812_eb25,
+                ],
+                836,
+            ),
+            (
+                DistRef::from(&h),
+                [
+                    0x40bf_de4b_3abc_c18b,
+                    0x4007_3b1e_63f7_36cc,
+                    0x409d_a552_5c4d_219c,
+                    0x40c1_fd00_0000_0000,
+                    0x3fec_588a_842f_9787,
+                    0x4087_2d05_2e4e_a4b3,
+                ],
+                224,
+            ),
+            (
+                DistRef::from(&e),
+                [
+                    0x40a5_143a_198b_c63b,
+                    0x400a_61c2_e63d_8cd1,
+                    0x40a0_ed82_c598_232b,
+                    0x40ac_2000_0000_0000,
+                    0x3fe7_fbb5_052c_1dd8,
+                    0x40a0_ed82_c598_232b,
+                ],
+                81,
+            ),
+        ];
+        for (dist, bits, summed) in cases {
+            let m = VaidyaModel::new(dist, costs).unwrap();
+            let p = predict_steady_state(&m, dist, 500.0).unwrap();
+            let got = [
+                p.useful_per_segment,
+                p.checkpoints_per_segment,
+                p.megabytes_per_segment,
+                p.mean_segment,
+                p.efficiency,
+                p.megabytes_per_hour,
+            ]
+            .map(f64::to_bits);
+            assert_eq!(got, bits, "{dist:?}: {p:?}");
+            assert_eq!(p.intervals_summed, summed, "{dist:?}");
+        }
+    }
 
     #[test]
     fn prediction_fields_sane() {

@@ -247,6 +247,16 @@ enum Source<'a> {
     Shared(Arc<FittedModel>),
 }
 
+impl Source<'_> {
+    /// The distribution, whichever way it is held.
+    fn dist(&self) -> DistRef<'_> {
+        match self {
+            Source::Borrowed(d) => *d,
+            Source::Shared(m) => DistRef::from(m.as_ref()),
+        }
+    }
+}
+
 /// Vaidya's model bound to one availability distribution and one set of
 /// phase costs.
 ///
@@ -255,8 +265,7 @@ enum Source<'a> {
 /// and probe Γ through that kernel, and the age-0 (fresh) kernel
 /// for the retry quantities is built once per model lifetime. Families
 /// are dispatched by enum, so there is no `dyn` call in the search's
-/// inner loop (the [`DistRef::Dyn`] escape hatch remains for foreign
-/// models).
+/// inner loop.
 ///
 /// `p21`/`k21`/`p22`/`k22` depend only on the distribution and `C+R+L+T`,
 /// never on machine age, so they are memoized per candidate `T` in a
@@ -271,7 +280,7 @@ pub struct VaidyaModel<'a> {
     t_min: f64,
     t_max: f64,
     /// Age-0 kernel for the fresh retry quantities, built once.
-    fresh: ConditionedDist<'a>,
+    fresh: ConditionedDist,
     fresh_memo: RefCell<FreshMemo>,
 }
 
@@ -282,8 +291,7 @@ pub const DEFAULT_T_MIN: f64 = 1.0;
 
 impl<'a> VaidyaModel<'a> {
     /// Bind the model to a distribution and costs. Accepts any of the
-    /// three family types, a [`FittedModel`], or a
-    /// `&dyn AvailabilityModel`. The optimizer searches
+    /// three family types or a [`FittedModel`]. The optimizer searches
     /// `T ∈ [1 s, max(1000·E[X], 100·(C+R+L))]` in log space; use
     /// [`VaidyaModel::with_bounds`] to override.
     pub fn new(dist: impl Into<DistRef<'a>>, costs: CheckpointCosts) -> Result<Self> {
@@ -299,16 +307,10 @@ impl<'a> VaidyaModel<'a> {
 
     fn from_source(source: Source<'a>, costs: CheckpointCosts) -> Result<Self> {
         costs.validate()?;
-        let mean = match &source {
-            Source::Borrowed(d) => d.mean(),
-            Source::Shared(m) => DistRef::from(m.as_ref()).mean(),
-        };
+        let mean = source.dist().mean();
         let span = costs.checkpoint + costs.recovery + costs.latency;
         let t_max = (1_000.0 * mean).max(100.0 * span).max(1e4);
-        let fresh = match &source {
-            Source::Borrowed(d) => d.condition(0.0),
-            Source::Shared(m) => ConditionedDist::from_fitted(m, 0.0),
-        };
+        let fresh = source.dist().condition(0.0);
         Ok(Self {
             source,
             costs,
@@ -346,9 +348,7 @@ impl<'a> VaidyaModel<'a> {
 
     /// Closed-form `T_opt` when the bound distribution is a memoryless
     /// exponential — borrowed as [`DistRef::Exponential`] or shared as
-    /// [`FittedModel::Exponential`] — and `None` otherwise. A
-    /// [`DistRef::Dyn`] trait object is never inspected, so it keeps the
-    /// search.
+    /// [`FittedModel::Exponential`] — and `None` otherwise.
     ///
     /// Vaidya's Γ reduces to `e^{λ(L+R−C)}·(e^{λ(C+T)} − 1)/λ`, so R and
     /// L only scale Γ/T and the stationary condition is
@@ -362,14 +362,10 @@ impl<'a> VaidyaModel<'a> {
     /// optimum: `C = 0` gives `t_min`, an overflowing `λC` gives `1/λ`
     /// clamped.
     fn memoryless_optimum(&self) -> Option<f64> {
-        let lambda = match &self.source {
-            Source::Borrowed(DistRef::Exponential(d)) => d.lambda(),
-            Source::Shared(m) => match m.as_ref() {
-                FittedModel::Exponential(d) => d.lambda(),
-                _ => return None,
-            },
-            Source::Borrowed(_) => return None,
+        let DistRef::Exponential(d) = self.source.dist() else {
+            return None;
         };
+        let lambda = d.lambda();
         let x = lambda * self.costs.checkpoint;
         // At `x = 0` (w = 0) and `x = +∞` (w = −∞) the first step is NaN
         // and the start is already the answer.
@@ -387,11 +383,8 @@ impl<'a> VaidyaModel<'a> {
 
     /// Condition the distribution on `age` — one kernel construction,
     /// after which Γ probes at that age are conditioning-free.
-    fn kernel_at(&self, age: f64) -> ConditionedDist<'_> {
-        match &self.source {
-            Source::Borrowed(d) => d.condition(age),
-            Source::Shared(m) => ConditionedDist::from_fitted(m, age),
-        }
+    fn kernel_at(&self, age: f64) -> ConditionedDist {
+        self.source.dist().condition(age)
     }
 
     /// A Γ evaluator bound to one conditioning age: the kernel is built
@@ -485,7 +478,7 @@ impl<'a> VaidyaModel<'a> {
         self.quantities_with(&kern, t)
     }
 
-    fn quantities_with(&self, kern: &ConditionedDist<'_>, t: f64) -> IntervalQuantities {
+    fn quantities_with(&self, kern: &ConditionedDist, t: f64) -> IntervalQuantities {
         let CheckpointCosts {
             checkpoint: c,
             recovery: r,
@@ -523,7 +516,7 @@ impl<'a> VaidyaModel<'a> {
         self.gamma_with(&kern, t)
     }
 
-    fn gamma_with(&self, kern: &ConditionedDist<'_>, t: f64) -> f64 {
+    fn gamma_with(&self, kern: &ConditionedDist, t: f64) -> f64 {
         #[cfg(feature = "bench-counters")]
         counters::GAMMA_EVALS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let q = self.quantities_with(kern, t);
@@ -544,7 +537,7 @@ impl<'a> VaidyaModel<'a> {
     /// order. Exponential and Weibull lanes are bitwise identical to four
     /// scalar calls; hyper-exponential lanes agree within 1e-12 relative
     /// (the kernel's vectorized phase sweep reorders the reductions).
-    fn gamma_with_x4(&self, kern: &ConditionedDist<'_>, t: [f64; 4]) -> [f64; 4] {
+    fn gamma_with_x4(&self, kern: &ConditionedDist, t: [f64; 4]) -> [f64; 4] {
         #[cfg(feature = "bench-counters")]
         counters::GAMMA_EVALS.fetch_add(4, std::sync::atomic::Ordering::Relaxed);
         let CheckpointCosts {
@@ -750,7 +743,7 @@ impl<'a> VaidyaModel<'a> {
 /// probe loops (benchmarks, objective plotters) get the same hoisting.
 pub struct GammaAtAge<'m, 'a> {
     model: &'m VaidyaModel<'a>,
-    kernel: ConditionedDist<'m>,
+    kernel: ConditionedDist,
     age: f64,
 }
 
@@ -852,7 +845,7 @@ impl std::fmt::Debug for VaidyaModel<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chs_dist::{AvailabilityModel, Exponential, HyperExponential, Weibull};
+    use chs_dist::{Exponential, HyperExponential, Weibull};
     use chs_numerics::approx_eq;
 
     fn exp_mean_1h() -> Exponential {
@@ -1154,25 +1147,6 @@ mod tests {
     }
 
     #[test]
-    fn dyn_dispatch_matches_concrete_kernel() {
-        // The DistRef::Dyn escape hatch must agree with the monomorphized
-        // kernels (it conditions through the trait object instead).
-        let d = Weibull::paper_exemplar();
-        let costs = CheckpointCosts::symmetric(110.0);
-        let concrete = VaidyaModel::new(&d, costs).unwrap();
-        let dynamic = VaidyaModel::new(&d as &dyn AvailabilityModel, costs).unwrap();
-        for &age in &[0.0, 1_000.0, 1e8] {
-            for &t in &[10.0, 1_000.0, 100_000.0] {
-                assert_eq!(
-                    concrete.gamma(t, age).to_bits(),
-                    dynamic.gamma(t, age).to_bits(),
-                    "t={t} age={age}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn infinite_gamma_when_retry_impossible() {
         // A machine whose lifetime is essentially never longer than
         // recovery+work: Γ must be infinite (job can never finish).
@@ -1193,9 +1167,9 @@ mod tests {
             [55.0, 543.21, 9_876.5, 123_456.0],
         ];
         for (dist, bitwise) in [
-            (&exp as &dyn AvailabilityModel, true),
-            (&wei, true),
-            (&hyp, false),
+            (DistRef::from(&exp), true),
+            (DistRef::from(&wei), true),
+            (DistRef::from(&hyp), false),
         ] {
             let m = VaidyaModel::new(dist, CheckpointCosts::symmetric(110.0)).unwrap();
             for &age in &[0.0, 500.0, 86_400.0] {
@@ -1255,7 +1229,11 @@ mod tests {
         let exp = exp_mean_1h();
         let wei = Weibull::paper_exemplar();
         let hyp = HyperExponential::new(&[(0.7, 1.0 / 300.0), (0.3, 1.0 / 30_000.0)]).unwrap();
-        for dist in [&exp as &dyn AvailabilityModel, &wei, &hyp] {
+        for dist in [
+            DistRef::from(&exp),
+            DistRef::from(&wei),
+            DistRef::from(&hyp),
+        ] {
             let m = VaidyaModel::new(dist, CheckpointCosts::symmetric(110.0)).unwrap();
             for &age in &[0.0, 900.0, 40_000.0, 400_000.0] {
                 let cold = m.optimal_interval(age).unwrap();
@@ -1284,7 +1262,11 @@ mod tests {
         let exp = exp_mean_1h();
         let wei = Weibull::paper_exemplar();
         let hyp = HyperExponential::new(&[(0.7, 1.0 / 300.0), (0.3, 1.0 / 30_000.0)]).unwrap();
-        for dist in [&exp as &dyn AvailabilityModel, &wei, &hyp] {
+        for dist in [
+            DistRef::from(&exp),
+            DistRef::from(&wei),
+            DistRef::from(&hyp),
+        ] {
             let m = VaidyaModel::new(dist, CheckpointCosts::symmetric(110.0)).unwrap();
             for &age in &[0.0, 900.0, 40_000.0, 400_000.0, 1e9] {
                 let cold = m.optimal_interval(age).unwrap();

@@ -1,6 +1,7 @@
 //! Differential suite for the kernel-based `VaidyaModel`: a frozen copy
-//! of the pre-kernel evaluation path — `FutureLifetime` conditioning on
-//! every probe, no fresh-quantity memo — must reproduce the kernel path's
+//! of the pre-kernel evaluation path (`frozen/gamma.rs`) — per-call
+//! `FutureLifetime` conditioning on every probe, no fresh-quantity memo —
+//! must reproduce the kernel path's
 //! quantities, Γ, and `T_opt` across all four paper families, ages up to
 //! 1e10 (including the Weibull quadrature-fallback region), and the
 //! checkpoint-cost range of the paper's sweep.
@@ -13,10 +14,14 @@
 //! is a closed form, not a search, so it must only be no worse in Γ/T
 //! than the frozen optimizer's answer.
 
-use chs_dist::{
-    AvailabilityModel, Exponential, FittedModel, FutureLifetime, HyperExponential, Weibull,
-};
-use chs_markov::{CheckpointCosts, IntervalQuantities, VaidyaModel};
+use chs_dist::{Exponential, FittedModel, HyperExponential, Weibull};
+use chs_markov::{CheckpointCosts, VaidyaModel};
+
+// The frozen pre-kernel Γ and `T_opt` search (verbatim).
+#[path = "frozen/gamma.rs"]
+mod frozen;
+
+use frozen::{ref_gamma, ref_optimal_interval, ref_quantities};
 
 /// The four availability families of the paper's experiments.
 fn families() -> Vec<(&'static str, FittedModel)> {
@@ -48,85 +53,6 @@ fn families() -> Vec<(&'static str, FittedModel)> {
 
 const AGES: [f64; 9] = [0.0, 1.0, 60.0, 500.0, 3_409.0, 86_400.0, 1e6, 1e8, 1e10];
 const COSTS: [f64; 4] = [50.0, 110.0, 500.0, 1_500.0];
-
-/// Frozen pre-kernel quantities: `FutureLifetime` conditioning per call,
-/// exactly as `VaidyaModel::quantities` computed them before the kernel
-/// layer.
-fn ref_quantities(
-    dist: &dyn AvailabilityModel,
-    costs: CheckpointCosts,
-    t: f64,
-    age: f64,
-) -> IntervalQuantities {
-    let (c, r, l) = (costs.checkpoint, costs.recovery, costs.latency);
-    let horizon01 = c + t;
-    let horizon21 = l + r + t;
-    let conditioned = FutureLifetime::new(dist, age);
-    let p01 = conditioned.survival(horizon01);
-    let p02 = 1.0 - p01;
-    let k02 = if p02 > 0.0 {
-        conditioned.truncated_mean(horizon01)
-    } else {
-        0.0
-    };
-    let fresh = FutureLifetime::new(dist, 0.0);
-    let p21 = fresh.survival(horizon21);
-    let k22 = if 1.0 - p21 > 0.0 {
-        fresh.truncated_mean(horizon21)
-    } else {
-        0.0
-    };
-    IntervalQuantities {
-        p01,
-        k01: horizon01,
-        p02,
-        k02,
-        p21,
-        k21: horizon21,
-        p22: 1.0 - p21,
-        k22,
-    }
-}
-
-/// Frozen pre-kernel Γ.
-fn ref_gamma(dist: &dyn AvailabilityModel, costs: CheckpointCosts, t: f64, age: f64) -> f64 {
-    let q = ref_quantities(dist, costs, t, age);
-    if q.p02 <= 0.0 {
-        return q.k01;
-    }
-    if q.p21 <= f64::MIN_POSITIVE {
-        return f64::INFINITY;
-    }
-    let retry = q.k21 + (q.p22 / q.p21) * q.k22;
-    q.p01 * q.k01 + q.p02 * (q.k02 + retry)
-}
-
-/// Frozen pre-kernel optimizer: the same golden-section + parabolic
-/// polish over `ln T`, driving `ref_gamma` instead of the kernels, with
-/// the same default bound derivation.
-fn ref_optimal_interval(dist: &dyn AvailabilityModel, costs: CheckpointCosts, age: f64) -> f64 {
-    let age = age.max(0.0);
-    let span = costs.checkpoint + costs.recovery + costs.latency;
-    let t_min: f64 = 1.0;
-    let t_max = (1_000.0 * dist.mean()).max(100.0 * span).max(1e4);
-    let obj = |u: f64| {
-        let t = u.exp();
-        let ratio = if t <= 0.0 {
-            f64::INFINITY
-        } else {
-            ref_gamma(dist, costs, t, age) / t
-        };
-        if ratio.is_finite() {
-            ratio
-        } else {
-            1e300
-        }
-    };
-    let (lo, hi) = (t_min.ln(), t_max.ln());
-    let min = chs_numerics::optimize::minimize_bounded(obj, lo, hi, 1e-9).unwrap();
-    let polished = chs_numerics::optimize::spi_refine(obj, min.x, 2e-3, 12);
-    polished.x.clamp(lo, hi).exp()
-}
 
 fn rel(a: f64, b: f64) -> f64 {
     if a == b {

@@ -5,11 +5,17 @@
 //! `u + ln(1 − u) = −λC` with `u = λT` — equivalently
 //! `u = 1 + W₀(−e^{−1−λC})` — whatever R and L are. `VaidyaModel`
 //! returns that closed form for exponential sources instead of searching;
-//! a [`DistRef::Dyn`] trait object over the same distribution still runs
-//! the golden-section search, which this suite uses as the search oracle.
+//! the frozen pre-kernel golden-section search (`frozen/gamma.rs`) over
+//! the same distribution is this suite's search oracle.
 
-use chs_dist::{AvailabilityModel, DistRef, Exponential, FittedModel};
+use chs_dist::{DistRef, Exponential, FittedModel};
 use chs_markov::{CheckpointCosts, VaidyaModel};
+
+// The frozen pre-kernel Γ and `T_opt` search (verbatim).
+#[path = "frozen/gamma.rs"]
+mod frozen;
+
+use frozen::{ref_gamma, ref_optimal_interval};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -245,12 +251,11 @@ proptest! {
         let c = 10f64.powf(cost_log10);
         let costs = CheckpointCosts::new(c, c * split);
         let closed = VaidyaModel::new(DistRef::Exponential(&d), costs).unwrap();
-        let search = VaidyaModel::new(&d as &dyn AvailabilityModel, costs).unwrap();
         let t_closed = closed.optimal_interval(0.0).unwrap().work_seconds;
-        let t_search = search.optimal_interval(0.0).unwrap().work_seconds;
-        // Both points are scored by the same (trait-object) evaluator.
-        let g_closed = search.overhead_ratio(t_closed, 0.0);
-        let g_search = search.overhead_ratio(t_search, 0.0);
+        let t_search = ref_optimal_interval(&d, costs, 0.0);
+        // Both points are scored by the same (frozen) evaluator.
+        let g_closed = ref_gamma(&d, costs, t_closed, 0.0) / t_closed;
+        let g_search = ref_gamma(&d, costs, t_search, 0.0) / t_search;
         prop_assert!(
             g_closed <= g_search * (1.0 + 1e-12),
             "Γ/T closed {:.17e} vs search {:.17e} (T {} vs {})",

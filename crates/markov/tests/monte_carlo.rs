@@ -6,7 +6,7 @@
 //! This is the linchpin test of the reproduction: if Γ is wrong, every
 //! table and figure downstream is wrong.
 
-use chs_dist::{AvailabilityModel, Exponential, HyperExponential, Weibull};
+use chs_dist::{AvailabilityModel, DistRef, Exponential, HyperExponential, Weibull};
 use chs_markov::{CheckpointCosts, VaidyaModel};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -53,7 +53,13 @@ fn simulate_one_interval(
     }
 }
 
-fn check_gamma(dist: &dyn AvailabilityModel, costs: CheckpointCosts, t: f64, age: f64, seed: u64) {
+/// Compare the analytic Γ of the monomorphized kernel for `dist` with
+/// the simulated mean.
+fn check_gamma<'a, D>(dist: &'a D, costs: CheckpointCosts, t: f64, age: f64, seed: u64)
+where
+    D: AvailabilityModel,
+    &'a D: Into<DistRef<'a>>,
+{
     let model = VaidyaModel::new(dist, costs).unwrap();
     let analytic = model.gamma(t, age);
     let mut rng = ChaCha8Rng::seed_from_u64(seed);

@@ -211,18 +211,6 @@ pub fn composite_gauss_legendre_x4<F: FnMut([f64; 4]) -> [f64; 4]>(
     acc
 }
 
-/// Trapezoidal rule over a uniformly sampled grid; the workhorse for
-/// integrating *empirical* (tabulated) series such as recorded bandwidth.
-pub fn trapezoid_uniform(values: &[f64], dx: f64) -> f64 {
-    match values.len() {
-        0 | 1 => 0.0,
-        n => {
-            let interior: f64 = values[1..n - 1].iter().sum();
-            dx * (0.5 * (values[0] + values[n - 1]) + interior)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -328,24 +316,5 @@ mod tests {
     #[should_panic(expected = "at least one panel")]
     fn composite_x4_zero_panels_panics() {
         composite_gauss_legendre_x4(|xs| xs, 0.0, [1.0; 4], 0);
-    }
-
-    #[test]
-    fn trapezoid_basics() {
-        assert_eq!(trapezoid_uniform(&[], 1.0), 0.0);
-        assert_eq!(trapezoid_uniform(&[5.0], 1.0), 0.0);
-        // y = x on [0, 3] sampled at 0,1,2,3 → area 4.5
-        assert!(approx_eq(
-            trapezoid_uniform(&[0.0, 1.0, 2.0, 3.0], 1.0),
-            4.5,
-            1e-14,
-            0.0
-        ));
-    }
-
-    #[test]
-    fn trapezoid_constant() {
-        let v = trapezoid_uniform(&[2.0; 11], 0.5);
-        assert!(approx_eq(v, 10.0, 1e-14, 0.0));
     }
 }

@@ -212,49 +212,6 @@ pub fn brent_root<F: Fn(f64) -> f64>(f: F, lo: f64, hi: f64, tol: f64) -> Result
     })
 }
 
-/// Expand `[lo, hi]` geometrically until it brackets a sign change of `f`,
-/// then solve with [`brent_root`]. `grow_hi` controls which direction(s)
-/// expand. Handy for quantiles of heavy-tailed distributions whose scale
-/// is unknown a priori.
-pub fn bracket_and_solve<F: Fn(f64) -> f64 + Copy>(
-    f: F,
-    lo0: f64,
-    hi0: f64,
-    tol: f64,
-) -> Result<f64> {
-    let mut lo = lo0;
-    let mut hi = hi0;
-    let mut flo = f(lo);
-    let mut fhi = f(hi);
-    for _ in 0..80 {
-        if flo == 0.0 {
-            return Ok(lo);
-        }
-        if fhi == 0.0 {
-            return Ok(hi);
-        }
-        if flo.signum() != fhi.signum() {
-            return brent_root(f, lo, hi, tol);
-        }
-        // Expand toward whichever end looks closer to a crossing.
-        if flo.abs() < fhi.abs() {
-            let w = hi - lo;
-            lo = (lo - w).max(lo / 2.0).min(lo);
-            if lo <= 0.0 {
-                lo = lo0 / 2f64.powi(10);
-            }
-            flo = f(lo);
-        } else {
-            hi += (hi - lo).max(hi);
-            fhi = f(hi);
-        }
-    }
-    Err(NumericsError::NoConvergence {
-        routine: "bracket_and_solve",
-        iterations: 80,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,13 +292,6 @@ mod tests {
         let bi = bisect(f, 1.0, 1e6, 1e-9).unwrap();
         assert!(approx_eq(rb, bi, 1e-6, 1e-3), "brent {rb} bisect {bi}");
         assert!(approx_eq(rb, 3409.0, 1e-6, 1e-3));
-    }
-
-    #[test]
-    fn bracket_and_solve_expands() {
-        // Root at 1000, initial guess interval [0.1, 1].
-        let r = bracket_and_solve(|x| x - 1000.0, 0.1, 1.0, 1e-10).unwrap();
-        assert!(approx_eq(r, 1000.0, 1e-9, 1e-7));
     }
 
     #[test]

@@ -13,8 +13,24 @@ pub fn pool_to_json(pool: &MachinePool) -> Result<String> {
 }
 
 /// Deserialize a pool from JSON.
+///
+/// Serde fills each [`AvailabilityTrace`] field by field, past
+/// [`AvailabilityTrace::new`], so every trace is rebuilt through it:
+/// non-positive or non-finite durations are rejected with the machine
+/// named, and observations are sorted by start time.
 pub fn pool_from_json(json: &str) -> Result<MachinePool> {
-    serde_json::from_str(json).map_err(|e| TraceError::Io(e.to_string()))
+    let pool: MachinePool =
+        serde_json::from_str(json).map_err(|e| TraceError::Io(e.to_string()))?;
+    let traces = pool
+        .traces
+        .into_iter()
+        .map(|t| {
+            let machine = t.machine;
+            AvailabilityTrace::new(machine, t.observations)
+                .map_err(|e| TraceError::Io(format!("{machine}: {e}")))
+        })
+        .collect::<Result<Vec<_>>>()?;
+    Ok(MachinePool::new(traces))
 }
 
 /// Write a pool to a JSON file.
@@ -50,6 +66,10 @@ pub fn write_csv<W: Write>(pool: &MachinePool, mut w: W) -> Result<()> {
 }
 
 /// Parse a pool from `machine,start,duration` CSV (header required).
+///
+/// The machine id must be a whole `u32`, the start finite, the duration
+/// finite and positive, and a row must have exactly three fields;
+/// anything else is an error that names the line.
 pub fn read_csv<R: Read>(r: R) -> Result<MachinePool> {
     let reader = BufReader::new(r);
     let mut rows: Vec<(u32, f64, f64)> = Vec::new();
@@ -64,16 +84,33 @@ pub fn read_csv<R: Read>(r: R) -> Result<MachinePool> {
         if line.trim().is_empty() {
             continue;
         }
+        let line_err = |msg: String| TraceError::Io(format!("line {}: {msg}", lineno + 1));
         let mut parts = line.split(',');
-        let parse = |s: Option<&str>, what: &str| -> Result<f64> {
-            s.ok_or_else(|| TraceError::Io(format!("line {}: missing {what}", lineno + 1)))?
-                .trim()
-                .parse::<f64>()
-                .map_err(|e| TraceError::Io(format!("line {}: {what}: {e}", lineno + 1)))
+        let mut field = |what: &str| {
+            parts
+                .next()
+                .map(str::trim)
+                .ok_or_else(|| line_err(format!("missing {what}")))
         };
-        let machine = parse(parts.next(), "machine")? as u32;
-        let start = parse(parts.next(), "start")?;
-        let duration = parse(parts.next(), "duration")?;
+        let machine = field("machine")?
+            .parse::<u32>()
+            .map_err(|e| line_err(format!("machine: {e}")))?;
+        let parse = |s: &str, what: &str| {
+            s.parse::<f64>()
+                .map_err(|e| line_err(format!("{what}: {e}")))
+        };
+        let start = parse(field("start")?, "start")?;
+        let duration = parse(field("duration")?, "duration")?;
+        if parts.next().is_some() {
+            return Err(line_err(
+                "expected 3 fields (machine,start,duration), found more".into(),
+            ));
+        }
+        if !(start.is_finite() && duration.is_finite() && duration > 0.0) {
+            return Err(line_err(format!(
+                "need a finite start and a finite positive duration, got {start},{duration}"
+            )));
+        }
         rows.push((machine, start, duration));
     }
     rows.sort_by_key(|r| r.0);
@@ -161,5 +198,105 @@ mod tests {
     #[test]
     fn json_rejects_garbage() {
         assert!(pool_from_json("not json").is_err());
+    }
+
+    fn one_trace_json(observations: &str) -> String {
+        format!(r#"{{"traces":[{{"machine":4,"observations":[{observations}]}}]}}"#)
+    }
+
+    #[test]
+    fn json_rejects_negative_duration() {
+        let json = one_trace_json(r#"{"start":0.0,"duration":-5.0}"#);
+        let err = pool_from_json(&json).unwrap_err().to_string();
+        assert!(err.contains("machine-0004"), "{err}");
+    }
+
+    #[test]
+    fn json_rejects_zero_duration() {
+        let json = one_trace_json(r#"{"start":0.0,"duration":0.0}"#);
+        assert!(pool_from_json(&json).is_err());
+    }
+
+    #[test]
+    fn json_sorts_starts() {
+        let json = one_trace_json(
+            r#"{"start":100.0,"duration":5.0},{"start":0.0,"duration":7.0},{"start":50.0,"duration":3.0}"#,
+        );
+        let pool = pool_from_json(&json).unwrap();
+        assert_eq!(pool.traces()[0].durations(), vec![7.0, 3.0, 5.0]);
+    }
+
+    #[test]
+    fn load_pool_revalidates() {
+        let dir = std::env::temp_dir().join("chs_trace_test_revalidate");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("pool.json");
+        std::fs::write(&path, one_trace_json(r#"{"start":0.0,"duration":-5.0}"#)).unwrap();
+        assert!(load_pool(&path).is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn csv_rejects_fractional_machine() {
+        // `as u32` used to merge 1.7 into machine 1.
+        let err = read_csv(
+            "machine,start,duration
+1,0,5
+1.7,10,7
+"
+            .as_bytes(),
+        )
+        .unwrap_err()
+        .to_string();
+        assert!(err.contains("line 3"), "{err}");
+    }
+
+    #[test]
+    fn csv_rejects_negative_machine() {
+        let err = read_csv(
+            "machine,start,duration
+-3,0,5
+"
+            .as_bytes(),
+        )
+        .unwrap_err()
+        .to_string();
+        assert!(err.contains("line 2"), "{err}");
+    }
+
+    #[test]
+    fn csv_rejects_nan_machine() {
+        let err = read_csv(
+            "machine,start,duration
+NaN,0,5
+"
+            .as_bytes(),
+        )
+        .unwrap_err()
+        .to_string();
+        assert!(err.contains("line 2"), "{err}");
+    }
+
+    #[test]
+    fn csv_names_the_line_of_a_bad_duration() {
+        for bad in ["-5", "0", "inf", "NaN"] {
+            let csv = format!("machine,start,duration\n3,0,5\n3,10,{bad}\n");
+            let err = read_csv(csv.as_bytes()).unwrap_err().to_string();
+            assert!(err.contains("line 3"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn csv_rejects_extra_fields() {
+        let err = read_csv(
+            "machine,start,duration
+1,0,5
+1,10,7,9
+"
+            .as_bytes(),
+        )
+        .unwrap_err()
+        .to_string();
+        assert!(err.contains("line 3"), "{err}");
     }
 }

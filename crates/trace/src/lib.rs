@@ -14,7 +14,6 @@
 
 pub mod analysis;
 pub mod io;
-pub mod perturb;
 pub mod synthetic;
 
 use serde::{Deserialize, Serialize};

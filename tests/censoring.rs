@@ -67,7 +67,7 @@ fn censoring_bias_shortens_schedules() {
 
     let c = 250.0;
     let t_of = |fit: FittedModel| {
-        let v = VaidyaModel::new(fit.as_model(), CheckpointCosts::symmetric(c)).unwrap();
+        let v = VaidyaModel::new(&fit, CheckpointCosts::symmetric(c)).unwrap();
         v.optimal_interval(3_600.0).unwrap().work_seconds
     };
     let t_naive = t_of(FittedModel::Weibull(fit_weibull(&naive_values).unwrap()));

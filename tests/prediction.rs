@@ -11,8 +11,8 @@ use rand::SeedableRng;
 
 fn cross_validate(dist: &dyn AvailabilityModel, fit: FittedModel, c: f64, seed: u64) {
     let costs = CheckpointCosts::symmetric(c);
-    let vaidya = VaidyaModel::new(fit.as_model(), costs).unwrap();
-    let predicted = predict_steady_state(&vaidya, fit.as_model(), 500.0).unwrap();
+    let vaidya = VaidyaModel::new(&fit, costs).unwrap();
+    let predicted = predict_steady_state(&vaidya, &fit, 500.0).unwrap();
 
     // Simulate on 40k segments drawn from the same distribution.
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
@@ -89,10 +89,10 @@ fn prediction_reproduces_table3_ordering_analytically() {
     let mut rates = Vec::new();
     for kind in ModelKind::PAPER_SET {
         let fit = fit_model(kind, &train).unwrap();
-        let vaidya = VaidyaModel::new(fit.as_model(), CheckpointCosts::symmetric(c)).unwrap();
+        let vaidya = VaidyaModel::new(&fit, CheckpointCosts::symmetric(c)).unwrap();
         // Evaluate the load each schedule would put on the *true* pool:
         // schedule from the fit, segment distribution = truth.
-        let policy_pred = predict_steady_state(&vaidya, fit.as_model(), 500.0).unwrap();
+        let policy_pred = predict_steady_state(&vaidya, &fit, 500.0).unwrap();
         rates.push((kind, policy_pred.megabytes_per_hour));
     }
     let exp_rate = rates[0].1;
