@@ -1,22 +1,26 @@
 //! Wall-clock benchmark for the fitting pipeline: times all four paper
 //! model families over the pool's training prefixes (the paper's
 //! 25-observation regime) and over full-history traces, and compares the
-//! batched/raced EM pipeline against a verbatim copy of the pre-batching
-//! scalar loop.
+//! batched EM pipeline — plain (exhaustive) and SQUAREM-accelerated (the
+//! default) — against a verbatim copy of the pre-batching scalar loop.
 //!
 //! ```text
 //! cargo run -p chs-bench --release --bin fit_bench [--quick | --full] [--json PATH]
 //! ```
 //!
 //! Results are written to `BENCH_fit.json` (override with `--json`) in
-//! the common report envelope. The run is also a correctness gate and
-//! exits 1 when either gate fails:
+//! the common report envelope, with the E-steps per fit and the winning
+//! starts the E-step budget stopped for both EM paths. The run is also a
+//! correctness gate and exits 1 when any gate fails:
 //!
-//! * `batched_bitwise` — the batched E-step with racing off must reproduce the
+//! * `batched_bitwise` — the batched exhaustive EM must reproduce the
 //!   frozen scalar pipeline exactly (log-likelihood, iteration and start
 //!   counts, weights, rates, and error/success outcome) on every trace;
-//! * `race_within_slack` — the raced multi-start's log-likelihood must stay
-//!   within `RACE_LL_SLACK` per observation of the exhaustive one.
+//! * `default_within_slack` — on every fit, the default's
+//!   log-likelihood must stay within `RACE_LL_SLACK` per observation of
+//!   the exhaustive one;
+//! * `<regime>.hyperexp<k>.esteps` — the default must spend no more
+//!   E-steps than the exhaustive path over each regime's fits.
 
 use chs_bench::harness::{finish, Gates};
 use chs_bench::{CommonArgs, TablePrinter};
@@ -40,17 +44,35 @@ struct VariantTiming {
     fit_failures: usize,
 }
 
+/// E-step accounting of one EM path over a regime's fits.
+#[derive(Debug, Default, Serialize)]
+struct EstepCount {
+    /// E-steps over all starts of every fit.
+    esteps: usize,
+    /// `esteps` divided by the fits.
+    esteps_per_fit: f64,
+    /// Fits whose winning start the E-step budget stopped.
+    capped_winners: usize,
+}
+
 #[derive(Debug, Serialize)]
 struct EmFamilyReport {
     phases: usize,
     frozen_exhaustive: VariantTiming,
     batched_exhaustive: VariantTiming,
-    batched_raced: VariantTiming,
+    batched_accelerated: VariantTiming,
     /// frozen / batched-exhaustive: the E-step kernel alone.
     batched_speedup: f64,
-    /// frozen / batched-raced: kernel + multi-start racing (the default
+    /// frozen / batched-accelerated: kernel + SQUAREM (the default
     /// production path).
-    raced_speedup: f64,
+    accelerated_speedup: f64,
+    exhaustive_esteps: EstepCount,
+    accelerated_esteps: EstepCount,
+    /// exhaustive / accelerated E-steps per fit.
+    esteps_reduction: f64,
+    /// Worst per-observation log-likelihood deficit of the accelerated
+    /// fit against the exhaustive one.
+    max_ll_deficit_per_obs: f64,
 }
 
 #[derive(Debug, Serialize)]
@@ -75,13 +97,13 @@ struct FitBenchReport {
     /// gate).
     batched_bitwise_identical: bool,
     bitwise_mismatches: usize,
-    /// Worst per-observation log-likelihood deficit of the raced
-    /// multi-start vs the exhaustive one; must stay ≤ `race_ll_slack`.
-    max_raced_ll_deficit_per_obs: f64,
+    /// Worst per-observation log-likelihood deficit of the accelerated
+    /// default vs the exhaustive multi-start; must stay ≤ `race_ll_slack`.
+    max_default_ll_deficit_per_obs: f64,
     race_ll_slack: f64,
     /// Aggregate 2+3-phase EM throughput gain of the default pipeline
-    /// (batched + raced) over the frozen scalar exhaustive one, across
-    /// both regimes.
+    /// (batched + accelerated) over the frozen scalar exhaustive one,
+    /// across both regimes.
     aggregate_hyperexp_speedup: f64,
 }
 
@@ -109,59 +131,84 @@ fn time_variant<F: Fn(&[f64]) -> bool>(
     }
 }
 
-/// Bitwise + racing gates over one regime's traces. Returns
-/// `(mismatches, max_deficit_per_obs)`.
-fn verify_regime(traces: &[Vec<f64>]) -> (usize, f64) {
-    let exhaustive = EmOptions::exhaustive();
-    let raced = EmOptions::default();
-    let mut mismatches = 0usize;
-    let mut max_deficit = 0.0f64;
-    for data in traces {
-        for k in [2usize, 3] {
-            let b = fit_hyperexponential(data, k, &exhaustive);
-            let f = frozen::fit_hyperexponential(data, k, &exhaustive);
-            match (&b, &f) {
-                (Ok(b), Ok(f)) => {
-                    let same = b.log_likelihood.to_bits() == f.log_likelihood.to_bits()
-                        && b.iterations == f.iterations
-                        && b.starts == f.starts
-                        && b.model.phases() == f.model.phases()
-                        && b.model
-                            .weights()
-                            .iter()
-                            .zip(f.model.weights())
-                            .all(|(x, y)| x.to_bits() == y.to_bits())
-                        && b.model
-                            .rates()
-                            .iter()
-                            .zip(f.model.rates())
-                            .all(|(x, y)| x.to_bits() == y.to_bits());
-                    if !same {
-                        mismatches += 1;
-                    }
-                }
-                (Err(_), Err(_)) => {}
-                _ => mismatches += 1,
-            }
-            if let Ok(ex) = &b {
-                match fit_hyperexponential(data, k, &raced) {
-                    Ok(r) => {
-                        let deficit = (ex.log_likelihood - r.log_likelihood) / data.len() as f64;
-                        max_deficit = max_deficit.max(deficit);
-                    }
-                    // Racing only skips trailing starts; it must never
-                    // turn a fittable trace into a failure.
-                    Err(_) => max_deficit = f64::INFINITY,
-                }
-            }
-        }
-    }
-    (mismatches, max_deficit)
+/// Correctness and E-step accounting of one phase count over one
+/// regime's traces.
+struct Verified {
+    mismatches: usize,
+    max_deficit: f64,
+    exhaustive: EstepCount,
+    accelerated: EstepCount,
 }
 
-fn bench_regime(regime: &'static str, traces: &[Vec<f64>], rounds: usize) -> RegimeReport {
+/// Bitwise gate, ll deficit and E-step counts for `k` phases.
+fn verify(traces: &[Vec<f64>], k: usize) -> Verified {
     let exhaustive = EmOptions::exhaustive();
-    let raced = EmOptions::default();
+    let accelerated = EmOptions::default();
+    let mut v = Verified {
+        mismatches: 0,
+        max_deficit: 0.0,
+        exhaustive: EstepCount::default(),
+        accelerated: EstepCount::default(),
+    };
+    let tally = |count: &mut EstepCount, esteps: usize, converged: bool| {
+        count.esteps += esteps;
+        count.capped_winners += usize::from(!converged);
+    };
+    for data in traces {
+        let b = fit_hyperexponential(data, k, &exhaustive);
+        let f = frozen::fit_hyperexponential(data, k, &exhaustive);
+        match (&b, &f) {
+            (Ok(b), Ok(f)) => {
+                let same = b.log_likelihood.to_bits() == f.log_likelihood.to_bits()
+                    && b.iterations == f.iterations
+                    && b.starts == f.starts
+                    && b.model.phases() == f.model.phases()
+                    && b.model
+                        .weights()
+                        .iter()
+                        .zip(f.model.weights())
+                        .all(|(x, y)| x.to_bits() == y.to_bits())
+                    && b.model
+                        .rates()
+                        .iter()
+                        .zip(f.model.rates())
+                        .all(|(x, y)| x.to_bits() == y.to_bits());
+                if !same {
+                    v.mismatches += 1;
+                }
+            }
+            (Err(_), Err(_)) => {}
+            _ => v.mismatches += 1,
+        }
+        let Ok(ex) = &b else { continue };
+        tally(&mut v.exhaustive, ex.esteps, ex.converged);
+        match fit_hyperexponential(data, k, &accelerated) {
+            Ok(a) => {
+                tally(&mut v.accelerated, a.esteps, a.converged);
+                let deficit = (ex.log_likelihood - a.log_likelihood) / data.len() as f64;
+                v.max_deficit = v.max_deficit.max(deficit);
+            }
+            // Acceleration must never turn a fittable trace into a
+            // failure.
+            Err(_) => v.max_deficit = f64::INFINITY,
+        }
+    }
+    let fits = traces.len().max(1) as f64;
+    for count in [&mut v.exhaustive, &mut v.accelerated] {
+        count.esteps_per_fit = count.esteps as f64 / fits;
+    }
+    v
+}
+
+fn bench_regime(
+    regime: &'static str,
+    traces: &[Vec<f64>],
+    rounds: usize,
+    gates: &mut Gates,
+    mismatches: &mut usize,
+) -> RegimeReport {
+    let exhaustive = EmOptions::exhaustive();
+    let accelerated = EmOptions::default();
     let obs_total: usize = traces.iter().map(Vec::len).sum();
 
     eprintln!("[{regime}] timing exponential + weibull ...");
@@ -170,23 +217,38 @@ fn bench_regime(regime: &'static str, traces: &[Vec<f64>], rounds: usize) -> Reg
 
     let mut hyperexponential = Vec::new();
     for k in [2usize, 3] {
-        eprintln!("[{regime}] timing {k}-phase EM (frozen / batched / raced) ...");
+        eprintln!("[{regime}] verifying {k}-phase EM (bitwise, ll slack, E-steps) ...");
+        let v = verify(traces, k);
+        *mismatches += v.mismatches;
+        gates.check(
+            format!("{regime}.hyperexp{k}.esteps"),
+            v.accelerated.esteps <= v.exhaustive.esteps,
+            format!(
+                "{:.1} accelerated vs {:.1} exhaustive E-steps per fit",
+                v.accelerated.esteps_per_fit, v.exhaustive.esteps_per_fit
+            ),
+        );
+        eprintln!("[{regime}] timing {k}-phase EM (frozen / batched / accelerated) ...");
         let frozen_t = time_variant(traces, rounds, |d| {
             frozen::fit_hyperexponential(d, k, &exhaustive).is_ok()
         });
         let batched_t = time_variant(traces, rounds, |d| {
             fit_hyperexponential(d, k, &exhaustive).is_ok()
         });
-        let raced_t = time_variant(traces, rounds, |d| {
-            fit_hyperexponential(d, k, &raced).is_ok()
+        let accelerated_t = time_variant(traces, rounds, |d| {
+            fit_hyperexponential(d, k, &accelerated).is_ok()
         });
         hyperexponential.push(EmFamilyReport {
             phases: k,
             batched_speedup: frozen_t.seconds / batched_t.seconds.max(1e-12),
-            raced_speedup: frozen_t.seconds / raced_t.seconds.max(1e-12),
+            accelerated_speedup: frozen_t.seconds / accelerated_t.seconds.max(1e-12),
             frozen_exhaustive: frozen_t,
             batched_exhaustive: batched_t,
-            batched_raced: raced_t,
+            batched_accelerated: accelerated_t,
+            esteps_reduction: v.exhaustive.esteps_per_fit / v.accelerated.esteps_per_fit.max(1e-12),
+            exhaustive_esteps: v.exhaustive,
+            accelerated_esteps: v.accelerated,
+            max_ll_deficit_per_obs: v.max_deficit,
         });
     }
 
@@ -229,23 +291,25 @@ fn main() {
         full.len()
     );
 
-    eprintln!("verifying batched-vs-frozen identity and racing tolerance ...");
-    let (mm_train, def_train) = verify_regime(&train);
-    let (mm_full, def_full) = verify_regime(&full);
-    let bitwise_mismatches = mm_train + mm_full;
-    let max_deficit = def_train.max(def_full);
-
+    let mut gates = Gates::new();
+    let mut bitwise_mismatches = 0usize;
     let regimes = vec![
-        bench_regime("train25", &train, 5),
-        bench_regime("full-history", &full, 2),
+        bench_regime("train25", &train, 5, &mut gates, &mut bitwise_mismatches),
+        bench_regime(
+            "full-history",
+            &full,
+            2,
+            &mut gates,
+            &mut bitwise_mismatches,
+        ),
     ];
 
-    let (mut frozen_secs, mut raced_secs) = (0.0f64, 0.0f64);
-    for r in &regimes {
-        for f in &r.hyperexponential {
-            frozen_secs += f.frozen_exhaustive.seconds;
-            raced_secs += f.batched_raced.seconds;
-        }
+    let (mut frozen_secs, mut accelerated_secs) = (0.0f64, 0.0f64);
+    let mut max_deficit = 0.0f64;
+    for f in regimes.iter().flat_map(|r| &r.hyperexponential) {
+        frozen_secs += f.frozen_exhaustive.seconds;
+        accelerated_secs += f.batched_accelerated.seconds;
+        max_deficit = max_deficit.max(f.max_ll_deficit_per_obs);
     }
     let report = FitBenchReport {
         machines_requested: args.machines,
@@ -254,13 +318,13 @@ fn main() {
         regimes,
         batched_bitwise_identical: bitwise_mismatches == 0,
         bitwise_mismatches,
-        max_raced_ll_deficit_per_obs: max_deficit,
+        max_default_ll_deficit_per_obs: max_deficit,
         race_ll_slack: RACE_LL_SLACK,
-        aggregate_hyperexp_speedup: frozen_secs / raced_secs.max(1e-12),
+        aggregate_hyperexp_speedup: frozen_secs / accelerated_secs.max(1e-12),
     };
 
     println!("\nfit benchmark (seed {})", args.seed);
-    let printer = TablePrinter::new(vec![14, 22, 10, 12, 9]);
+    let printer = TablePrinter::new(vec![14, 24, 10, 12, 9]);
     printer.row(&[
         "regime".into(),
         "family / variant".into(),
@@ -290,24 +354,35 @@ fn main() {
                 &format!("hyperexp{} batched", f.phases),
                 &f.batched_exhaustive,
             );
-            line(&format!("hyperexp{} raced", f.phases), &f.batched_raced);
+            line(
+                &format!("hyperexp{} accelerated", f.phases),
+                &f.batched_accelerated,
+            );
         }
         printer.rule();
     }
     for r in &report.regimes {
         for f in &r.hyperexponential {
             println!(
-                "{} hyperexp{}: batched {:.2}x, batched+raced {:.2}x over frozen",
-                r.regime, f.phases, f.batched_speedup, f.raced_speedup
+                "{} hyperexp{}: batched {:.2}x, accelerated {:.2}x over frozen; \
+                 E-steps/fit {:.1} -> {:.1} ({:.2}x fewer), capped winners {} -> {}",
+                r.regime,
+                f.phases,
+                f.batched_speedup,
+                f.accelerated_speedup,
+                f.exhaustive_esteps.esteps_per_fit,
+                f.accelerated_esteps.esteps_per_fit,
+                f.esteps_reduction,
+                f.exhaustive_esteps.capped_winners,
+                f.accelerated_esteps.capped_winners
             );
         }
     }
     println!(
-        "aggregate hyperexp speedup (frozen exhaustive -> batched raced): {:.2}x",
+        "aggregate hyperexp speedup (frozen exhaustive -> batched accelerated): {:.2}x",
         report.aggregate_hyperexp_speedup
     );
 
-    let mut gates = Gates::new();
     gates.check(
         "batched_bitwise",
         bitwise_mismatches == 0,
@@ -315,9 +390,9 @@ fn main() {
     );
     // `<=` keeps a NaN deficit failing the gate.
     gates.check(
-        "race_within_slack",
+        "default_within_slack",
         max_deficit <= RACE_LL_SLACK,
-        format!("raced ll deficit {max_deficit:.3e}/obs, slack {RACE_LL_SLACK:.1e}"),
+        format!("default ll deficit {max_deficit:.3e}/obs, slack {RACE_LL_SLACK:.1e}"),
     );
     finish(&json_path, &report, &gates);
 }

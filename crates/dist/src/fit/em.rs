@@ -15,44 +15,59 @@
 //! geometries, keeping the highest-likelihood result. If phases collapse
 //! (equal rates or vanishing weight) the result degrades gracefully to
 //! fewer effective phases and is repaired by nudging rates apart.
+//!
+//! Plain EM crawls along the mixture likelihood's ridge, so by default
+//! every start is accelerated with SQUAREM (Varadhan & Roland, *Scand. J.
+//! Stat.* 35, 2008): each cycle takes two EM maps, extrapolates along
+//! them in `(ln w, ln λ)` coordinates and stabilises the jump with a
+//! third map, falling back to the plain two-map result whenever the jump
+//! loses likelihood (see [`EmState::advance`]). The fixed points and the
+//! convergence test are plain EM's.
 
 use super::estep::{estep_batched, EstepScratch};
 use super::validate_data;
 use crate::{DistError, HyperExponential, Result};
 use serde::{Deserialize, Serialize};
 
-/// Slack allowed to the raced multi-start, in **per-observation**
-/// log-likelihood units: the raced fit's final log-likelihood must stay
-/// within `RACE_LL_SLACK · n` of the exhaustive multi-start's. This is
-/// the documented contract the racing property test and `fit_bench`'s
-/// exit gate enforce.
+/// Slack allowed to the accelerated default, in **per-observation**
+/// log-likelihood units: its final log-likelihood must stay within
+/// `RACE_LL_SLACK · n` of the plain-EM multi-start's
+/// ([`EmOptions::exhaustive`]). The documented contract the
+/// differential property test and `fit_bench`'s exit gate enforce.
 pub const RACE_LL_SLACK: f64 = 1e-3;
+
+/// E-steps one accelerated cycle spends at most: two EM maps and the
+/// stabilising map of the extrapolated point.
+const CYCLE_ESTEPS: usize = 3;
+
+/// Per-observation log-likelihood gain of one EM map above which a
+/// cycle does not extrapolate. Early maps gain a lot and decide which
+/// local maximum the start climbs; extrapolating there can jump to
+/// another one. Below this gain EM crawls along the ridge of the
+/// maximum it has chosen, which is where the E-steps go.
+const CRAWL_GAIN: f64 = 1e-4;
+
+/// Factor by which the SQUAREM step-length bound grows after a step
+/// that used all of it, and shrinks after one that was rejected
+/// (Varadhan & Roland's default schedule, starting from 1).
+const STEP_GROWTH: f64 = 4.0;
 
 /// Tunables for the EM fit.
 #[derive(Debug, Clone)]
 pub struct EmOptions {
-    /// Maximum EM iterations per start.
+    /// E-step budget per start. Plain EM spends one per iteration; an
+    /// accelerated cycle spends up to three and is started only while
+    /// the budget left holds all three.
     pub max_iterations: usize,
-    /// Convergence threshold on the per-sample log-likelihood change.
+    /// Convergence threshold on the per-sample log-likelihood change
+    /// across one EM map.
     pub tolerance: f64,
     /// Floor for mixture weights; phases below it are reseeded.
     pub weight_floor: f64,
-    /// Burn-in iterations each start runs before the race eliminates
-    /// trailing starts (only consulted when `race` is on).
-    pub burn_in: usize,
-    /// Race the multi-start: run every start `burn_in` iterations, then
-    /// finish only the likelihood leader — plus every start the guard
-    /// keeps (see [`fit_hyperexponential`]). Off, every start runs to
-    /// full convergence (the exhaustive path the differential suite and
-    /// `fit_bench` compare against).
-    pub race: bool,
-    /// Elimination guard, in per-observation log-likelihood units: a
-    /// start within `race_margin · n` of the burn-in leader is finished
-    /// anyway. Raising it trades throughput for a tighter optimality
-    /// guarantee; the default is wide enough that the raced optimum has
-    /// never been observed below the exhaustive one by more than
-    /// [`RACE_LL_SLACK`] per observation.
-    pub race_margin: f64,
+    /// Accelerate every start with SQUAREM cycles. Off, every start runs
+    /// plain EM: the exhaustive path the differential suite pins
+    /// bitwise to the frozen pipeline and `fit_bench` compares against.
+    pub accelerate: bool,
 }
 
 impl Default for EmOptions {
@@ -61,19 +76,17 @@ impl Default for EmOptions {
             max_iterations: 2_000,
             tolerance: 1e-10,
             weight_floor: 1e-6,
-            burn_in: 25,
-            race: true,
-            race_margin: 0.05,
+            accelerate: true,
         }
     }
 }
 
 impl EmOptions {
-    /// The exhaustive multi-start configuration: every start runs to
-    /// full convergence, reproducing the pre-racing pipeline bitwise.
+    /// Plain EM on every start, run to full convergence: reproduces the
+    /// frozen pipeline bitwise.
     pub fn exhaustive() -> Self {
         Self {
-            race: false,
+            accelerate: false,
             ..Self::default()
         }
     }
@@ -86,39 +99,30 @@ pub struct EmReport {
     pub model: HyperExponential,
     /// Final log-likelihood over the training data.
     pub log_likelihood: f64,
-    /// EM iterations consumed by the winning start.
+    /// E-steps consumed by the winning start.
     pub iterations: usize,
+    /// Whether the winning start met the convergence test (`false`: the
+    /// E-step budget stopped it).
+    pub converged: bool,
     /// Number of initializations attempted.
     pub starts: usize,
-    /// Starts run to full convergence (equals `starts` on the exhaustive
-    /// path; under racing, the survivors of the burn-in cut).
-    pub finished_starts: usize,
+    /// E-steps consumed by all starts together.
+    pub esteps: usize,
 }
 
 /// Fit a `phases`-phase hyperexponential by EM with deterministic
 /// multi-start (the EMPht substitute).
 ///
-/// With `options.race` on (the default), every start runs a short
-/// burn-in of `options.burn_in` iterations and only the likelihood
-/// leader is run to full convergence. Two guards keep the selected
-/// optimum from regressing:
-///
-/// * **closeness** — any start within `race_margin · n` log-likelihood
-///   of the burn-in leader is finished too (near-ties are not decided on
-///   a 25-iteration prefix);
-/// * **strict monotonicity** — plain EM never decreases the likelihood,
-///   so burn-in rankings are trustworthy *unless* a start was perturbed
-///   by a phase reseed (which can drop its likelihood mid-run). A start
-///   whose burn-in trajectory was not strictly monotone is always
-///   finished, falling back to exhaustive behaviour for it.
-///
-/// With `options.race` off, every start runs to full convergence and the
-/// pipeline reproduces the pre-racing fit **bitwise** (pinned by
-/// `tests/em_differential.rs`).
+/// Every start runs until it converges, degenerates or spends
+/// `options.max_iterations` E-steps; the highest log-likelihood wins,
+/// ties going to the earlier start. With `options.accelerate` on (the
+/// default) each start takes SQUAREM cycles; off, plain EM reproduces
+/// the frozen pipeline **bitwise** (pinned by `tests/em_differential.rs`).
 ///
 /// # Errors
 /// * [`DistError::InvalidData`] — sample shorter than `2·phases` or
 ///   containing non-positive values, or `phases == 0`.
+/// * [`DistError::NoConvergence`] — every start degenerated.
 pub fn fit_hyperexponential(data: &[f64], phases: usize, options: &EmOptions) -> Result<EmReport> {
     if phases == 0 {
         return Err(DistError::InvalidData {
@@ -132,66 +136,31 @@ pub fn fit_hyperexponential(data: &[f64], phases: usize, options: &EmOptions) ->
 
     let starts = initial_guesses(&sorted, phases);
     let n_starts = starts.len();
-    let mut scratch = EstepScratch::new(phases);
-    let mut states: Vec<EmState> = starts
-        .into_iter()
-        .map(|(weights, rates)| EmState::new(weights, rates))
-        .collect();
-
-    let race = options.race && states.len() > 1 && options.burn_in < options.max_iterations;
-    if race {
-        for state in &mut states {
-            em_advance(data, state, options.burn_in, options, &mut scratch);
-        }
-        let leader_ll = states
-            .iter()
-            .filter(|s| !s.dead)
-            .map(|s| s.ll)
-            .fold(f64::NEG_INFINITY, f64::max);
-        let cut = leader_ll - options.race_margin * data.len() as f64;
-        for state in &mut states {
-            if state.dead {
-                continue;
-            }
-            if state.monotone && state.ll < cut {
-                state.eliminated = true;
-                continue;
-            }
-            let budget = options.max_iterations - state.iterations;
-            em_advance(data, state, budget, options, &mut scratch);
-        }
-    } else {
-        for state in &mut states {
-            em_advance(data, state, options.max_iterations, options, &mut scratch);
+    let mut scratch = EmScratch::new(phases);
+    let mut esteps = 0usize;
+    let mut best: Option<EmState> = None;
+    for (weights, rates) in starts {
+        let mut state = EmState::new(weights, rates);
+        state.advance(data, options.max_iterations, options, &mut scratch);
+        esteps += state.iterations;
+        // Strict `>` against the running best, like the frozen pick:
+        // ties keep the earlier (first-geometry) start.
+        if !state.dead && best.as_ref().is_none_or(|b| state.ll > b.ll) {
+            best = Some(state);
         }
     }
-
-    let finished_starts = states.iter().filter(|s| !s.dead && !s.eliminated).count();
-    let best = states
-        .into_iter()
-        .filter(|s| !s.dead && !s.eliminated)
-        .max_by(|a, b| {
-            // Strict `>` against the running best, like the frozen pick:
-            // ties keep the earlier (first-geometry) start.
-            if b.ll > a.ll {
-                std::cmp::Ordering::Less
-            } else {
-                std::cmp::Ordering::Greater
-            }
-        });
     let state = best.ok_or(DistError::NoConvergence {
         routine: "fit_hyperexponential",
         iterations: options.max_iterations,
     })?;
 
-    let phases_vec: Vec<(f64, f64)> = state.weights.into_iter().zip(state.rates).collect();
-    let model = build_repaired(&phases_vec)?;
     Ok(EmReport {
-        model,
+        model: state.model()?,
         log_likelihood: state.ll,
         iterations: state.iterations,
+        converged: state.converged,
         starts: n_starts,
-        finished_starts,
+        esteps,
     })
 }
 
@@ -271,54 +240,65 @@ fn geometric_fractions(k: usize, r: f64) -> Vec<f64> {
     raw.into_iter().map(|x| x / total).collect()
 }
 
-/// Reusable E-step workspace for callers driving [`EmState::advance`]
-/// directly (the streaming refit path). One scratch serves any number of
-/// sequential advances with the same phase count.
+/// Reusable EM workspace: the E-step buffers, the M-step sums and the
+/// accelerated cycle's parameter copies, so no iteration or cycle
+/// allocates. One scratch serves any number of sequential advances with
+/// the same phase count.
 #[derive(Debug)]
 pub struct EmScratch {
-    inner: EstepScratch,
+    estep: EstepScratch,
+    sum_resp: Vec<f64>,
+    sum_resp_x: Vec<f64>,
+    reseeded: Vec<usize>,
+    /// θ₀ and θ₁ of the running cycle as `[ln w₁…ln w_k, ln λ₁…ln λ_k]`.
+    log0: Vec<f64>,
+    log1: Vec<f64>,
+    /// θ₂, kept while the extrapolated point is tried.
+    weights2: Vec<f64>,
+    rates2: Vec<f64>,
 }
 
 impl EmScratch {
-    /// Workspace for `phases`-phase E-steps.
+    /// Workspace for `phases`-phase fits.
     pub fn new(phases: usize) -> Self {
         Self {
-            inner: EstepScratch::new(phases),
+            estep: EstepScratch::new(phases),
+            sum_resp: vec![0.0; phases],
+            sum_resp_x: vec![0.0; phases],
+            reseeded: Vec::with_capacity(phases),
+            log0: vec![0.0; 2 * phases],
+            log1: vec![0.0; 2 * phases],
+            weights2: vec![0.0; phases],
+            rates2: vec![0.0; phases],
         }
     }
 }
 
 /// A resumable EM run: one multi-start candidate's parameters plus the
-/// bookkeeping needed to pause it after a racing burn-in and resume it
-/// later on exactly the trajectory an uninterrupted run would follow.
+/// bookkeeping needed to pause it and resume it later on exactly the
+/// trajectory an uninterrupted run would follow.
 ///
-/// Public (and serializable) so long-running services can park a
-/// mid-burn-in fit, persist it, and resume later: a deserialized state
-/// advanced by `b₂` iterations lands bitwise on the trajectory the
-/// uninterrupted `b₁ + b₂`-iteration run follows (pinned by the
-/// `em_resume` regression suite).
+/// Public (and serializable) so long-running services can park a fit,
+/// persist it, and resume later: a deserialized state advanced by `b₂`
+/// E-steps lands bitwise on the trajectory the uninterrupted
+/// `b₁ + b₂`-E-step run follows (pinned by the `em_resume` regression
+/// suite).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EmState {
     weights: Vec<f64>,
     rates: Vec<f64>,
-    /// Log-likelihood computed by the most recent E-step (the likelihood
-    /// of the parameters *entering* that iteration, as in the frozen
-    /// loop's report).
+    /// Log-likelihood of the parameters whose EM map produced the
+    /// current ones (the frozen loop's report, and the reference the
+    /// next map's change is tested against); −∞ before the first map.
     ll: f64,
-    /// Previous iteration's log-likelihood (the convergence reference).
-    prev_ll: f64,
-    /// Iterations consumed so far.
+    /// E-steps consumed so far.
     iterations: usize,
     /// Converged to `options.tolerance`.
     converged: bool,
     /// Degenerated beyond repair (the frozen loop's `None`).
     dead: bool,
-    /// Eliminated by the race after burn-in (never finished).
-    eliminated: bool,
-    /// Whether the log-likelihood has been strictly non-decreasing so
-    /// far. Plain EM guarantees this; a phase reseed can break it, and a
-    /// non-monotone start is exempt from race elimination.
-    monotone: bool,
+    /// Largest SQUAREM step length the next cycle may take.
+    step_max: f64,
 }
 
 impl EmState {
@@ -329,12 +309,10 @@ impl EmState {
             weights,
             rates,
             ll: f64::NEG_INFINITY,
-            prev_ll: f64::NEG_INFINITY,
             iterations: 0,
             converged: false,
             dead: false,
-            eliminated: false,
-            monotone: true,
+            step_max: 1.0,
         }
     }
 
@@ -344,9 +322,32 @@ impl EmState {
         Self::new(model.weights().to_vec(), model.rates().to_vec())
     }
 
-    /// Advance by up to `budget` iterations over `data`, stopping early
-    /// on convergence or degeneracy. Splitting one budget across several
+    /// Advance by up to `budget` E-steps over `data`, stopping early on
+    /// convergence or degeneracy. Splitting one budget across several
     /// calls reproduces the single-call trajectory bitwise.
+    ///
+    /// Plain EM (`options.accelerate` off) spends the budget one map at
+    /// a time. Accelerated, each SQUAREM cycle from θ₀:
+    ///
+    /// 1. takes two EM maps θ₀ → θ₁ → θ₂, each under the plain
+    ///    convergence test;
+    /// 2. once the second map gained less than `CRAWL_GAIN` (1e-4) per
+    ///    observation, extrapolates in `(ln w, ln λ)` coordinates to
+    ///    `θ′ = θ₀ + 2s·r + s²·v`, with `r = θ₁ − θ₀`,
+    ///    `v = θ₂ − 2θ₁ + θ₀` and step length `s = ‖r‖/‖v‖` clamped to
+    ///    `[1, step_max]` (`s = 1` gives θ₂ back, and the cycle ends
+    ///    there);
+    /// 3. applies one stabilising EM map to θ′, keeping `M(θ′)` only when
+    ///    `ll(θ′) ≥ ll(θ₁)` and the map reseeded no phase; otherwise the
+    ///    cycle ends at θ₂, as it does without extrapolating when either
+    ///    of the first two maps reseeded.
+    ///
+    /// `step_max` starts at 1, grows fourfold after a step that used all
+    /// of it and shrinks fourfold after such a step is rejected
+    /// (Varadhan & Roland's default schedule). A cycle is started only
+    /// while the budget left holds all three of its E-steps, so the
+    /// split-budget guarantee holds for both modes; up to two E-steps of
+    /// a budget may go unspent.
     pub fn advance(
         &mut self,
         data: &[f64],
@@ -354,7 +355,17 @@ impl EmState {
         options: &EmOptions,
         scratch: &mut EmScratch,
     ) {
-        em_advance(data, self, budget, options, &mut scratch.inner);
+        let cost = if options.accelerate { CYCLE_ESTEPS } else { 1 };
+        let mut left = budget;
+        while !(self.converged || self.dead) && left >= cost {
+            let before = self.iterations;
+            if options.accelerate {
+                self.cycle(data, options, scratch);
+            } else {
+                self.step(data, options, scratch);
+            }
+            left -= self.iterations - before;
+        }
     }
 
     /// Re-open a converged (or fresh) state for a **new** data window:
@@ -363,10 +374,9 @@ impl EmState {
     /// mixture carries over as the warm start.
     pub fn reopen(&mut self) {
         self.ll = f64::NEG_INFINITY;
-        self.prev_ll = f64::NEG_INFINITY;
         self.iterations = 0;
         self.converged = false;
-        self.monotone = true;
+        self.step_max = 1.0;
     }
 
     /// The current mixture, repaired into a valid [`HyperExponential`]
@@ -381,12 +391,12 @@ impl EmState {
         build_repaired(&phases)
     }
 
-    /// Log-likelihood reported by the most recent E-step.
+    /// Log-likelihood reported by the most recent accepted EM map.
     pub fn log_likelihood(&self) -> f64 {
         self.ll
     }
 
-    /// Iterations consumed so far.
+    /// E-steps consumed so far.
     pub fn iterations(&self) -> usize {
         self.iterations
     }
@@ -410,114 +420,209 @@ impl EmState {
     pub fn rates(&self) -> &[f64] {
         &self.rates
     }
-}
 
-/// Advance one EM state by up to `budget` iterations (stopping early on
-/// convergence or degeneracy). Calling this twice with budgets `b₁` and
-/// `b₂` is identical to calling it once with `b₁ + b₂`: all loop-carried
-/// state (`prev_ll` included) lives in `state`, so racing's burn-in
-/// pause does not perturb the trajectory.
-fn em_advance(
-    data: &[f64],
-    state: &mut EmState,
-    budget: usize,
-    options: &EmOptions,
-    scratch: &mut EstepScratch,
-) {
-    if state.converged || state.dead {
-        return;
+    /// One plain EM iteration under the convergence test; returns
+    /// whether it reseeded a phase.
+    fn step(&mut self, data: &[f64], options: &EmOptions, scratch: &mut EmScratch) -> bool {
+        let Some((ll, reseeded)) =
+            em_map(data, &mut self.weights, &mut self.rates, options, scratch)
+        else {
+            self.dead = true;
+            return false;
+        };
+        self.iterations += 1;
+        self.converged = (ll - self.ll).abs() < options.tolerance * data.len() as f64;
+        self.ll = ll;
+        reseeded
     }
-    let n = data.len();
-    let k = state.rates.len();
-    let mut sum_resp = vec![0.0f64; k];
-    let mut sum_resp_x = vec![0.0f64; k];
-    let mut reseeded: Vec<usize> = Vec::with_capacity(k);
-    for _ in 0..budget {
-        // E-step in a numerically shifted domain (densities of widely
-        // separated rates underflow otherwise), batched: see `estep.rs`.
-        let Some(ll) = estep_batched(
-            data,
-            &state.weights,
-            &state.rates,
-            &mut sum_resp,
-            &mut sum_resp_x,
-            scratch,
+
+    /// One SQUAREM cycle (see [`EmState::advance`]).
+    fn cycle(&mut self, data: &[f64], options: &EmOptions, scratch: &mut EmScratch) {
+        to_log_coords(&self.weights, &self.rates, &mut scratch.log0);
+        let reseeded = self.step(data, options, scratch);
+        if self.converged || self.dead {
+            return;
+        }
+        to_log_coords(&self.weights, &self.rates, &mut scratch.log1);
+        let ll0 = self.ll;
+        let reseeded_again = self.step(data, options, scratch);
+        // Extrapolate only along a smooth crawl: not across a reseed and
+        // not while the maps still climb fast.
+        if reseeded
+            || reseeded_again
+            || self.converged
+            || self.dead
+            || self.ll - ll0 > CRAWL_GAIN * data.len() as f64
+        {
+            return;
+        }
+        let Some(step) = step_length(
+            &scratch.log0,
+            &scratch.log1,
+            &self.weights,
+            &self.rates,
+            self.step_max,
         ) else {
-            state.dead = true;
             return;
         };
-        // M-step.
-        reseeded.clear();
-        for j in 0..k {
-            if sum_resp[j] < options.weight_floor * n as f64 || sum_resp_x[j] <= 0.0 {
-                // Phase starved of data: reseed it at a rate off to the
-                // side of the current fastest phase.
-                let fastest = state.rates.iter().cloned().fold(0.0f64, f64::max);
-                state.rates[j] = fastest * 3.0;
-                state.weights[j] = 1.0 / n as f64;
-                reseeded.push(j);
-            } else {
-                state.weights[j] = sum_resp[j] / n as f64;
-                state.rates[j] = sum_resp[j] / sum_resp_x[j];
+        let at_max = step == self.step_max;
+        if step > 1.0 && !self.try_extrapolated(data, step, options, scratch) {
+            if at_max {
+                self.step_max = (self.step_max / STEP_GROWTH).max(1.0);
             }
-        }
-        // Nudge reseeded rates apart from every other phase, the same way
-        // the initializer separates ties: a reseed can collide with a rate
-        // another phase's normal update just produced, and duplicate rates
-        // make the next E-step's responsibilities (and the final mixture)
-        // degenerate.
-        for &j in &reseeded {
-            while state
-                .rates
-                .iter()
-                .enumerate()
-                .any(|(i, &r)| i != j && (state.rates[j] - r).abs() < 1e-9 * state.rates[j].abs())
-            {
-                state.rates[j] *= 1.5;
-            }
-        }
-        // Renormalize weights (reseeding can perturb the sum).
-        let total: f64 = state.weights.iter().sum();
-        state.weights.iter_mut().for_each(|w| *w /= total);
-
-        state.iterations += 1;
-        if ll < state.prev_ll {
-            state.monotone = false;
-        }
-        if (ll - state.prev_ll).abs() < options.tolerance * n as f64 {
-            state.ll = ll;
-            state.converged = true;
             return;
         }
-        state.prev_ll = ll;
-        state.ll = ll;
+        if at_max {
+            self.step_max *= STEP_GROWTH;
+        }
+    }
+
+    /// Replace θ₂ by the stabilising map of the SQUAREM point of length
+    /// `step` when `ll(θ′) ≥ ll(θ₁)` and no phase reseeds; otherwise keep
+    /// θ₂. Returns whether the point was taken.
+    fn try_extrapolated(
+        &mut self,
+        data: &[f64],
+        step: f64,
+        options: &EmOptions,
+        scratch: &mut EmScratch,
+    ) -> bool {
+        scratch.weights2.copy_from_slice(&self.weights);
+        scratch.rates2.copy_from_slice(&self.rates);
+        let finite = extrapolate(
+            &scratch.log0,
+            &scratch.log1,
+            step,
+            &mut self.weights,
+            &mut self.rates,
+        );
+        let taken = finite && {
+            self.iterations += 1;
+            match em_map(data, &mut self.weights, &mut self.rates, options, scratch) {
+                // `>=` rejects a NaN likelihood.
+                Some((ll, false)) if ll >= self.ll => {
+                    self.ll = ll;
+                    true
+                }
+                _ => false,
+            }
+        };
+        if !taken {
+            self.weights.copy_from_slice(&scratch.weights2);
+            self.rates.copy_from_slice(&scratch.rates2);
+        }
+        taken
     }
 }
 
-/// One EM run to full convergence; returns
-/// `(weights, rates, loglik, iterations)` or `None` when the run
-/// degenerates beyond repair. Thin wrapper over [`em_advance`] kept for
-/// the unit tests.
-#[cfg(test)]
-fn em_run(
+/// One EM map in place: E-step at `(weights, rates)`, closed-form M-step
+/// with reseed repair into them. Returns the log-likelihood of the
+/// parameters it started from and whether a phase was reseeded, or
+/// `None` when the E-step degenerates (parameters then untouched).
+fn em_map(
     data: &[f64],
-    weights: Vec<f64>,
-    rates: Vec<f64>,
+    weights: &mut [f64],
+    rates: &mut [f64],
     options: &EmOptions,
-) -> Option<(Vec<f64>, Vec<f64>, f64, usize)> {
-    let mut scratch = EstepScratch::new(rates.len());
-    let mut state = EmState::new(weights, rates);
-    em_advance(
+    scratch: &mut EmScratch,
+) -> Option<(f64, bool)> {
+    let n = data.len();
+    // E-step in a numerically shifted domain (densities of widely
+    // separated rates underflow otherwise), batched: see `estep.rs`.
+    let ll = estep_batched(
         data,
-        &mut state,
-        options.max_iterations,
-        options,
-        &mut scratch,
-    );
-    if state.dead {
-        return None;
+        weights,
+        rates,
+        &mut scratch.sum_resp,
+        &mut scratch.sum_resp_x,
+        &mut scratch.estep,
+    )?;
+    // M-step.
+    let (sum_resp, sum_resp_x) = (&scratch.sum_resp, &scratch.sum_resp_x);
+    let reseeded = &mut scratch.reseeded;
+    reseeded.clear();
+    for j in 0..rates.len() {
+        if sum_resp[j] < options.weight_floor * n as f64 || sum_resp_x[j] <= 0.0 {
+            // Phase starved of data: reseed it at a rate off to the
+            // side of the current fastest phase.
+            let fastest = rates.iter().cloned().fold(0.0f64, f64::max);
+            rates[j] = fastest * 3.0;
+            weights[j] = 1.0 / n as f64;
+            reseeded.push(j);
+        } else {
+            weights[j] = sum_resp[j] / n as f64;
+            rates[j] = sum_resp[j] / sum_resp_x[j];
+        }
     }
-    Some((state.weights, state.rates, state.ll, state.iterations))
+    // Nudge reseeded rates apart from every other phase, the same way
+    // the initializer separates ties: a reseed can collide with a rate
+    // another phase's normal update just produced, and duplicate rates
+    // make the next E-step's responsibilities (and the final mixture)
+    // degenerate.
+    for &j in reseeded.iter() {
+        while rates
+            .iter()
+            .enumerate()
+            .any(|(i, &r)| i != j && (rates[j] - r).abs() < 1e-9 * rates[j].abs())
+        {
+            rates[j] *= 1.5;
+        }
+    }
+    // Renormalize weights (reseeding can perturb the sum).
+    let total: f64 = weights.iter().sum();
+    weights.iter_mut().for_each(|w| *w /= total);
+    Some((ll, !reseeded.is_empty()))
+}
+
+/// `[ln w…, ln λ…]` into `out` (length `2k`).
+fn to_log_coords(weights: &[f64], rates: &[f64], out: &mut [f64]) {
+    for (o, &p) in out.iter_mut().zip(weights.iter().chain(rates)) {
+        *o = p.ln();
+    }
+}
+
+/// SQUAREM step length `‖r‖/‖v‖` for θ₀, θ₁ (log coordinates) and θ₂
+/// (`weights`, `rates`), clamped to `[1, step_max]`; `None` when `v`
+/// vanishes or the length is not finite.
+fn step_length(
+    log0: &[f64],
+    log1: &[f64],
+    weights: &[f64],
+    rates: &[f64],
+    step_max: f64,
+) -> Option<f64> {
+    let (mut rr, mut vv) = (0.0f64, 0.0f64);
+    for (i, &p2) in weights.iter().chain(rates).enumerate() {
+        let r = log1[i] - log0[i];
+        let v = p2.ln() - 2.0 * log1[i] + log0[i];
+        rr += r * r;
+        vv += v * v;
+    }
+    let step = (rr / vv).sqrt().max(1.0).min(step_max);
+    (vv > 0.0 && step.is_finite()).then_some(step)
+}
+
+/// Overwrite θ₂ (`weights`, `rates`) with the SQUAREM point
+/// `θ₀ + 2·step·r + step²·v` built from θ₀ and θ₁ in log coordinates, weights
+/// renormalized. Returns `false`, leaving the parameters unusable, when
+/// the point is not finite and positive.
+fn extrapolate(
+    log0: &[f64],
+    log1: &[f64],
+    step: f64,
+    weights: &mut [f64],
+    rates: &mut [f64],
+) -> bool {
+    for (i, p) in weights.iter_mut().chain(rates.iter_mut()).enumerate() {
+        let (r, v) = (log1[i] - log0[i], p.ln() - 2.0 * log1[i] + log0[i]);
+        *p = (log0[i] + 2.0 * step * r + step * step * v).exp();
+    }
+    let total: f64 = weights.iter().sum();
+    weights.iter_mut().for_each(|w| *w /= total);
+    weights
+        .iter()
+        .chain(rates.iter())
+        .all(|&p| p > 0.0 && p.is_finite())
 }
 
 /// Build a [`HyperExponential`], merging near-identical phases so the
@@ -678,12 +783,17 @@ mod tests {
         // One iteration: degenerate single-valued data would eventually
         // pull both phases to 1/x through *normal* updates, which is the
         // repairer's job, not the reseed nudge's. The first M-step is
-        // where the reseed/update collision happens.
+        // where the reseed/update collision happens (a plain map: an
+        // accelerated cycle needs a budget of three).
         let options = EmOptions {
             max_iterations: 1,
-            ..EmOptions::default()
+            ..EmOptions::exhaustive()
         };
-        let (_, rates, _, _) = em_run(&data, weights, rates, &options).unwrap();
+        let mut state = EmState::new(weights, rates);
+        state.advance(&data, 1, &options, &mut EmScratch::new(2));
+        assert_eq!(state.iterations(), 1);
+        assert!(!state.is_dead());
+        let rates = state.rates();
         for i in 0..rates.len() {
             for j in (i + 1)..rates.len() {
                 assert!(

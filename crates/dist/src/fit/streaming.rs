@@ -589,14 +589,16 @@ pub struct StreamingFitConfig {
     /// Warm-refresh cadence: a refit every `refresh_every` observations
     /// even without a detector trigger (`None` disables refreshes).
     pub refresh_every: Option<usize>,
-    /// Iteration budget of a warm (resumed) EM refit.
+    /// E-step budget of a warm (resumed) EM refit. The resume takes the
+    /// same SQUAREM cycles as the batch fit ([`EmState::advance`]), each
+    /// spending up to three E-steps, so the default 400 buys 133 cycles.
     pub warm_iterations: usize,
 }
 
 impl Default for StreamingFitConfig {
     /// Weibull fits over a 64-observation window, first fit at 25
     /// observations, the default detector, a warm refresh every 64
-    /// observations and 400 warm EM iterations.
+    /// observations and a 400-E-step warm EM budget.
     ///
     /// With these defaults the regime-shift path never fires while
     /// refits succeed: every installed refit re-arms the detector, which
@@ -662,7 +664,8 @@ pub struct RefitOutcome {
 ///   data (the scheduler's differential suite pins this).
 /// * `prior = Some(state)`: **warm refit** — the persisted [`EmState`]
 ///   is re-opened on the new window, advanced up to `warm_iterations`
-///   iterations, and *raced* against the full multi-start: the
+///   E-steps of accelerated EM, and *raced* against the full
+///   multi-start: the
 ///   candidate with the higher window log-likelihood wins (ties go to
 ///   the full fit, keeping the batch answer the canonical one). The
 ///   warm continuation preserves fit continuity on drifting data;

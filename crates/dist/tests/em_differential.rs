@@ -9,13 +9,13 @@
 //! cycle-engine port and `crates/markov/tests/kernel_differential.rs`
 //! pinned the Γ kernels:
 //!
-//! * with racing **off** the new pipeline (hoisted log-constants,
+//! * with acceleration **off** the new pipeline (hoisted log-constants,
 //!   chunked SoA E-step, underflow skip, resumable starts) must
 //!   reproduce the frozen pipeline **bitwise** — weights, rates,
 //!   log-likelihood, iteration count, and the error/success outcome;
-//! * with racing **on** (the default) the selected optimum must never
-//!   fall below the exhaustive one by more than the documented
-//!   [`RACE_LL_SLACK`] per observation.
+//! * with SQUAREM acceleration **on** (the default) the selected optimum
+//!   must never fall below the exhaustive one by more than the
+//!   documented [`RACE_LL_SLACK`] per observation.
 
 use chs_dist::fit::{fit_hyperexponential, EmOptions, RACE_LL_SLACK};
 use proptest::prelude::*;
@@ -28,12 +28,12 @@ mod frozen;
 // Harness
 // ---------------------------------------------------------------------
 
-/// Options shared by both paths: the pre-racing defaults with a bounded
-/// iteration budget so adversarial samples stay fast.
-fn options(race: bool) -> EmOptions {
+/// Options shared by both paths: the defaults with a bounded E-step
+/// budget so adversarial samples stay fast.
+fn options(accelerate: bool) -> EmOptions {
     EmOptions {
         max_iterations: 500,
-        race,
+        accelerate,
         ..EmOptions::default()
     }
 }
@@ -53,7 +53,6 @@ fn assert_bitwise_identical(data: &[f64], phases: usize) {
             );
             assert_eq!(b.iterations, f.iterations, "iterations");
             assert_eq!(b.starts, f.starts, "starts");
-            assert_eq!(b.finished_starts, f.starts, "exhaustive finishes all");
             assert_eq!(b.model.phases(), f.model.phases(), "merged phase count");
             for j in 0..b.model.phases() {
                 assert_eq!(
@@ -105,37 +104,67 @@ proptest! {
         assert_bitwise_identical(&data, phases);
     }
 
-    /// Racing never selects an optimum more than RACE_LL_SLACK per
-    /// observation below the exhaustive multi-start's.
+    /// The accelerated default never selects an optimum more than
+    /// RACE_LL_SLACK per observation below the exhaustive multi-start's.
+    /// (The name, from the burn-in race this replaced, seeds the drawn
+    /// cases.)
     #[test]
     fn raced_ll_within_slack_of_exhaustive(
         xs_log in prop::collection::vec(-2.0f64..6.0, 8..80),
         phases in 2usize..4,
     ) {
         let data: Vec<f64> = xs_log.iter().map(|&e| 10f64.powf(e)).collect();
-        let raced = fit_hyperexponential(&data, phases, &options(true));
-        let exhaustive = fit_hyperexponential(&data, phases, &options(false));
-        match (raced, exhaustive) {
-            (Ok(r), Ok(e)) => {
-                let slack = RACE_LL_SLACK * data.len() as f64;
-                prop_assert!(
-                    r.log_likelihood >= e.log_likelihood - slack,
-                    "raced ll {} fell more than {slack:e} below exhaustive ll {}",
-                    r.log_likelihood,
-                    e.log_likelihood
-                );
-                prop_assert!(r.finished_starts <= e.finished_starts);
-            }
-            (Err(_), Err(_)) => {}
-            (r, e) => {
-                return Err(TestCaseError::Fail(format!(
-                    "outcome diverged: raced {:?} exhaustive {:?}",
-                    r.map(|x| x.log_likelihood),
-                    e.map(|x| x.log_likelihood)
-                )));
-            }
+        if let Err(message) = within_slack(&data, phases, &options(true), &options(false)) {
+            return Err(TestCaseError::Fail(message));
         }
     }
+}
+
+/// `Ok` when `fast` fits `data` within [`RACE_LL_SLACK`] per observation
+/// of `exhaustive`, or both fail.
+fn within_slack(
+    data: &[f64],
+    phases: usize,
+    fast: &EmOptions,
+    exhaustive: &EmOptions,
+) -> Result<(), String> {
+    match (
+        fit_hyperexponential(data, phases, fast),
+        fit_hyperexponential(data, phases, exhaustive),
+    ) {
+        (Ok(f), Ok(e)) => {
+            let slack = RACE_LL_SLACK * data.len() as f64;
+            if f.log_likelihood >= e.log_likelihood - slack {
+                Ok(())
+            } else {
+                Err(format!(
+                    "default ll {} fell more than {slack:e} below exhaustive ll {}",
+                    f.log_likelihood, e.log_likelihood
+                ))
+            }
+        }
+        (Err(_), Err(_)) => Ok(()),
+        (f, e) => Err(format!(
+            "outcome diverged: default {:?} exhaustive {:?}",
+            f.map(|x| x.log_likelihood),
+            e.map(|x| x.log_likelihood)
+        )),
+    }
+}
+
+/// A 25-observation, 3-phase training prefix on which a burn-in race
+/// that finishes only the 25-iteration leader ends 4.9e-3 nats/obs below
+/// the exhaustive fit (ll −173.0408 against −172.9191): the start that
+/// wins in the end trails after the burn-in.
+#[test]
+fn default_fit_finds_the_late_leader() {
+    use chs_dist::AvailabilityModel;
+    use rand::SeedableRng;
+    let truth = chs_dist::Weibull::new(0.474109159178532, 802.5079357480126).unwrap();
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(225_445_845);
+    let data: Vec<f64> = (0..25).map(|_| truth.sample(&mut rng)).collect();
+    let default = EmOptions::default();
+    within_slack(&data, 3, &default, &EmOptions::exhaustive()).unwrap();
 }
 
 /// The paper-regime spot check: 25-observation training prefixes drawn

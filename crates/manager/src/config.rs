@@ -81,47 +81,41 @@ impl ManagerConfig {
         }
     }
 
-    /// Check every knob.
+    /// Check every knob; the error names the first field out of range.
     pub fn validate(&self) -> Result<()> {
+        let invalid = |why: String| Err(ManagerError::InvalidConfig(why));
         if self.clients == 0 {
-            return Err(ManagerError::InvalidConfig("need at least one client"));
+            return invalid("clients: need at least one client".into());
         }
         // An empty history has no mean either: it would plan Young's
         // interval at MTTF 0 for every client.
         if self.history_len == 0 {
-            return Err(ManagerError::InvalidConfig(
-                "need at least one historical duration per client",
-            ));
+            return invalid("history_len: need at least one historical duration per client".into());
         }
-        if !(self.link_mb_per_s.is_finite() && self.link_mb_per_s > 0.0) {
-            return Err(ManagerError::InvalidConfig(
-                "link capacity must be positive and finite",
-            ));
+        for (name, value) in [
+            ("link_mb_per_s", self.link_mb_per_s),
+            ("image_mb", self.image_mb),
+            ("window", self.window),
+        ] {
+            if !(value.is_finite() && value > 0.0) {
+                return invalid(format!("{name} must be positive and finite: {value}"));
+            }
         }
-        if !(self.image_mb.is_finite() && self.image_mb > 0.0) {
-            return Err(ManagerError::InvalidConfig(
-                "image size must be positive and finite",
-            ));
+        let nested = [
+            ("retry", self.retry.validate()),
+            ("weights", self.weights.validate()),
+            ("admission", self.admission.validate()),
+            ("pool", self.pool.validate()),
+        ];
+        for (name, check) in nested {
+            if let Err(why) = check {
+                return invalid(format!("{name}: {why}"));
+            }
         }
-        if !(self.window.is_finite() && self.window > 0.0) {
-            return Err(ManagerError::InvalidConfig(
-                "window must be positive and finite",
-            ));
-        }
-        if self.retry.validate().is_err() {
-            return Err(ManagerError::InvalidConfig("invalid retry policy"));
-        }
-        if self.weights.validate().is_err() {
-            return Err(ManagerError::InvalidConfig("invalid lane weights"));
-        }
-        if self.admission.validate().is_err() {
-            return Err(ManagerError::InvalidConfig("invalid admission config"));
-        }
-        if !self.prefetch_probability.is_finite()
-            || !(0.0..=1.0).contains(&self.prefetch_probability)
-        {
-            return Err(ManagerError::InvalidConfig(
-                "prefetch probability must be in [0, 1]",
+        if !(0.0..=1.0).contains(&self.prefetch_probability) {
+            return invalid(format!(
+                "prefetch_probability must be in [0, 1]: {}",
+                self.prefetch_probability
             ));
         }
         Ok(())

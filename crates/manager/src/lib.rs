@@ -49,8 +49,8 @@ pub use server::{run_manager, run_manager_observed};
 /// Errors from manager configuration or execution.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ManagerError {
-    /// A configuration knob is out of range.
-    InvalidConfig(&'static str),
+    /// A configuration knob is out of range; the message names it.
+    InvalidConfig(String),
 }
 
 impl std::fmt::Display for ManagerError {

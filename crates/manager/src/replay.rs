@@ -51,25 +51,26 @@ impl ReplayConfig {
         }
     }
 
-    /// Check every knob.
+    /// Check every knob; the error names the first field out of range.
     pub fn validate(&self) -> Result<()> {
+        let invalid = |why: String| Err(ManagerError::InvalidConfig(why));
         if !(self.link_mb_per_s.is_finite() && self.link_mb_per_s > 0.0) {
-            return Err(ManagerError::InvalidConfig(
-                "replay link capacity must be positive and finite",
+            return invalid(format!(
+                "replay link_mb_per_s must be positive and finite: {}",
+                self.link_mb_per_s
             ));
         }
         if self.max_in_flight == 0 {
-            return Err(ManagerError::InvalidConfig(
-                "replay needs at least one in-flight slot",
-            ));
+            return invalid("replay max_in_flight: need at least one in-flight slot".into());
         }
         if !(self.image_mb.is_finite() && self.image_mb > 0.0) {
-            return Err(ManagerError::InvalidConfig(
-                "replay image size must be positive and finite",
+            return invalid(format!(
+                "replay image_mb must be positive and finite: {}",
+                self.image_mb
             ));
         }
-        if self.retry.validate().is_err() {
-            return Err(ManagerError::InvalidConfig("invalid replay retry policy"));
+        if let Err(why) = self.retry.validate() {
+            return invalid(format!("replay retry: {why}"));
         }
         Ok(())
     }
@@ -207,7 +208,7 @@ pub fn replay_dead_letters_observed(
 ) -> Result<ReplayReport> {
     config.validate()?;
     plan.validate()
-        .map_err(|_| ManagerError::InvalidConfig("invalid replay fault plan"))?;
+        .map_err(|why| ManagerError::InvalidConfig(format!("replay fault plan: {why}")))?;
 
     let mut report = ReplayReport::default();
     let mut flights: Vec<Flight> = Vec::new();

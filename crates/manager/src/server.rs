@@ -378,7 +378,7 @@ pub fn run_manager_observed(
 ) -> Result<ManagerOutcome> {
     config.validate()?;
     plan.validate()
-        .map_err(|_| ManagerError::InvalidConfig("invalid fault plan"))?;
+        .map_err(|why| ManagerError::InvalidConfig(format!("fault plan: {why}")))?;
 
     let retry = config.retry;
     let image_mb = config.image_mb;
@@ -421,7 +421,7 @@ pub fn run_manager_observed(
         .collect();
 
     let mut link = WeightedFairLink::new(config.link_mb_per_s, &config.weights.as_array())
-        .map_err(|_| ManagerError::InvalidConfig("invalid link parameters"))?;
+        .map_err(|why| ManagerError::InvalidConfig(format!("link: {why}")))?;
     let mut dlq = DeadLetterQueue::new();
     let mut prefetches: Vec<PrefetchFlow> = Vec::new();
     let mut next_prefetch_id = config.clients as u64;

@@ -300,7 +300,9 @@ impl FaultPlan {
         }
         let total = self.p_stall + self.p_drop + self.p_corrupt + self.p_unavailable;
         if total > 1.0 {
-            return Err(format!("transfer fault probabilities sum to {total} > 1"));
+            return Err(format!(
+                "p_stall + p_drop + p_corrupt + p_unavailable must be at most 1: {total}"
+            ));
         }
         for (name, f) in [
             ("stall_fraction", self.stall_fraction),

@@ -16,19 +16,16 @@ pub fn pool_to_json(pool: &MachinePool) -> Result<String> {
 ///
 /// Serde fills each [`AvailabilityTrace`] field by field, past
 /// [`AvailabilityTrace::new`], so every trace is rebuilt through it:
-/// non-positive or non-finite durations are rejected with the machine
-/// named, and observations are sorted by start time.
+/// non-positive or non-finite durations and overlapping observations are
+/// rejected with the machine named, and observations are sorted by start
+/// time.
 pub fn pool_from_json(json: &str) -> Result<MachinePool> {
     let pool: MachinePool =
         serde_json::from_str(json).map_err(|e| TraceError::Io(e.to_string()))?;
     let traces = pool
         .traces
         .into_iter()
-        .map(|t| {
-            let machine = t.machine;
-            AvailabilityTrace::new(machine, t.observations)
-                .map_err(|e| TraceError::Io(format!("{machine}: {e}")))
-        })
+        .map(|t| build_trace(t.machine, t.observations))
         .collect::<Result<Vec<_>>>()?;
     Ok(MachinePool::new(traces))
 }
@@ -69,7 +66,9 @@ pub fn write_csv<W: Write>(pool: &MachinePool, mut w: W) -> Result<()> {
 ///
 /// The machine id must be a whole `u32`, the start finite, the duration
 /// finite and positive, and a row must have exactly three fields;
-/// anything else is an error that names the line.
+/// anything else is an error that names the line. One machine's
+/// intervals may touch but not overlap; an overlap is an error that
+/// names the machine and the observation.
 pub fn read_csv<R: Read>(r: R) -> Result<MachinePool> {
     let reader = BufReader::new(r);
     let mut rows: Vec<(u32, f64, f64)> = Vec::new();
@@ -121,16 +120,22 @@ pub fn read_csv<R: Read>(r: R) -> Result<MachinePool> {
             Some((id, obs)) if *id == machine => obs.push(Observation { start, duration }),
             _ => {
                 if let Some((id, obs)) = current.take() {
-                    traces.push(AvailabilityTrace::new(MachineId(id), obs)?);
+                    traces.push(build_trace(MachineId(id), obs)?);
                 }
                 current = Some((machine, vec![Observation { start, duration }]));
             }
         }
     }
     if let Some((id, obs)) = current {
-        traces.push(AvailabilityTrace::new(MachineId(id), obs)?);
+        traces.push(build_trace(MachineId(id), obs)?);
     }
     Ok(MachinePool::new(traces))
+}
+
+/// [`AvailabilityTrace::new`] with the machine named in its error.
+fn build_trace(machine: MachineId, observations: Vec<Observation>) -> Result<AvailabilityTrace> {
+    AvailabilityTrace::new(machine, observations)
+        .map_err(|e| TraceError::Io(format!("{machine}: {e}")))
 }
 
 #[cfg(test)]
@@ -186,6 +191,21 @@ mod tests {
     fn csv_rejects_bad_rows() {
         assert!(read_csv("machine,start,duration\n1,2\n".as_bytes()).is_err());
         assert!(read_csv("machine,start,duration\n1,2,abc\n".as_bytes()).is_err());
+    }
+
+    #[test]
+    fn csv_rejects_overlapping_observations_of_one_machine() {
+        let err = read_csv("machine,start,duration\n3,0,5\n3,0,7\n".as_bytes()).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "trace I/O: machine-0003: observation 1 (in start order) starts before observation 0 ends"
+        );
+        // Out of order in the file, overlapping once sorted.
+        assert!(read_csv("machine,start,duration\n3,10,5\n3,0,11\n".as_bytes()).is_err());
+        // Touching intervals, and overlaps across machines, are fine.
+        let pool = read_csv("machine,start,duration\n3,0,5\n3,5,7\n4,2,9\n".as_bytes()).unwrap();
+        assert_eq!(pool.len(), 2);
+        assert_eq!(pool.traces()[0].durations(), vec![5.0, 7.0]);
     }
 
     #[test]

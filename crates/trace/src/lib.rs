@@ -47,6 +47,13 @@ pub enum TraceError {
         /// Index of the offending observation.
         index: usize,
     },
+    /// An observation starts before the previous one (in start order)
+    /// ends: one machine cannot be available twice at once.
+    OverlappingObservation {
+        /// Index, in start order, of the observation that overlaps its
+        /// predecessor.
+        index: usize,
+    },
     /// A requested split needs more observations than the trace holds.
     SplitTooLarge {
         /// Requested training length.
@@ -64,6 +71,11 @@ impl std::fmt::Display for TraceError {
             TraceError::InvalidObservation { index } => {
                 write!(f, "invalid observation at index {index}")
             }
+            TraceError::OverlappingObservation { index } => write!(
+                f,
+                "observation {index} (in start order) starts before observation {} ends",
+                index - 1
+            ),
             TraceError::SplitTooLarge {
                 requested,
                 available,
@@ -90,6 +102,8 @@ pub struct AvailabilityTrace {
 
 impl AvailabilityTrace {
     /// Build a trace, validating durations and sorting by start time.
+    /// Intervals may touch (a start equal to the previous end) but not
+    /// overlap.
     pub fn new(machine: MachineId, mut observations: Vec<Observation>) -> Result<Self> {
         for (i, o) in observations.iter().enumerate() {
             if !(o.duration.is_finite() && o.duration > 0.0 && o.start.is_finite()) {
@@ -97,6 +111,12 @@ impl AvailabilityTrace {
             }
         }
         observations.sort_by(|a, b| a.start.partial_cmp(&b.start).expect("validated finite"));
+        if let Some(i) = observations
+            .windows(2)
+            .position(|w| w[1].start < w[0].start + w[0].duration)
+        {
+            return Err(TraceError::OverlappingObservation { index: i + 1 });
+        }
         Ok(Self {
             machine,
             observations,

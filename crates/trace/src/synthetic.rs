@@ -155,6 +155,50 @@ impl Default for PoolConfig {
 }
 
 impl PoolConfig {
+    /// Check the distribution knobs; the error names the first field out
+    /// of range. Fractions lie in `[0, 1]` and sum to at most 1, the
+    /// shape range is `0 < low ≤ high`, the median scale is positive and
+    /// the scale spread and mean gap are non-negative, all finite.
+    pub fn validate(&self) -> std::result::Result<(), String> {
+        let fractions = [
+            ("weibull_fraction", self.weibull_fraction),
+            ("bimodal_fraction", self.bimodal_fraction),
+            ("diurnal_fraction", self.diurnal_fraction),
+        ];
+        for (name, f) in fractions {
+            if !(0.0..=1.0).contains(&f) {
+                return Err(format!("{name} must be in [0, 1]: {f}"));
+            }
+        }
+        let total: f64 = fractions.iter().map(|(_, f)| f).sum();
+        if total > 1.0 {
+            return Err(format!(
+                "weibull_fraction + bimodal_fraction + diurnal_fraction must be at most 1: {total}"
+            ));
+        }
+        let (lo, hi) = self.shape_range;
+        if !(lo > 0.0 && lo <= hi && hi.is_finite()) {
+            return Err(format!(
+                "shape_range must be finite with 0 < low <= high: ({lo}, {hi})"
+            ));
+        }
+        if !(self.median_scale.is_finite() && self.median_scale > 0.0) {
+            return Err(format!(
+                "median_scale must be positive and finite: {}",
+                self.median_scale
+            ));
+        }
+        for (name, v) in [
+            ("scale_log_sigma", self.scale_log_sigma),
+            ("mean_gap", self.mean_gap),
+        ] {
+            if !(v.is_finite() && v >= 0.0) {
+                return Err(format!("{name} must be finite and non-negative: {v}"));
+            }
+        }
+        Ok(())
+    }
+
     /// A small pool for fast tests and examples.
     pub fn small(machines: usize, observations: usize, seed: u64) -> Self {
         Self {

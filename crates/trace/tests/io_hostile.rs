@@ -1,7 +1,8 @@
 //! Hostile-input properties of the trace readers: any row soup fed to
 //! `read_csv`, and any observation list fed to `pool_from_json`, either
 //! fails with an error or yields a pool whose every observation has a
-//! finite start, a finite positive duration, and chronological order.
+//! finite start, a finite positive duration, and chronological,
+//! non-overlapping order.
 //! Neither reader may panic.
 
 use chs_trace::io::{pool_from_json, read_csv};
@@ -49,8 +50,9 @@ fn assert_sane(pool: &MachinePool) -> Result<(), TestCaseError> {
             );
         }
         prop_assert!(
-            obs.windows(2).all(|w| w[0].start <= w[1].start),
-            "unsorted starts"
+            obs.windows(2)
+                .all(|w| w[0].start + w[0].duration <= w[1].start),
+            "unsorted or overlapping observations"
         );
     }
     Ok(())
