@@ -17,16 +17,20 @@
 //! report envelope; the run exits 1 if a gate fails: `counts_identical`
 //! (every discrete ledger count equal) or `ledger_identity` (useful,
 //! megabyte and total seconds within 1e-9 relative of the closed form).
+//! Each executor's `policy_queries` counts its `next_interval` calls in
+//! one untimed pass: the closed form asks once per step of its per-trace
+//! plan, the step-driven drive once per work interval.
 
 use chs_bench::harness::{best_of, finish, Gates};
 use chs_bench::{step_drive_trace, CommonArgs, TablePrinter};
-use chs_cycle::{run_trace, CycleConfig, NoopObserver};
+use chs_cycle::{run_trace, CycleConfig, NoopObserver, SchedulePolicy};
 use chs_dist::fit::fit_model;
 use chs_dist::ModelKind;
 use chs_markov::CheckpointCosts;
 use chs_sim::CachedPolicy;
 use chs_trace::synthetic::known_weibull_trace;
 use serde::Serialize;
+use std::cell::Cell;
 
 /// Checkpoint/recovery cost for the benchmark (the paper's C = 110 s).
 const CHECKPOINT_COST: f64 = 110.0;
@@ -35,6 +39,34 @@ const CHECKPOINT_COST: f64 = 110.0;
 struct PathReport {
     seconds: f64,
     segments_per_second: f64,
+    /// `next_interval` calls over one pass of the trace.
+    policy_queries: u64,
+}
+
+/// Counts the `next_interval` calls an executor makes.
+struct Counted<'p> {
+    inner: &'p dyn SchedulePolicy,
+    queries: Cell<u64>,
+}
+
+impl SchedulePolicy for Counted<'_> {
+    fn next_interval(&self, age: f64) -> f64 {
+        self.queries.set(self.queries.get() + 1);
+        self.inner.next_interval(age)
+    }
+    fn label(&self) -> String {
+        self.inner.label()
+    }
+}
+
+/// The policy queries `drive` makes in one pass.
+fn count_queries(policy: &dyn SchedulePolicy, drive: impl FnOnce(&dyn SchedulePolicy)) -> u64 {
+    let counted = Counted {
+        inner: policy,
+        queries: Cell::new(0),
+    };
+    drive(&counted);
+    counted.queries.get()
 }
 
 #[derive(Debug, Serialize)]
@@ -85,6 +117,13 @@ fn main() {
     eprintln!("timing step-driven executor ({segments} segments, best of {reps}) ...");
     let (step, step_secs) = best_of(reps, || step_drive_trace(&durations, &policy, &config));
 
+    let closed_queries = count_queries(&policy, |p| {
+        run_trace(&durations, p, &config, &mut NoopObserver);
+    });
+    let step_queries = count_queries(&policy, |p| {
+        step_drive_trace(&durations, p, &config);
+    });
+
     let counts_identical = step.recoveries == closed.recoveries
         && step.recoveries_completed == closed.recoveries_completed
         && step.checkpoints_attempted == closed.checkpoints_attempted
@@ -103,10 +142,12 @@ fn main() {
         closed_form: PathReport {
             seconds: closed_secs,
             segments_per_second: segments as f64 / closed_secs.max(1e-12),
+            policy_queries: closed_queries,
         },
         step_driven: PathReport {
             seconds: step_secs,
             segments_per_second: segments as f64 / step_secs.max(1e-12),
+            policy_queries: step_queries,
         },
         step_overhead: step_secs / closed_secs.max(1e-12),
         max_rel_dev_useful_seconds: dev_useful,
@@ -116,8 +157,13 @@ fn main() {
     };
 
     println!("\ncycle-engine benchmark ({segments} segments, C = {CHECKPOINT_COST} s)");
-    let printer = TablePrinter::new(vec![12, 10, 12]);
-    printer.row(&["executor".into(), "secs".into(), "seg/s".into()]);
+    let printer = TablePrinter::new(vec![12, 10, 12, 10]);
+    printer.row(&[
+        "executor".into(),
+        "secs".into(),
+        "seg/s".into(),
+        "queries".into(),
+    ]);
     printer.rule();
     for (name, p) in [
         ("closed-form", &report.closed_form),
@@ -127,6 +173,7 @@ fn main() {
             name.into(),
             format!("{:.4}", p.seconds),
             format!("{:.0}", p.segments_per_second),
+            format!("{}", p.policy_queries),
         ]);
     }
     printer.rule();

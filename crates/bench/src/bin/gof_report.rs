@@ -5,6 +5,13 @@
 //! them on the held-out remainder by log-likelihood, BIC and
 //! Kolmogorov–Smirnov; then count which family wins.
 //!
+//! A win counts only when the best family beats the runner-up by more
+//! than a fixed margin ([`LL_TIE_NATS_PER_OBS`] per held-out observation
+//! on log-likelihood and BIC, [`KS_TIE`] on the KS statistic); closer
+//! calls count as ties. Fits that differ only along a likelihood ridge
+//! (the two hyperexponentials often do) would otherwise flip wins on
+//! noise.
+//!
 //! Also prints pool-level trace statistics (CV, tail index) that explain
 //! *why* the exponential loses.
 //!
@@ -18,6 +25,14 @@ use chs_dist::{gof, ModelKind};
 use chs_trace::analysis;
 use chs_trace::synthetic::generate_pool;
 use chs_trace::PAPER_TRAIN_LEN;
+
+/// Log-likelihood margin, nats per held-out observation, below which the
+/// best two families tie. BIC is `−2·logLik` plus a penalty, so its
+/// margin is twice this per observation.
+const LL_TIE_NATS_PER_OBS: f64 = 1e-6;
+
+/// KS-statistic margin below which the best two families tie.
+const KS_TIE: f64 = 1e-9;
 
 fn main() {
     let args = CommonArgs::parse();
@@ -49,9 +64,10 @@ fn main() {
     // Per-machine model selection on held-out data. The paper's four
     // families plus the log-normal extension as a fifth column.
     const FAMILIES: usize = 5;
-    let mut wins_ll = [0usize; FAMILIES];
-    let mut wins_bic = [0usize; FAMILIES];
-    let mut wins_ks = [0usize; FAMILIES];
+    // Wins per family and machines with no clear winner, per criterion
+    // (logLik, BIC, KS).
+    let mut wins = [[0usize; FAMILIES]; 3];
+    let mut ties = [0usize; 3];
     let mut ks_reject_exponential = 0usize;
     let mut scored_machines = 0usize;
 
@@ -82,23 +98,25 @@ fn main() {
             .iter()
             .map(|s| s.as_ref().expect("checked"))
             .collect();
-        let best_by = |f: &dyn Fn(&gof::FitScore) -> f64, higher: bool| -> usize {
-            let mut best = 0;
-            for i in 1..FAMILIES {
-                let better = if higher {
-                    f(scores[i]) > f(scores[best])
-                } else {
-                    f(scores[i]) < f(scores[best])
-                };
-                if better {
-                    best = i;
-                }
-            }
-            best
+        // The family with the lowest `cost`, if it beats every other
+        // family by more than `margin`.
+        let winner = |cost: &dyn Fn(&gof::FitScore) -> f64, margin: f64| -> Option<usize> {
+            let mut order: Vec<usize> = (0..FAMILIES).collect();
+            order.sort_by(|&a, &b| cost(scores[a]).total_cmp(&cost(scores[b])));
+            (cost(scores[order[1]]) - cost(scores[order[0]]) > margin).then_some(order[0])
         };
-        wins_ll[best_by(&|s| s.log_likelihood, true)] += 1;
-        wins_bic[best_by(&|s| s.bic, false)] += 1;
-        wins_ks[best_by(&|s| s.ks, false)] += 1;
+        let n = test.len() as f64;
+        let best = [
+            winner(&|s| -s.log_likelihood, LL_TIE_NATS_PER_OBS * n),
+            winner(&|s| s.bic, 2.0 * LL_TIE_NATS_PER_OBS * n),
+            winner(&|s| s.ks, KS_TIE),
+        ];
+        for (c, best) in best.into_iter().enumerate() {
+            match best {
+                Some(i) => wins[c][i] += 1,
+                None => ties[c] += 1,
+            }
+        }
         if scores[0].ks_p < 0.05 {
             ks_reject_exponential += 1;
         }
@@ -121,11 +139,21 @@ fn main() {
     for (i, label) in labels.iter().enumerate() {
         printer.row(&[
             label.clone(),
-            format!("{}", wins_ll[i]),
-            format!("{}", wins_bic[i]),
-            format!("{}", wins_ks[i]),
+            format!("{}", wins[0][i]),
+            format!("{}", wins[1][i]),
+            format!("{}", wins[2][i]),
         ]);
     }
+    printer.row(&[
+        "ties".into(),
+        format!("{}", ties[0]),
+        format!("{}", ties[1]),
+        format!("{}", ties[2]),
+    ]);
+    println!(
+        "(a tie: the best two families within {LL_TIE_NATS_PER_OBS:e} nats per held-out\n\
+         observation on logLik and BIC, or within {KS_TIE:e} on the KS statistic)"
+    );
     println!(
         "\nKS rejects the exponential fit outright (p < 0.05) on {} of {} machines",
         ks_reject_exponential, scored_machines
@@ -135,5 +163,5 @@ fn main() {
          paper's premise that exponential availability is a modelling convenience,\n\
          not a description of the data."
     );
-    maybe_dump_json(&args, &(wins_ll, wins_bic, wins_ks, ks_reject_exponential));
+    maybe_dump_json(&args, &(wins, ties, ks_reject_exponential));
 }

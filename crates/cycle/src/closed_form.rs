@@ -6,6 +6,30 @@
 //! the extraction), so simulators ported onto this crate reproduce their
 //! pre-refactor results **bitwise**; a differential test in `chs-sim`
 //! pins that against a frozen copy of the old loop.
+//!
+//! # The plan walk
+//!
+//! Every segment opens with a recovery of `R` seconds, so its `k`-th
+//! work interval begins at the age `age₀ = R`, `ageₖ₊₁ = ageₖ + (tₖ + C)`
+//! — the paper's schedule `T_opt(R), T_opt(R + T₁ + C), …`, restarted
+//! after every failure (§3.5). That sequence does not depend on the
+//! segment: a segment's length only decides where its walk stops. So
+//! [`run_trace`] plans it once per trace: `tₖ`, the guarded interval at
+//! `ageₖ`, is computed the first time any segment reaches step `k` and
+//! read back by every later segment. Each segment still does the same
+//! ledger updates and the same `age += t + c` additions as a walk that
+//! queries the policy at every step, so every segment's step `k` starts
+//! at the bitwise-same age the plan entry was computed at. For a policy
+//! whose `next_interval` depends on the age alone (the
+//! [`SchedulePolicy`] contract) the results, ledger and observer events
+//! alike, are bitwise those of re-planning every step;
+//! `tests/plan_differential.rs` pins that against a frozen copy of the
+//! per-segment executor.
+//!
+//! The plan holds at most [`MAX_PLAN_STEPS`] entries; steps past it query
+//! the policy directly. Memory stays bounded where a degenerate but legal
+//! input (C = 0 with intervals clamped to `MIN_WORK_SECONDS`) walks
+//! millions of steps through one long segment.
 
 use crate::accounting::CycleAccounting;
 use crate::config::CycleConfig;
@@ -13,18 +37,69 @@ use crate::guard::guarded_interval;
 use crate::observer::{CycleObserver, TransferDirection};
 use crate::SchedulePolicy;
 
-/// Run one availability segment of length `a` seconds: recovery, then
-/// work/checkpoint cycles until eviction, accounting into `r` and
-/// reporting every event to `obs`.
+/// The most work intervals [`run_trace`] keeps in its per-trace plan
+/// (32 KiB of `f64`). A segment that walks further queries the policy at
+/// every step past this one.
+pub const MAX_PLAN_STEPS: usize = 4_096;
+
+/// The guarded intervals `t₀, t₁, …` from age `R`, as far as any segment
+/// of the trace has walked (capped at [`MAX_PLAN_STEPS`]).
+struct Plan<'p> {
+    policy: &'p dyn SchedulePolicy,
+    intervals: Vec<f64>,
+}
+
+impl Plan<'_> {
+    /// The interval of step `k`, which begins at `age`.
+    fn interval(&mut self, k: usize, age: f64) -> f64 {
+        if let Some(&t) = self.intervals.get(k) {
+            return t;
+        }
+        let t = guarded_interval(age, |age| self.policy.next_interval(age));
+        if k < MAX_PLAN_STEPS {
+            // Segments walk their steps in order, so a miss below the cap
+            // is always the plan's next entry.
+            debug_assert_eq!(k, self.intervals.len());
+            self.intervals.push(t);
+        }
+        t
+    }
+}
+
+/// Run a whole trace of availability segments, returning the aggregate
+/// ledger and reporting every event to `obs`. Durations are assumed
+/// pre-validated (finite, positive).
 ///
-/// The job is assumed to have been running before the segment (the
-/// paper's steady-state setup), so the segment begins with a recovery.
-pub fn run_segment(
-    a: f64,
+/// The job is assumed to have been running before each segment (the
+/// paper's steady-state setup), so every segment begins with a recovery.
+/// The policy is asked once per plan step, not once per segment step;
+/// see the module docs.
+pub fn run_trace<O: CycleObserver + ?Sized>(
+    durations: &[f64],
     policy: &dyn SchedulePolicy,
     config: &CycleConfig,
+    obs: &mut O,
+) -> CycleAccounting {
+    let mut r = CycleAccounting::default();
+    let mut plan = Plan {
+        policy,
+        intervals: Vec::new(),
+    };
+    for &segment in durations {
+        walk_segment(segment, &mut plan, config, &mut r, obs);
+    }
+    r
+}
+
+/// Run one availability segment of length `a` seconds: recovery, then
+/// work/checkpoint cycles along `plan` until eviction, accounting into
+/// `r` and reporting every event to `obs`.
+fn walk_segment<O: CycleObserver + ?Sized>(
+    a: f64,
+    plan: &mut Plan<'_>,
+    config: &CycleConfig,
     r: &mut CycleAccounting,
-    obs: &mut dyn CycleObserver,
+    obs: &mut O,
 ) {
     let c = config.checkpoint_cost;
     let rec = config.recovery_cost;
@@ -57,9 +132,10 @@ pub fn run_segment(
     obs.on_transfer_completed(rec, TransferDirection::Inbound, rec, megabytes);
     let mut age = rec;
 
-    // Phase 2: work/checkpoint cycles until eviction.
-    loop {
-        let t = guarded_interval(age, |age| policy.next_interval(age));
+    // Phase 2: work/checkpoint cycles until eviction; step `k` begins at
+    // the age its plan entry was computed at.
+    for k in 0.. {
+        let t = plan.interval(k, age);
         obs.on_interval_planned(age, t);
         if age + t >= a {
             // Evicted during (or exactly at the end of) the work phase:
@@ -97,21 +173,6 @@ pub fn run_segment(
             return;
         }
     }
-}
-
-/// Run a whole trace of availability segments, returning the aggregate
-/// ledger. Durations are assumed pre-validated (finite, positive).
-pub fn run_trace(
-    durations: &[f64],
-    policy: &dyn SchedulePolicy,
-    config: &CycleConfig,
-    obs: &mut dyn CycleObserver,
-) -> CycleAccounting {
-    let mut r = CycleAccounting::default();
-    for &segment in durations {
-        run_segment(segment, policy, config, &mut r, obs);
-    }
-    r
 }
 
 #[cfg(test)]

@@ -13,10 +13,12 @@
 //! * [`CycleAccounting`] — the unified ledger (useful/lost/recovery/
 //!   checkpoint seconds, committed/attempted counts, full + partial
 //!   megabytes) subsuming the per-executor result structs.
-//! * [`run_segment`] — closed-form execution of one availability segment
-//!   under fixed costs, the batch simulator's inner loop. Its arithmetic
-//!   is kept operation-for-operation identical to the historical engine
-//!   so ported simulators reproduce old results **bitwise**.
+//! * [`run_trace`] — closed-form execution of a trace of availability
+//!   segments under fixed costs, the batch simulator's inner loop. It
+//!   plans the schedule `T_opt(R), T_opt(R + T₁ + C), …` once per trace
+//!   and walks every segment along that one plan; its arithmetic is kept
+//!   operation-for-operation identical to the historical engine so
+//!   ported simulators reproduce old results **bitwise**.
 //! * [`CycleMachine`] — the step-driven form of the same machine:
 //!   explicit `Recovery / Work / Checkpoint` states advanced by
 //!   `advance(dt, megabytes)` and ended by `evict()`/`cutoff()`, for
@@ -40,7 +42,7 @@ mod machine;
 mod observer;
 
 pub use accounting::CycleAccounting;
-pub use closed_form::{run_segment, run_trace};
+pub use closed_form::{run_trace, MAX_PLAN_STEPS};
 pub use config::CycleConfig;
 pub use guard::{clamp_interval, guarded_interval, sanitize_age, MIN_WORK_SECONDS};
 pub use machine::{CycleMachine, CyclePhase};
@@ -54,8 +56,15 @@ pub use observer::{
 /// This is the policy interface every executor plans through; it lives
 /// here so the batch simulator, the timeline recorder, and differential
 /// test drivers all speak to the same trait.
+///
+/// `next_interval` must be a pure function of the age: the same age
+/// must always give the same interval, whatever was asked before.
+/// [`run_trace`] relies on this to plan a trace's schedule once and reuse
+/// it for every availability segment, so a policy that keeps state
+/// between calls is asked fewer times than there are work intervals.
 pub trait SchedulePolicy {
-    /// Work interval to attempt next, seconds.
+    /// Work interval to attempt next, seconds, for a machine `age`
+    /// seconds into its availability segment; depends on `age` alone.
     fn next_interval(&self, age: f64) -> f64;
     /// Display label.
     fn label(&self) -> String;

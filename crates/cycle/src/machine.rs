@@ -1,6 +1,6 @@
 //! The step-driven checkpoint-cycle state machine.
 //!
-//! Where [`crate::run_segment`] executes a whole availability segment in
+//! Where [`crate::run_trace`] executes whole availability segments in
 //! closed form (fixed costs, known duration), `CycleMachine` is driven
 //! incrementally by an external event loop: the driver decides *when*
 //! things happen (sampled transfer durations, megabytes drained through a

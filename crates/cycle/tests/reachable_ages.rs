@@ -2,13 +2,20 @@
 //! availability segment opens with a recovery of `R` seconds, so no
 //! `next_interval` call sees an age below `R`. Policy tables rely on
 //! this to fill only the ages at or above the recovery cost.
+//!
+//! The per-segment structure is read from the observer's
+//! `on_interval_planned` events, one per planned work interval: the
+//! executor shares one plan across a trace's segments, so the policy
+//! itself is asked only once per plan step.
 
-use chs_cycle::{run_trace, CycleConfig, NoopObserver, SchedulePolicy};
+use chs_cycle::{run_trace, CycleConfig, CycleObserver, SchedulePolicy};
 use proptest::prelude::*;
 use std::cell::{Cell, RefCell};
 
 /// Cycles through a fixed list of planned intervals (degenerate ones
-/// included) and records every age it is asked about.
+/// included) and records every age it is asked about. It keeps state
+/// between calls, which the `SchedulePolicy` contract rules out for real
+/// policies; here it only varies the intervals.
 struct Recording {
     intervals: Vec<f64>,
     next: Cell<usize>,
@@ -24,6 +31,16 @@ impl SchedulePolicy for Recording {
     }
     fn label(&self) -> String {
         "recording".into()
+    }
+}
+
+/// Records the age of every planned work interval.
+#[derive(Default)]
+struct Planned(Vec<f64>);
+
+impl CycleObserver for Planned {
+    fn on_interval_planned(&mut self, at: f64, _planned_work: f64) {
+        self.0.push(at);
     }
 }
 
@@ -57,15 +74,17 @@ proptest! {
             next: Cell::new(0),
             ages: RefCell::new(Vec::new()),
         };
-        let r = run_trace(&durations, &policy, &config, &mut NoopObserver);
-        let ages = policy.ages.into_inner();
+        let mut planned = Planned::default();
+        let r = run_trace(&durations, &policy, &config, &mut planned);
+        let planned = planned.0;
         // Every segment long enough to finish its recovery plans at
         // least once, and its first plan is exactly at age R.
         let reached = durations.iter().filter(|&&a| a >= recovery).count();
         prop_assert_eq!(r.recoveries_completed as usize, reached);
-        prop_assert!(ages.len() >= reached);
-        prop_assert_eq!(ages.iter().filter(|&&age| age == recovery).count(), reached);
-        for &age in &ages {
+        prop_assert!(planned.len() >= reached);
+        prop_assert_eq!(planned.iter().filter(|&&age| age == recovery).count(), reached);
+        // No planned interval, and no policy query, starts below R.
+        for &age in policy.ages.into_inner().iter().chain(&planned) {
             prop_assert!(age >= recovery, "planned at age {} below R = {}", age, recovery);
         }
     }

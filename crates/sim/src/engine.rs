@@ -1,11 +1,13 @@
 //! The per-trace simulation engine — a thin closed-form driver over the
 //! shared [`chs_cycle`] state machine.
 //!
-//! The cycle arithmetic itself lives in [`chs_cycle::run_segment`]
-//! (operation-for-operation identical to the loop that used to live
-//! here; `tests/frozen_engine.rs` pins the port bitwise against a frozen
-//! copy). This module owns only what is simulator-specific: validating
-//! configurations and traces, and mapping failures into [`SimError`].
+//! The cycle arithmetic itself lives in [`chs_cycle::run_trace`], which
+//! plans each trace's schedule once and walks every segment along it
+//! (per segment, operation-for-operation identical to the loop that used
+//! to live here; `tests/frozen_engine.rs` pins the port bitwise against a
+//! frozen copy). This module owns only what is simulator-specific:
+//! validating configurations and traces, and mapping failures into
+//! [`SimError`].
 
 use crate::metrics::SimResult;
 use crate::policy::SchedulePolicy;
@@ -31,12 +33,14 @@ pub fn simulate_trace(
 
 /// [`simulate_trace`] with a [`CycleObserver`] attached to the single
 /// engine pass — how [`crate::simulate_with_timeline`] records structure
-/// without simulating twice.
-pub fn simulate_trace_observed(
+/// without simulating twice. Generic over the observer, so
+/// [`simulate_trace`]'s [`NoopObserver`] calls compile away; a
+/// `&mut dyn CycleObserver` works too.
+pub fn simulate_trace_observed<O: CycleObserver + ?Sized>(
     durations: &[f64],
     policy: &dyn SchedulePolicy,
     config: &SimConfig,
-    obs: &mut dyn CycleObserver,
+    obs: &mut O,
 ) -> Result<SimResult> {
     config
         .validate()
